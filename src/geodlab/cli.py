@@ -8,8 +8,9 @@ only '#' footer lines vary.  Exit codes: 0 ok, 2 usage or config error,
 3 a tolerance failed when --check was given.
 
 Randomness is philox-4x64 keyed by the master seed; work item i draws
-from the stream jumped(i), so worker count never changes results, only
-how items are partitioned.
+from the stream jumped(i), so results do not depend on how items would
+be scheduled.  --workers is validated and echoed only: every experiment
+runs its items in order in one process.
 """
 
 from __future__ import annotations
@@ -421,7 +422,8 @@ def main(argv=None) -> int:
             formatter_class=argparse.RawDescriptionHelpFormatter)
         sp.add_argument("--config", help="key = value parameter file")
         sp.add_argument("--seed", type=int, help="master 64-bit seed")
-        sp.add_argument("--workers", type=int, help="work item partitions")
+        sp.add_argument("--workers", type=int,
+                        help="validated and echoed in the report; not used")
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--check", action="store_true",
                         help="exit 3 if any row or derived verdict is 'no'")

@@ -5,10 +5,11 @@ applied to i, the direction is encoded in how A rotates the vertical.
 Flowing for time t multiplies A on the right by diag(e^t, e^-t), which
 moves the base point Teichmueller distance t along its geodesic.  Deck
 reduction multiplies on the left by integer matrices and is tracked
-exactly in int64, so a flow-and-return event hands back the precise
-group element that closes the orbit.  Everything downstream (mixing
-correlations, the closed-orbit census, recurrence statistics) is built
-from these four moves: build frames, flow, reduce, test a box.
+exactly in int64 (an entry that would leave int64 raises), so a
+flow-and-return event hands back the precise group element that closes
+the orbit.  Everything downstream (mixing correlations, the closed-orbit
+census, recurrence statistics) is built from these four moves: build
+frames, flow, reduce, test a box.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import TOTAL_FRAME_MEASURE, MappingClass, ModelPoint, hyp_ball_area
+from .halfplane import (TOTAL_FRAME_MEASURE, MappingClass, ModelPoint,
+                        hyp_ball_area, reduce_points)
 from .report import fmt_value
 from .torus import systole_values
 from .words import (
@@ -71,39 +73,14 @@ def flow(A: np.ndarray, t: float) -> np.ndarray:
     return B
 
 
-def reduce_frames(A: np.ndarray, max_iter: int = 300):
+def reduce_frames(A: np.ndarray):
     """Left-multiply each frame into the fundamental domain.
 
     Returns (deck, reduced) with deck integral and reduced = deck . A.
     """
-    B = A.copy()
-    n = B.shape[0]
-    g = np.zeros((n, 2, 2), dtype=np.int64)
-    g[:, 0, 0] = 1
-    g[:, 1, 1] = 1
-    for _ in range(max_iter):
-        x, y, _ = frame_base_dir(B)
-        m = np.round(x)
-        r2 = (x - m) ** 2 + y * y
-        need_shift = np.abs(m) > 0
-        need_inv = (~need_shift) & (r2 < 1.0 - 1e-12)
-        if not (need_shift.any() or need_inv.any()):
-            return g, B
-        if need_shift.any():
-            mm = m[need_shift]
-            B[need_shift, 0, 0] -= mm * B[need_shift, 1, 0]
-            B[need_shift, 0, 1] -= mm * B[need_shift, 1, 1]
-            mi = mm.astype(np.int64)
-            g[need_shift, 0, 0] -= mi * g[need_shift, 1, 0]
-            g[need_shift, 0, 1] -= mi * g[need_shift, 1, 1]
-        if need_inv.any():
-            t0 = B[need_inv, 0, :].copy()
-            B[need_inv, 0, :] = -B[need_inv, 1, :]
-            B[need_inv, 1, :] = t0
-            t1 = g[need_inv, 0, :].copy()
-            g[need_inv, 0, :] = -g[need_inv, 1, :]
-            g[need_inv, 1, :] = t1
-    raise RuntimeError("frame reduction did not converge")
+    x, y, _ = frame_base_dir(A)
+    g = reduce_points(x, y, deck=True)[2]
+    return g, g @ A
 
 
 def stable_push(A: np.ndarray, s: float) -> np.ndarray:

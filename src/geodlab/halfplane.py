@@ -23,7 +23,15 @@ import numpy as np
 FUND_AREA = math.pi / 3.0
 TOTAL_FRAME_MEASURE = FUND_AREA * 2.0 * math.pi
 
-GEOM_TOL = 1e-9
+# A point counts as inside the unit circle, and gets inverted, only when
+# |z|^2 < 1 - BOUNDARY_TOL; the scalar and vector reductions share it.
+BOUNDARY_TOL = 1e-12
+REDUCE_CHUNK = 65_536  # reduce_points works through its input in chunks this long
+_DECK_LIMIT = 2.0 ** 62  # float bound on deck entries, with margin below 2^63
+
+
+class ReductionError(RuntimeError):
+    """Reduction into F hit its iteration cap or left int64 deck range."""
 
 
 @dataclass(frozen=True)
@@ -62,33 +70,6 @@ class ModelParams:
             raise ValueError("entropy exponent must equal 6g - 6 + 2n")
         if self.m != 3 * self.g - 3 + self.n:
             raise ValueError("curve count must equal 3g - 3 + n")
-
-
-@dataclass(frozen=True)
-class RealIsometry:
-    """Real Mobius transformation with unit determinant."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-12:
-            raise ValueError(f"determinant must be 1 within 1e-12, got {det!r}")
-
-    @staticmethod
-    def identity() -> "RealIsometry":
-        return RealIsometry(1.0, 0.0, 0.0, 1.0)
-
-    def compose(self, other: "RealIsometry") -> "RealIsometry":
-        return RealIsometry(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
 
 class MappingClass:
@@ -139,11 +120,12 @@ class MappingClass:
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    def as_isometry(self) -> RealIsometry:
-        return RealIsometry(float(self.a), float(self.b), float(self.c), float(self.d))
-
     def apply(self, z: ModelPoint) -> ModelPoint:
-        return apply_isometry(self.as_isometry(), z)
+        den = complex(self.c * z.x + self.d, self.c * z.y)
+        if abs(den) < 1e-300:
+            raise OverflowError("Mobius denominator underflow; transformation is numerically degenerate here")
+        w = complex(self.a * z.x + self.b, self.a * z.y) / den
+        return ModelPoint(w.real, w.imag)
 
 
 def hyp_dist(a: ModelPoint, b: ModelPoint) -> float:
@@ -162,25 +144,12 @@ def hyp_dist_arrays(x1, y1, x2, y2):
     return np.arccosh(np.maximum(t, 1.0))
 
 
-def teich_ball_area(r: float) -> float:
-    """Hyperbolic area of a ball of Teichmueller radius r (hyperbolic radius 2r)."""
-    return 2.0 * math.pi * (math.cosh(2.0 * r) - 1.0)
-
-
 def hyp_ball_area(rho: float) -> float:
     return 2.0 * math.pi * (math.cosh(rho) - 1.0)
 
 
-def apply_isometry(g: RealIsometry, z: ModelPoint) -> ModelPoint:
-    den = complex(g.c * z.x + g.d, g.c * z.y)
-    if abs(den) < 1e-300:
-        raise OverflowError("Mobius denominator underflow; transformation is numerically degenerate here")
-    w = (complex(g.a * z.x + g.b, g.a * z.y)) / den
-    return ModelPoint(w.real, w.imag)
-
-
 def reduce_to_fundamental(z: ModelPoint) -> tuple[ModelPoint, MappingClass]:
-    """Translate-and-invert reduction into F; returns (z', deck) with deck(z) = z'."""
+    """Scalar reduction into F with an exact deck: (z', deck) with deck(z) = z'."""
     x, y = z.x, z.y
     # deck rows as integers; row operations mirror the Mobius moves
     ga, gb, gc, gd = 1, 0, 0, 1
@@ -192,35 +161,68 @@ def reduce_to_fundamental(z: ModelPoint) -> tuple[ModelPoint, MappingClass]:
             gb -= m * gd
             continue
         r2 = x * x + y * y
-        if r2 < 1.0 - 1e-12:
+        if r2 < 1.0 - BOUNDARY_TOL:
             # z -> -1/z
             x, y = -x / r2, y / r2
             ga, gb, gc, gd = -gc, -gd, ga, gb
             continue
         break
     else:  # pragma: no cover - reduction always terminates
-        raise RuntimeError("reduction did not terminate")
+        raise ReductionError("reduction did not terminate")
     return ModelPoint(x, y), MappingClass(ga, gb, gc, gd)
 
 
-def reduce_points(x, y, max_iter: int = 300):
-    """Vectorized reduction of coordinate arrays into F (no deck tracking)."""
-    x = np.array(x, dtype=float, copy=True)
-    y = np.array(y, dtype=float, copy=True)
-    for _ in range(max_iter):
-        m = np.round(x)
-        r2 = (x - m) ** 2 + y * y
-        shift = np.abs(m) > 0
-        inv = (~shift) & (r2 < 1.0 - 1e-12)
-        if not (shift.any() or inv.any()):
-            break
-        if shift.any():
-            x[shift] -= m[shift]
-        if inv.any():
-            r2i = x[inv] ** 2 + y[inv] ** 2
-            x[inv] = -x[inv] / r2i
-            y[inv] = y[inv] / r2i
-    return x, y
+def _translate(x, g):
+    """z -> z - round(x) in place; with a deck g, also g <- T^{-m} g."""
+    m = np.round(x)
+    m += 0.0  # round gives -0.0 on (-1/2, 0]; x - (+0.0) keeps the sign of a zero
+    x -= m
+    if g is not None:
+        grow = np.abs(m) * np.abs(g[:, 1]).max(axis=1) + np.abs(g[:, 0]).max(axis=1)
+        if not np.all(grow < _DECK_LIMIT):
+            raise ReductionError("deck translation would overflow int64")
+        g[:, 0] -= m.astype(np.int64)[:, None] * g[:, 1]
+
+
+def reduce_points(x, y, max_iter: int = 300, deck: bool = False):
+    """Vectorized reduction of coordinate arrays into F.
+
+    Translate once, then invert-and-translate the points still inside the
+    unit circle until none is, revisiting only those.  Returns (x', y'),
+    or (x', y', g) with deck=True, where g holds int64 matrices with
+    g.z = z'.  Raises ReductionError when a point needs more than max_iter
+    inversions or a deck entry would leave int64.
+    """
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    shape = x.shape
+    x, y = x.reshape(-1), y.reshape(-1)
+    g = np.tile(np.eye(2, dtype=np.int64), (x.size, 1, 1)) if deck else None
+    for lo in range(0, x.size, REDUCE_CHUNK):
+        part = slice(lo, lo + REDUCE_CHUNK)
+        cx, cy = x[part], y[part]
+        cg = g[part] if deck else None
+        _translate(cx, cg)
+        idx = np.flatnonzero(cx * cx + cy * cy < 1.0 - BOUNDARY_TOL)
+        for _ in range(max_iter):
+            if idx.size == 0:
+                break
+            ax, ay = cx[idx], cy[idx]
+            r2 = ax * ax + ay * ay
+            ax, ay = -ax / r2, ay / r2
+            # z -> -1/z acts on the deck as S = [[0, -1], [1, 0]] from the left
+            ag = np.stack((-cg[idx, 1], cg[idx, 0]), axis=1) if deck else None
+            _translate(ax, ag)
+            cx[idx], cy[idx] = ax, ay
+            if deck:
+                cg[idx] = ag
+            idx = idx[ax * ax + ay * ay < 1.0 - BOUNDARY_TOL]
+        if idx.size:
+            raise ReductionError(f"{idx.size} points still inside the unit circle "
+                                 f"after {max_iter} inversions")
+    if deck:
+        return x.reshape(shape), y.reshape(shape), g.reshape(shape + (2, 2))
+    return x.reshape(shape), y.reshape(shape)
 
 
 def sample_ball(center: ModelPoint, r: float, rng) -> ModelPoint:

@@ -30,7 +30,7 @@ from .halfplane import (
 )
 from .products import contraction_ratio_exact
 from .report import ls_slope
-from .torus import BiasParams, bias_eval, systole
+from .torus import BiasParams, bias_eval, systole, systole_values
 from .words import teich_length_from_trace, word_to_matrix
 
 XSTEP = 2.4  # row-net x spacing in units of the row height
@@ -228,27 +228,14 @@ class RowNet:
 
     def node_systoles(self) -> list:
         """Per-row arrays of the systole at each node."""
-        out = []
-        for r in self.rows:
-            if r.y >= 1.0:
-                out.append(np.full(r.n, 1.0 / r.y))
-            else:
-                out.append(_reduced_systole(r.xs(), np.full(r.n, r.y)))
-        return out
+        return [systole_values(r.xs(), np.full(r.n, r.y)) for r in self.rows]
 
     def thin_mask(self, delta: float) -> list:
         """Per-row 0/1 arrays flagging nodes with systole <= delta."""
         if not 0.0 < delta < 1.0:
             raise ValueError("thin threshold must lie in (0, 1)")
-        out = []
-        for r in self.rows:
-            if r.y >= 1.0:
-                thin = 1.0 / r.y <= delta * (1.0 + 1e-12)
-                out.append(np.full(r.n, 1.0 if thin else 0.0))
-            else:
-                sy = _reduced_systole(r.xs(), np.full(r.n, r.y))
-                out.append((sy <= delta * (1.0 + 1e-12)).astype(float))
-        return out
+        return [(sy <= delta * (1.0 + 1e-12)).astype(float)
+                for sy in self.node_systoles()]
 
     def nearest_node(self, x: float, y: float):
         """(row_index, j, distance) of the nearest node to the point."""
@@ -290,22 +277,6 @@ def build_row_net(anchor: float, center: ModelPoint, radius: float,
             continue
         rows.append(NetRow(k=k, y=y, s=s, j_lo=j_lo, j_hi=j_hi))
     return RowNet(anchor=anchor, center=center, radius=radius, rows=tuple(rows))
-
-
-def _reduced_systole(x, y):
-    """Vectorized systole via translate-and-invert reduction; returns 1/Im."""
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    x = x - np.round(x)
-    for _ in range(200):
-        r2 = x * x + y * y
-        m = r2 < 1.0 - 1e-15
-        if not m.any():
-            break
-        x[m] = -x[m] / r2[m]
-        y[m] = y[m] / r2[m]
-        x[m] = x[m] - np.round(x[m])
-    return 1.0 / y
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +423,7 @@ def _window_nodes(r: NetRow, x: float, y: float, ch: float,
     js = np.arange(lo, hi + 1)
     if thin_delta is None:
         return js
-    if r.y >= 1.0:
-        return js if 1.0 / r.y <= thin_delta * (1.0 + 1e-12) else None
-    sy = _reduced_systole(js * r.s, np.full(js.size, r.y))
+    sy = systole_values(js * r.s, np.full(js.size, r.y))
     js = js[sy <= thin_delta * (1.0 + 1e-12)]
     return js if js.size else None
 
@@ -532,7 +501,7 @@ class Trajectory:
     def node_systoles(self) -> np.ndarray:
         xs = np.array([p.x for p in self.points])
         ys = np.array([p.y for p in self.points])
-        return _reduced_systole(xs, ys)
+        return systole_values(xs, ys)
 
 
 def _axis_point(p: float, q: float, s_hyp: float) -> ModelPoint:
@@ -712,8 +681,7 @@ def _sampled_q(net: RowNet, base: ModelPoint, tau: float, n_steps: int,
                     x, y = float(js[pick]) * r.s, r.y
                     break
                 pick -= js.size
-            sy = 1.0 / y if y >= 1.0 else \
-                float(_reduced_systole(np.array([x]), np.array([y]))[0])
+            sy = float(systole_values(np.array([x]), np.array([y]))[0])
             vals[pth, step] = wgt * (1.0 + math.exp(min(
                 s * (le - math.log(sy)), 700.0)))
     q = [q0] + [float(vals[:, i].mean()) for i in range(n_steps)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -398,22 +398,3 @@ def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
     flush()
     return mins
 
-
-def write_class_table(classes: Sequence[GeodesicClass], stream, step: float = 0.02,
-                      min_systoles: Iterable[float] | None = None) -> None:
-    """CSV rows word;trace;length;min_systole (word is comma-joined)."""
-    ms = np.asarray(list(min_systoles)) if min_systoles is not None \
-        else min_systole_batch(classes, step)
-    if len(ms) != len(classes):
-        raise ValueError("one min_systole per class")
-    close = False
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        stream = open(stream, "w", encoding="utf-8")
-        close = True
-    try:
-        stream.write("word;trace;length;min_systole\n")
-        for g, v in zip(classes, ms):
-            stream.write(f"{g.label};{g.trace};{g.length:.9g};{v:.9g}\n")
-    finally:
-        if close:
-            stream.close()

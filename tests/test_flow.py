@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geodlab.halfplane import ModelPoint, hyp_dist
+from geodlab.halfplane import ModelPoint, ReductionError, hyp_dist
 from geodlab.flow import (Box, NonClosingError, axis_distance,
                           close_orbit, closing_constants, default_box,
                           flow, frame_base_dir, frames_from_points, in_box,
@@ -60,6 +60,13 @@ def test_reduce_frames_lands_in_fund():
     assert np.all(x * x + y * y >= 1.0 - 1e-9)
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
     assert np.all(det == 1)
+    assert np.array_equal(B, g @ A)
+
+
+def test_reduce_frames_refuses_int64_overflow():
+    # the translation 3e19 does not fit in an int64 deck entry
+    with pytest.raises(ReductionError):
+        reduce_frames(frames_from_points([3e19], [1.0], [0.3]))
 
 
 def test_stable_leaf_contraction():

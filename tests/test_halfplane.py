@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geodlab.halfplane import (FUND_AREA, TOTAL_FRAME_MEASURE, MappingClass,
-                               ModelParams, ModelPoint, RealIsometry,
-                               apply_isometry, hyp_ball_area, hyp_dist,
+from geodlab.halfplane import (BOUNDARY_TOL, FUND_AREA, TOTAL_FRAME_MEASURE,
+                               MappingClass, ModelParams, ModelPoint,
+                               ReductionError, hyp_ball_area, hyp_dist,
                                hyp_dist_arrays, reduce_points,
                                reduce_to_fundamental, sample_ball,
-                               sample_ball_arrays, teich_ball_area, teich_dist)
+                               sample_ball_arrays, teich_dist)
+
+# Points anywhere in a wide strip, down to deep cusp heights.
+POINTS = st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1e-6, 1e3)),
+                  min_size=1, max_size=20)
 
 
 def test_model_point_guards():
@@ -61,11 +67,9 @@ def test_dist_arrays_match_scalar():
 
 
 def test_ball_areas():
-    # teich radius r is hyperbolic radius 2r
-    assert teich_ball_area(1.0) == pytest.approx(hyp_ball_area(2.0), rel=1e-12)
     assert hyp_ball_area(1.0) == pytest.approx(
         2.0 * math.pi * (math.cosh(1.0) - 1.0), rel=1e-12)
-    assert teich_ball_area(0.0) == 0.0
+    assert hyp_ball_area(0.0) == 0.0
 
 
 def test_frame_measure_constant():
@@ -75,16 +79,11 @@ def test_frame_measure_constant():
 
 
 def test_isometry_preserves_distance():
-    g = RealIsometry(2.0, 0.3, 0.5, 0.575)
+    g = MappingClass(3, 2, 4, 3)
     a = ModelPoint(0.4, 1.7)
     b = ModelPoint(-1.1, 0.2)
-    assert hyp_dist(apply_isometry(g, a), apply_isometry(g, b)) == \
+    assert hyp_dist(g.apply(a), g.apply(b)) == \
         pytest.approx(hyp_dist(a, b), rel=1e-9)
-
-
-def test_isometry_determinant_guard():
-    with pytest.raises(ValueError):
-        RealIsometry(1.0, 0.0, 0.0, 2.0)
 
 
 def test_mapping_class_algebra():
@@ -129,6 +128,63 @@ def test_reduce_points_matches_scalar():
         assert ry[i] == pytest.approx(w.y, rel=1e-9)
         assert abs(abs(rx[i]) - abs(w.x)) < 1e-7 or \
             abs(rx[i] - w.x) < 1e-7
+
+
+@settings(deadline=None)
+@given(POINTS)
+def test_reduce_points_lands_in_fund(pts):
+    x, y = (np.array(c) for c in zip(*pts))
+    rx, ry = reduce_points(x, y)
+    assert np.all(np.abs(rx) <= 0.5)
+    assert np.all(rx * rx + ry * ry >= 1.0 - BOUNDARY_TOL)
+
+
+@settings(deadline=None)
+@given(POINTS)
+def test_reduce_points_deck_matches_scalar(pts):
+    x, y = (np.array(c) for c in zip(*pts))
+    rx, ry, g = reduce_points(x, y, deck=True)
+    assert g.dtype == np.int64
+    for i, (xi, yi) in enumerate(pts):
+        z = ModelPoint(xi, yi)
+        w, deck = reduce_to_fundamental(z)
+        assert (rx[i], ry[i]) == (w.x, w.y)
+        assert tuple(int(v) for v in g[i].ravel()) == deck.entries()
+        # float Mobius steps lose digits near the real axis; the hyperbolic
+        # distance is the scale-free measure of the residual
+        assert hyp_dist(deck.apply(z), w) < 1e-6
+
+
+@settings(deadline=None)
+@given(st.floats(0.01, 0.5), st.booleans())
+def test_reduce_points_raises_at_cap(x, negate):
+    # one inversion lifts 1e-14 to at most 1e-10: far short of F
+    with pytest.raises(ReductionError):
+        reduce_points([-x if negate else x], [1e-14], max_iter=1)
+
+
+def test_reduce_points_deep_cusp_batch():
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-0.5, 0.5, 1000)
+    y = np.full(1000, 1e-14)
+    with pytest.raises(ReductionError):
+        reduce_points(x, y, max_iter=5)
+    rx, ry = reduce_points(x, y)
+    assert np.all(rx * rx + ry * ry >= 1.0 - BOUNDARY_TOL)
+
+
+def test_reduce_points_shapes_and_chunks():
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-3, 3, (3, 50_000))
+    y = rng.uniform(0.01, 3, (3, 50_000))
+    x0 = x.copy()
+    rx, ry, g = reduce_points(x, y, deck=True)
+    assert np.array_equal(x, x0)  # inputs are copied, not reduced in place
+    assert rx.shape == ry.shape == x.shape and g.shape == x.shape + (2, 2)
+    fx, fy = reduce_points(x.ravel(), y.ravel())  # spans several chunks
+    assert np.array_equal(fx, rx.ravel()) and np.array_equal(fy, ry.ravel())
+    sx, sy = reduce_points(0.3, 0.2)
+    assert np.ndim(sx) == 0 and sx * sx + sy * sy >= 1.0 - BOUNDARY_TOL
 
 
 def test_sample_ball_stays_in_ball():

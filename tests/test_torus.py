@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodlab.halfplane import ModelPoint
 from geodlab.torus import (MAX_SYSTOLE, BiasParams, CurveClass, bias_eval,
@@ -82,6 +84,28 @@ def test_systole_values_matches_scalar():
     for i in range(60):
         _, v = systole(ModelPoint(xs[i], ys[i]))
         assert vals[i] == pytest.approx(v, rel=1e-9)
+
+
+POINT_X = st.floats(-20.0, 20.0)
+POINT_Y = st.floats(1e-3, 1e3)
+
+
+@settings(deadline=None)
+@given(POINT_X, POINT_Y)
+def test_systole_values_invariant_under_t_and_s(x, y):
+    r2 = x * x + y * y
+    v = systole_values(np.array([x, x + 1.0, -x / r2]),
+                       np.array([y, y, y / r2]))
+    assert v[1] == pytest.approx(v[0], rel=1e-9)
+    assert v[2] == pytest.approx(v[0], rel=1e-9)
+
+
+@settings(deadline=None)
+@given(POINT_X, POINT_Y)
+def test_systole_values_equals_scalar_systole(x, y):
+    _, v = systole(ModelPoint(x, y))
+    assert float(systole_values(np.array([x]), np.array([y]))[0]) == \
+        pytest.approx(v, rel=1e-9)
 
 
 def test_bias_params_default_ladder():

@@ -6,8 +6,8 @@ import pytest
 from geodlab.halfplane import (ModelPoint, hyp_dist_arrays,
                                sample_ball_arrays, teich_dist)
 from geodlab.torus import BiasParams, bias_eval, systole_values
-from geodlab.walk import (NetCoverageError, ResourceError, _reduced_systole,
-                          build_net, build_row_net, count_trajectories,
+from geodlab.walk import (NetCoverageError, ResourceError, build_net,
+                          build_row_net, count_trajectories,
                           count_trajectories_sampled, discretize_geodesic,
                           net_size_slope, q_recursion_audit)
 from geodlab.words import enumerate_classes
@@ -72,14 +72,6 @@ def test_row_net_guards_and_kmin():
     assert min(r.k for r in clipped.rows) == 0
 
 
-def test_reduced_systole_matches_model():
-    rng = np.random.default_rng(6)
-    xs = rng.uniform(-0.5, 0.5, 200)
-    ys = np.exp(rng.uniform(math.log(0.05), math.log(5.0), 200))
-    assert np.allclose(_reduced_systole(xs.copy(), ys.copy()),
-                       systole_values(xs, ys), rtol=1e-9)
-
-
 def test_thin_mask_semantics():
     net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
     with pytest.raises(ValueError):
@@ -90,7 +82,7 @@ def test_thin_mask_semantics():
     for r, m in zip(net.rows, mask):
         if r.y >= 5.0:  # systole 1/y <= 0.2 on high rows
             assert m.min() == 1.0
-        sy = _reduced_systole(r.xs(), np.full(r.n, r.y))
+        sy = systole_values(r.xs(), np.full(r.n, r.y))
         assert np.array_equal(m, (sy <= 0.2 * (1.0 + 1e-12)).astype(float))
 
 
