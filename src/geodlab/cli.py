@@ -355,7 +355,7 @@ def run_assemble(config: ExperimentConfig) -> CountReport:
         bands.append((lo, hi, cnt))
         rows.append((lo, hi, cnt, "none", "yes"))
     asm = telescoping_assembly(bands)
-    direct = count_classes(r)
+    direct = len(classes)
     derived = {
         "assembled_total": asm.total,
         "direct_total": direct,

@@ -122,17 +122,26 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float):
     return [f for f in fams.values() if f is not None]
 
 
-def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet:
-    """All orbit points of X within ball radius tau around the center.
+def _reduced_windows(X: ModelPoint, center: ModelPoint, tau: float):
+    """Family windows around the reduced center, and the center's deck.
 
-    The center is reduced first (the count is invariant, the windows stay
-    small) and the points are mapped back through the deck afterwards.
+    The count is invariant under reducing the center, and the windows
+    stay small around a point of F.
     """
     if not (0.0 < tau <= MAX_ORBIT_RADIUS):
         raise ValueError(f"orbit radius must lie in (0, {MAX_ORBIT_RADIUS}]")
     x_red, _ = reduce_to_fundamental(X)
     c_red, deck = reduce_to_fundamental(center)
-    fams = _family_windows(x_red, c_red, tau)
+    return _family_windows(x_red, c_red, tau), deck
+
+
+def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet:
+    """All orbit points of X within ball radius tau around the center.
+
+    The windows are laid out around the reduced center and the points
+    are mapped back through its deck afterwards.
+    """
+    fams, deck = _reduced_windows(X, center, tau)
     xs, ys = [], []
     for re0, y_pt, lo, hi in fams:
         ts = np.arange(lo, hi + 1, dtype=float)
@@ -153,7 +162,9 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
 
 
 def orbit_count(X: ModelPoint, center: ModelPoint, tau: float) -> int:
-    return orbit_points(X, center, tau).count
+    """Number of orbit_points(X, center, tau), summed over the windows."""
+    fams, _ = _reduced_windows(X, center, tau)
+    return sum(hi - lo + 1 for _, _, lo, hi in fams)
 
 
 def spread_count(X: ModelPoint, c2: float) -> int:

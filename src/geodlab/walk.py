@@ -7,8 +7,9 @@ The row net (build_row_net) is closed form: rows at heights
 anchor * e^{2k} with x spacing 2.4 * y_row, so every node is an integer
 pair (k, j) and window intersections reduce to integer ranges.  That
 makes exact dynamic-programming counts of bounded-step trajectories
-possible via prefix sums; counts are exact integers carried in float64
-(they stay far below 2^53 at supported sizes).
+possible via prefix sums; counts are exact integers carried in float64,
+and count_trajectories raises once a step's total reaches 2^53, where
+that exactness would end.
 
 Public distances (tau, c1, c2, radii) are in the model metric, half the
 hyperbolic one.  Row algebra runs in hyperbolic units internally.
@@ -39,6 +40,9 @@ GROWTH_RATE = 2.0  # ball area grows like e^{2r}: 2 pi (cosh 2r - 1)
 MAX_NET_RADIUS = 8.0
 MAX_STREAM = 2_000_000
 NODE_BUDGET = 10_000_000
+# Integers below 2^53 are exact in float64.  Every DP entry and prefix sum
+# is at most its step's total, so a total below this keeps them all exact.
+EXACT_COUNT_LIMIT = 2.0 ** 53
 
 
 class ResourceError(RuntimeError):
@@ -334,6 +338,15 @@ class TrajectoryFamily:
         return float(sum((c * v).sum() for c, v in zip(counts, values)))
 
 
+def _exact_total(counts: list) -> float:
+    total = sum(float(c.sum()) for c in counts)
+    if total >= EXACT_COUNT_LIMIT:
+        raise OverflowError(
+            f"trajectory count {total:.6g} reached {EXACT_COUNT_LIMIT:.6g}, "
+            f"where float64 counts stop being exact")
+    return total
+
+
 def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
                        n_steps: int, thin_delta: float | None = None,
                        keep_steps: bool = False,
@@ -365,7 +378,7 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
         counts.append(c)
     if mask is not None:
         counts = [c * m for c, m in zip(counts, mask)]
-    per_step = [sum(float(c.sum()) for c in counts)]
+    per_step = [_exact_total(counts)]
     snapshots = [[c.copy() for c in counts]] if keep_steps else None
     for _ in range(n_steps - 1):
         new = [np.zeros(r.n) for r in rows]
@@ -389,7 +402,7 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
         if mask is not None:
             new = [c * m for c, m in zip(new, mask)]
         counts = new
-        per_step.append(sum(float(c.sum()) for c in counts))
+        per_step.append(_exact_total(counts))
         if keep_steps:
             snapshots.append([c.copy() for c in counts])
     return TrajectoryFamily(net=net, base=base, tau=tau, n_steps=n_steps,

@@ -5,7 +5,8 @@ a positive word R^{a1} L^{b1} ... R^{ak} L^{bk} in the elementary twists
 R = [[1,0],[1,1]] and L = [[1,1],[0,1]], all exponents at least 1, unique
 up to rotation by whole (R, L) syllable pairs.  The exponent tuple in its
 lexicographically least pair rotation is the canonical label used
-throughout the package.
+throughout the package.  enumerate_classes generates these least
+rotations (necklaces over the pair alphabet) directly, one per class.
 
 Translation length in the Teichmueller metric is arccosh(trace / 2), half
 the hyperbolic translation length.  Closed-geodesic counts grow like
@@ -103,37 +104,52 @@ class GeodesicClass:
         return ",".join(str(e) for e in self.exps)
 
 
-def _dfs_sequences(trace_cap: float) -> list:
-    """All exponent sequences (every rotation) with trace <= trace_cap.
+def _necklaces(trace_cap: float, primitive_only: bool) -> list:
+    """(exps, trace) of every pair necklace with trace <= trace_cap.
 
-    Appending a pair and raising either exponent both strictly increase the
-    trace, so the search tree is pruned exactly.
+    Fredricksen-Kessler-Maiorana generation over (a, b) syllable pairs in
+    lexicographic order: a prenecklace of t pairs with period p extends
+    only by a pair >= its pair t - p, and is a necklace (a least rotation)
+    exactly when p divides t, a Lyndon word (primitive) when p == t.
+    Appending a pair and raising either exponent both strictly increase
+    the trace, so pruning at the cap is exact.
     """
     out = []
+    word = []
 
-    def rec(m, exps):
-        if exps:
-            out.append((tuple(exps), m[0] + m[3]))
-        a = 1
+    def rec(m, t, p):
+        if t:
+            ra, rb = word[2 * (t - p)], word[2 * (t - p) + 1]
+        else:
+            ra, rb = 1, 1
+        m00, m01, m10, m11 = m
+        a, b = ra, rb
         while True:
-            cur = _append_pair(m, a, 1)
-            if cur[0] + cur[3] > trace_cap:
-                break
-            b = 1
-            while cur[0] + cur[3] <= trace_cap:
-                exps.extend((a, b))
-                rec(cur, exps)
-                del exps[-2:]
-                b += 1
-                cur = _append_pair(m, a, b)
-            a += 1
+            tr = m00 + m01 * a + m10 * b + m11 * (a * b + 1)
+            if tr > trace_cap:
+                if b == 1:
+                    break  # (a, 1) overflows, so does every larger pair
+                # (a, b > 1) overflows, but (a + 1, 1) may not
+                a, b = a + 1, 1
+                continue
+            q = p if (a, b) == (ra, rb) else t + 1
+            word.extend((a, b))
+            if q == t + 1 or (not primitive_only and (t + 1) % q == 0):
+                out.append((tuple(word), tr))
+            rec(_append_pair(m, a, b), t + 1, q)
+            del word[-2:]
+            b += 1
 
-    rec((1, 0, 0, 1), [])
+    rec((1, 0, 0, 1), 0, 1)
     return out
 
 
 def enumerate_classes(max_length: float, primitive_only: bool = True) -> list:
-    """All conjugacy classes with translation length <= max_length."""
+    """All conjugacy classes with translation length <= max_length.
+
+    Each class is generated once, directly in canonical form, so no
+    rotation is ever deduplicated; sorted by (trace, exps).
+    """
     if max_length > MAX_ENUM_LENGTH:
         raise ValueError(
             f"enumeration above length {MAX_ENUM_LENGTH} is out of budget; narrow the window"
@@ -141,15 +157,9 @@ def enumerate_classes(max_length: float, primitive_only: bool = True) -> list:
     if max_length <= 0:
         return []
     trace_cap = 2.0 * math.cosh(max_length)
-    seen = {}
-    for exps, t in _dfs_sequences(trace_cap):
-        c = canonical(exps)
-        if c not in seen:
-            seen[c] = t
     classes = [
         GeodesicClass(c, t, teich_length_from_trace(t))
-        for c, t in seen.items()
-        if not primitive_only or is_primitive(c)
+        for c, t in _necklaces(trace_cap, primitive_only)
     ]
     classes.sort(key=lambda g: (g.trace, g.exps))
     return classes
@@ -210,7 +220,8 @@ def classes_by_entry_search(trace_max: int, primitive_only: bool = True) -> set:
     Positive-word matrices have all entries >= 1, and in any such matrix
     each entry is below the trace, so looping the diagonal and factoring
     the off-diagonal product ad - 1 visits every class.  A completely
-    different route from the word DFS, kept as its consistency check.
+    different route from the necklace generator, kept as its consistency
+    check.
     """
     found = set()
     for t in range(3, trace_max + 1):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist,
                                teich_dist)
@@ -51,6 +53,18 @@ def test_orbit_count_matches_group_bfs(tau):
            for a, b in zip(pts.x, pts.y)}
     assert got == brute
     assert pts.count == len(brute)
+    assert orbit_count(X, center, tau) == len(brute)
+
+
+POINT = st.builds(ModelPoint, st.floats(-3.0, 3.0), st.floats(0.2, 30.0))
+
+
+@settings(deadline=None)
+@given(POINT, POINT, st.floats(0.05, 3.0))
+@example(ModelPoint(0.0, 1.0), ModelPoint(0.1, 1.4), 3.0)  # exact keys
+@example(ModelPoint(0.3, 1.1), ModelPoint(-0.2, 0.9), 3.0)  # float keys
+def test_orbit_count_matches_orbit_points(X, center, tau):
+    assert orbit_count(X, center, tau) == orbit_points(X, center, tau).count
 
 
 def test_orbit_points_all_within_radius_and_on_orbit():

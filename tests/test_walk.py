@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geodlab import walk
 from geodlab.halfplane import (ModelPoint, hyp_dist_arrays,
                                sample_ball_arrays, teich_dist)
 from geodlab.torus import BiasParams, bias_eval, systole_values
@@ -149,6 +150,19 @@ def test_dp_guards():
         count_trajectories(net, base, 0.0, 2)
     with pytest.raises(ResourceError):
         count_trajectories(net, base, 1.5, 2, node_budget=10)
+
+
+def test_dp_raises_where_float_counts_stop_being_exact(monkeypatch):
+    net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
+    base = ModelPoint(0.0, 5.0)
+    # per-step totals are 13 then 161: a limit between them trips step 2
+    monkeypatch.setattr(walk, "EXACT_COUNT_LIMIT", 161.0)
+    with pytest.raises(OverflowError):
+        count_trajectories(net, base, 1.5, 2)
+    assert count_trajectories(net, base, 1.5, 1).per_step == (13.0,)
+    monkeypatch.setattr(walk, "EXACT_COUNT_LIMIT", 13.0)
+    with pytest.raises(OverflowError):
+        count_trajectories(net, base, 1.5, 1)
 
 
 def test_sampled_count_unbiased():

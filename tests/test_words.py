@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodlab.halfplane import MappingClass
 from geodlab.words import (MAX_ENUM_LENGTH, GeodesicClass, axis_samples,
@@ -75,11 +77,22 @@ def test_enumerate_includes_imprimitive_when_asked():
 
 
 def test_entry_search_agrees_small():
-    brute = classes_by_entry_search(20)
     cap = math.acosh(10.0) + 1e-9
-    neck = {canonical(tuple(c.exps)) for c in enumerate_classes(cap)
-            if c.trace <= 20}
-    assert brute == neck
+    for primitive_only in (True, False):
+        brute = classes_by_entry_search(20, primitive_only=primitive_only)
+        neck = {canonical(tuple(c.exps))
+                for c in enumerate_classes(cap, primitive_only=primitive_only)
+                if c.trace <= 20}
+        assert brute == neck
+
+
+@pytest.mark.parametrize("primitive_only", [True, False])
+def test_enumerate_emits_each_class_once(primitive_only):
+    classes = enumerate_classes(5.0, primitive_only=primitive_only)
+    words = [c.exps for c in classes]
+    assert len(set(words)) == len(words)
+    assert all(w == canonical(w) for w in words)
+    assert all(is_primitive(w) or not primitive_only for w in words)
 
 
 def test_geodesic_class_from_exps():
@@ -100,6 +113,26 @@ def test_conjugacy_word_identifies_classes():
         assert w == g.exps
         w2 = conjugacy_word(m.inverse() * m * m)  # conjugation by m is trivial
         assert w2 == g.exps
+
+
+_SL2Z_GENERATORS = (MappingClass(1, 1, 0, 1), MappingClass(1, -1, 0, 1),
+                    MappingClass(0, -1, 1, 0))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(enumerate_classes(4.0)),
+       st.lists(st.sampled_from(_SL2Z_GENERATORS), max_size=16))
+def test_conjugacy_word_is_conjugation_invariant(g, gens):
+    conj = MappingClass.identity()
+    for s in gens:
+        conj = conj * s
+    assert conjugacy_word(conj * g.matrix * conj.inverse()) == g.exps
+
+
+def test_conjugacy_word_power_cap():
+    assert conjugacy_word(word_to_matrix((1, 1) * 65)) == (1, 1) * 65
+    with pytest.raises(ArithmeticError):
+        conjugacy_word(word_to_matrix((1, 1) * 66))
 
 
 def test_conjugacy_word_rejects_nonhyperbolic():
