@@ -9,8 +9,8 @@ only '#' footer lines vary.  Exit codes: 0 ok, 2 usage or config error,
 
 Randomness is philox-4x64 keyed by the master seed; work item i draws
 from the stream jumped(i), so results do not depend on how items would
-be scheduled.  --workers is validated and echoed only: every experiment
-runs its items in order in one process.
+be scheduled.  Every experiment runs its items in order in one process,
+and the report echoes that as workers = 1.
 """
 
 from __future__ import annotations
@@ -83,12 +83,28 @@ def telescoping_assembly(bands) -> AssemblyResult:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each returns a CountReport.
+# Experiment runners.  Each returns a CountReport whose table has the
+# columns declared here; --help prints them too.
+
+COLUMNS = {
+    "count": ("radius", "classes", "ratio", "bound", "ok"),
+    "thin": ("delta", "radius", "almost_closed", "bound", "ok"),
+    "bias-verify": ("tau", "estimate", "exact", "stderr", "z", "bound", "ok"),
+    "walk": ("radius", "trajectories", "thin_trajectories", "bound", "ok"),
+    "mix": ("time", "estimate", "target", "stderr", "bound", "ok"),
+    "close": ("time", "events", "components", "count_ratio",
+              "worst_length_gap", "length_bound",
+              "worst_axis_distance", "axis_bound", "ok"),
+    "lattice": ("quantity", "systole", "tau", "value", "bound", "ok"),
+    "veech": ("length_bin_end", "classes", "min_axis_systole", "bound", "ok"),
+    "recurrence": ("horizon", "flagged_fraction", "bound", "ok"),
+    "assemble": ("band_lo", "band_hi", "classes", "bound", "ok"),
+}
 
 
 def _echo(config: ExperimentConfig) -> dict:
     out = {"experiment": config.experiment, "seed": config.seed,
-           "workers": config.workers, "rng": RNG_NAME}
+           "workers": 1, "rng": RNG_NAME}
     for k, v in config.params.items():
         out[k] = ", ".join(fmt_value(x) for x in v) if isinstance(v, tuple) \
             else v
@@ -111,7 +127,7 @@ def run_count(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="closed-class counts against e^{2R}/(2R)",
         params=_echo(config),
-        columns=("radius", "classes", "ratio", "bound", "ok"),
+        columns=COLUMNS["count"],
         rows=rows, derived=derived)
 
 
@@ -150,7 +166,7 @@ def run_thin(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="thin almost-closed trajectory counts",
         params=_echo(config),
-        columns=("delta", "radius", "almost_closed", "bound", "ok"),
+        columns=COLUMNS["thin"],
         rows=rows, derived=derived)
 
 
@@ -177,7 +193,7 @@ def run_bias_verify(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title=f"ball-average contraction, {j} factor(s)",
         params=_echo(config),
-        columns=("tau", "estimate", "exact", "stderr", "z", "bound", "ok"),
+        columns=COLUMNS["bias-verify"],
         rows=rows, derived=derived)
 
 
@@ -203,7 +219,7 @@ def run_walk(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="step-bounded trajectory growth",
         params=_echo(config),
-        columns=("radius", "trajectories", "thin_trajectories", "bound", "ok"),
+        columns=COLUMNS["walk"],
         rows=rows, derived=derived)
 
 
@@ -223,7 +239,7 @@ def run_mix(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="flow correlation against the product of measures",
         params=_echo(config),
-        columns=("time", "estimate", "target", "stderr", "bound", "ok"),
+        columns=COLUMNS["mix"],
         rows=rows, derived=derived)
 
 
@@ -256,9 +272,7 @@ def run_close(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="closed-orbit census from flow recurrence",
         params=_echo(config),
-        columns=("time", "events", "components", "count_ratio",
-                 "worst_length_gap", "length_bound",
-                 "worst_axis_distance", "axis_bound", "ok"),
+        columns=COLUMNS["close"],
         rows=rows, derived=derived)
 
 
@@ -290,7 +304,7 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="orbit points in balls around thin centers",
         params=_echo(config),
-        columns=("quantity", "systole", "tau", "value", "bound", "ok"),
+        columns=COLUMNS["lattice"],
         rows=rows, derived={})
 
 
@@ -321,7 +335,7 @@ def run_veech(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="smallest axis systole against class length",
         params=_echo(config),
-        columns=("length_bin_end", "classes", "min_axis_systole", "bound", "ok"),
+        columns=COLUMNS["veech"],
         rows=rows, derived=derived)
 
 
@@ -338,7 +352,7 @@ def run_recurrence(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="fraction of flow segments mostly in the thin part",
         params=_echo(config),
-        columns=("horizon", "flagged_fraction", "bound", "ok"),
+        columns=COLUMNS["recurrence"],
         rows=rows, derived=derived)
 
 
@@ -366,7 +380,7 @@ def run_assemble(config: ExperimentConfig) -> CountReport:
     return CountReport(
         title="band counts reassembled into the full total",
         params=_echo(config),
-        columns=("band_lo", "band_hi", "classes", "bound", "ok"),
+        columns=COLUMNS["assemble"],
         rows=rows, derived=derived)
 
 
@@ -382,21 +396,6 @@ RUNNERS = {
     "recurrence": run_recurrence,
     "assemble": run_assemble,
 }
-
-_COLUMN_DOCS = {
-    "count": "radius;classes;ratio;bound;ok  (ratio = classes * 2R / e^{2R})",
-    "thin": "delta;radius;almost_closed;bound;ok",
-    "bias-verify": "tau;estimate;exact;stderr;z;bound;ok",
-    "walk": "radius;trajectories;thin_trajectories;bound;ok",
-    "mix": "time;estimate;target;stderr;bound;ok",
-    "close": ("time;events;components;count_ratio;worst_length_gap;"
-              "length_bound;worst_axis_distance;axis_bound;ok"),
-    "lattice": "quantity;systole;tau;value;bound;ok",
-    "veech": "length_bin_end;classes;min_axis_systole;bound;ok",
-    "recurrence": "horizon;flagged_fraction;bound;ok",
-    "assemble": "band_lo;band_hi;classes;bound;ok",
-}
-
 
 def run(config: ExperimentConfig) -> CountReport:
     """Dispatch a validated config to its experiment runner."""
@@ -418,12 +417,11 @@ def main(argv=None) -> int:
         keys = ", ".join(sorted(EXPERIMENTS[name]))
         sp = sub.add_parser(
             name, help=f"run the {name} experiment",
-            description=f"Columns: {_COLUMN_DOCS[name]}\nConfig keys: {keys}",
+            description=f"Columns: {';'.join(COLUMNS[name])}\n"
+                        f"Config keys: {keys}",
             formatter_class=argparse.RawDescriptionHelpFormatter)
         sp.add_argument("--config", help="key = value parameter file")
         sp.add_argument("--seed", type=int, help="master 64-bit seed")
-        sp.add_argument("--workers", type=int,
-                        help="validated and echoed in the report; not used")
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--check", action="store_true",
                         help="exit 3 if any row or derived verdict is 'no'")
@@ -443,8 +441,6 @@ def main(argv=None) -> int:
             overrides[k.strip()] = v.strip()
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.workers is not None:
-            overrides["workers"] = args.workers
         config = build_config(args.experiment, text, overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -89,7 +89,6 @@ class ExperimentConfig:
 
     experiment: str
     seed: int = DEFAULT_SEED
-    workers: int = 1
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -99,10 +98,7 @@ class ExperimentConfig:
                 f"{', '.join(sorted(EXPERIMENTS))}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed must be a 64-bit nonnegative integer")
-        if int(self.workers) < 1:
-            raise ConfigError("workers must be at least 1")
         self.seed = int(self.seed)
-        self.workers = int(self.workers)
         spec = EXPERIMENTS[self.experiment]
         unknown = set(self.params) - set(spec)
         if unknown:
@@ -180,11 +176,8 @@ def build_config(experiment: str, file_text: str | None = None,
     if overrides:
         kv.update({k: v for k, v in overrides.items() if v is not None})
     seed = kv.pop("seed", DEFAULT_SEED)
-    workers = kv.pop("workers", 1)
     try:
         seed = int(str(seed))
-        workers = int(str(workers))
     except ValueError:
-        raise ConfigError("seed and workers must be integers") from None
-    return ExperimentConfig(experiment=experiment, seed=seed,
-                            workers=workers, params=kv)
+        raise ConfigError("seed must be an integer") from None
+    return ExperimentConfig(experiment=experiment, seed=seed, params=kv)

@@ -2,11 +2,13 @@
 
 The product of m factors carries the sup metric.  Its short curves are
 the factor systoles sorted ascending, and the bias pack assigns eps_i to
-the i-th shortest.  Deep in a cusp the systole is exactly 1/Im, so the
-average of the contraction ratio (l(X)/l(z))^s over a ball is an explicit
-two-dimensional integral; the Monte Carlo checks are compared against
-that quadrature, and the ladder inequalities are then verified pointwise
-with normalized statistics whose ratios never leave float range.
+the i-th shortest.  The bias functions and regions are evaluated here
+for every m; a bare model point is the one-factor case.  Deep in a cusp
+the systole is exactly 1/Im, so the average of the contraction ratio
+(l(X)/l(z))^s over a ball is an explicit two-dimensional integral; the
+Monte Carlo checks are compared against that quadrature, and the ladder
+inequalities are then verified pointwise with normalized statistics
+whose ratios never leave float range.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .halfplane import ModelPoint, sample_ball_arrays, teich_dist
 from .report import ls_slope
-from .torus import BiasParams, bias_eval, systole, systole_values
+from .torus import BiasParams, systole, systole_values
 
 
 @dataclass(frozen=True)
@@ -42,51 +44,82 @@ def sup_dist(X: ProductPoint, Y: ProductPoint) -> float:
     return max(teich_dist(a, b) for a, b in zip(X.factors, Y.factors))
 
 
-def sorted_lengths(X: ProductPoint) -> tuple:
-    return tuple(sorted(systole(f)[1] for f in X.factors))
+def sorted_lengths(X) -> tuple:
+    """Factor systoles in ascending order; a bare model point is one factor."""
+    factors = X.factors if isinstance(X, ProductPoint) else (X,)
+    return tuple(sorted(systole(f)[1] for f in factors))
 
 
 @dataclass(frozen=True)
-class ProductBiasEvaluation:
+class BiasEvaluation:
+    """Sorted short-curve lengths and derived bias values at one point."""
+
     lengths: tuple
-    log_f: tuple
-    f: tuple
+    log_f: tuple  # log f_0 .. log f_m
+    f: tuple      # f_0 .. f_m as floats (inf if out of range)
     u: float
-    u_tail: tuple
+    u_tail: tuple  # u_j = sum_{k >= j} f_k for j = 0 .. m
     G: float
 
 
-def _exp_safe(v: float) -> float:
-    return math.inf if v > 709.0 else math.exp(v)
+def _exp_safe(v):
+    """exp, reading inf past 709 rather than overflowing."""
+    v = np.asarray(v)
+    return np.where(v > 709.0, np.inf, np.exp(np.minimum(v, 709.0)))
 
 
-def product_bias_eval(X: ProductPoint, params: BiasParams) -> ProductBiasEvaluation:
-    if X.m != params.m:
-        raise ValueError(f"point has {X.m} factors, parameters expect {params.m}")
+def bias_terms(lengths, params: BiasParams):
+    """log f, f and the tails u_j from ascending short-curve lengths.
+
+    The last axis of lengths holds the m lengths of one point; the three
+    results hold m + 1 values there.  log f_0 = 0 and log f_i adds
+    s (log eps_i - log l_i) to log f_{i-1}; u_j sums f_j .. f_m.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.ndim == 0 or lengths.shape[-1] != params.m:
+        raise ValueError(f"need {params.m} lengths per point, "
+                         f"got shape {lengths.shape}")
+    steps = params.s * (np.asarray(params.log_eps) - np.log(lengths))
+    log_f = np.concatenate((np.zeros(lengths.shape[:-1] + (1,)),
+                            np.cumsum(steps, axis=-1)), axis=-1)
+    f = _exp_safe(log_f)
+    return log_f, f, np.cumsum(f[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _point_lengths(X, params: BiasParams) -> tuple:
     lengths = sorted_lengths(X)
-    log_f = [0.0]
-    for i, l in enumerate(lengths):
-        log_f.append(log_f[-1] + params.s * (params.log_eps[i] - math.log(l)))
-    f = tuple(_exp_safe(v) for v in log_f)
-    tails = np.cumsum(f[::-1])[::-1]
-    G = math.prod(l ** -0.5 for l in lengths)
-    return ProductBiasEvaluation(
+    if len(lengths) != params.m:
+        raise ValueError(f"point has {len(lengths)} factors, "
+                         f"parameters expect {params.m}")
+    return lengths
+
+
+def bias_eval(X, params: BiasParams) -> BiasEvaluation:
+    """Bias values at a product point, or at a model point when m = 1."""
+    lengths = _point_lengths(X, params)
+    log_f, f, tails = bias_terms(lengths, params)
+    return BiasEvaluation(
         lengths=lengths,
-        log_f=tuple(log_f),
-        f=f,
+        log_f=tuple(log_f.tolist()),
+        f=tuple(f.tolist()),
         u=float(tails[0]),
-        u_tail=tuple(float(t) for t in tails),
-        G=G,
+        u_tail=tuple(tails.tolist()),
+        G=math.prod(l ** -0.5 for l in lengths),
     )
 
 
-def in_region_W(j: int, X: ProductPoint, params: BiasParams) -> bool:
+def in_region_W(j: int, X, params: BiasParams) -> bool:
+    """True iff the (j+1)-th shortest length exceeds its ladder threshold.
+
+    For j = m there is no (m+1)-th curve and the region is everything.
+    Comparison happens in log space so it stays meaningful when the
+    threshold underflows floats.
+    """
     if not (0 <= j <= params.m):
         raise ValueError(f"region index must lie in [0, {params.m}]")
     if j == params.m:
         return True
-    l_next = sorted_lengths(X)[j]
-    return math.log(l_next) > params.log_eps_prime[j]
+    return math.log(_point_lengths(X, params)[j]) > params.log_eps_prime[j]
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +271,7 @@ def classify_region(z: ModelPoint, params: BiasParams) -> int:
     """Largest j with all of the first j lengths under their thresholds."""
     if params.m != 1:
         raise ValueError("pointwise verification is built for the m = 1 pack")
-    _, l1 = systole(z)
-    return 1 if math.log(l1) <= params.log_eps_prime[0] else 0
+    return 0 if in_region_W(0, z, params) else 1
 
 
 def verify_system(params: BiasParams, centers, contraction_bound: float,

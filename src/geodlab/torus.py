@@ -4,11 +4,12 @@ Extremal length is the single length functional: for a curve class (p,q)
 on the torus of modulus z it is |p + qz|^2 / Im z, the squared flat
 length over the area.  The systole is its minimum over primitive classes.
 
-The bias apparatus attaches to a parameter pack (s, tau, K, eps ladder)
-the functions f_j = prod (eps_i / l_i)^s, u = sum f_j, the tail sums
-u_j, and G = prod l_i^{-1/2}.  Ladder values decay so fast that they are
-stored as logarithms; everything that consumes them works in log space
-and only exponentiates quantities that are representable.
+BiasParams is the parameter pack (s, tau, K, eps ladder) of the bias
+functions f_j = prod (eps_i / l_i)^s, u = sum f_j, the tail sums u_j and
+G = prod l_i^{-1/2}, which products evaluates.  Ladder values decay so
+fast that they are stored as logarithms; everything that consumes them
+works in log space and only exponentiates quantities that are
+representable.
 """
 
 from __future__ import annotations
@@ -140,17 +141,9 @@ class BiasParams:
             if self.log_eps[i] >= self.log_eps[i + 1] - step:
                 raise ValueError(f"eps ladder violated between rungs {i + 1} and {i + 2}")
 
-    @property
-    def K(self) -> float:
-        return math.exp(self.log_K)
-
     def eps(self, j: int) -> float:
         """eps_j as a float; underflows to 0.0 below float range."""
         le = self.log_eps[j - 1]
-        return math.exp(le) if le > -700.0 else 0.0
-
-    def eps_prime(self, j: int) -> float:
-        le = self.log_eps_prime[j - 1]
         return math.exp(le) if le > -700.0 else 0.0
 
     def kappa_bounds(self) -> tuple[float, float]:
@@ -162,57 +155,3 @@ class BiasParams:
             raise ValueError("sandwich constants derived for the m=1, s=1/2 model only")
         se = math.exp(0.5 * self.log_eps[0])
         return 1.0 / (math.sqrt(MAX_SYSTOLE) + se), 1.0 / se
-
-
-@dataclass(frozen=True)
-class BiasEvaluation:
-    """Sorted short-curve lengths and derived bias values at one point."""
-
-    lengths: tuple
-    log_f: tuple  # log f_0 .. log f_m
-    f: tuple      # f_0 .. f_m as floats (inf if out of range)
-    u: float
-    u_tail: tuple  # u_j = sum_{k >= j} f_k for j = 0 .. m
-    G: float
-
-
-def _exp_safe(v: float) -> float:
-    if v > 709.0:
-        return math.inf
-    return math.exp(v)
-
-
-def bias_eval(z: ModelPoint, params: BiasParams) -> BiasEvaluation:
-    if params.m != 1:
-        raise ValueError("single-surface bias evaluation is the m = 1 case; use the product module beyond that")
-    _, l1 = systole(z)
-    log_f1 = params.s * (params.log_eps[0] - math.log(l1))
-    f = (1.0, _exp_safe(log_f1))
-    u1 = f[1]
-    u = f[0] + u1
-    G = l1 ** -0.5
-    return BiasEvaluation(
-        lengths=(l1,),
-        log_f=(0.0, log_f1),
-        f=f,
-        u=u,
-        u_tail=(u, u1),
-        G=G,
-    )
-
-
-def in_region_W(j: int, z: ModelPoint, params: BiasParams) -> bool:
-    """True iff the (j+1)-th shortest length exceeds its ladder threshold.
-
-    For j = m there is no (m+1)-th curve and the region is everything.
-    Comparison happens in log space so it stays meaningful when the
-    threshold underflows floats.
-    """
-    if not (0 <= j <= params.m):
-        raise ValueError(f"region index must lie in [0, {params.m}]")
-    if j == params.m:
-        return True
-    if params.m != 1:
-        raise ValueError("intermediate regions on a single torus need m = 1; use the product module")
-    _, l = systole(z)  # the (j+1)-th shortest here is the systole (j = 0)
-    return math.log(l) > params.log_eps_prime[j]

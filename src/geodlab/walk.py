@@ -29,9 +29,9 @@ from .halfplane import (
     sample_ball_arrays,
     teich_dist,
 )
-from .products import contraction_ratio_exact
+from .products import bias_eval, bias_terms, contraction_ratio_exact
 from .report import ls_slope
-from .torus import BiasParams, bias_eval, systole, systole_values
+from .torus import BiasParams, systole, systole_values
 from .words import teich_length_from_trace, word_to_matrix
 
 XSTEP = 2.4  # row-net x spacing in units of the row height
@@ -43,6 +43,11 @@ NODE_BUDGET = 10_000_000
 # Integers below 2^53 are exact in float64.  Every DP entry and prefix sum
 # is at most its step's total, so a total below this keeps them all exact.
 EXACT_COUNT_LIMIT = 2.0 ** 53
+
+
+def _is_thin(systoles, delta: float):
+    """Bool mask of systoles at most delta, with a relative slack of 1e-12."""
+    return systoles <= delta * (1.0 + 1e-12)
 
 
 class ResourceError(RuntimeError):
@@ -230,16 +235,15 @@ class RowNet:
     def node_count(self) -> int:
         return sum(r.n for r in self.rows)
 
-    def node_systoles(self) -> list:
-        """Per-row arrays of the systole at each node."""
-        return [systole_values(r.xs(), np.full(r.n, r.y)) for r in self.rows]
+    def node_systoles(self):
+        """The systole at each node, as one array per row, row by row."""
+        return (systole_values(r.xs(), np.full(r.n, r.y)) for r in self.rows)
 
     def thin_mask(self, delta: float) -> list:
-        """Per-row 0/1 arrays flagging nodes with systole <= delta."""
+        """Per-row bool arrays flagging nodes with systole <= delta."""
         if not 0.0 < delta < 1.0:
             raise ValueError("thin threshold must lie in (0, 1)")
-        return [(sy <= delta * (1.0 + 1e-12)).astype(float)
-                for sy in self.node_systoles()]
+        return [_is_thin(sy, delta) for sy in self.node_systoles()]
 
     def nearest_node(self, x: float, y: float):
         """(row_index, j, distance) of the nearest node to the point."""
@@ -436,31 +440,29 @@ def _window_nodes(r: NetRow, x: float, y: float, ch: float,
     js = np.arange(lo, hi + 1)
     if thin_delta is None:
         return js
-    sy = systole_values(js * r.s, np.full(js.size, r.y))
-    js = js[sy <= thin_delta * (1.0 + 1e-12)]
+    js = js[_is_thin(systole_values(js * r.s, np.full(js.size, r.y)),
+                     thin_delta)]
     return js if js.size else None
 
 
-def count_trajectories_sampled(net: RowNet, base: ModelPoint, tau: float,
-                               n_steps: int, n_paths: int, rng,
-                               thin_delta: float | None = None) -> SampledCount:
-    """Unbiased trajectory-count estimate by sequential importance sampling.
+def _sample_paths(net: RowNet, base: ModelPoint, tau: float, n_steps: int,
+                  n_paths: int, rng, thin_delta: float | None):
+    """Sequential importance sampling of step-bounded node paths.
 
     Each path extends by a uniformly random admissible node and carries
-    the product of branch counts as its weight; a path with no admissible
-    continuation contributes zero.
+    the product of branch counts so far as its weight.  Returns weights
+    and endpoint coordinates x, y, each of shape (n_paths, n_steps); from
+    a dead end on, a path's weight is 0 and its endpoint stays put.
     """
-    if n_paths < 2:
-        raise ValueError("need at least two sample paths")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
     ch = math.cosh(2.0 * tau) - 1.0
     rows = net.rows
-    weights = np.zeros(n_paths)
+    weights = np.zeros((n_paths, n_steps))
+    ends_x = np.zeros((n_paths, n_steps))
+    ends_y = np.zeros((n_paths, n_steps))
     for p in range(n_paths):
         x, y = base.x, base.y
         wgt = 1.0
-        for _ in range(n_steps):
+        for step in range(n_steps):
             opts = []
             for r in rows:
                 js = _window_nodes(r, x, y, ch, thin_delta)
@@ -468,7 +470,7 @@ def count_trajectories_sampled(net: RowNet, base: ModelPoint, tau: float,
                     opts.append((r, js))
             b = sum(o[1].size for o in opts)
             if b == 0:
-                wgt = 0.0
+                ends_x[p, step:], ends_y[p, step:] = x, y
                 break
             wgt *= b
             pick = int(rng.integers(b))
@@ -477,7 +479,25 @@ def count_trajectories_sampled(net: RowNet, base: ModelPoint, tau: float,
                     x, y = float(js[pick]) * r.s, r.y
                     break
                 pick -= js.size
-        weights[p] = wgt
+            weights[p, step] = wgt
+            ends_x[p, step], ends_y[p, step] = x, y
+    return weights, ends_x, ends_y
+
+
+def count_trajectories_sampled(net: RowNet, base: ModelPoint, tau: float,
+                               n_steps: int, n_paths: int, rng,
+                               thin_delta: float | None = None) -> SampledCount:
+    """Unbiased trajectory-count estimate by sequential importance sampling.
+
+    A path's weight after its last step estimates the count; a path with
+    no admissible continuation contributes zero.
+    """
+    if n_paths < 2:
+        raise ValueError("need at least two sample paths")
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    weights = _sample_paths(net, base, tau, n_steps, n_paths, rng,
+                            thin_delta)[0][:, -1]
     est = float(weights.mean())
     se = float(weights.std(ddof=1) / math.sqrt(n_paths))
     return SampledCount(n_paths=n_paths, estimate=est, std_error=se)
@@ -620,6 +640,11 @@ class QRecursionAudit:
         return ls_slope([p[0] for p in pts], [p[1] for p in pts])[0]
 
 
+def _u_values(systoles, params: BiasParams) -> np.ndarray:
+    """u = f_0 + f_1 at single-torus points with the given systoles."""
+    return bias_terms(systoles[:, None], params)[2][:, 0]
+
+
 def q_recursion_audit(X: ModelPoint, tau: float, n_steps: int, delta: float,
                       rng=None, params: BiasParams | None = None,
                       anchor: float | None = None,
@@ -646,9 +671,7 @@ def q_recursion_audit(X: ModelPoint, tau: float, n_steps: int, delta: float,
     inv2k = 0.5 * math.exp(-params.log_K)
     c_base = contraction_ratio_exact(tau, params.s) + inv2k + 1.0 / q0
     if net.node_count <= NODE_BUDGET:
-        s, le = params.s, params.log_eps[0]
-        u_rows = [1.0 + np.exp(np.minimum(s * (le - np.log(sy)), 700.0))
-                  for sy in net.node_systoles()]
+        u_rows = [_u_values(sy, params) for sy in net.node_systoles()]
         fam = count_trajectories(net, base, tau, n_steps,
                                  thin_delta=delta, keep_steps=True)
         q = [q0] + [fam.weighted_endpoint_sum(u_rows, step=i)
@@ -660,44 +683,14 @@ def q_recursion_audit(X: ModelPoint, tau: float, n_steps: int, delta: float,
             raise ResourceError(
                 f"row net has {net.node_count} nodes, over the {NODE_BUDGET} "
                 f"budget; pass an rng to audit by sampling")
-        q, se = _sampled_q(net, base, tau, n_steps, delta, params,
-                           q0, n_paths, rng)
+        wgt, ex, ey = _sample_paths(net, base, tau, n_steps, n_paths, rng,
+                                    delta)
+        vals = wgt * _u_values(systole_values(ex.ravel(), ey.ravel()),
+                               params).reshape(wgt.shape)
+        q = [q0] + [float(vals[:, i].mean()) for i in range(n_steps)]
+        se = [0.0] + [float(vals[:, i].std(ddof=1) / math.sqrt(n_paths))
+                      for i in range(n_steps)]
         sampled = True
     return QRecursionAudit(base=base, tau=tau, delta=delta, n_steps=n_steps,
                            eps_slack=eps_slack, q=tuple(q), q_se=tuple(se),
                            c_base=c_base, sampled=sampled)
-
-
-def _sampled_q(net: RowNet, base: ModelPoint, tau: float, n_steps: int,
-               delta: float, params: BiasParams, q0: float, n_paths: int, rng):
-    """Importance-sampled q values: weight times u at each step's endpoint."""
-    ch = math.cosh(2.0 * tau) - 1.0
-    rows = net.rows
-    s, le = params.s, params.log_eps[0]
-    vals = np.zeros((n_paths, n_steps))
-    for pth in range(n_paths):
-        x, y = base.x, base.y
-        wgt = 1.0
-        for step in range(n_steps):
-            opts = []
-            for r in rows:
-                js = _window_nodes(r, x, y, ch, delta)
-                if js is not None:
-                    opts.append((r, js))
-            b = sum(o[1].size for o in opts)
-            if b == 0:
-                break
-            wgt *= b
-            pick = int(rng.integers(b))
-            for r, js in opts:
-                if pick < js.size:
-                    x, y = float(js[pick]) * r.s, r.y
-                    break
-                pick -= js.size
-            sy = float(systole_values(np.array([x]), np.array([y]))[0])
-            vals[pth, step] = wgt * (1.0 + math.exp(min(
-                s * (le - math.log(sy)), 700.0)))
-    q = [q0] + [float(vals[:, i].mean()) for i in range(n_steps)]
-    se = [0.0] + [float(vals[:, i].std(ddof=1) / math.sqrt(n_paths))
-                  for i in range(n_steps)]
-    return q, se

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geodlab.cli import (RUNNERS, _COLUMN_DOCS, AssemblyResult, main, run,
+from geodlab.cli import (COLUMNS, RUNNERS, AssemblyResult, main, run,
                          telescoping_assembly, worker_stream)
 from geodlab.config import EXPERIMENTS, ConfigError, build_config
 from geodlab.report import CountReport, fit_exponent, fmt_value, ls_slope
@@ -14,7 +14,7 @@ def _body(text: str) -> str:
 
 
 def test_registry_complete():
-    assert set(RUNNERS) == set(EXPERIMENTS) == set(_COLUMN_DOCS)
+    assert set(RUNNERS) == set(EXPERIMENTS) == set(COLUMNS)
 
 
 def test_worker_stream_reproducible_and_disjoint():
@@ -82,6 +82,16 @@ def test_main_config_errors(capsys):
     rc = main(["count", "--config", "/does/not/exist.cfg"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_main_rejects_workers(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--workers", "2"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text("workers = 2\n")
+    assert main(["count", "--config", str(cfg)]) == 2
+    assert "unknown key 'workers'" in capsys.readouterr().err
 
 
 def test_main_usage_error():

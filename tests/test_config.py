@@ -7,7 +7,6 @@ from geodlab.config import (DEFAULT_SEED, EXPERIMENTS, ConfigError,
 def test_defaults_fill_in():
     cfg = ExperimentConfig("thin")
     assert cfg.seed == DEFAULT_SEED
-    assert cfg.workers == 1
     assert cfg.params["delta_grid"] == (0.05, 0.1, 0.2)
     assert cfg.params["tau"] == 1.5
     assert cfg.params["steps"] == 5
@@ -67,8 +66,8 @@ def test_seed_and_workers_ranges():
         ExperimentConfig("count", seed=-1)
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig("count", seed=2 ** 64)
-    with pytest.raises(ConfigError, match="workers"):
-        ExperimentConfig("count", workers=0)
+    with pytest.raises(ConfigError, match="unknown key 'workers'"):
+        build_config("count", overrides={"workers": "1"})
     assert ExperimentConfig("count", seed=0).seed == 0
 
 
@@ -95,5 +94,5 @@ def test_build_config_override_precedence():
     assert cfg.seed == 7
     cfg2 = build_config("thin", file_text=text, overrides={"seed": "9"})
     assert cfg2.seed == 9
-    with pytest.raises(ConfigError, match="seed and workers must be integers"):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
         build_config("thin", overrides={"seed": "abc"})

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geodlab import walk
 from geodlab.halfplane import ModelPoint
 from geodlab.products import (ContractionCheck, ProductPoint,
-                              ball_decay_slope, classify_region,
+                              ball_decay_slope, bias_eval, classify_region,
                               contraction_prefactor_constant,
                               contraction_ratio_exact, in_region_W,
-                              product_bias_eval, sorted_lengths, sup_dist,
-                              verify_contraction, verify_system)
+                              sorted_lengths, sup_dist, verify_contraction,
+                              verify_system)
 from geodlab.torus import BiasParams
 
 
@@ -94,7 +97,7 @@ def test_product_bias_eval_tails():
     params = BiasParams.default(m=2, tau=2.0)
     X = ProductPoint((ModelPoint(0.0, math.exp(90.0)),
                       ModelPoint(0.0, math.exp(120.0))))
-    ev = product_bias_eval(X, params)
+    ev = bias_eval(X, params)
     assert ev.lengths[0] < ev.lengths[1]
     assert ev.f[0] == 1.0
     assert ev.u == pytest.approx(sum(ev.f), rel=1e-12)
@@ -103,7 +106,7 @@ def test_product_bias_eval_tails():
     assert ev.G == pytest.approx(
         (ev.lengths[0] * ev.lengths[1]) ** -0.5, rel=1e-9)
     with pytest.raises(ValueError):
-        product_bias_eval(ProductPoint((ModelPoint(0.0, 1.0),)), params)
+        bias_eval(ProductPoint((ModelPoint(0.0, 1.0),)), params)
 
 
 def test_product_region_indexing():
@@ -118,6 +121,70 @@ def test_product_region_indexing():
     assert in_region_W(2, both, params)
     with pytest.raises(ValueError):
         in_region_W(3, both, params)
+    with pytest.raises(ValueError):  # a bare model point is one factor
+        in_region_W(0, deep, params)
+
+
+def test_bias_eval_deep_point():
+    p = BiasParams.default(m=1, tau=3.0)
+    z = ModelPoint(0.0, math.exp(20.0))
+    ev = bias_eval(z, p)
+    assert ev.lengths[0] == pytest.approx(math.exp(-20.0), rel=1e-9)
+    expect_logf = p.s * (p.log_eps[0] + 20.0)
+    assert ev.log_f[1] == pytest.approx(expect_logf, rel=1e-9)
+    assert ev.f[0] == 1.0
+    assert ev.u == pytest.approx(1.0 + ev.f[1], rel=1e-12)
+    assert ev.u_tail == (ev.u, ev.f[1])
+    assert ev.G == pytest.approx(math.exp(10.0), rel=1e-9)
+
+
+def test_bias_eval_thick_point_small_f():
+    p = BiasParams.default(m=1, tau=3.0)
+    ev = bias_eval(ModelPoint(0.0, 1.0), p)
+    # systole 1 is far above eps_1, so f_1 is exponentially small
+    assert ev.f[1] < 1e-3
+    assert ev.u == pytest.approx(1.0, abs=1e-3)
+
+
+def test_region_membership():
+    p = BiasParams.default(m=1, tau=3.0)
+    thick = ModelPoint(0.0, 1.0)
+    deep = ModelPoint(0.0, math.exp(40.0))
+    assert in_region_W(0, thick, p)
+    assert not in_region_W(0, deep, p)
+    assert in_region_W(1, thick, p) and in_region_W(1, deep, p)
+    with pytest.raises(ValueError):
+        in_region_W(2, thick, p)
+    with pytest.raises(ValueError):
+        in_region_W(-1, thick, p)
+
+
+def test_region_boundary_threshold():
+    p = BiasParams.default(m=1, tau=3.0)
+    y_edge = math.exp(-p.log_eps_prime[0])
+    assert not in_region_W(0, ModelPoint(0.0, y_edge * 1.01), p)
+    assert in_region_W(0, ModelPoint(0.0, y_edge * 0.99), p)
+
+
+FACTOR = st.tuples(st.floats(-0.5, 0.5), st.floats(-5.0, 60.0))
+
+
+@settings(deadline=None)
+@given(st.lists(FACTOR, min_size=1, max_size=2), st.floats(0.5, 4.0))
+def test_bias_eval_tails_steps_and_walk_u(factors, tau):
+    pts = tuple(ModelPoint(x, math.exp(ly)) for x, ly in factors)
+    m = len(pts)
+    params = BiasParams.default(m=m, tau=tau)
+    ev = bias_eval(pts[0] if m == 1 else ProductPoint(pts), params)
+    assert ev.lengths == sorted_lengths(ProductPoint(pts))
+    for j in range(m + 1):
+        assert ev.u_tail[j] == pytest.approx(sum(ev.f[j:]), rel=1e-15)
+    for j in range(1, m + 1):
+        step = params.s * (params.log_eps[j - 1] - math.log(ev.lengths[j - 1]))
+        assert ev.log_f[j] - ev.log_f[j - 1] == pytest.approx(
+            step, rel=1e-12, abs=1e-12 * abs(ev.log_f[j]))
+    if m == 1:
+        assert walk._u_values(np.array(ev.lengths), params)[0] == ev.u
 
 
 def test_classify_region_threshold():

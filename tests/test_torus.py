@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodlab.halfplane import ModelPoint
-from geodlab.torus import (MAX_SYSTOLE, BiasParams, CurveClass, bias_eval,
-                           extremal_length, in_region_W, systole,
-                           systole_values)
+from geodlab.torus import (MAX_SYSTOLE, BiasParams, CurveClass,
+                           extremal_length, systole, systole_values)
 
 
 def test_curve_class_normalization():
@@ -139,44 +138,3 @@ def test_bias_params_validation_errors():
     with pytest.raises(ValueError):
         BiasParams(1, 1.5, good.tau, good.log_K, good.log_eps,
                    good.log_eps_prime).validate()
-
-
-def test_bias_eval_deep_point():
-    p = BiasParams.default(m=1, tau=3.0)
-    z = ModelPoint(0.0, math.exp(20.0))
-    ev = bias_eval(z, p)
-    assert ev.lengths[0] == pytest.approx(math.exp(-20.0), rel=1e-9)
-    expect_logf = p.s * (p.log_eps[0] + 20.0)
-    assert ev.log_f[1] == pytest.approx(expect_logf, rel=1e-9)
-    assert ev.f[0] == 1.0
-    assert ev.u == pytest.approx(1.0 + ev.f[1], rel=1e-12)
-    assert ev.u_tail == (ev.u, ev.f[1])
-    assert ev.G == pytest.approx(math.exp(10.0), rel=1e-9)
-
-
-def test_bias_eval_thick_point_small_f():
-    p = BiasParams.default(m=1, tau=3.0)
-    ev = bias_eval(ModelPoint(0.0, 1.0), p)
-    # systole 1 is far above eps_1, so f_1 is exponentially small
-    assert ev.f[1] < 1e-3
-    assert ev.u == pytest.approx(1.0, abs=1e-3)
-
-
-def test_region_membership():
-    p = BiasParams.default(m=1, tau=3.0)
-    thick = ModelPoint(0.0, 1.0)
-    deep = ModelPoint(0.0, math.exp(40.0))
-    assert in_region_W(0, thick, p)
-    assert not in_region_W(0, deep, p)
-    assert in_region_W(1, thick, p) and in_region_W(1, deep, p)
-    with pytest.raises(ValueError):
-        in_region_W(2, thick, p)
-    with pytest.raises(ValueError):
-        in_region_W(-1, thick, p)
-
-
-def test_region_boundary_threshold():
-    p = BiasParams.default(m=1, tau=3.0)
-    y_edge = math.exp(-p.log_eps_prime[0])
-    assert not in_region_W(0, ModelPoint(0.0, y_edge * 1.01), p)
-    assert in_region_W(0, ModelPoint(0.0, y_edge * 0.99), p)

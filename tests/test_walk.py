@@ -6,7 +6,8 @@ import pytest
 from geodlab import walk
 from geodlab.halfplane import (ModelPoint, hyp_dist_arrays,
                                sample_ball_arrays, teich_dist)
-from geodlab.torus import BiasParams, bias_eval, systole_values
+from geodlab.products import bias_eval
+from geodlab.torus import BiasParams, systole_values
 from geodlab.walk import (NetCoverageError, ResourceError, build_net,
                           build_row_net, count_trajectories,
                           count_trajectories_sampled, discretize_geodesic,
@@ -239,6 +240,19 @@ def test_q_audit_exact_frozen():
     assert aud.certified()
     assert aud.fitted_prefactor == pytest.approx(0.317803, abs=1e-5)
     assert aud.growth_exponent == pytest.approx(1.399274, abs=1e-5)
+
+
+def test_q_audit_sampled_agrees_with_exact(monkeypatch):
+    X = ModelPoint(0.0, 40.0)
+    exact = q_recursion_audit(X, 1.5, 4, 0.2)
+    nodes = build_row_net(5.0, exact.base, 6.0).node_count
+    monkeypatch.setattr(walk, "NODE_BUDGET", nodes - 1)
+    aud = q_recursion_audit(X, 1.5, 4, 0.2, rng=np.random.default_rng(9),
+                            n_paths=1000)
+    assert aud.sampled and not exact.sampled
+    assert aud.q[0] == exact.q[0]
+    for q, se, want in zip(aud.q[1:], aud.q_se[1:], exact.q[1:]):
+        assert 0.0 < se and abs(q - want) <= 4.0 * se
 
 
 def test_q_audit_guards():
