@@ -19,6 +19,7 @@ import argparse
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,11 +282,12 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
     CELL_BOUND = 1.7702
     rows = []
     cells = {}
+    counters = Counter()
     for sy in p["systole_grid"]:
         depth = ModelPoint(0.0, 1.0 / sy)
         gsq = 1.0 / sy  # G(Y)^2 for systole sy
         for tau in p["tau_grid"]:
-            cnt = orbit_count(depth, depth, tau)
+            cnt = orbit_count(depth, depth, tau, counters)
             cell = cnt / (math.exp(GROWTH * tau) * gsq)
             cells[(sy, tau)] = cnt
             rows.append(("orbit_cell_ratio", sy, tau, cell,
@@ -297,7 +299,7 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
                  _ok(growth >= 5.0)))
     for sy in p["systole_grid"]:
         depth = ModelPoint(0.0, 1.0 / sy)
-        sc = spread_count(depth, p["spread_radius"])
+        sc = spread_count(depth, p["spread_radius"], counters)
         ratio = sc * sy  # count / G^2
         rows.append(("spread_ratio", sy, p["spread_radius"], ratio,
                      ">= 0.25", _ok(ratio >= 0.25)))
@@ -305,7 +307,7 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
         title="orbit points in balls around thin centers",
         params=_echo(config),
         columns=COLUMNS["lattice"],
-        rows=rows, derived={})
+        rows=rows, derived={}, counters=dict(counters))
 
 
 def run_veech(config: ExperimentConfig) -> CountReport:

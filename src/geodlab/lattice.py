@@ -4,11 +4,15 @@ Orbit points of X group into families indexed by the coprime bottom row
 (c, d) of the acting matrix: within a family the real part walks an
 integer lattice at fixed height Im = Im X / q, q = (c Re X + d)^2 + (c Im X)^2.
 A ball around the center therefore meets each family in an explicit
-integer window, and the total count is exact up to float rounding at the
-window edges.  Distinct (c, d) rows can produce the identical point set
+integer window, and the count is the sum of the window lengths.  The
+window edges are float64 integers, exact below 2^53; once an edge
+reaches 2^53 the count raises OverflowError instead of returning an
+inexact number.  Distinct (c, d) rows can produce the identical point set
 when the point stabilizer is nontrivial, so families are deduplicated by
 (q, fractional part of the real offset), with exact integer keys whenever
-the base point has integer Re and integer Im^2.
+the base point has integer Re and integer Im^2, and keys on a 1e-9 grid
+otherwise.  All rows of one ball are built and keyed as int64/float64
+arrays, in blocks of ROW_BLOCK rows.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -27,21 +31,11 @@ from .report import fit_exponent
 from .torus import CurveClass, systole
 
 MAX_ORBIT_RADIUS = 7.0
-
-
-def ext_gcd(a: int, b: int) -> tuple:
-    """(g, u, v) with a u + b v = g = gcd(a, b), g >= 0 for (a, b) != (0, 0)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
+# Bottom rows per block of _family_windows: bounds its row arrays.
+ROW_BLOCK = 65_536
+# Integers below 2^53 are exact in float64; window edges at or past it
+# are no longer exact integers, and neither is the count.
+EXACT_EDGE_LIMIT = 2.0 ** 53
 
 
 @dataclass
@@ -60,8 +54,66 @@ class OrbitPointSet:
         return [ModelPoint(float(a), float(b)) for a, b in zip(self.x, self.y)]
 
 
-def _family_windows(X: ModelPoint, center: ModelPoint, tau: float):
-    """Deduplicated families as (Re0, y_pt, lo, hi) integer windows."""
+def _bezout(d: np.ndarray, c: np.ndarray):
+    """(u, v) with d u - c v = 1 for coprime rows (c >= 1).
+
+    The extended Euclid steps on (d, -c) with floor division, run in
+    place on the rows not yet at remainder 0, then the sign that makes
+    the gcd 1; v follows from u exactly.
+    """
+    old_r, r = d.copy(), -c
+    old_u, u = np.ones(d.size, np.int64), np.zeros(d.size, np.int64)
+    run = np.arange(d.size)
+    while run.size:
+        a, b = old_r[run], r[run]
+        qt = a // b
+        nr = a - qt * b
+        old_r[run], r[run] = b, nr
+        uu = u[run]
+        old_u[run], u[run] = uu, old_u[run] - qt * uu
+        run = run[nr != 0]
+    u = np.where(old_r < 0, -old_u, old_u)
+    return u, (d * u - 1) // c
+
+
+def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int):
+    """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, in blocks.
+
+    (0, 1) comes first, then c = 1..c_max with d ascending over the
+    window where (c x0 + d)^2 + c^2 y0^2 <= q_max.  Rows are numbered
+    flat and cut into ROW_BLOCK slices, so one block's arrays stay
+    bounded however large the ball.
+    """
+    yield np.array([0]), np.array([1]), np.array([1]), np.array([0])
+    cs = np.arange(1, c_max + 1, dtype=np.int64)
+    dw = q_max - cs * cs * y0sq
+    cs, dw = cs[dw >= 0.0], dw[dw >= 0.0]
+    w = np.sqrt(dw)
+    d_lo = np.ceil(-cs * x0 - w).astype(np.int64)
+    n = np.maximum(np.floor(-cs * x0 + w).astype(np.int64) - d_lo + 1, 0)
+    ends = np.cumsum(n)
+    total = int(n.sum())
+    for i0 in range(0, total, ROW_BLOCK):
+        i = np.arange(i0, min(i0 + ROW_BLOCK, total), dtype=np.int64)
+        k = np.searchsorted(ends, i, side="right")
+        c = cs[k]
+        d = d_lo[k] + i - (ends[k] - n[k])
+        keep = np.gcd(c, d) == 1
+        c, d = c[keep], d[keep]
+        a0, b0 = _bezout(d, c)
+        yield c, d, a0, b0
+
+
+def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
+                    counters=None):
+    """Deduplicated families as arrays (re0, y_pt, lo, hi), in row order.
+
+    Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi.
+    A family repeating an earlier (q, offset) key is dropped; its point
+    set is the earlier one's.  Raises OverflowError once a window edge
+    reaches EXACT_EDGE_LIMIT.  With a counters mapping, adds the coprime
+    rows scanned and the families kept.
+    """
     x0, y0 = X.x, X.y
     xc, yc = center.x, center.y
     ch = math.cosh(2.0 * tau) - 1.0
@@ -73,56 +125,70 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float):
 
     q_max = (y0 / yc) * math.exp(2.0 * tau) * (1.0 + 1e-12)
     c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
+    if c_max == 0:
+        # Only the (0, 1) row, which never reads y0^2; deep in the cusp
+        # round(y0^2) does not fit int64.
+        y0sqi = 0
 
-    fams = {}
-
-    def consider(c, d, a0, b0):
+    # A family's key (q, offset) is one complex number, which numpy sorts
+    # by real part, then imaginary.  Exact keys stay exact in it, and the
+    # int64 arithmetic below does not wrap: a c >= 1 row needs
+    # y0^2 <= q_max, every integer here is a small multiple of q_max, and
+    # a reduced X and center at radius <= MAX_ORBIT_RADIUS keep q_max
+    # below 1e13.
+    seen = np.empty(0, complex)  # sorted keys of all earlier blocks
+    out = []
+    rows = 0
+    for c, d, a0, b0 in _bottom_rows(x0, y0sq, q_max, c_max):
+        rows += c.size
         if exact:
-            qi = (c * x0i + d) ** 2 + c * c * y0sqi
-            if qi == 0 or qi > q_max:
-                return
-            re0q = (a0 * x0i + b0) * (c * x0i + d) + a0 * c * y0sqi
-            key = (qi, re0q % qi)
-            q = float(qi)
+            cxd = c * x0i + d
+            qi = cxd * cxd + c * c * y0sqi
+            ok = (qi != 0) & (qi <= q_max)
+            qi, re0q = qi[ok], ((a0 * x0i + b0) * cxd + a0 * c * y0sqi)[ok]
+            key = qi + 1j * (re0q % qi)
+            q = qi.astype(float)
             re0 = re0q / q
         else:
-            q = (c * x0 + d) ** 2 + (c * y0) ** 2
-            if q == 0.0 or q > q_max:
-                return
-            re0q = (a0 * x0 + b0) * (c * x0 + d) + a0 * c * y0sq
-            key = (round(q, 9), round((re0q / q) % 1.0, 9))
+            cxd = c * x0 + d
+            q = cxd ** 2 + (c * y0) ** 2
+            ok = (q != 0.0) & (q <= q_max)
+            q, re0q = q[ok], ((a0 * x0 + b0) * cxd + a0 * c * y0sq)[ok]
             re0 = re0q / q
-        if key in fams:
-            return
+            key = np.round(q, 9) + 1j * np.round(re0 % 1.0, 9)
+        # First occurrence of each key in this block, unless seen before.
+        uniq, first = np.unique(key, return_index=True)
+        pos = np.searchsorted(seen, uniq)
+        fresh = np.ones(uniq.size, bool)
+        hit = pos < seen.size
+        fresh[hit] = seen[pos[hit]] != uniq[hit]
+        seen = np.insert(seen, pos[fresh], uniq[fresh])
+        new = np.sort(first[fresh])
+        q, re0 = q[new], re0[new]
+
         y_pt = y0 / q
         s = 2.0 * y_pt * yc * ch - (y_pt - yc) ** 2
-        if s < 0.0:
-            fams[key] = None
-            return
-        w = math.sqrt(s)
-        lo = math.ceil(xc - w - re0)
-        hi = math.floor(xc + w - re0)
-        fams[key] = None if hi < lo else (re0, y_pt, lo, hi)
-
-    consider(0, 1, 1, 0)
-    for c in range(1, c_max + 1):
-        dw = q_max - c * c * y0sq
-        if dw < 0.0:
-            continue
-        w = math.sqrt(dw)
-        d_lo = math.ceil(-c * x0 - w)
-        d_hi = math.floor(-c * x0 + w)
-        for d in range(d_lo, d_hi + 1):
-            if math.gcd(c, abs(d)) != 1:
-                continue
-            g, u, v = ext_gcd(d, -c)
-            if g != 1:
-                continue
-            consider(c, d, u, v)
-    return [f for f in fams.values() if f is not None]
+        live = s >= 0.0
+        re0, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
+        lo = np.ceil(xc - w - re0)
+        hi = np.floor(xc + w - re0)
+        edge = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
+        if edge >= EXACT_EDGE_LIMIT:
+            raise OverflowError(
+                f"orbit window edge past 2^53 at X = {X}, radius {tau}: "
+                "the count would not be exact")
+        keep = hi >= lo
+        out.append((re0[keep], y_pt[keep], lo[keep].astype(np.int64),
+                    hi[keep].astype(np.int64)))
+    fams = tuple(np.concatenate(parts) for parts in zip(*out))
+    if counters is not None:
+        counters["lattice.coprime_rows"] += rows
+        counters["lattice.families"] += fams[0].size
+    return fams
 
 
-def _reduced_windows(X: ModelPoint, center: ModelPoint, tau: float):
+def _reduced_windows(X: ModelPoint, center: ModelPoint, tau: float,
+                     counters=None):
     """Family windows around the reduced center, and the center's deck.
 
     The count is invariant under reducing the center, and the windows
@@ -132,7 +198,7 @@ def _reduced_windows(X: ModelPoint, center: ModelPoint, tau: float):
         raise ValueError(f"orbit radius must lie in (0, {MAX_ORBIT_RADIUS}]")
     x_red, _ = reduce_to_fundamental(X)
     c_red, deck = reduce_to_fundamental(center)
-    return _family_windows(x_red, c_red, tau), deck
+    return _family_windows(x_red, c_red, tau, counters), deck
 
 
 def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet:
@@ -141,18 +207,11 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
     The windows are laid out around the reduced center and the points
     are mapped back through its deck afterwards.
     """
-    fams, deck = _reduced_windows(X, center, tau)
-    xs, ys = [], []
-    for re0, y_pt, lo, hi in fams:
-        ts = np.arange(lo, hi + 1, dtype=float)
-        xs.append(re0 + ts)
-        ys.append(np.full(ts.size, y_pt))
-    if xs:
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-    else:
-        x = np.empty(0)
-        y = np.empty(0)
+    (re0, y_pt, lo, hi), deck = _reduced_windows(X, center, tau)
+    n = hi - lo + 1
+    t = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+    x = np.repeat(re0, n) + t
+    y = np.repeat(y_pt, n)
     inv = deck.inverse()
     if inv != deck.identity():
         z = x + 1j * y
@@ -161,17 +220,22 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
     return OrbitPointSet(center=center, radius=tau, x=x, y=y)
 
 
-def orbit_count(X: ModelPoint, center: ModelPoint, tau: float) -> int:
-    """Number of orbit_points(X, center, tau), summed over the windows."""
-    fams, _ = _reduced_windows(X, center, tau)
-    return sum(hi - lo + 1 for _, _, lo, hi in fams)
+def orbit_count(X: ModelPoint, center: ModelPoint, tau: float,
+                counters=None) -> int:
+    """Number of orbit_points(X, center, tau), summed over the windows.
+
+    counters, a collections.Counter, gains the coprime rows scanned and
+    the families kept.
+    """
+    (_, _, lo, hi), _ = _reduced_windows(X, center, tau, counters)
+    return int((hi - lo + 1).sum())
 
 
-def spread_count(X: ModelPoint, c2: float) -> int:
+def spread_count(X: ModelPoint, c2: float, counters=None) -> int:
     """Orbit points in the ball of radius c2 around the point itself."""
     if not (0.0 < c2 <= 2.0):
         raise ValueError("spread radius must lie in (0, 2]")
-    return orbit_count(X, X, c2)
+    return orbit_count(X, X, c2, counters)
 
 
 # ---------------------------------------------------------------------------

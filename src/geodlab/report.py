@@ -54,6 +54,8 @@ class CountReport:
     rows: list
     derived: dict = field(default_factory=dict)
     wall_time: float | None = None
+    # work counts of the run, printed as '# count.<name> = N' footer lines
+    counters: dict = field(default_factory=dict)
 
     def to_text(self, deterministic_only: bool = False) -> str:
         out = [self.title]
@@ -69,6 +71,8 @@ class CountReport:
                 out.append(f"{k} = {fmt_value(self.derived[k])}")
         if not deterministic_only:
             out.append(f"# generated_at = {time.strftime('%Y-%m-%dT%H:%M:%S')}")
+            for k in sorted(self.counters):
+                out.append(f"# count.{k} = {self.counters[k]}")
             if self.wall_time is not None:
                 out.append(f"# wall_time = {self.wall_time:.3f}s")
         return "\n".join(out) + "\n"

@@ -421,41 +421,24 @@ class SampledCount:
     std_error: float
 
 
-def _window_nodes(r: NetRow, x: float, y: float, ch: float,
-                  thin_delta: float | None):
-    """Admissible j values of one row seen from the point (x, y).
-
-    Windows are a few nodes wide, so the thin test runs on the fly and
-    nothing is materialized per net; this is what lets sampling work on
-    nets far beyond the exact-count budget.
-    """
-    w2 = 2.0 * r.y * y * ch - (r.y - y) ** 2
-    if w2 <= 0:
-        return None
-    w = math.sqrt(w2)
-    lo = max(r.j_lo, math.ceil((x - w) / r.s))
-    hi = min(r.j_hi, math.floor((x + w) / r.s))
-    if hi < lo:
-        return None
-    js = np.arange(lo, hi + 1)
-    if thin_delta is None:
-        return js
-    js = js[_is_thin(systole_values(js * r.s, np.full(js.size, r.y)),
-                     thin_delta)]
-    return js if js.size else None
-
-
 def _sample_paths(net: RowNet, base: ModelPoint, tau: float, n_steps: int,
                   n_paths: int, rng, thin_delta: float | None):
     """Sequential importance sampling of step-bounded node paths.
 
     Each path extends by a uniformly random admissible node and carries
-    the product of branch counts so far as its weight.  Returns weights
-    and endpoint coordinates x, y, each of shape (n_paths, n_steps); from
-    a dead end on, a path's weight is 0 and its endpoint stays put.
+    the product of branch counts so far as its weight.  The admissible
+    nodes of a step are every row's window around the current point, in
+    row order, thin-tested in one systole call.  Windows are a few nodes
+    wide, so nothing is materialized per net; this is what lets sampling
+    work on nets far beyond the exact-count budget.  Returns weights and
+    endpoint coordinates x, y, each of shape (n_paths, n_steps); from a
+    dead end on, a path's weight is 0 and its endpoint stays put.
     """
     ch = math.cosh(2.0 * tau) - 1.0
-    rows = net.rows
+    row_y = np.array([r.y for r in net.rows])
+    row_s = np.array([r.s for r in net.rows])
+    j_lo = np.array([r.j_lo for r in net.rows])
+    j_hi = np.array([r.j_hi for r in net.rows])
     weights = np.zeros((n_paths, n_steps))
     ends_x = np.zeros((n_paths, n_steps))
     ends_y = np.zeros((n_paths, n_steps))
@@ -463,22 +446,25 @@ def _sample_paths(net: RowNet, base: ModelPoint, tau: float, n_steps: int,
         x, y = base.x, base.y
         wgt = 1.0
         for step in range(n_steps):
-            opts = []
-            for r in rows:
-                js = _window_nodes(r, x, y, ch, thin_delta)
-                if js is not None:
-                    opts.append((r, js))
-            b = sum(o[1].size for o in opts)
+            w2 = 2.0 * row_y * y * ch - (row_y - y) ** 2
+            w = np.sqrt(np.maximum(w2, 0.0))
+            lo = np.maximum(j_lo, np.ceil((x - w) / row_s)).astype(np.int64)
+            hi = np.minimum(j_hi, np.floor((x + w) / row_s)).astype(np.int64)
+            n = np.where(w2 > 0, np.maximum(hi - lo + 1, 0), 0)
+            row = np.repeat(np.arange(n.size), n)
+            js = np.arange(row.size) + np.repeat(lo - (np.cumsum(n) - n), n)
+            if thin_delta is not None:
+                thin = _is_thin(systole_values(js * row_s[row], row_y[row]),
+                                thin_delta)
+                js, row = js[thin], row[thin]
+            b = js.size
             if b == 0:
                 ends_x[p, step:], ends_y[p, step:] = x, y
                 break
             wgt *= b
             pick = int(rng.integers(b))
-            for r, js in opts:
-                if pick < js.size:
-                    x, y = float(js[pick]) * r.s, r.y
-                    break
-                pick -= js.size
+            r = net.rows[row[pick]]
+            x, y = float(js[pick]) * r.s, r.y
             weights[p, step] = wgt
             ends_x[p, step], ends_y[p, step] = x, y
     return weights, ends_x, ends_y

@@ -135,6 +135,17 @@ def test_run_sets_wall_time():
     assert "#" not in report.to_text(deterministic_only=True)
 
 
+def test_lattice_footer_counts_rows_and_families():
+    report = run(build_config("lattice", overrides={"tau_grid": "2, 3"}))
+    assert report.counters == {"lattice.coprime_rows": 487,
+                               "lattice.families": 253}
+    footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
+    assert "# count.lattice.coprime_rows = 487" in footer
+    assert "# count.lattice.families = 253" in footer
+    assert footer[-1].startswith("# wall_time")
+    assert "#" not in report.to_text(deterministic_only=True)
+
+
 def test_report_helpers():
     assert fmt_value(0.1 + 0.2) == "0.3"
     assert fmt_value(1.10056597) == "1.10056597"

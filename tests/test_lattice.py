@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist,
+from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist_arrays,
                                teich_dist)
-from geodlab.lattice import (MAX_ORBIT_RADIUS, chain_bound_audit, net_cells,
-                             net_image_counts, net_image_exponent,
+from geodlab.lattice import (MAX_ORBIT_RADIUS, _bezout, chain_bound_audit,
+                             net_cells, net_image_counts, net_image_exponent,
                              orbit_count, orbit_points, spread_count,
                              stratum_partition_total)
 from geodlab.torus import CurveClass
@@ -67,6 +67,74 @@ def test_orbit_count_matches_orbit_points(X, center, tau):
     assert orbit_count(X, center, tau) == orbit_points(X, center, tau).count
 
 
+def _orbit_by_matrices(X: ModelPoint, center: ModelPoint, tau: float,
+                       slack: float = 1e-9) -> tuple:
+    """Matrix-loop oracle: distinct points gX, g in SL(2,Z), in the ball.
+
+    The entry bounds follow from the radius.  A point of the ball has
+    Im >= yc e^{-2 tau}, so |cX + d|^2 <= q = (y0 / yc) e^{2 tau}, which
+    bounds |c| and |d|.  It also has |Re - xc| <= yc sinh 2 tau and
+    Im <= yc e^{2 tau}, so |gX| <= m, and aX + b = gX (cX + d) bounds a
+    and b.  Returns the counts within tau - slack and tau + slack.
+    """
+    x0, y0, xc, yc = X.x, X.y, center.x, center.y
+    q = y0 * math.exp(2.0 * tau) / yc
+    m = math.hypot(abs(xc) + yc * math.sinh(2.0 * tau),
+                   yc * math.exp(2.0 * tau))
+    c_max = math.floor(math.sqrt(q) / y0)
+    a_max = math.floor(m * math.sqrt(q) / y0)
+    b_max = math.floor(m * math.sqrt(q) + a_max * abs(x0))
+    mats = [np.empty((0, 4), dtype=int)]
+    for c in range(-c_max, c_max + 1):
+        d_max = math.floor(abs(c * x0) + math.sqrt(q))
+        for d in range(-d_max, d_max + 1):
+            if c == 0:
+                if abs(d) == 1:
+                    b = np.arange(-b_max, b_max + 1)
+                    mats.append(np.stack([np.full(b.size, d), b,
+                                          np.zeros(b.size, dtype=int),
+                                          np.full(b.size, d)], 1))
+                continue
+            a = np.arange(-a_max, a_max + 1)
+            a = a[(a * d - 1) % c == 0]
+            b = (a * d - 1) // c
+            keep = np.abs(b) <= b_max
+            mats.append(np.stack([a[keep], b[keep], np.full(keep.sum(), c),
+                                  np.full(keep.sum(), d)], 1))
+    g = np.concatenate(mats)
+    z0 = complex(x0, y0)
+    z = (g[:, 0] * z0 + g[:, 1]) / (g[:, 2] * z0 + g[:, 3])
+    dist = 0.5 * hyp_dist_arrays(z.real, z.imag, xc, yc)
+
+    def distinct_within(r):
+        sel = dist <= r
+        return len(set(zip(np.round(z.real[sel], 9).tolist(),
+                           np.round(z.imag[sel], 9).tolist())))
+
+    return distinct_within(tau - slack), distinct_within(tau + slack)
+
+
+RHO = ModelPoint(-0.5, math.sqrt(3.0) / 2.0)
+
+
+@settings(deadline=None)
+@given(POINT, POINT, st.floats(0.05, 1.5))
+# entries <= 10 would find 19 of these 21 points
+@example(ModelPoint(-1.7461576914190826, 2.6056447187412366),
+         ModelPoint(1.959224059686325, 0.5389988513962666), 1.080654853383252)
+# nontrivial stabilizers: distinct bottom rows give the same family
+@example(ModelPoint(0.0, 1.0), ModelPoint(0.1, 1.4), 1.5)
+@example(ModelPoint(0.0, 1.0), ModelPoint(0.0, 1.0), 1.5)
+@example(RHO, ModelPoint(0.2, 0.9), 1.5)
+@example(RHO, RHO, 1.5)
+# near i and rho but not at them: distinct families with keys ~1e-6 apart
+@example(ModelPoint(0.0, 1.000001), ModelPoint(0.17, 0.6), 1.5)
+@example(ModelPoint(-0.5, 0.866026), ModelPoint(0.17, 0.6), 1.5)
+def test_orbit_count_matches_matrix_loop(X, center, tau):
+    lo, hi = _orbit_by_matrices(X, center, tau)
+    assert lo <= orbit_count(X, center, tau) <= hi
+
+
 def test_orbit_points_all_within_radius_and_on_orbit():
     X = ModelPoint(0.3, 0.8)
     center = ModelPoint(-0.2, 1.1)
@@ -105,6 +173,47 @@ def test_spread_count_center_included():
         spread_count(X, 0.0)
     with pytest.raises(ValueError):
         spread_count(X, 2.5)
+
+
+def test_deep_cusp_counts_without_int64_overflow():
+    # no c >= 1 family, and round(Im^2) is far past int64
+    for y, n_orbit, n_spread in ((1e10, 21932644930929, 20843812219),
+                                 (1e12, 2193264493092987, 2084381221975)):
+        X = ModelPoint(0.0, y)
+        assert orbit_count(X, X, 7.0) == n_orbit
+        assert spread_count(X, 0.5) == n_spread
+
+
+def test_window_edge_past_2_53_raises():
+    for y in (1e14, 1e16):
+        with pytest.raises(OverflowError):
+            orbit_count(ModelPoint(0.0, y), ModelPoint(0.0, y), 7.0)
+    with pytest.raises(OverflowError):
+        spread_count(ModelPoint(0.0, 1e16), 0.5)
+
+
+def _ext_gcd(a: int, b: int) -> tuple:
+    """Scalar extended Euclid with floor division: (g, u, v), a u + b v = g."""
+    old_r, r, old_u, u, old_v, v = a, b, 1, 0, 0, 1
+    while r != 0:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_u, u = u, old_u - qt * u
+        old_v, v = v, old_v - qt * v
+    if old_r < 0:
+        old_r, old_u, old_v = -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
+
+
+def test_bezout_matches_scalar_euclid():
+    c, d = np.meshgrid(np.arange(1, 60), np.arange(-90, 91))
+    c, d = c.ravel(), d.ravel()
+    keep = np.gcd(c, d) == 1
+    c, d = c[keep], d[keep]
+    u, v = _bezout(d, c)
+    assert np.all(d * u - c * v == 1)
+    ref = [_ext_gcd(int(dd), -int(cc))[1:] for cc, dd in zip(c, d)]
+    assert [(int(a), int(b)) for a, b in zip(u, v)] == ref
 
 
 def test_spread_count_grows_into_cusp():
