@@ -137,15 +137,19 @@ def run_thin(config: ExperimentConfig) -> CountReport:
     tau, steps, y0 = p["tau"], p["steps"], p["base_height"]
     base = ModelPoint(0.0, y0)
     net = build_row_net(y0, base, tau * steps)
+    counters = Counter({"walk.row_net_nodes": net.node_count})
     deltas = sorted(p["delta_grid"], reverse=True)
+    net.thin_masks(deltas, counters)
     rows = []
     slopes = []
     fit_lo, fit_hi = 3.0 - 1e-9, 6.0 + 1e-9  # exponent fit window
     for delta in deltas:
         fam = count_trajectories(net, base, tau, steps, thin_delta=delta,
-                                 keep_steps=True)
-        counts = [fam.almost_closed(p["tolerance"], step=k)
+                                 keep_steps=True, counters=counters)
+        counts = [fam.almost_closed(p["tolerance"], step=k,
+                                    counters=counters)
                   for k in range(2, steps + 1)]
+        del fam  # free this delta's snapshots before the next DP runs
         radii = [tau * k for k in range(2, steps + 1)]
         for r, c in zip(radii, counts):
             rows.append((delta, r, c, "none", "yes"))
@@ -168,7 +172,7 @@ def run_thin(config: ExperimentConfig) -> CountReport:
         title="thin almost-closed trajectory counts",
         params=_echo(config),
         columns=COLUMNS["thin"],
-        rows=rows, derived=derived)
+        rows=rows, derived=derived, counters=dict(counters))
 
 
 def run_bias_verify(config: ExperimentConfig) -> CountReport:
@@ -203,25 +207,28 @@ def run_walk(config: ExperimentConfig) -> CountReport:
     tau, steps, delta = p["tau"], p["steps"], p["delta"]
     base = ModelPoint(0.0, 1.0)
     net = build_row_net(1.0 / delta, base, tau * steps)
-    fam_all = count_trajectories(net, base, tau, steps)
-    fam_thin = count_trajectories(net, base, tau, steps, thin_delta=delta)
+    counters = Counter({"walk.row_net_nodes": net.node_count})
+    # only the per-step totals are kept, so each DP's arrays go with it
+    per_all = count_trajectories(net, base, tau, steps).per_step
+    per_thin = count_trajectories(net, base, tau, steps, thin_delta=delta,
+                                  counters=counters).per_step
     radii = [tau * (k + 1) for k in range(steps)]
     rows = [(r, a, t, "none", "yes")
-            for r, a, t in zip(radii, fam_all.per_step, fam_thin.per_step)]
-    exp_all = ls_slope(radii, np.log(fam_all.per_step))[0]
+            for r, a, t in zip(radii, per_all, per_thin)]
+    exp_all = ls_slope(radii, np.log(per_all))[0]
     derived = {
         "exponent_all": exp_all,
         "exponent_all_ok": _ok(exp_all <= GROWTH + 0.3),
     }
-    if all(c > 0 for c in fam_thin.per_step):
-        exp_thin = ls_slope(radii, np.log(fam_thin.per_step))[0]
+    if all(c > 0 for c in per_thin):
+        exp_thin = ls_slope(radii, np.log(per_thin))[0]
         derived["exponent_thin"] = exp_thin
         derived["exponent_thin_ok"] = _ok(exp_thin <= GROWTH - 1.0 + 0.5)
     return CountReport(
         title="step-bounded trajectory growth",
         params=_echo(config),
         columns=COLUMNS["walk"],
-        rows=rows, derived=derived)
+        rows=rows, derived=derived, counters=dict(counters))
 
 
 def _measure_box(fraction: float) -> Box:
@@ -313,7 +320,8 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
 def run_veech(config: ExperimentConfig) -> CountReport:
     p = config.params
     classes = enumerate_classes(p["max_length"])
-    mins = min_systole_batch(classes, step=p["step"])
+    counters = Counter()
+    mins = min_systole_batch(classes, step=p["step"], counters=counters)
     lengths = np.array([c.length for c in classes])
     slope = ls_slope(lengths, np.log(mins))[0]
     eps0 = float(np.min(mins * np.exp(GROWTH * lengths)))
@@ -338,7 +346,7 @@ def run_veech(config: ExperimentConfig) -> CountReport:
         title="smallest axis systole against class length",
         params=_echo(config),
         columns=COLUMNS["veech"],
-        rows=rows, derived=derived)
+        rows=rows, derived=derived, counters=dict(counters))
 
 
 def run_recurrence(config: ExperimentConfig) -> CountReport:

@@ -11,6 +11,12 @@ possible via prefix sums; counts are exact integers carried in float64,
 and count_trajectories raises once a step's total reaches 2^53, where
 that exactness would end.
 
+What depends only on the row net is computed once per net and kept on it
+as per-row bool masks: one systole sweep thresholds every node for a
+whole list of thin deltas (RowNet.thin_masks), and one distance sweep
+flags the nodes near a base point (RowNet.return_mask).  Float systoles
+are never kept, only the masks.
+
 Public distances (tau, c1, c2, radii) are in the model metric, half the
 hyperbolic one.  Row algebra runs in hyperbolic units internally.
 """
@@ -18,7 +24,7 @@ hyperbolic one.  Row algebra runs in hyperbolic units internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -222,6 +228,12 @@ class RowNet:
     row family: rows sit 1.0 apart vertically and nodes 2 asinh(1.2)/2
     apart horizontally, so separation is at least 1.0 and every point of
     the plane lies within 1.0 of a node of the unclipped family.
+
+    Masks that depend only on the net are cached on it, one bool array
+    per row: thin masks by delta, return masks by (base, tolerance).  A
+    cached mask is shared by every caller and must not be written to.
+    With a counters mapping, the methods that sweep the net add one to
+    'walk.systole_sweeps' or 'walk.return_mask_sweeps' per sweep.
     """
 
     anchor: float
@@ -230,6 +242,8 @@ class RowNet:
     rows: tuple
     c1: float = 1.0
     c2: float = 1.0
+    _masks: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def node_count(self) -> int:
@@ -239,11 +253,49 @@ class RowNet:
         """The systole at each node, as one array per row, row by row."""
         return (systole_values(r.xs(), np.full(r.n, r.y)) for r in self.rows)
 
-    def thin_mask(self, delta: float) -> list:
-        """Per-row bool arrays flagging nodes with systole <= delta."""
-        if not 0.0 < delta < 1.0:
+    def thin_masks(self, deltas, counters=None) -> list:
+        """Thin masks for each delta, from at most one systole sweep.
+
+        Each row is reduced once and thresholded for every delta not yet
+        cached; deltas are all checked before anything is computed.
+        """
+        deltas = [float(d) for d in deltas]
+        if not all(0.0 < d < 1.0 for d in deltas):
             raise ValueError("thin threshold must lie in (0, 1)")
-        return [_is_thin(sy, delta) for sy in self.node_systoles()]
+        todo = [d for d in dict.fromkeys(deltas)
+                if ("thin", d) not in self._masks]
+        if todo:
+            new = {d: [] for d in todo}
+            for sy in self.node_systoles():
+                for d in todo:
+                    new[d].append(_is_thin(sy, d))
+            for d in todo:
+                self._masks[("thin", d)] = new[d]
+            if counters is not None:
+                counters["walk.systole_sweeps"] += 1
+        return [self._masks[("thin", d)] for d in deltas]
+
+    def thin_mask(self, delta: float, counters=None) -> list:
+        """Per-row bool arrays flagging nodes with systole <= delta."""
+        return self.thin_masks([delta], counters)[0]
+
+    def return_mask(self, base: ModelPoint, tol: float,
+                    counters=None) -> list:
+        """Per-row bool arrays flagging nodes within tol of the base,
+        modulo the unit translation identifying x with x + 1."""
+        key = ("return", base.x, base.y, tol)
+        if key not in self._masks:
+            x0, y0 = base.x, base.y
+            mask = []
+            for r in self.rows:
+                xr = r.xs() - x0
+                xr = xr - np.round(xr)
+                ch_d = 1.0 + (xr * xr + (r.y - y0) ** 2) / (2.0 * r.y * y0)
+                mask.append(0.5 * np.arccosh(ch_d) <= tol)
+            self._masks[key] = mask
+            if counters is not None:
+                counters["walk.return_mask_sweeps"] += 1
+        return self._masks[key]
 
     def nearest_node(self, x: float, y: float):
         """(row_index, j, distance) of the nearest node to the point."""
@@ -300,6 +352,11 @@ class TrajectoryFamily:
     within tau of the base point, which need not be a node itself.  With
     a thin threshold, every node must also have systole <= delta.
     per_step[i] is the number of (i+1)-node trajectories.
+
+    step_snapshots[i] holds the per-row counts after step i + 1, and
+    node_counts is the last of them.  They are the DP's own arrays, not
+    copies: no step writes to an array once the step is over, so the
+    snapshots stay exact as long as callers do not write to them either.
     """
 
     net: RowNet
@@ -322,18 +379,15 @@ class TrajectoryFamily:
             raise ValueError("per-step snapshots were not kept; pass keep_steps=True")
         return self.step_snapshots[step - 1]
 
-    def almost_closed(self, tol: float, step: int | None = None) -> float:
+    def almost_closed(self, tol: float, step: int | None = None,
+                      counters=None) -> float:
         """Trajectories whose endpoint returns within tol of the base,
         modulo the unit translation identifying x with x + 1."""
         counts = self.endpoint_counts(step)
-        x0, y0 = self.base.x, self.base.y
+        mask = self.net.return_mask(self.base, tol, counters)
         total = 0.0
-        for r, c in zip(self.net.rows, counts):
-            xr = r.xs() - x0
-            xr = xr - np.round(xr)
-            ch_d = 1.0 + (xr * xr + (r.y - y0) ** 2) / (2.0 * r.y * y0)
-            dT = 0.5 * np.arccosh(ch_d)
-            total += float(c[dT <= tol].sum())
+        for c, m in zip(counts, mask):
+            total += float(c[m].sum())
         return total
 
     def weighted_endpoint_sum(self, values, step: int | None = None) -> float:
@@ -354,8 +408,13 @@ def _exact_total(counts: list) -> float:
 def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
                        n_steps: int, thin_delta: float | None = None,
                        keep_steps: bool = False,
-                       node_budget: int = NODE_BUDGET) -> TrajectoryFamily:
-    """Exact DP counts of trajectories with step bound tau from the base."""
+                       node_budget: int = NODE_BUDGET,
+                       counters=None) -> TrajectoryFamily:
+    """Exact DP counts of trajectories with step bound tau from the base.
+
+    The thin mask comes from the net's cache, so it costs a systole sweep
+    only the first time a delta is seen; counters goes to that sweep.
+    """
     if n_steps < 1:
         raise ValueError("need at least one step")
     if tau <= 0.0:
@@ -366,7 +425,8 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
             f"row net has {nn} nodes, over the {node_budget} budget; "
             f"use count_trajectories_sampled for nets this wide")
     rho = 2.0 * tau
-    mask = net.thin_mask(thin_delta) if thin_delta is not None else None
+    mask = (net.thin_mask(thin_delta, counters) if thin_delta is not None
+            else None)
     ch = math.cosh(rho) - 1.0
     rows = net.rows
     counts = []
@@ -381,9 +441,10 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
                 c[lo - r.j_lo: hi - r.j_lo + 1] = 1.0
         counts.append(c)
     if mask is not None:
-        counts = [c * m for c, m in zip(counts, mask)]
+        for c, m in zip(counts, mask):
+            c *= m
     per_step = [_exact_total(counts)]
-    snapshots = [[c.copy() for c in counts]] if keep_steps else None
+    snapshots = [counts] if keep_steps else None
     for _ in range(n_steps - 1):
         new = [np.zeros(r.n) for r in rows]
         for si, rs in enumerate(rows):
@@ -404,11 +465,12 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
                 hi = np.maximum(hi, lo)
                 new[ti] += pref[hi] - pref[lo]
         if mask is not None:
-            new = [c * m for c, m in zip(new, mask)]
+            for c, m in zip(new, mask):
+                c *= m
         counts = new
         per_step.append(_exact_total(counts))
         if keep_steps:
-            snapshots.append([c.copy() for c in counts])
+            snapshots.append(counts)
     return TrajectoryFamily(net=net, base=base, tau=tau, n_steps=n_steps,
                             thin_delta=thin_delta, per_step=tuple(per_step),
                             node_counts=counts, step_snapshots=snapshots)

@@ -354,26 +354,47 @@ def conjugacy_word(m: MappingClass) -> tuple:
 # Shortest curve along the axis.
 
 
+def _axis_circle(m: MappingClass) -> tuple:
+    """(center, radius, length) of the axis semicircle of a hyperbolic m."""
+    t = m.trace
+    disc = math.sqrt(float(t * t - 4))
+    return ((m.a - m.d) / (2.0 * m.c), disc / (2.0 * m.c),
+            teich_length_from_trace(t))
+
+
+def _axis_halves(length, step: float):
+    """Per-class sample intervals along one period: even, at least 2."""
+    if not (0.0 < step <= 0.1):
+        raise ValueError("step must lie in (0, 0.1]")
+    return 2 * np.maximum(np.ceil(length / (2.0 * step)).astype(np.int64), 1)
+
+
+def _axis_points(c0, r0, length, half):
+    """Axis samples of many classes, concatenated class after class.
+
+    c0, r0 and length are per-class float64 arrays and half comes from
+    _axis_halves.  Class i gets half[i] + 1 points at arc-length offsets
+    sigma spaced 2 length / half apart and centred on the apex.  Every
+    operation is elementwise, so a class's samples do not depend on the
+    classes batched with it.
+    """
+    n = half + 1
+    k = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    sigma = (k - np.repeat(half // 2, n)) * np.repeat(2.0 * length / half, n)
+    x = np.repeat(c0, n) + np.repeat(r0, n) * np.tanh(sigma)
+    y = np.repeat(r0, n) / np.cosh(sigma)
+    return sigma, x, y
+
+
 def axis_samples(exps: Sequence[int], step: float = 0.02):
     """Points along one period of the axis, spaced ~2*step in arc length.
 
     The sample grid always contains the apex of the axis semicircle, where
     the systole along simple axes is attained.
     """
-    if not (0.0 < step <= 0.1):
-        raise ValueError("step must lie in (0, 0.1]")
-    m = word_to_matrix(exps)
-    t = m.trace
-    length = teich_length_from_trace(t)
-    disc = math.sqrt(float(t * t - 4))
-    c0 = (m.a - m.d) / (2.0 * m.c)
-    r0 = disc / (2.0 * m.c)
-    half = 2 * max(math.ceil(length / (2.0 * step)), 1)
-    n = half + 1
-    sigma = (np.arange(n) - half // 2) * (2.0 * length / half)
-    x = c0 + r0 * np.tanh(sigma)
-    y = r0 / np.cosh(sigma)
-    return sigma, x, y
+    c0, r0, length = (np.array([v])
+                      for v in _axis_circle(word_to_matrix(exps)))
+    return _axis_points(c0, r0, length, _axis_halves(length, step))
 
 
 def min_systole_along_axis(exps: Sequence[int], step: float = 0.02) -> float:
@@ -382,30 +403,31 @@ def min_systole_along_axis(exps: Sequence[int], step: float = 0.02) -> float:
 
 
 def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
-                      chunk_points: int = 500000) -> np.ndarray:
-    """Sampled axis-systole minimum per class, batching the reduction."""
+                      chunk_points: int = 500000, counters=None) -> np.ndarray:
+    """Sampled axis-systole minimum per class, batching the reduction.
+
+    The classes are cut into runs of whole classes with at most
+    chunk_points samples (a longer class gets a run of its own); each run
+    is sampled and reduced in one call.  With a counters mapping, adds
+    the samples reduced to 'veech.axis_points'.
+    """
+    circles = np.array([_axis_circle(word_to_matrix(g.exps))
+                        for g in classes]).reshape(-1, 3)
+    c0, r0, length = circles.T
+    half = _axis_halves(length, step)
+    n = half + 1
+    ends = np.cumsum(n)
     mins = np.empty(len(classes))
-    xs, ys, starts, idxs, total = [], [], [], [], 0
-
-    def flush():
-        nonlocal xs, ys, starts, idxs, total
-        if not idxs:
-            return
-        vals = systole_values(np.concatenate(xs), np.concatenate(ys))
-        seg = np.minimum.reduceat(vals, np.array(starts))
-        for i, gi in enumerate(idxs):
-            mins[gi] = seg[i]
-        xs, ys, starts, idxs, total = [], [], [], [], 0
-
-    for gi, g in enumerate(classes):
-        _, x, y = axis_samples(g.exps, step)
-        starts.append(total)
-        idxs.append(gi)
-        xs.append(x)
-        ys.append(y)
-        total += len(x)
-        if total >= chunk_points:
-            flush()
-    flush()
+    i0 = 0
+    while i0 < len(classes):
+        done = ends[i0 - 1] if i0 else 0
+        i1 = max(int(np.searchsorted(ends, done + chunk_points, "right")),
+                 i0 + 1)
+        part = slice(i0, i1)
+        _, x, y = _axis_points(c0[part], r0[part], length[part], half[part])
+        mins[part] = np.minimum.reduceat(systole_values(x, y),
+                                         ends[part] - n[part] - done)
+        i0 = i1
+    if counters is not None:
+        counters["veech.axis_points"] += int(n.sum())
     return mins
-

@@ -146,6 +146,29 @@ def test_lattice_footer_counts_rows_and_families():
     assert "#" not in report.to_text(deterministic_only=True)
 
 
+def test_thin_footer_counts_one_sweep_per_net():
+    # three deltas and twelve almost-closed counts, from one systole sweep
+    # and one return-mask sweep over the net
+    report = run(build_config("thin"))
+    assert report.counters == {"walk.row_net_nodes": 2259155,
+                               "walk.systole_sweeps": 1,
+                               "walk.return_mask_sweeps": 1}
+    footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
+    assert "# count.walk.row_net_nodes = 2259155" in footer
+    assert "# count.walk.systole_sweeps = 1" in footer
+    assert "# count.walk.return_mask_sweeps = 1" in footer
+    assert "#" not in report.to_text(deterministic_only=True)
+
+
+def test_walk_and_veech_footers():
+    walk = run(build_config("walk", overrides={"tau": "1.5", "steps": "3"}))
+    assert walk.counters == {"walk.row_net_nodes": 3755,
+                             "walk.systole_sweeps": 1}
+    veech = run(build_config("veech", overrides={"max_length": "3"}))
+    assert veech.counters == {"veech.axis_points": 9440}
+    assert "# count.veech.axis_points = 9440" in veech.to_text()
+
+
 def test_report_helpers():
     assert fmt_value(0.1 + 0.2) == "0.3"
     assert fmt_value(1.10056597) == "1.10056597"

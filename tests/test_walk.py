@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodlab import walk
 from geodlab.halfplane import (ModelPoint, hyp_dist_arrays,
                                sample_ball_arrays, teich_dist)
 from geodlab.products import bias_eval
 from geodlab.torus import BiasParams, systole_values
-from geodlab.walk import (NetCoverageError, ResourceError, build_net,
+from geodlab.walk import (NetCoverageError, ResourceError, _is_thin, build_net,
                           build_row_net, count_trajectories,
                           count_trajectories_sampled, discretize_geodesic,
                           net_size_slope, q_recursion_audit)
@@ -88,6 +91,31 @@ def test_thin_mask_semantics():
         assert np.array_equal(m, (sy <= 0.2 * (1.0 + 1e-12)).astype(float))
 
 
+DELTA = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+BAD_DELTA = st.sampled_from([0.0, 1.0, -0.1, 1.5, math.nan])
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(DELTA, min_size=1, max_size=4), BAD_DELTA)
+def test_thin_masks_one_sweep_matches_fresh(deltas, bad):
+    net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
+    with pytest.raises(ValueError):
+        net.thin_masks(deltas + [bad])
+    counters = Counter()
+    masks = net.thin_masks(deltas, counters)
+    # the failed call cached nothing, so this call had to sweep
+    assert counters == {"walk.systole_sweeps": 1}
+    assert len(masks) == len(deltas)
+    for d, mask in zip(deltas, masks):
+        fresh = [_is_thin(systole_values(r.xs(), np.full(r.n, r.y)), d)
+                 for r in net.rows]
+        assert len(mask) == len(fresh)
+        assert all(m.dtype == bool and np.array_equal(m, f)
+                   for m, f in zip(mask, fresh))
+        assert net.thin_mask(d, counters) is mask
+    assert counters == {"walk.systole_sweeps": 1}
+
+
 def test_dp_counts_frozen_and_brute():
     net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
     base = ModelPoint(0.0, 5.0)
@@ -124,22 +152,65 @@ def test_dp_snapshots_and_weights():
         bare.endpoint_counts(step=1)
 
 
+def _almost_closed_loop(net, base, counts, tol):
+    """Endpoint counts within tol of the base, node by node."""
+    total = 0.0
+    for r, c in zip(net.rows, counts):
+        for j, cnt in zip(range(r.j_lo, r.j_hi + 1), c):
+            x = j * r.s - base.x
+            x -= round(x)  # unit translation identification
+            d = 0.5 * math.acosh(1.0 + (x * x + (r.y - base.y) ** 2)
+                                 / (2.0 * r.y * base.y))
+            if d <= tol:
+                total += cnt
+    return total
+
+
 def test_almost_closed_brute():
     net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
     base = ModelPoint(0.0, 5.0)
     fam = count_trajectories(net, base, 1.5, 2)
     got = fam.almost_closed(1.0)
     assert got == 37.0
-    total = 0.0
-    for r, c in zip(net.rows, fam.node_counts):
-        for j, cnt in zip(range(r.j_lo, r.j_hi + 1), c):
-            x = j * r.s - base.x
-            x -= round(x)  # unit translation identification
-            d = 0.5 * math.acosh(1.0 + (x * x + (r.y - base.y) ** 2)
-                                 / (2.0 * r.y * base.y))
-            if d <= 1.0:
-                total += cnt
-    assert got == total
+    assert got == _almost_closed_loop(net, base, fam.node_counts, 1.0)
+
+
+def test_return_mask_cached_per_base_and_tolerance():
+    # two bases and two tolerances on one net, interleaved: a mask cached
+    # for one (base, tol) must never answer for another
+    net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
+    fams = [count_trajectories(net, base, 1.5, 2, keep_steps=True)
+            for base in (ModelPoint(0.0, 5.0), ModelPoint(0.3, 8.0))]
+    counters = Counter()
+    seen = set()
+    for _ in range(2):
+        for tol in (1.2, 0.7):
+            for fam in fams:
+                for step in (1, 2):
+                    got = fam.almost_closed(tol, step=step, counters=counters)
+                    want = _almost_closed_loop(
+                        net, fam.base, fam.endpoint_counts(step), tol)
+                    assert got == want
+                    seen.add(got)
+    assert len(seen) == 8  # every (base, tol, step) gives its own count
+    assert counters == {"walk.return_mask_sweeps": 4}
+
+
+@pytest.mark.parametrize("thin_delta", [None, 0.2])
+def test_step_snapshots_match_shorter_runs(thin_delta):
+    # snapshots alias the DP's arrays; a later step must not overwrite one
+    net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
+    base = ModelPoint(0.0, 5.0)
+    fam = count_trajectories(net, base, 1.5, 4, thin_delta=thin_delta,
+                             keep_steps=True)
+    assert len(fam.step_snapshots) == 4
+    for i in range(1, 5):
+        short = count_trajectories(net, base, 1.5, i, thin_delta=thin_delta)
+        snap = fam.endpoint_counts(step=i)
+        assert len(snap) == len(short.node_counts)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(snap, short.node_counts))
+        assert fam.per_step[i - 1] == short.total
 
 
 def test_dp_guards():

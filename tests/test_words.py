@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -162,11 +163,13 @@ def test_min_systole_simplest_class():
 
 
 def test_min_systole_batch_matches_loop():
-    classes = enumerate_classes(3.0)[:40]
-    batch = min_systole_batch(classes, step=0.05)
-    for i, g in enumerate(classes):
-        assert batch[i] == pytest.approx(
-            min_systole_along_axis(g.exps, step=0.05), rel=1e-12)
-    # chunking boundary: tiny chunk forces several flushes
-    small = min_systole_batch(classes, step=0.05, chunk_points=100)
-    assert np.allclose(small, batch, rtol=1e-12)
+    # the batch runs the per-class kernel on concatenated classes, so it
+    # must agree exactly, whatever the chunking
+    classes = enumerate_classes(4.0)
+    loop = np.array([min_systole_along_axis(g.exps) for g in classes])
+    counters = Counter()
+    assert np.array_equal(min_systole_batch(classes, counters=counters), loop)
+    assert np.array_equal(min_systole_batch(classes, chunk_points=100), loop)
+    assert counters == {"veech.axis_points":
+                        sum(axis_samples(g.exps)[0].size for g in classes)}
+    assert min_systole_batch([]).size == 0
