@@ -22,14 +22,8 @@ import numpy as np
 
 from .halfplane import (TOTAL_FRAME_MEASURE, MappingClass, ModelPoint,
                         hyp_ball_area, reduce_points)
-from .report import fmt_value
 from .torus import systole_values
-from .words import (
-    axis_samples,
-    conjugacy_word,
-    teich_length_from_trace,
-    word_to_matrix,
-)
+from .words import axis_samples, conjugacy_word, teich_length_from_trace
 
 YMAX = 1e3
 MAX_CENSUS_TIME = 5.0
@@ -81,37 +75,6 @@ def reduce_frames(A: np.ndarray):
     x, y, _ = frame_base_dir(A)
     g = reduce_points(x, y, deck=True)[2]
     return g, g @ A
-
-
-def stable_push(A: np.ndarray, s: float) -> np.ndarray:
-    """Move along the strong stable leaf: right-multiply by [[1, s], [0, 1]]."""
-    B = A.copy()
-    B[..., :, 1] += s * B[..., :, 0]
-    return B
-
-
-def same_stable_leaf(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
-    """Leaf membership via the first-column cross product, which the push
-    leaves untouched and the flow only rescales."""
-    cross = A[..., 0, 0] * B[..., 1, 0] - B[..., 0, 0] * A[..., 1, 0]
-    scale = (np.abs(A[..., 0, 0]) + np.abs(A[..., 1, 0])) * (
-        np.abs(B[..., 0, 0]) + np.abs(B[..., 1, 0]))
-    return bool(np.all(np.abs(cross) <= tol * np.maximum(scale, 1.0)))
-
-
-def stable_contraction_data(frame: np.ndarray, s: float, times) -> list:
-    """(t, leaf parameter s e^{-2t}, measured base separation) per time."""
-    out = []
-    pushed = stable_push(frame, s)
-    for t in times:
-        ft = flow(frame, float(t))
-        pt = flow(pushed, float(t))
-        x1, y1, _ = frame_base_dir(ft)
-        x2, y2, _ = frame_base_dir(pt)
-        arg = 1.0 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2.0 * y1 * y2)
-        sep = float(np.arccosh(np.maximum(arg, 1.0)).reshape(-1)[0])
-        out.append((float(t), s * math.exp(-2.0 * float(t)), sep))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +238,6 @@ def closing_constants(box: Box, t: float):
     return c1, eps
 
 
-class NonClosingError(RuntimeError):
-    """A flow-and-return event failed to certify a closed orbit."""
-
-
 @dataclass(frozen=True)
 class CensusComponent:
     deck: tuple
@@ -326,18 +285,6 @@ class FlowCensus:
     @property
     def worst_axis_dist(self) -> float:
         return max((c.axis_dist for c in self.components), default=0.0)
-
-    def to_csv(self, stream) -> None:
-        own = isinstance(stream, (str, bytes))
-        fh = open(stream, "w") if own else stream
-        try:
-            fh.write("word;trace;length;count_of_events;est_component_measure\n")
-            for c in self.components:
-                fh.write(f"{c.word};{c.trace};{fmt_value(c.length)};"
-                         f"{c.events};{fmt_value(c.est_measure)}\n")
-        finally:
-            if own:
-                fh.close()
 
 
 def margulis_count(box: Box, t: float, n: int, rng,
@@ -399,59 +346,6 @@ def margulis_count(box: Box, t: float, n: int, rng,
     return FlowCensus(box=box, time=t, samples=n, in_box_count=int(sel.sum()),
                       events=int(hit.sum()), nonhyperbolic_events=nonhyp,
                       components=comps)
-
-
-@dataclass(frozen=True)
-class ClosedOrbit:
-    deck: tuple
-    word: str
-    length: float
-    axis_dist: float
-    length_slack: float
-    axis_slack: float
-
-
-def close_orbit(frame: np.ndarray, t: float, box: Box) -> ClosedOrbit:
-    """Certify the closed orbit shadowing one flow-and-return event.
-
-    The frame must start in the box and land back in it after flowing for
-    time t; the deck element of the return is then checked against the
-    closing constants.  Any failure raises NonClosingError.
-    """
-    A = frame.reshape(1, 2, 2).astype(float)
-    if not bool(in_box(box, A)[0]):
-        raise NonClosingError("frame does not start in the box")
-    g, B = reduce_frames(flow(A, t))
-    if not bool(in_box(box, B)[0]):
-        raise NonClosingError("orbit does not return to the box")
-    key = (int(g[0, 0, 0]), int(g[0, 0, 1]), int(g[0, 1, 0]), int(g[0, 1, 1]))
-    tr = key[0] + key[3]
-    if tr < 0:
-        key = tuple(-v for v in key)
-        tr = -tr
-    if tr <= 2:
-        raise NonClosingError("return element is not hyperbolic")
-    c1, eps = closing_constants(box, t)
-    length = teich_length_from_trace(float(tr))
-    adist = axis_distance(key, box.center)
-    if abs(length - t) > 2.0 * c1:
-        raise NonClosingError("certified length bound violated")
-    if 2.0 * adist > eps:
-        raise NonClosingError("axis strays from the box center")
-    exps = conjugacy_word(MappingClass(*key))
-    return ClosedOrbit(deck=key, word=",".join(str(e) for e in exps),
-                       length=length, axis_dist=adist,
-                       length_slack=2.0 * c1 - abs(length - t),
-                       axis_slack=eps - 2.0 * adist)
-
-
-def word_trace_consistent(census: FlowCensus) -> bool:
-    """Every census word rebuilds a matrix with the census trace."""
-    for c in census.components:
-        exps = tuple(int(v) for v in c.word.split(","))
-        if word_to_matrix(exps).trace != c.trace:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

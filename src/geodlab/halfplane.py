@@ -51,26 +51,6 @@ class ModelPoint:
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    @staticmethod
-    def from_complex(z: complex) -> "ModelPoint":
-        return ModelPoint(z.real, z.imag)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Global exponents of the model: genus 1, one puncture."""
-
-    g: int = 1
-    n: int = 1
-    h: int = 2
-    m: int = 1
-
-    def __post_init__(self):
-        if self.h != 6 * self.g - 6 + 2 * self.n:
-            raise ValueError("entropy exponent must equal 6g - 6 + 2n")
-        if self.m != 3 * self.g - 3 + self.n:
-            raise ValueError("curve count must equal 3g - 3 + n")
-
 
 class MappingClass:
     """Integer unimodular matrix; entries are arbitrary-precision ints."""
@@ -90,10 +70,6 @@ class MappingClass:
     @property
     def trace(self) -> int:
         return self.a + self.d
-
-    @property
-    def is_hyperbolic(self) -> bool:
-        return abs(self.trace) > 2
 
     def inverse(self) -> "MappingClass":
         return MappingClass(self.d, -self.b, -self.c, self.a)
@@ -223,12 +199,6 @@ def reduce_points(x, y, max_iter: int = 300, deck: bool = False):
     if deck:
         return x.reshape(shape), y.reshape(shape), g.reshape(shape + (2, 2))
     return x.reshape(shape), y.reshape(shape)
-
-
-def sample_ball(center: ModelPoint, r: float, rng) -> ModelPoint:
-    """One point, uniform w.r.t. hyperbolic area on the Teichmueller-radius-r ball."""
-    x, y = sample_ball_arrays(center, r, 1, rng)
-    return ModelPoint(float(x[0]), float(y[0]))
 
 
 def sample_ball_arrays(center: ModelPoint, r: float, n: int, rng):

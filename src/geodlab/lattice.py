@@ -7,12 +7,11 @@ A ball around the center therefore meets each family in an explicit
 integer window, and the count is the sum of the window lengths.  The
 window edges are float64 integers, exact below 2^53; once an edge
 reaches 2^53 the count raises OverflowError instead of returning an
-inexact number.  Distinct (c, d) rows can produce the identical point set
-when the point stabilizer is nontrivial, so families are deduplicated by
-(q, fractional part of the real offset), with exact integer keys whenever
-the base point has integer Re and integer Im^2, and keys on a 1e-9 grid
-otherwise.  All rows of one ball are built and keyed as int64/float64
-arrays, in blocks of ROW_BLOCK rows.
+inexact number.  Distinct (c, d) rows give distinct point sets unless X
+has a nontrivial stabilizer, which for a reduced X means X is exactly i
+or a corner rho of F.  Only there are families deduplicated, by
+(q, fractional part of the real offset) in exact integers.  All rows of
+one ball are built as int64/float64 arrays, in blocks of ROW_BLOCK rows.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -26,8 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .halfplane import ModelPoint, reduce_points, reduce_to_fundamental
-from .report import fit_exponent
+from .halfplane import ModelPoint, reduce_to_fundamental
 from .torus import CurveClass, systole
 
 MAX_ORBIT_RADIUS = 7.0
@@ -36,6 +34,12 @@ ROW_BLOCK = 65_536
 # Integers below 2^53 are exact in float64; window edges at or past it
 # are no longer exact integers, and neither is the count.
 EXACT_EDGE_LIMIT = 2.0 ** 53
+# Reduced points with a nontrivial stabilizer, keyed by exact (Re, Im), as
+# the integers (2 Re, 4 Im^2): i, and rho = -1/2 + i sqrt(3)/2 with its
+# translate rho + 1.  Im rho is the float nearest sqrt(3)/2.
+_CONE_POINTS = {(0.0, 1.0): (0, 4),
+                (-0.5, math.sqrt(3.0) / 2.0): (-1, 3),
+                (0.5, math.sqrt(3.0) / 2.0): (1, 3)}
 
 
 @dataclass
@@ -106,65 +110,56 @@ def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int):
 
 def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
                     counters=None):
-    """Deduplicated families as arrays (re0, y_pt, lo, hi), in row order.
+    """Families as arrays (re0, y_pt, lo, hi), in row order, for a reduced X.
 
     Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi.
-    A family repeating an earlier (q, offset) key is dropped; its point
-    set is the earlier one's.  Raises OverflowError once a window edge
-    reaches EXACT_EDGE_LIMIT.  With a counters mapping, adds the coprime
-    rows scanned and the families kept.
+    At a cone point of _CONE_POINTS a family repeating an earlier
+    (q, offset) key is dropped; its point set is the earlier one's.
+    Raises OverflowError once a window edge reaches EXACT_EDGE_LIMIT.  With
+    a counters mapping, adds the coprime rows scanned and the families kept.
     """
     x0, y0 = X.x, X.y
     xc, yc = center.x, center.y
     ch = math.cosh(2.0 * tau) - 1.0
-
-    x0i = round(x0)
     y0sq = y0 * y0
-    y0sqi = round(y0sq)
-    exact = abs(x0 - x0i) < 1e-9 and abs(y0sq - y0sqi) < 1e-9
+    cone = _CONE_POINTS.get((x0, y0))
 
     q_max = (y0 / yc) * math.exp(2.0 * tau) * (1.0 + 1e-12)
     c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
-    if c_max == 0:
-        # Only the (0, 1) row, which never reads y0^2; deep in the cusp
-        # round(y0^2) does not fit int64.
-        y0sqi = 0
 
-    # A family's key (q, offset) is one complex number, which numpy sorts
-    # by real part, then imaginary.  Exact keys stay exact in it, and the
-    # int64 arithmetic below does not wrap: a c >= 1 row needs
-    # y0^2 <= q_max, every integer here is a small multiple of q_max, and
-    # a reduced X and center at radius <= MAX_ORBIT_RADIUS keep q_max
-    # below 1e13.
+    # At a cone point, with n = 2 Re X and m = 4 Im^2 X, the integers
+    # 4q = (c n + 2d)^2 + c^2 m and 4 q re0 make an exact key (q, offset),
+    # one complex number, which numpy sorts by real part, then imaginary.
+    # The int64 arithmetic does not wrap: every integer here is a small
+    # multiple of q_max, which a reduced center and tau <= MAX_ORBIT_RADIUS
+    # keep below 2e6 at a cone point.
     seen = np.empty(0, complex)  # sorted keys of all earlier blocks
     out = []
     rows = 0
     for c, d, a0, b0 in _bottom_rows(x0, y0sq, q_max, c_max):
         rows += c.size
-        if exact:
-            cxd = c * x0i + d
-            qi = cxd * cxd + c * c * y0sqi
-            ok = (qi != 0) & (qi <= q_max)
-            qi, re0q = qi[ok], ((a0 * x0i + b0) * cxd + a0 * c * y0sqi)[ok]
-            key = qi + 1j * (re0q % qi)
-            q = qi.astype(float)
-            re0 = re0q / q
+        if cone:
+            n, m = cone
+            cn = c * n + 2 * d
+            q4 = cn * cn + c * c * m
+            ok = q4 <= 4.0 * q_max
+            q4, r4 = q4[ok], ((a0 * n + 2 * b0) * cn + a0 * c * m)[ok]
+            q, re0 = q4 / 4.0, r4 / q4
+            # First occurrence of each key in this block, unless seen before.
+            uniq, first = np.unique(q4 + 1j * (r4 % q4), return_index=True)
+            pos = np.searchsorted(seen, uniq)
+            fresh = np.ones(uniq.size, bool)
+            hit = pos < seen.size
+            fresh[hit] = seen[pos[hit]] != uniq[hit]
+            seen = np.insert(seen, pos[fresh], uniq[fresh])
+            new = np.sort(first[fresh])
+            q, re0 = q[new], re0[new]
         else:
             cxd = c * x0 + d
             q = cxd ** 2 + (c * y0) ** 2
-            ok = (q != 0.0) & (q <= q_max)
-            q, re0q = q[ok], ((a0 * x0 + b0) * cxd + a0 * c * y0sq)[ok]
-            re0 = re0q / q
-            key = np.round(q, 9) + 1j * np.round(re0 % 1.0, 9)
-        # First occurrence of each key in this block, unless seen before.
-        uniq, first = np.unique(key, return_index=True)
-        pos = np.searchsorted(seen, uniq)
-        fresh = np.ones(uniq.size, bool)
-        hit = pos < seen.size
-        fresh[hit] = seen[pos[hit]] != uniq[hit]
-        seen = np.insert(seen, pos[fresh], uniq[fresh])
-        new = np.sort(first[fresh])
-        q, re0 = q[new], re0[new]
+            ok = q <= q_max
+            q = q[ok]
+            re0 = ((a0 * x0 + b0) * cxd + a0 * c * y0sq)[ok] / q
 
         y_pt = y0 / q
         s = 2.0 * y_pt * yc * ch - (y_pt - yc) ** 2
@@ -303,40 +298,3 @@ def chain_bound_audit(X: ModelPoint, Y: ModelPoint, tau: float) -> ChainAudit:
     b1 = math.exp(rates[0] * d1) * gx * gy
     b2 = math.exp(rates[0] * d1 + rates[1] * d2) * gx * gy
     return ChainAudit(X, Y, tau, 1, (d1, d2), rates, (n1, n2), (b1, b2))
-
-
-def stratum_partition_total(pts: OrbitPointSet, curve: CurveClass) -> tuple:
-    """(in-stratum, out-of-stratum) counts; they always sum to the total."""
-    mask = curve_length_arrays(curve, pts.x, pts.y) < SHORT_THRESHOLD
-    n_in = int(np.count_nonzero(mask))
-    return n_in, pts.count - n_in
-
-
-# ---------------------------------------------------------------------------
-# How many net cells the ball image occupies after reduction.
-
-_NET_XSTEP = 2.4
-
-
-def net_cells(x: np.ndarray, y: np.ndarray) -> set:
-    """Snap reduced points to the row net: rows at y = e^{2k}, x-step 2.4 y."""
-    k = np.round(0.5 * np.log(y)).astype(int)
-    yk = np.exp(2.0 * k.astype(float))
-    j = np.round(x / (_NET_XSTEP * yk)).astype(int)
-    return set(zip(k.tolist(), j.tolist()))
-
-
-def net_image_counts(center: ModelPoint, taus, n: int, rng) -> list:
-    """Distinct net cells hit by a reduced ball sample, per radius."""
-    from .halfplane import sample_ball_arrays
-
-    out = []
-    for tau in taus:
-        xs, ys = sample_ball_arrays(center, float(tau), n, rng)
-        xr, yr = reduce_points(xs, ys)
-        out.append(len(net_cells(xr, yr)))
-    return out
-
-
-def net_image_exponent(center: ModelPoint, taus, n: int, rng) -> float:
-    return fit_exponent(taus, net_image_counts(center, taus, n, rng))

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .halfplane import ModelPoint, sample_ball_arrays, teich_dist
-from .report import ls_slope
+from .halfplane import ModelPoint, sample_ball_arrays
 from .torus import BiasParams, systole, systole_values
 
 
@@ -36,12 +35,6 @@ class ProductPoint:
     @property
     def m(self) -> int:
         return len(self.factors)
-
-
-def sup_dist(X: ProductPoint, Y: ProductPoint) -> float:
-    if X.m != Y.m:
-        raise ValueError("points live in different products")
-    return max(teich_dist(a, b) for a, b in zip(X.factors, Y.factors))
 
 
 def sorted_lengths(X) -> tuple:
@@ -155,22 +148,6 @@ def contraction_ratio_exact(tau: float, s: float = 0.5) -> float:
         warnings.simplefilter("ignore", IntegrationWarning)
         val = quad(lambda p: _ring_average(p, s) * math.sinh(p), 0.0, 2.0 * tau, limit=400)[0]
     return val / area
-
-
-def contraction_prefactor_constant(taus, s: float = 0.5) -> float:
-    """Smallest C with ratio(tau) <= C * tau * e^(-tau) on the grid."""
-    return max(contraction_ratio_exact(t, s) / (t * math.exp(-t)) for t in taus)
-
-
-def ball_decay_slope(j: int, taus, s: float = 0.5) -> float:
-    """Prefactor-removed decay rate of the j-factor ball average.
-
-    The j-factor average is ratio(tau)^j by independence; removing the
-    polynomial prefactor tau^j leaves a clean exponential whose least
-    squares slope against tau sits near -j.
-    """
-    vals = [j * math.log(contraction_ratio_exact(t, s)) - j * math.log(t) for t in taus]
-    return ls_slope(list(taus), vals)[0]
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,6 @@ def ls_slope(xs, ys) -> tuple:
     return float(s), float(ym - s * xm)
 
 
-def fit_exponent(radii, counts) -> float:
-    """Slope of log counts against radius; zero counts are rejected."""
-    c = np.asarray(counts, dtype=float)
-    if np.any(c <= 0):
-        raise ValueError("counts must be positive to fit an exponent")
-    return ls_slope(radii, np.log(c))[0]
-
-
 @dataclass
 class CountReport:
     title: str

@@ -117,18 +117,6 @@ class BiasParams:
         p.validate()
         return p
 
-    @staticmethod
-    def from_eps(eps, K: float, tau: float, s: float = 0.5, m: int | None = None) -> "BiasParams":
-        eps = tuple(float(e) for e in eps)
-        m = len(eps) if m is None else m
-        if len(eps) != m:
-            raise ValueError("need one eps per factor")
-        log_eps = tuple(math.log(e) for e in eps)
-        log_eps_prime = tuple(le - math.log(m) - 2.0 * math.log(K) for le in log_eps)
-        p = BiasParams(m, s, tau, math.log(K), log_eps, log_eps_prime)
-        p.validate()
-        return p
-
     def validate(self):
         if not (0.0 < self.s < 1.0):
             raise ValueError("exponent s must lie in (0, 1)")
@@ -145,13 +133,3 @@ class BiasParams:
         """eps_j as a float; underflows to 0.0 below float range."""
         le = self.log_eps[j - 1]
         return math.exp(le) if le > -700.0 else 0.0
-
-    def kappa_bounds(self) -> tuple[float, float]:
-        """Constants with kappa_1 u <= G <= kappa_2 u, for m = 1 and s = 1/2.
-
-        G/u = 1/(sqrt(l) + sqrt(eps_1)) with l in (0, MAX_SYSTOLE].
-        """
-        if self.m != 1 or self.s != 0.5:
-            raise ValueError("sandwich constants derived for the m=1, s=1/2 model only")
-        se = math.exp(0.5 * self.log_eps[0])
-        return 1.0 / (math.sqrt(MAX_SYSTOLE) + se), 1.0 / se

@@ -28,21 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .halfplane import (
-    ModelPoint,
-    hyp_dist_arrays,
-    reduce_to_fundamental,
-    sample_ball_arrays,
-    teich_dist,
-)
-from .products import bias_eval, bias_terms, contraction_ratio_exact
+from .halfplane import ModelPoint, hyp_dist_arrays, sample_ball_arrays
 from .report import ls_slope
-from .torus import BiasParams, systole, systole_values
-from .words import teich_length_from_trace, word_to_matrix
+from .torus import systole_values
 
 XSTEP = 2.4  # row-net x spacing in units of the row height
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-GROWTH_RATE = 2.0  # ball area grows like e^{2r}: 2 pi (cosh 2r - 1)
 MAX_NET_RADIUS = 8.0
 MAX_STREAM = 2_000_000
 NODE_BUDGET = 10_000_000
@@ -58,10 +49,6 @@ def _is_thin(systoles, delta: float):
 
 class ResourceError(RuntimeError):
     """A requested computation exceeds its resource envelope."""
-
-
-class NetCoverageError(RuntimeError):
-    """A net fails to cover a point it was asked to serve."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,15 +69,6 @@ class GreedyNet:
     @property
     def size(self) -> int:
         return int(self.x.size)
-
-    def min_separation(self) -> float:
-        """Smallest pairwise distance, brute force; for audits on small nets."""
-        if self.size < 2:
-            return math.inf
-        d = hyp_dist_arrays(self.x[:, None], self.y[:, None],
-                            self.x[None, :], self.y[None, :])
-        d[np.diag_indices(self.size)] = np.inf
-        return 0.5 * float(d.min())
 
 
 def _stream_points(center: ModelPoint, radius: float, n: int):
@@ -297,16 +275,6 @@ class RowNet:
                 counters["walk.return_mask_sweeps"] += 1
         return self._masks[key]
 
-    def nearest_node(self, x: float, y: float):
-        """(row_index, j, distance) of the nearest node to the point."""
-        best = (-1, 0, math.inf)
-        for ri, r in enumerate(self.rows):
-            j = min(max(int(round(x / r.s)), r.j_lo), r.j_hi)
-            d = teich_dist(ModelPoint(x, y), ModelPoint(j * r.s, r.y))
-            if d < best[2]:
-                best = (ri, j, d)
-        return best
-
 
 def build_row_net(anchor: float, center: ModelPoint, radius: float,
                   k_min: int | None = None) -> RowNet:
@@ -390,11 +358,6 @@ class TrajectoryFamily:
             total += float(c[m].sum())
         return total
 
-    def weighted_endpoint_sum(self, values, step: int | None = None) -> float:
-        """Sum of a per-node weight over trajectory endpoints with counts."""
-        counts = self.endpoint_counts(step)
-        return float(sum((c * v).sum() for c, v in zip(counts, values)))
-
 
 def _exact_total(counts: list) -> float:
     total = sum(float(c.sum()) for c in counts)
@@ -422,8 +385,7 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
     nn = net.node_count
     if nn > node_budget:
         raise ResourceError(
-            f"row net has {nn} nodes, over the {node_budget} budget; "
-            f"use count_trajectories_sampled for nets this wide")
+            f"row net has {nn} nodes, over the {node_budget} node budget")
     rho = 2.0 * tau
     mask = (net.thin_mask(thin_delta, counters) if thin_delta is not None
             else None)
@@ -474,271 +436,3 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
     return TrajectoryFamily(net=net, base=base, tau=tau, n_steps=n_steps,
                             thin_delta=thin_delta, per_step=tuple(per_step),
                             node_counts=counts, step_snapshots=snapshots)
-
-
-@dataclass(frozen=True)
-class SampledCount:
-    n_paths: int
-    estimate: float
-    std_error: float
-
-
-def _sample_paths(net: RowNet, base: ModelPoint, tau: float, n_steps: int,
-                  n_paths: int, rng, thin_delta: float | None):
-    """Sequential importance sampling of step-bounded node paths.
-
-    Each path extends by a uniformly random admissible node and carries
-    the product of branch counts so far as its weight.  The admissible
-    nodes of a step are every row's window around the current point, in
-    row order, thin-tested in one systole call.  Windows are a few nodes
-    wide, so nothing is materialized per net; this is what lets sampling
-    work on nets far beyond the exact-count budget.  Returns weights and
-    endpoint coordinates x, y, each of shape (n_paths, n_steps); from a
-    dead end on, a path's weight is 0 and its endpoint stays put.
-    """
-    ch = math.cosh(2.0 * tau) - 1.0
-    row_y = np.array([r.y for r in net.rows])
-    row_s = np.array([r.s for r in net.rows])
-    j_lo = np.array([r.j_lo for r in net.rows])
-    j_hi = np.array([r.j_hi for r in net.rows])
-    weights = np.zeros((n_paths, n_steps))
-    ends_x = np.zeros((n_paths, n_steps))
-    ends_y = np.zeros((n_paths, n_steps))
-    for p in range(n_paths):
-        x, y = base.x, base.y
-        wgt = 1.0
-        for step in range(n_steps):
-            w2 = 2.0 * row_y * y * ch - (row_y - y) ** 2
-            w = np.sqrt(np.maximum(w2, 0.0))
-            lo = np.maximum(j_lo, np.ceil((x - w) / row_s)).astype(np.int64)
-            hi = np.minimum(j_hi, np.floor((x + w) / row_s)).astype(np.int64)
-            n = np.where(w2 > 0, np.maximum(hi - lo + 1, 0), 0)
-            row = np.repeat(np.arange(n.size), n)
-            js = np.arange(row.size) + np.repeat(lo - (np.cumsum(n) - n), n)
-            if thin_delta is not None:
-                thin = _is_thin(systole_values(js * row_s[row], row_y[row]),
-                                thin_delta)
-                js, row = js[thin], row[thin]
-            b = js.size
-            if b == 0:
-                ends_x[p, step:], ends_y[p, step:] = x, y
-                break
-            wgt *= b
-            pick = int(rng.integers(b))
-            r = net.rows[row[pick]]
-            x, y = float(js[pick]) * r.s, r.y
-            weights[p, step] = wgt
-            ends_x[p, step], ends_y[p, step] = x, y
-    return weights, ends_x, ends_y
-
-
-def count_trajectories_sampled(net: RowNet, base: ModelPoint, tau: float,
-                               n_steps: int, n_paths: int, rng,
-                               thin_delta: float | None = None) -> SampledCount:
-    """Unbiased trajectory-count estimate by sequential importance sampling.
-
-    A path's weight after its last step estimates the count; a path with
-    no admissible continuation contributes zero.
-    """
-    if n_paths < 2:
-        raise ValueError("need at least two sample paths")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    weights = _sample_paths(net, base, tau, n_steps, n_paths, rng,
-                            thin_delta)[0][:, -1]
-    est = float(weights.mean())
-    se = float(weights.std(ddof=1) / math.sqrt(n_paths))
-    return SampledCount(n_paths=n_paths, estimate=est, std_error=se)
-
-
-# ---------------------------------------------------------------------------
-# Discretizing a closed geodesic into a net trajectory.
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Net-node itinerary of one closed geodesic.
-
-    tau is the declared step bound: the requested mark spacing plus twice
-    the net covering scale, so consecutive points obey d <= tau by
-    construction whenever the snap stays within c2.
-    """
-
-    exps: tuple
-    length: float
-    mark_spacing: float
-    tau: float
-    nodes: tuple
-    points: tuple
-    snap_gaps: tuple
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.nodes) - 1
-
-    def max_step(self) -> float:
-        return max(teich_dist(a, b) for a, b in zip(self.points, self.points[1:]))
-
-    def node_systoles(self) -> np.ndarray:
-        xs = np.array([p.x for p in self.points])
-        ys = np.array([p.y for p in self.points])
-        return systole_values(xs, ys)
-
-
-def _axis_point(p: float, q: float, s_hyp: float) -> ModelPoint:
-    """Point at arc length s_hyp from the apex of the geodesic (p, q)."""
-    v = math.exp(s_hyp)
-    den = 1.0 + v * v
-    return ModelPoint((p * v * v + q) / den, v * (q - p) / den)
-
-
-def discretize_geodesic(exps, net: RowNet, tau: float) -> Trajectory:
-    """Mark one period at spacing tau, reduce, and snap to nearest nodes.
-
-    Raises NetCoverageError, naming the axis point, if a reduced mark has
-    no node within the net covering scale c2.
-    """
-    exps = tuple(getattr(exps, "exps", exps))
-    if tau <= 0.0:
-        raise ValueError("mark spacing must be positive")
-    mat = word_to_matrix(exps)
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
-    if c < 0:
-        a, b, c, d = -a, -b, -c, -d
-    tr = a + d
-    if c == 0 or abs(tr) <= 2:
-        raise ValueError("word does not act with an axis in the plane")
-    length = teich_length_from_trace(tr)
-    disc = math.sqrt(float(tr * tr - 4))
-    p = (a - d - disc) / (2.0 * c)
-    q = (a - d + disc) / (2.0 * c)
-    n_steps = max(1, math.ceil(length / tau - 1e-12))
-    period_hyp = 2.0 * length
-    nodes = []
-    points = []
-    gaps = []
-    for i in range(n_steps + 1):
-        s = math.fmod(2.0 * tau * i, period_hyp)
-        mark = _axis_point(p, q, s)
-        red, _ = reduce_to_fundamental(mark)
-        ri, j, gap = net.nearest_node(red.x, red.y)
-        if gap > net.c2 + 1e-12:
-            raise NetCoverageError(
-                f"net does not cover axis point {red.x:.6f} + {red.y:.6f}i "
-                f"(nearest node {gap:.4f} away, covering scale {net.c2})")
-        row = net.rows[ri]
-        nodes.append((row.k, j))
-        points.append(ModelPoint(j * row.s, row.y))
-        gaps.append(gap)
-    return Trajectory(exps=exps, length=length, mark_spacing=tau,
-                      tau=tau + 2.0 * net.c2, nodes=tuple(nodes),
-                      points=tuple(points), snap_gaps=tuple(gaps))
-
-
-# ---------------------------------------------------------------------------
-# Recursion audit: growth of the bias-weighted endpoint sum q.
-
-
-@dataclass(frozen=True)
-class QRecursionAudit:
-    """Per-step values of q(r) = sum of u over trajectory endpoints.
-
-    q(0) is u at the base point itself.  The certified one-step statement
-    is q(r + tau) <= prefactor * e^{(2 + slack/2) tau} * c_base * q(r),
-    with c_base the averaging bound for u at the base: the exact ball
-    contraction ratio plus 1/(2K) plus the constant-term allowance 1/u.
-    """
-
-    base: ModelPoint
-    tau: float
-    delta: float
-    n_steps: int
-    eps_slack: float
-    q: tuple
-    q_se: tuple
-    c_base: float
-    sampled: bool
-
-    @property
-    def ratios(self) -> tuple:
-        return tuple(b / a if a > 0 else math.inf
-                     for a, b in zip(self.q, self.q[1:]))
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.ratios)
-
-    def step_bound(self, prefactor: float = 1.0) -> float:
-        return prefactor * math.exp((GROWTH_RATE + 0.5 * self.eps_slack)
-                                    * self.tau) * self.c_base
-
-    def certified(self, prefactor: float = 1.0) -> bool:
-        return self.max_ratio <= self.step_bound(prefactor)
-
-    @property
-    def fitted_prefactor(self) -> float:
-        return self.max_ratio / self.step_bound(1.0)
-
-    @property
-    def growth_exponent(self) -> float:
-        rs = [i * self.tau for i in range(len(self.q))]
-        pts = [(r, math.log(v)) for r, v in zip(rs, self.q) if v > 0]
-        if len(pts) < 2:
-            return math.nan
-        return ls_slope([p[0] for p in pts], [p[1] for p in pts])[0]
-
-
-def _u_values(systoles, params: BiasParams) -> np.ndarray:
-    """u = f_0 + f_1 at single-torus points with the given systoles."""
-    return bias_terms(systoles[:, None], params)[2][:, 0]
-
-
-def q_recursion_audit(X: ModelPoint, tau: float, n_steps: int, delta: float,
-                      rng=None, params: BiasParams | None = None,
-                      anchor: float | None = None,
-                      eps_slack: float = 0.2,
-                      n_paths: int = 4000) -> QRecursionAudit:
-    """Audit the one-step growth of the thin-trajectory bias sum from X.
-
-    X must itself be thin (systole below delta).  Exact DP when the net
-    fits the node budget; with an rng the audit falls back to importance
-    sampling past the budget, otherwise that raises ResourceError.
-    """
-    if params is None:
-        params = BiasParams.default(m=1)
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    base, _ = reduce_to_fundamental(X)
-    _, sys0 = systole(base)
-    if sys0 >= delta:
-        raise ValueError(f"base point has systole {sys0:.4f}, not below {delta}")
-    if anchor is None:
-        anchor = 1.0 / delta
-    net = build_row_net(anchor, base, tau * n_steps)
-    q0 = bias_eval(base, params).u
-    inv2k = 0.5 * math.exp(-params.log_K)
-    c_base = contraction_ratio_exact(tau, params.s) + inv2k + 1.0 / q0
-    if net.node_count <= NODE_BUDGET:
-        u_rows = [_u_values(sy, params) for sy in net.node_systoles()]
-        fam = count_trajectories(net, base, tau, n_steps,
-                                 thin_delta=delta, keep_steps=True)
-        q = [q0] + [fam.weighted_endpoint_sum(u_rows, step=i)
-                    for i in range(1, n_steps + 1)]
-        se = [0.0] * (n_steps + 1)
-        sampled = False
-    else:
-        if rng is None:
-            raise ResourceError(
-                f"row net has {net.node_count} nodes, over the {NODE_BUDGET} "
-                f"budget; pass an rng to audit by sampling")
-        wgt, ex, ey = _sample_paths(net, base, tau, n_steps, n_paths, rng,
-                                    delta)
-        vals = wgt * _u_values(systole_values(ex.ravel(), ey.ravel()),
-                               params).reshape(wgt.shape)
-        q = [q0] + [float(vals[:, i].mean()) for i in range(n_steps)]
-        se = [0.0] + [float(vals[:, i].std(ddof=1) / math.sqrt(n_paths))
-                      for i in range(n_steps)]
-        sampled = True
-    return QRecursionAudit(base=base, tau=tau, delta=delta, n_steps=n_steps,
-                           eps_slack=eps_slack, q=tuple(q), q_se=tuple(se),
-                           c_base=c_base, sampled=sampled)

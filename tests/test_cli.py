@@ -6,7 +6,7 @@ import pytest
 from geodlab.cli import (COLUMNS, RUNNERS, AssemblyResult, main, run,
                          telescoping_assembly, worker_stream)
 from geodlab.config import EXPERIMENTS, ConfigError, build_config
-from geodlab.report import CountReport, fit_exponent, fmt_value, ls_slope
+from geodlab.report import CountReport, fmt_value, ls_slope
 
 
 def _body(text: str) -> str:
@@ -182,9 +182,6 @@ def test_report_helpers():
         ls_slope([1.0], [2.0])
     with pytest.raises(ValueError):
         ls_slope([1.0, 1.0], [2.0, 3.0])
-    assert fit_exponent([1.0, 2.0], [math.e, math.e ** 3]) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        fit_exponent([1.0, 2.0], [0.0, 1.0])
 
 
 def test_report_layout_sorted_and_stable():

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist_arrays,
                                teich_dist)
 from geodlab.lattice import (MAX_ORBIT_RADIUS, _bezout, chain_bound_audit,
-                             net_cells, net_image_counts, net_image_exponent,
-                             orbit_count, orbit_points, spread_count,
-                             stratum_partition_total)
-from geodlab.torus import CurveClass
+                             orbit_count, orbit_points, spread_count)
 
 
 def _orbit_by_bfs(X: ModelPoint, center: ModelPoint, tau: float,
@@ -68,14 +65,15 @@ def test_orbit_count_matches_orbit_points(X, center, tau):
 
 
 def _orbit_by_matrices(X: ModelPoint, center: ModelPoint, tau: float,
-                       slack: float = 1e-9) -> tuple:
+                       slack: float = 1e-9, merge: bool = True) -> tuple:
     """Matrix-loop oracle: distinct points gX, g in SL(2,Z), in the ball.
 
     The entry bounds follow from the radius.  A point of the ball has
     Im >= yc e^{-2 tau}, so |cX + d|^2 <= q = (y0 / yc) e^{2 tau}, which
     bounds |c| and |d|.  It also has |Re - xc| <= yc sinh 2 tau and
     Im <= yc e^{2 tau}, so |gX| <= m, and aX + b = gX (cX + d) bounds a
-    and b.  Returns the counts within tau - slack and tau + slack.
+    and b.  Returns the counts within tau - slack and tau + slack.  With
+    merge=False it counts the matrices up to sign instead of the points.
     """
     x0, y0, xc, yc = X.x, X.y, center.x, center.y
     q = y0 * math.exp(2.0 * tau) / yc
@@ -108,6 +106,8 @@ def _orbit_by_matrices(X: ModelPoint, center: ModelPoint, tau: float,
 
     def distinct_within(r):
         sel = dist <= r
+        if not merge:
+            return int(sel.sum()) // 2  # g and -g are both in the loop
         return len(set(zip(np.round(z.real[sel], 9).tolist(),
                            np.round(z.imag[sel], 9).tolist())))
 
@@ -133,6 +133,23 @@ RHO = ModelPoint(-0.5, math.sqrt(3.0) / 2.0)
 def test_orbit_count_matches_matrix_loop(X, center, tau):
     lo, hi = _orbit_by_matrices(X, center, tau)
     assert lo <= orbit_count(X, center, tau) <= hi
+
+
+# At i and rho, and 1e-10 away from them.  The reference is a count over
+# coprime rows and translates without merging: the matrix loop counting
+# each +-g once.  It gives 56 and 57 distinct points near i and rho; at
+# them the stabilizer, of order 2 and 3, folds those onto 28 and 19.
+@pytest.mark.parametrize("X, order, want", [
+    (ModelPoint(0.0, 1.0 + 1e-10), 1, 56),
+    (ModelPoint(-0.5 + 1e-10, math.sqrt(3.0) / 2.0), 1, 57),
+    (ModelPoint(0.0, 1.0), 2, 28),
+    (RHO, 3, 19),
+], ids=["near_i", "near_rho", "at_i", "at_rho"])
+def test_orbit_count_at_and_near_cone_points(X, order, want):
+    center = ModelPoint(0.17, 0.6)
+    lo, hi = _orbit_by_matrices(X, center, 1.5, merge=False)
+    assert lo == hi == order * want
+    assert orbit_count(X, center, 1.5) == want
 
 
 def test_orbit_points_all_within_radius_and_on_orbit():
@@ -222,14 +239,6 @@ def test_spread_count_grows_into_cusp():
     assert thin > thick
 
 
-def test_stratum_partition_sums():
-    X = ModelPoint(0.0, 25.0)
-    pts = orbit_points(X, X, 1.5)
-    n_in, n_out = stratum_partition_total(pts, CurveClass(1, 0))
-    assert n_in + n_out == pts.count
-    assert n_in >= 1  # the center itself has its short curve short
-
-
 def test_chain_audit_frozen_grid():
     worst = 0.0
     for xy in (1.0, 10.0, 30.0):
@@ -256,20 +265,3 @@ def test_chain_audit_cusp_two_links():
     a = chain_bound_audit(ModelPoint(0.0, 30.0), ModelPoint(0.0, 1.0), 4.0)
     assert len(a.counts) == 2
     assert a.counts[0] <= a.counts[1]  # cumulative
-
-
-def test_net_cells_distinct_rows():
-    cells = net_cells(np.array([0.0, 0.0, 5.0]), np.array([1.0, 7.5, 1.0]))
-    assert len(cells) == 3
-
-
-def test_net_image_counts_collapse_under_reduction():
-    # the reduced ball image climbs the cusp one row per radius unit, so
-    # cells grow linearly while the ball itself grows like e^{2 tau}
-    rng = np.random.default_rng(17)
-    counts = net_image_counts(ModelPoint(0.0, 1.0), (1.0, 2.0, 3.0, 4.0),
-                              4000, rng)
-    assert counts == [2, 3, 4, 5]
-    expo = net_image_exponent(ModelPoint(0.0, 1.0), (1.0, 2.0, 3.0, 4.0),
-                              4000, np.random.default_rng(17))
-    assert expo < 1.0

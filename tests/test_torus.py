@@ -115,8 +115,6 @@ def test_bias_params_default_ladder():
     assert p.log_eps_prime[0] == pytest.approx(
         p.log_eps[0] - 2.0 * p.log_K, rel=1e-12)
     assert p.eps(1) == pytest.approx(math.exp(p.log_eps[0]), rel=1e-12)
-    lo, hi = p.kappa_bounds()
-    assert 0.0 < lo < hi
 
 
 def test_bias_params_multi_factor_ladder_monotone():
@@ -130,11 +128,13 @@ def test_bias_params_multi_factor_ladder_monotone():
 
 
 def test_bias_params_validation_errors():
-    with pytest.raises(ValueError):
-        BiasParams.from_eps([0.5], K=math.exp(6.001), tau=3.0)  # eps too big
-    with pytest.raises(ValueError):
-        BiasParams.from_eps([1e-9], K=1.0, tau=3.0)  # K too small
     good = BiasParams.default(m=1, tau=3.0)
+    with pytest.raises(ValueError, match="top eps"):  # eps too big
+        BiasParams(1, 0.5, 3.0, 6.001, (math.log(0.5),),
+                   good.log_eps_prime).validate()
+    with pytest.raises(ValueError, match="K must exceed"):  # K too small
+        BiasParams(1, 0.5, 3.0, 0.0, (math.log(1e-9),),
+                   good.log_eps_prime).validate()
     with pytest.raises(ValueError):
         BiasParams(1, 1.5, good.tau, good.log_K, good.log_eps,
                    good.log_eps_prime).validate()

@@ -7,15 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodlab import walk
-from geodlab.halfplane import (ModelPoint, hyp_dist_arrays,
-                               sample_ball_arrays, teich_dist)
-from geodlab.products import bias_eval
-from geodlab.torus import BiasParams, systole_values
-from geodlab.walk import (NetCoverageError, ResourceError, _is_thin, build_net,
-                          build_row_net, count_trajectories,
-                          count_trajectories_sampled, discretize_geodesic,
-                          net_size_slope, q_recursion_audit)
-from geodlab.words import enumerate_classes
+from geodlab.halfplane import ModelPoint, hyp_dist_arrays, sample_ball_arrays
+from geodlab.torus import systole_values
+from geodlab.walk import (ResourceError, _is_thin, build_net, build_row_net,
+                          count_trajectories, net_size_slope)
 
 
 def test_greedy_net_sizes_frozen():
@@ -28,8 +23,12 @@ def test_greedy_net_sizes_frozen():
 def test_greedy_net_separation_and_coverage():
     net = build_net(ModelPoint(0, 1), 2.0, np.random.default_rng(1))
     assert net.size == 35
-    assert net.min_separation() >= net.c1
-    assert net.min_separation() == pytest.approx(1.004436, abs=1e-5)
+    # brute-force pairwise separation, in the model metric
+    d = 0.5 * hyp_dist_arrays(net.x[:, None], net.y[:, None],
+                              net.x[None, :], net.y[None, :])
+    sep = d[~np.eye(net.size, dtype=bool)].min()
+    assert sep >= net.c1
+    assert sep == pytest.approx(1.004436, abs=1e-5)
     px, py = sample_ball_arrays(ModelPoint(0, 1), 2.0, 2000,
                                 np.random.default_rng(2))
     gap = 0.5 * hyp_dist_arrays(px[:, None], py[:, None],
@@ -64,8 +63,6 @@ def test_row_net_structure():
         assert r.y == pytest.approx(5.0 * math.exp(2.0 * r.k), rel=1e-12)
         assert r.s == pytest.approx(2.4 * r.y, rel=1e-12)
         assert r.n == r.j_hi - r.j_lo + 1
-    ri, j, d = net.nearest_node(net.rows[2].s * 3, net.rows[2].y)
-    assert (ri, j) == (2, 3) and d <= 1e-9
 
 
 def test_row_net_guards_and_kmin():
@@ -145,8 +142,6 @@ def test_dp_snapshots_and_weights():
     assert sum(float(c.sum()) for c in first) == 13.0
     last = fam.endpoint_counts()
     assert sum(float(c.sum()) for c in last) == 161.0
-    ones = [np.ones(r.n) for r in net.rows]
-    assert fam.weighted_endpoint_sum(ones) == 161.0
     bare = count_trajectories(net, base, 1.5, 2)
     with pytest.raises(ValueError):
         bare.endpoint_counts(step=1)
@@ -220,7 +215,8 @@ def test_dp_guards():
         count_trajectories(net, base, 1.5, 0)
     with pytest.raises(ValueError):
         count_trajectories(net, base, 0.0, 2)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=r"^row net has 187 nodes, over "
+                       r"the 10 node budget$"):
         count_trajectories(net, base, 1.5, 2, node_budget=10)
 
 
@@ -235,109 +231,3 @@ def test_dp_raises_where_float_counts_stop_being_exact(monkeypatch):
     monkeypatch.setattr(walk, "EXACT_COUNT_LIMIT", 13.0)
     with pytest.raises(OverflowError):
         count_trajectories(net, base, 1.5, 1)
-
-
-def test_sampled_count_unbiased():
-    net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
-    base = ModelPoint(0.0, 5.0)
-    sc = count_trajectories_sampled(net, base, 1.5, 2, 4000,
-                                    np.random.default_rng(3))
-    assert abs(sc.estimate - 161.0) <= 3.0 * sc.std_error
-    sct = count_trajectories_sampled(net, base, 1.5, 2, 4000,
-                                     np.random.default_rng(4), thin_delta=0.2)
-    assert abs(sct.estimate - 25.0) <= 3.0 * sct.std_error
-    with pytest.raises(ValueError):
-        count_trajectories_sampled(net, base, 1.5, 2, 1,
-                                   np.random.default_rng(3))
-
-
-def test_discretize_shortest_class():
-    net = build_row_net(1.0, ModelPoint(0.0, 1.0), 2.0)
-    tr = discretize_geodesic((1, 1), net, 1.0)
-    assert tr.nodes == ((0, 0), (0, 0))
-    assert tr.length == pytest.approx(math.acosh(1.5), rel=1e-12)
-    assert tr.n_steps == 1
-    assert max(tr.snap_gaps) == pytest.approx(0.240606, abs=1e-5)
-    assert tr.tau == 1.0 + 2.0 * net.c2
-
-
-def test_discretize_cusp_excursion():
-    net = build_row_net(20.0, ModelPoint(0.0, 3.0), 2.0)
-    tr = discretize_geodesic((20, 20), net, 0.5)
-    assert tr.length == pytest.approx(5.996446, abs=1e-5)
-    assert tr.n_steps == 12
-    assert max(tr.snap_gaps) <= net.c2
-    assert max(tr.snap_gaps) == pytest.approx(0.496982, abs=1e-5)
-    assert tr.max_step() == pytest.approx(1.0, rel=1e-9)
-    assert tr.max_step() <= tr.tau
-    assert float(tr.node_systoles().max()) == pytest.approx(0.369453, abs=1e-5)
-
-
-def test_discretize_guards_and_coverage():
-    net = build_row_net(1.0, ModelPoint(0.0, 1.0), 2.0)
-    with pytest.raises(ValueError):
-        discretize_geodesic((1, 1), net, 0.0)
-    with pytest.raises(ValueError):
-        discretize_geodesic((1, -1), net, 1.0)  # trace 2, no axis
-    tiny = build_row_net(1.0, ModelPoint(0.0, 1.0), 0.6)
-    with pytest.raises(NetCoverageError, match=r"net does not cover axis "
-                       r"point 0\.000000 \+ 10\.049876i \(nearest node "
-                       r"1\.1538 away, covering scale 1\.0\)"):
-        discretize_geodesic((20, 20), tiny, 0.5)
-
-
-def test_itinerary_multiplicity():
-    # distinct classes can share an itinerary at this covering scale;
-    # the collision rate is part of why counts carry a bounded factor
-    net = build_row_net(1.0, ModelPoint(0.0, 1.5), 3.5)
-    classes = enumerate_classes(2.5)
-    trajs = [discretize_geodesic(c, net, 0.5) for c in classes]
-    assert len(classes) == 29
-    assert len({t.nodes for t in trajs}) == 12
-    assert all(t.max_step() <= t.tau + 1e-12 for t in trajs)
-
-
-def test_q_audit_exact_frozen():
-    aud = q_recursion_audit(ModelPoint(0.0, 40.0), 1.5, 4, 0.2)
-    assert not aud.sampled
-    expect = (1.000551, 13.004782, 88.038042, 670.31394, 5033.605254)
-    for got, want in zip(aud.q, expect):
-        assert got == pytest.approx(want, rel=1e-5)
-    assert aud.q[0] == pytest.approx(
-        bias_eval(aud.base, BiasParams.default(m=1)).u, rel=1e-12)
-    assert aud.c_base == pytest.approx(1.752583146, rel=1e-8)
-    assert aud.step_bound() == pytest.approx(40.898393, rel=1e-5)
-    assert aud.max_ratio == pytest.approx(12.997619, rel=1e-5)
-    assert aud.certified()
-    assert aud.fitted_prefactor == pytest.approx(0.317803, abs=1e-5)
-    assert aud.growth_exponent == pytest.approx(1.399274, abs=1e-5)
-
-
-def test_q_audit_sampled_agrees_with_exact(monkeypatch):
-    X = ModelPoint(0.0, 40.0)
-    exact = q_recursion_audit(X, 1.5, 4, 0.2)
-    nodes = build_row_net(5.0, exact.base, 6.0).node_count
-    monkeypatch.setattr(walk, "NODE_BUDGET", nodes - 1)
-    aud = q_recursion_audit(X, 1.5, 4, 0.2, rng=np.random.default_rng(9),
-                            n_paths=1000)
-    assert aud.sampled and not exact.sampled
-    assert aud.q[0] == exact.q[0]
-    for q, se, want in zip(aud.q[1:], aud.q_se[1:], exact.q[1:]):
-        assert 0.0 < se and abs(q - want) <= 4.0 * se
-
-
-def test_q_audit_guards():
-    with pytest.raises(ValueError):
-        q_recursion_audit(ModelPoint(0.0, 2.0), 1.5, 4, 0.2)  # base not thin
-    with pytest.raises(ValueError):
-        q_recursion_audit(ModelPoint(0.0, 40.0), 1.5, 0, 0.2)
-
-
-def test_q_audit_budget_and_sampling():
-    with pytest.raises(ResourceError, match="pass an rng"):
-        q_recursion_audit(ModelPoint(0.0, 40.0), 2.5, 5, 0.2)
-    aud = q_recursion_audit(ModelPoint(0.0, 40.0), 2.5, 5, 0.2,
-                            rng=np.random.default_rng(5))
-    assert aud.sampled
-    assert aud.certified()
-    assert aud.growth_exponent == pytest.approx(1.458814, abs=1e-5)
