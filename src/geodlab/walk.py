@@ -15,7 +15,15 @@ What depends only on the row net is computed once per net and kept on it
 as per-row bool masks: one systole sweep thresholds every node for a
 whole list of thin deltas (RowNet.thin_masks), and one distance sweep
 flags the nodes near a base point (RowNet.return_mask).  Float systoles
-are never kept, only the masks.
+are never kept, only the masks.  The sweep reduces each |j| of a row
+once, since the reduced point at -x is the mirror of the one at x.
+
+The DP skips work that cannot change a count: each row carries the span
+of nodes that can be nonzero, a step reads only the source spans and
+evaluates only the target nodes they can reach, in DP_CHUNK pieces, and
+with a thin delta only the nodes the mask keeps.  Every skipped node
+would add exactly zero, so counts, snapshots and per-step totals are
+those of the full-row DP.
 
 Public distances (tau, c1, c2, radii) are in the model metric, half the
 hyperbolic one.  Row algebra runs in hyperbolic units internally.
@@ -24,11 +32,12 @@ hyperbolic one.  Row algebra runs in hyperbolic units internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .halfplane import ModelPoint, hyp_dist_arrays, sample_ball_arrays
+from .halfplane import (REDUCE_CHUNK, ModelPoint, hyp_dist_arrays,
+                        sample_ball_arrays)
 from .report import ls_slope
 from .torus import systole_values
 
@@ -40,6 +49,7 @@ NODE_BUDGET = 10_000_000
 # Integers below 2^53 are exact in float64.  Every DP entry and prefix sum
 # is at most its step's total, so a total below this keeps them all exact.
 EXACT_COUNT_LIMIT = 2.0 ** 53
+DP_CHUNK = REDUCE_CHUNK  # count_trajectories evaluates target nodes in chunks this long
 
 
 def _is_thin(systoles, delta: float):
@@ -202,24 +212,23 @@ class NetRow:
 class RowNet:
     """Rows of the closed-form net meeting one ball.
 
-    c1/c2 are the certified separation and covering scales of the full
-    row family: rows sit 1.0 apart vertically and nodes 2 asinh(1.2)/2
-    apart horizontally, so separation is at least 1.0 and every point of
-    the plane lies within 1.0 of a node of the unclipped family.
+    The full row family is 1.0-separated and 1.0-covering in the model
+    metric: rows sit 1.0 apart vertically and nodes 2 asinh(1.2)/2 apart
+    horizontally, so separation is at least 1.0 and every point of the
+    plane lies within 1.0 of a node of the unclipped family.
 
     Masks that depend only on the net are cached on it, one bool array
     per row: thin masks by delta, return masks by (base, tolerance).  A
     cached mask is shared by every caller and must not be written to.
     With a counters mapping, the methods that sweep the net add one to
-    'walk.systole_sweeps' or 'walk.return_mask_sweeps' per sweep.
+    'walk.systole_sweeps' or 'walk.return_mask_sweeps' per sweep, and a
+    systole sweep adds the points it reduced to 'walk.swept_points'.
     """
 
     anchor: float
     center: ModelPoint
     radius: float
     rows: tuple
-    c1: float = 1.0
-    c2: float = 1.0
     _masks: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -227,9 +236,29 @@ class RowNet:
     def node_count(self) -> int:
         return sum(r.n for r in self.rows)
 
-    def node_systoles(self):
-        """The systole at each node, as one array per row, row by row."""
-        return (systole_values(r.xs(), np.full(r.n, r.y)) for r in self.rows)
+    def node_systoles(self, counters=None):
+        """The systole at each node, as one array per row, row by row.
+
+        The systole is invariant under z -> -conj(z), and a node's x is
+        j * s with (-j) * s == -(j * s) in float64; the reduction sees x
+        only through x^2 and rounds half to even, so it gives the same
+        y at -x as at x.  Each row is reduced once per |j| and gathered
+        back: half the points on a row centred at x = 0.
+        """
+        for r in self.rows:
+            lo, hi = r.j_lo, r.j_hi
+            a_lo, a_hi = max(lo, -hi, 0), max(-lo, hi)
+            # sy[a - a_lo] is the systole at j = a and at j = -a
+            sy = systole_values(np.arange(a_lo, a_hi + 1) * r.s,
+                                np.full(a_hi - a_lo + 1, r.y))
+            if counters is not None:
+                counters["walk.swept_points"] += sy.size
+            if lo >= 0:
+                yield sy
+            elif hi <= 0:
+                yield sy[::-1]
+            else:
+                yield np.concatenate((sy[-lo:0:-1], sy[:hi + 1]))
 
     def thin_masks(self, deltas, counters=None) -> list:
         """Thin masks for each delta, from at most one systole sweep.
@@ -244,7 +273,7 @@ class RowNet:
                 if ("thin", d) not in self._masks]
         if todo:
             new = {d: [] for d in todo}
-            for sy in self.node_systoles():
+            for sy in self.node_systoles(counters):
                 for d in todo:
                     new[d].append(_is_thin(sy, d))
             for d in todo:
@@ -359,13 +388,71 @@ class TrajectoryFamily:
         return total
 
 
-def _exact_total(counts: list) -> float:
-    total = sum(float(c.sum()) for c in counts)
+def _exact_total(counts: list, spans: list) -> float:
+    # every node outside its row's span is zero, and a sum of
+    # nonnegative integers totalling below 2^53 is exact in any order
+    total = sum(float(c[a:b + 1].sum()) for c, (a, b) in zip(counts, spans))
     if total >= EXACT_COUNT_LIMIT:
         raise OverflowError(
             f"trajectory count {total:.6g} reached {EXACT_COUNT_LIMIT:.6g}, "
             f"where float64 counts stop being exact")
     return total
+
+
+def _windows(rs: NetRow, rt: NetRow, w: float, jt):
+    """Index windows [lo, hi) into rs of the target nodes jt of rt: the
+    source nodes within x distance w of each target, clipped to the row.
+    Both ends are nondecreasing in jt, since every step is monotone."""
+    xt = jt * rt.s
+    lo = np.ceil((xt - w) / rs.s).astype(np.int64)
+    hi = np.floor((xt + w) / rs.s).astype(np.int64)
+    lo = np.clip(lo - rs.j_lo, 0, rs.n)
+    hi = np.clip(hi - rs.j_lo + 1, 0, rs.n)
+    return lo, np.maximum(hi, lo)
+
+
+def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
+    """Target indices (t0, t1) of rt such that no node outside t0..t1
+    has a source node of rs in its window; t0 > t1 means no node has.
+
+    The range is estimated from the x extent with a node of slack, then
+    proved with the window arithmetic itself: windows move monotonically,
+    so an empty window at node t0 - 1 that ends before rs clears every
+    node before it, and one at t1 + 1 that starts past rs every node
+    after it.  A side that fails the proof falls back to the row's end.
+    """
+    t0 = max(math.ceil((rs.j_lo * rs.s - w) / rt.s) - 1 - rt.j_lo, 0)
+    t1 = min(math.floor((rs.j_hi * rs.s + w) / rt.s) + 1 - rt.j_lo,
+             rt.n - 1)
+    lo, hi = _windows(rs, rt, w, np.array([t0 - 1, t1 + 1]) + rt.j_lo)
+    if t0 > 0 and hi[0] > 0:
+        t0 = 0
+    if t1 < rt.n - 1 and lo[1] < rs.n:
+        t1 = rt.n - 1
+    return t0, t1
+
+
+def _add_window_sums(out, pref, rs: NetRow, rt: NetRow, w: float,
+                     t0: int, t1: int, live):
+    """Add to target nodes t0..t1 of rt the source counts within x
+    distance w, from the prefix sum pref over the nodes of rs.
+
+    Only the nodes that live keeps are evaluated (all of them when live
+    is None), DP_CHUNK at a time, so no temporary is longer than a chunk.
+    """
+    if live is not None:
+        live = live[np.searchsorted(live, t0):
+                    np.searchsorted(live, t1, "right")]
+    n = t1 - t0 + 1 if live is None else live.size
+    for c0 in range(0, n, DP_CHUNK):
+        if live is None:
+            part = slice(t0 + c0, t0 + min(c0 + DP_CHUNK, n))
+            jt = np.arange(rt.j_lo + part.start, rt.j_lo + part.stop)
+        else:
+            part = live[c0:c0 + DP_CHUNK]
+            jt = part + rt.j_lo
+        lo, hi = _windows(rs, rt, w, jt)
+        out[part] += pref[hi] - pref[lo]
 
 
 def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
@@ -375,8 +462,12 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
                        counters=None) -> TrajectoryFamily:
     """Exact DP counts of trajectories with step bound tau from the base.
 
-    The thin mask comes from the net's cache, so it costs a systole sweep
-    only the first time a delta is seen; counters goes to that sweep.
+    Each row carries a span of node indices outside which its counts are
+    zero.  A step runs source row by source row over the span alone, with
+    one prefix sum at a time, and adds window sums only into the target
+    nodes the span can reach (_reach) that the thin mask keeps.  The thin
+    mask comes from the net's cache, so it costs a systole sweep only the
+    first time a delta is seen; counters goes to that sweep.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -389,48 +480,55 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
     rho = 2.0 * tau
     mask = (net.thin_mask(thin_delta, counters) if thin_delta is not None
             else None)
+    live = ([None] * len(net.rows) if mask is None
+            else [np.flatnonzero(m) for m in mask])
     ch = math.cosh(rho) - 1.0
     rows = net.rows
     counts = []
+    spans = []
     for r in rows:
         w2 = 2.0 * r.y * base.y * ch - (r.y - base.y) ** 2
         c = np.zeros(r.n)
+        span = (0, -1)
         if w2 > 0:
             w = math.sqrt(w2)
             lo = max(r.j_lo, math.ceil((base.x - w) / r.s))
             hi = min(r.j_hi, math.floor((base.x + w) / r.s))
             if hi >= lo:
-                c[lo - r.j_lo: hi - r.j_lo + 1] = 1.0
+                span = (lo - r.j_lo, hi - r.j_lo)
+                c[span[0]: span[1] + 1] = 1.0
         counts.append(c)
+        spans.append(span)
     if mask is not None:
         for c, m in zip(counts, mask):
             c *= m
-    per_step = [_exact_total(counts)]
+    per_step = [_exact_total(counts, spans)]
     snapshots = [counts] if keep_steps else None
     for _ in range(n_steps - 1):
         new = [np.zeros(r.n) for r in rows]
-        for si, rs in enumerate(rows):
-            src = counts[si]
-            if not src.any():
+        new_spans = [(r.n, -1) for r in rows]
+        for si, row in enumerate(rows):
+            a, b = spans[si]
+            if a > b:
                 continue
-            pref = np.concatenate(([0.0], np.cumsum(src)))
+            # the source is the span alone: outside it every count is zero
+            rs = replace(row, j_lo=row.j_lo + a, j_hi=row.j_lo + b)
+            pref = np.zeros(rs.n + 1)
+            np.cumsum(counts[si][a:b + 1], out=pref[1:])
             for ti, rt in enumerate(rows):
                 w2 = 2.0 * rs.y * rt.y * ch - (rs.y - rt.y) ** 2
                 if w2 <= 0:
                     continue
                 w = math.sqrt(w2)
-                xt = np.arange(rt.j_lo, rt.j_hi + 1) * rt.s
-                lo = np.ceil((xt - w) / rs.s).astype(np.int64)
-                hi = np.floor((xt + w) / rs.s).astype(np.int64)
-                lo = np.clip(lo - rs.j_lo, 0, rs.n)
-                hi = np.clip(hi - rs.j_lo + 1, 0, rs.n)
-                hi = np.maximum(hi, lo)
-                new[ti] += pref[hi] - pref[lo]
-        if mask is not None:
-            for c, m in zip(new, mask):
-                c *= m
-        counts = new
-        per_step.append(_exact_total(counts))
+                t0, t1 = _reach(rs, rt, w)
+                if t0 > t1:
+                    continue
+                _add_window_sums(new[ti], pref, rs, rt, w, t0, t1, live[ti])
+                new_spans[ti] = (min(new_spans[ti][0], t0),
+                                 max(new_spans[ti][1], t1))
+            del pref  # before the next source row builds its own
+        counts, spans = new, new_spans
+        per_step.append(_exact_total(counts, spans))
         if keep_steps:
             snapshots.append(counts)
     return TrajectoryFamily(net=net, base=base, tau=tau, n_steps=n_steps,

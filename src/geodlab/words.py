@@ -83,21 +83,24 @@ def word_to_matrix(exps: Sequence[int]) -> MappingClass:
 
 @dataclass(frozen=True)
 class GeodesicClass:
-    """A conjugacy class: canonical exponents, trace, Teichmueller length."""
+    """A conjugacy class: canonical exponents, trace, Teichmueller length,
+    and the entries (a, b, c, d) of the matrix of the canonical word."""
 
     exps: tuple
     trace: int
     length: float
+    entries: tuple
 
     @staticmethod
     def from_exps(exps: Sequence[int]) -> "GeodesicClass":
         c = canonical(exps)
-        t = word_to_matrix(c).trace
-        return GeodesicClass(c, t, teich_length_from_trace(t))
+        m = word_to_matrix(c)
+        return GeodesicClass(c, m.trace, teich_length_from_trace(m.trace),
+                             m.entries())
 
     @property
     def matrix(self) -> MappingClass:
-        return word_to_matrix(self.exps)
+        return MappingClass(*self.entries)
 
     @property
     def label(self) -> str:
@@ -105,7 +108,7 @@ class GeodesicClass:
 
 
 def _necklaces(trace_cap: float, primitive_only: bool) -> list:
-    """(exps, trace) of every pair necklace with trace <= trace_cap.
+    """The class of every pair necklace with trace <= trace_cap.
 
     Fredricksen-Kessler-Maiorana generation over (a, b) syllable pairs in
     lexicographic order: a prenecklace of t pairs with period p extends
@@ -134,9 +137,11 @@ def _necklaces(trace_cap: float, primitive_only: bool) -> list:
                 continue
             q = p if (a, b) == (ra, rb) else t + 1
             word.extend((a, b))
+            nxt = _append_pair(m, a, b)
             if q == t + 1 or (not primitive_only and (t + 1) % q == 0):
-                out.append((tuple(word), tr))
-            rec(_append_pair(m, a, b), t + 1, q)
+                out.append(GeodesicClass(tuple(word), tr,
+                                         teich_length_from_trace(tr), nxt))
+            rec(nxt, t + 1, q)
             del word[-2:]
             b += 1
 
@@ -157,10 +162,7 @@ def enumerate_classes(max_length: float, primitive_only: bool = True) -> list:
     if max_length <= 0:
         return []
     trace_cap = 2.0 * math.cosh(max_length)
-    classes = [
-        GeodesicClass(c, t, teich_length_from_trace(t))
-        for c, t in _necklaces(trace_cap, primitive_only)
-    ]
+    classes = _necklaces(trace_cap, primitive_only)
     classes.sort(key=lambda g: (g.trace, g.exps))
     return classes
 
@@ -354,12 +356,12 @@ def conjugacy_word(m: MappingClass) -> tuple:
 # Shortest curve along the axis.
 
 
-def _axis_circle(m: MappingClass) -> tuple:
-    """(center, radius, length) of the axis semicircle of a hyperbolic m."""
-    t = m.trace
+def _axis_circle(a: int, b: int, c: int, d: int) -> tuple:
+    """(center, radius, length) of the axis semicircle of a hyperbolic
+    matrix with entries (a, b, c, d)."""
+    t = a + d
     disc = math.sqrt(float(t * t - 4))
-    return ((m.a - m.d) / (2.0 * m.c), disc / (2.0 * m.c),
-            teich_length_from_trace(t))
+    return (a - d) / (2.0 * c), disc / (2.0 * c), teich_length_from_trace(t)
 
 
 def _axis_halves(length, step: float):
@@ -393,7 +395,7 @@ def axis_samples(exps: Sequence[int], step: float = 0.02):
     the systole along simple axes is attained.
     """
     c0, r0, length = (np.array([v])
-                      for v in _axis_circle(word_to_matrix(exps)))
+                      for v in _axis_circle(*word_to_matrix(exps).entries()))
     return _axis_points(c0, r0, length, _axis_halves(length, step))
 
 
@@ -411,7 +413,7 @@ def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
     is sampled and reduced in one call.  With a counters mapping, adds
     the samples reduced to 'veech.axis_points'.
     """
-    circles = np.array([_axis_circle(word_to_matrix(g.exps))
+    circles = np.array([_axis_circle(*g.entries)
                         for g in classes]).reshape(-1, 3)
     c0, r0, length = circles.T
     half = _axis_halves(length, step)

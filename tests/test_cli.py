@@ -150,11 +150,14 @@ def test_thin_footer_counts_one_sweep_per_net():
     # three deltas and twelve almost-closed counts, from one systole sweep
     # and one return-mask sweep over the net
     report = run(build_config("thin"))
+    # the net is symmetric about x = 0, so the sweep reduces half its nodes
     assert report.counters == {"walk.row_net_nodes": 2259155,
+                               "walk.swept_points": 1129585,
                                "walk.systole_sweeps": 1,
                                "walk.return_mask_sweeps": 1}
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
     assert "# count.walk.row_net_nodes = 2259155" in footer
+    assert "# count.walk.swept_points = 1129585" in footer
     assert "# count.walk.systole_sweeps = 1" in footer
     assert "# count.walk.return_mask_sweeps = 1" in footer
     assert "#" not in report.to_text(deterministic_only=True)
@@ -163,7 +166,9 @@ def test_thin_footer_counts_one_sweep_per_net():
 def test_walk_and_veech_footers():
     walk = run(build_config("walk", overrides={"tau": "1.5", "steps": "3"}))
     assert walk.counters == {"walk.row_net_nodes": 3755,
+                             "walk.swept_points": 1882,
                              "walk.systole_sweeps": 1}
+    assert "# count.walk.swept_points = 1882" in walk.to_text()
     veech = run(build_config("veech", overrides={"max_length": "3"}))
     assert veech.counters == {"veech.axis_points": 9440}
     assert "# count.veech.axis_points = 9440" in veech.to_text()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist_arrays,
-                               teich_dist)
+                               reduce_to_fundamental, teich_dist)
 from geodlab.lattice import (MAX_ORBIT_RADIUS, _bezout, chain_bound_audit,
                              orbit_count, orbit_points, spread_count)
 
@@ -64,6 +64,17 @@ def test_orbit_count_matches_orbit_points(X, center, tau):
     assert orbit_count(X, center, tau) == orbit_points(X, center, tau).count
 
 
+def _stabilizer_order(X: ModelPoint) -> int:
+    """Order of the stabilizer of X in PSL(2,Z): 2 when X reduces exactly
+    onto i, 3 onto rho or rho + 1 (Im the float nearest sqrt(3)/2), else 1."""
+    z, _ = reduce_to_fundamental(X)
+    if (z.x, z.y) == (0.0, 1.0):
+        return 2
+    if abs(z.x) == 0.5 and z.y == math.sqrt(3.0) / 2.0:
+        return 3
+    return 1
+
+
 def _orbit_by_matrices(X: ModelPoint, center: ModelPoint, tau: float,
                        slack: float = 1e-9, merge: bool = True) -> tuple:
     """Matrix-loop oracle: distinct points gX, g in SL(2,Z), in the ball.
@@ -74,6 +85,10 @@ def _orbit_by_matrices(X: ModelPoint, center: ModelPoint, tau: float,
     Im <= yc e^{2 tau}, so |gX| <= m, and aX + b = gX (cX + d) bounds a
     and b.  Returns the counts within tau - slack and tau + slack.  With
     merge=False it counts the matrices up to sign instead of the points.
+    Two matrices give one point exactly when they differ by a stabilizer
+    element, so the points are the matrices up to sign divided by the
+    stabilizer's order; no coordinates are compared, so points of an X
+    just off a cone point stay apart however close they are.
     """
     x0, y0, xc, yc = X.x, X.y, center.x, center.y
     q = y0 * math.exp(2.0 * tau) / yc
@@ -104,14 +119,14 @@ def _orbit_by_matrices(X: ModelPoint, center: ModelPoint, tau: float,
     z = (g[:, 0] * z0 + g[:, 1]) / (g[:, 2] * z0 + g[:, 3])
     dist = 0.5 * hyp_dist_arrays(z.real, z.imag, xc, yc)
 
-    def distinct_within(r):
-        sel = dist <= r
-        if not merge:
-            return int(sel.sum()) // 2  # g and -g are both in the loop
-        return len(set(zip(np.round(z.real[sel], 9).tolist(),
-                           np.round(z.imag[sel], 9).tolist())))
+    order = _stabilizer_order(X) if merge else 1
 
-    return distinct_within(tau - slack), distinct_within(tau + slack)
+    def distinct_within(r, rounding):
+        pairs = int((dist <= r).sum()) // 2  # g and -g are both in the loop
+        return rounding(pairs / order)
+
+    return (distinct_within(tau - slack, math.floor),
+            distinct_within(tau + slack, math.ceil))
 
 
 RHO = ModelPoint(-0.5, math.sqrt(3.0) / 2.0)
@@ -130,6 +145,8 @@ RHO = ModelPoint(-0.5, math.sqrt(3.0) / 2.0)
 # near i and rho but not at them: distinct families with keys ~1e-6 apart
 @example(ModelPoint(0.0, 1.000001), ModelPoint(0.17, 0.6), 1.5)
 @example(ModelPoint(-0.5, 0.866026), ModelPoint(0.17, 0.6), 1.5)
+# 1.8e-83 off i: 26 distinct points, which agree with 13 others to 9 digits
+@example(ModelPoint(1.830447100410434e-83, 1.0), ModelPoint(0.0, 1.0), 1.0)
 def test_orbit_count_matches_matrix_loop(X, center, tau):
     lo, hi = _orbit_by_matrices(X, center, tau)
     assert lo <= orbit_count(X, center, tau) <= hi

@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodlab import walk
 from geodlab.halfplane import ModelPoint, hyp_dist_arrays, sample_ball_arrays
 from geodlab.torus import systole_values
-from geodlab.walk import (ResourceError, _is_thin, build_net, build_row_net,
-                          count_trajectories, net_size_slope)
+from geodlab.walk import (NetRow, ResourceError, _is_thin, _reach, _windows,
+                          build_net, build_row_net, count_trajectories,
+                          net_size_slope)
 
 
 def test_greedy_net_sizes_frozen():
@@ -100,8 +102,9 @@ def test_thin_masks_one_sweep_matches_fresh(deltas, bad):
         net.thin_masks(deltas + [bad])
     counters = Counter()
     masks = net.thin_masks(deltas, counters)
-    # the failed call cached nothing, so this call had to sweep
-    assert counters == {"walk.systole_sweeps": 1}
+    # the failed call cached nothing, so this call had to sweep; the
+    # symmetric rows of 115, 45, 17, 7 and 3 nodes reduce 58 + 23 + 9 + 4 + 2
+    assert counters == {"walk.systole_sweeps": 1, "walk.swept_points": 96}
     assert len(masks) == len(deltas)
     for d, mask in zip(deltas, masks):
         fresh = [_is_thin(systole_values(r.xs(), np.full(r.n, r.y)), d)
@@ -110,7 +113,7 @@ def test_thin_masks_one_sweep_matches_fresh(deltas, bad):
         assert all(m.dtype == bool and np.array_equal(m, f)
                    for m, f in zip(mask, fresh))
         assert net.thin_mask(d, counters) is mask
-    assert counters == {"walk.systole_sweeps": 1}
+    assert counters == {"walk.systole_sweeps": 1, "walk.swept_points": 96}
 
 
 def test_dp_counts_frozen_and_brute():
@@ -231,3 +234,128 @@ def test_dp_raises_where_float_counts_stop_being_exact(monkeypatch):
     monkeypatch.setattr(walk, "EXACT_COUNT_LIMIT", 13.0)
     with pytest.raises(OverflowError):
         count_trajectories(net, base, 1.5, 1)
+
+
+CENTER_X = st.one_of(st.just(0.0), st.floats(-60.0, 60.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.5, 8.0), CENTER_X, st.floats(0.3, 6.0),
+       st.floats(0.3, 2.5))
+@example(5.0, 0.0, 5.0, 3.0)  # symmetric rows about x = 0
+@example(1.0, 0.37, 1.0, 2.5)  # off-centre: rows straddle 0 unevenly
+@example(0.5, -40.0, 3.0, 2.5)  # rows of only negative j, and j_hi = 0
+@example(0.5, 40.0, 3.0, 2.5)  # rows of only positive j, and j_lo = 0
+def test_half_row_sweep_matches_direct_sweep(anchor, cx, cy, radius):
+    net = build_row_net(anchor, ModelPoint(cx, cy), radius)
+    counters = Counter()
+    rows = list(net.node_systoles(counters))
+    assert len(rows) == len(net.rows)
+    for r, sy in zip(net.rows, rows):
+        assert np.array_equal(sy, systole_values(r.xs(), np.full(r.n, r.y)))
+    # one reduced point per distinct |j| of each row
+    assert counters["walk.swept_points"] == sum(
+        len(set(np.abs(np.arange(r.j_lo, r.j_hi + 1)))) for r in net.rows)
+
+
+ROW_END = st.integers(-300, 300)
+
+
+@settings(deadline=None, max_examples=200)
+@given(ROW_END, ROW_END, st.floats(1e-3, 10.0), ROW_END, ROW_END,
+       st.floats(1e-3, 10.0), st.floats(1e-4, 50.0))
+def test_reach_covers_every_nonempty_window(a0, a1, ss, b0, b1, st_, w):
+    rs = NetRow(0, 1.0, ss, min(a0, a1), max(a0, a1))
+    rt = NetRow(0, 1.0, st_, min(b0, b1), max(b0, b1))
+    t0, t1 = _reach(rs, rt, w)
+    lo, hi = _windows(rs, rt, w, np.arange(rt.j_lo, rt.j_hi + 1))
+    met = np.flatnonzero(hi > lo)
+    # every target whose window holds a source node lies in t0..t1
+    assert met.size == 0 or t0 <= met[0] and met[-1] <= t1
+
+
+def _full_row_dp(net, base, tau, n_steps, thin_delta):
+    """Per-step node counts from the full-row DP: every target node of
+    every row pair is evaluated, then the thin mask zeroes the dropped."""
+    mask = None
+    if thin_delta is not None:
+        mask = [_is_thin(systole_values(r.xs(), np.full(r.n, r.y)),
+                         thin_delta) for r in net.rows]
+    ch = math.cosh(2.0 * tau) - 1.0
+    rows = net.rows
+    counts = []
+    for r in rows:
+        w2 = 2.0 * r.y * base.y * ch - (r.y - base.y) ** 2
+        c = np.zeros(r.n)
+        if w2 > 0:
+            w = math.sqrt(w2)
+            lo = max(r.j_lo, math.ceil((base.x - w) / r.s))
+            hi = min(r.j_hi, math.floor((base.x + w) / r.s))
+            if hi >= lo:
+                c[lo - r.j_lo: hi - r.j_lo + 1] = 1.0
+        counts.append(c)
+    if mask is not None:
+        counts = [c * m for c, m in zip(counts, mask)]
+    steps = [counts]
+    for _ in range(n_steps - 1):
+        new = [np.zeros(r.n) for r in rows]
+        for si, rs in enumerate(rows):
+            pref = np.concatenate(([0.0], np.cumsum(counts[si])))
+            for ti, rt in enumerate(rows):
+                w2 = 2.0 * rs.y * rt.y * ch - (rs.y - rt.y) ** 2
+                if w2 <= 0:
+                    continue
+                w = math.sqrt(w2)
+                xt = np.arange(rt.j_lo, rt.j_hi + 1) * rt.s
+                lo = np.ceil((xt - w) / rs.s).astype(np.int64)
+                hi = np.floor((xt + w) / rs.s).astype(np.int64)
+                lo = np.clip(lo - rs.j_lo, 0, rs.n)
+                hi = np.clip(hi - rs.j_lo + 1, 0, rs.n)
+                hi = np.maximum(hi, lo)
+                new[ti] += pref[hi] - pref[lo]
+        if mask is not None:
+            new = [c * m for c, m in zip(new, mask)]
+        counts = new
+        steps.append(counts)
+    return steps
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(1.0, 8.0), CENTER_X, st.floats(1.0, 8.0),
+       st.floats(0.5, 1.5), st.integers(1, 4),
+       st.one_of(st.none(), st.floats(0.1, 0.6)),
+       st.sampled_from([1, 2, 3, 7]))
+@example(5.0, 0.0, 5.0, 1.5, 3, 0.2, 2)
+@example(5.0, 0.0, 5.0, 1.5, 3, None, 3)
+def test_chunked_dp_matches_full_row_dp(anchor, cx, cy, tau, n_steps,
+                                        thin_delta, chunk):
+    center = ModelPoint(cx, cy)
+    net = build_row_net(anchor, center, min(tau * n_steps, 3.0))
+    base = ModelPoint(cx + 0.1, cy)
+    want = _full_row_dp(net, base, tau, n_steps, thin_delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk, "DP_CHUNK", chunk)  # so chunk edges are crossed
+        fam = count_trajectories(net, base, tau, n_steps,
+                                 thin_delta=thin_delta, keep_steps=True)
+    assert fam.per_step == tuple(sum(float(c.sum()) for c in counts)
+                                 for counts in want)
+    assert len(fam.step_snapshots) == n_steps
+    for snap, counts in zip(fam.step_snapshots, want):
+        assert all(np.array_equal(a, b) for a, b in zip(snap, counts))
+
+
+def test_dp_peak_memory_is_two_count_arrays_and_one_prefix():
+    # walk's default net: the DP holds this step's and the next step's
+    # counts (8 bytes a node each), one source prefix sum at a time, and
+    # temporaries no longer than a chunk
+    net = build_row_net(20.0, ModelPoint(0.0, 1.0), 8.0)
+    n = net.node_count
+    assert n == 6149498
+    bound = 16 * n + 8 * max(r.n for r in net.rows)
+    tracemalloc.start()
+    try:
+        count_trajectories(net, ModelPoint(0.0, 1.0), 2.0, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

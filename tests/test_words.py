@@ -64,6 +64,8 @@ def test_enumerate_respects_bound_and_canonical():
         assert c.length <= 3.0 + 1e-12
         assert c.exps == canonical(c.exps)
         assert c.trace == word_to_matrix(c.exps).trace
+        # the entries carried over from the enumeration are the word's matrix
+        assert c.matrix == word_to_matrix(c.exps)
         assert c.length == pytest.approx(teich_length_from_trace(c.trace),
                                          rel=1e-12)
     assert len({c.exps for c in classes}) == len(classes)
