@@ -137,9 +137,11 @@ def run_thin(config: ExperimentConfig) -> CountReport:
     tau, steps, y0 = p["tau"], p["steps"], p["base_height"]
     base = ModelPoint(0.0, y0)
     net = build_row_net(y0, base, tau * steps)
-    counters = Counter({"walk.row_net_nodes": net.node_count})
+    reach = net.reach(base, tau, steps)
+    counters = Counter({"walk.row_net_nodes": net.node_count,
+                        "walk.reach_nodes": reach.node_count})
     deltas = sorted(p["delta_grid"], reverse=True)
-    net.thin_masks(deltas, counters)
+    reach.thin_masks(deltas, counters)
     rows = []
     slopes = []
     fit_lo, fit_hi = 3.0 - 1e-9, 6.0 + 1e-9  # exponent fit window
@@ -207,7 +209,9 @@ def run_walk(config: ExperimentConfig) -> CountReport:
     tau, steps, delta = p["tau"], p["steps"], p["delta"]
     base = ModelPoint(0.0, 1.0)
     net = build_row_net(1.0 / delta, base, tau * steps)
-    counters = Counter({"walk.row_net_nodes": net.node_count})
+    counters = Counter({"walk.row_net_nodes": net.node_count,
+                        "walk.reach_nodes":
+                            net.reach(base, tau, steps).node_count})
     # only the per-step totals are kept, so each DP's arrays go with it
     per_all = count_trajectories(net, base, tau, steps).per_step
     per_thin = count_trajectories(net, base, tau, steps, thin_delta=delta,

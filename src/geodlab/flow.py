@@ -133,10 +133,6 @@ class Box:
     def fraction(self) -> float:
         return hyp_ball_area(2.0 * self.radius) * self.dtheta / TOTAL_FRAME_MEASURE
 
-    @property
-    def measure(self) -> float:
-        return hyp_ball_area(2.0 * self.radius) * self.dtheta
-
 
 def default_box() -> Box:
     return Box.with_measure(ModelPoint(0.0, 1.5), 0.15, math.pi / 2, 0.02)

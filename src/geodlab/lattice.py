@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +51,6 @@ class OrbitPointSet:
     @property
     def count(self) -> int:
         return int(self.x.size)
-
-    @cached_property
-    def points(self) -> list:
-        return [ModelPoint(float(a), float(b)) for a, b in zip(self.x, self.y)]
 
 
 def _bezout(d: np.ndarray, c: np.ndarray):

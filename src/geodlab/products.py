@@ -228,20 +228,8 @@ class InequalityReport:
         return [c for c in self.checks if c.region >= 1]
 
     @property
-    def thick_checks(self) -> list:
-        return [c for c in self.checks if c.region == 0]
-
-    @property
     def passed(self) -> bool:
         return all(c.ok for c in self.thin_checks)
-
-    @property
-    def worst_thin_score(self) -> float:
-        return max((c.excess / c.sigma for c in self.thin_checks), default=-math.inf)
-
-    @property
-    def max_thick_excess(self) -> float:
-        return max((c.excess for c in self.thick_checks), default=-math.inf)
 
 
 def classify_region(z: ModelPoint, params: BiasParams) -> int:

@@ -11,19 +11,21 @@ possible via prefix sums; counts are exact integers carried in float64,
 and count_trajectories raises once a step's total reaches 2^53, where
 that exactness would end.
 
-What depends only on the row net is computed once per net and kept on it
-as per-row bool masks: one systole sweep thresholds every node for a
-whole list of thin deltas (RowNet.thin_masks), and one distance sweep
-flags the nodes near a base point (RowNet.return_mask).  Float systoles
-are never kept, only the masks.  The sweep reduces each |j| of a row
-once, since the reduced point at -x is the mirror of the one at x.
+What depends only on the row net is computed once per net and kept on it:
+per-row bool masks, where one systole sweep thresholds every node for a
+whole list of thin deltas (RowNet.thin_masks) and one distance sweep
+flags the nodes near a base point (RowNet.return_mask), and the reach
+nets (RowNet.reach).  Float systoles are never kept, only the masks.
+The sweep reduces each |j| of a row once, since the reduced point at -x
+is the mirror of the one at x.
 
-The DP skips work that cannot change a count: each row carries the span
-of nodes that can be nonzero, a step reads only the source spans and
-evaluates only the target nodes they can reach, in DP_CHUNK pieces, and
-with a thin delta only the nodes the mask keeps.  Every skipped node
-would add exactly zero, so counts, snapshots and per-step totals are
-those of the full-row DP.
+The DP runs on the reach of the net: each row clipped to the nodes its
+span recurrence (_span_step) can make nonzero at some step, so counts,
+snapshots, thin masks and return masks all have the reach's size.  A
+step reads only the source spans and evaluates only the target nodes
+they can reach, in DP_CHUNK pieces, and with a thin delta only the nodes
+the mask keeps.  Every skipped node would add exactly zero, so counts,
+snapshots and per-step totals are those of the full-row DP.
 
 Public distances (tau, c1, c2, radii) are in the model metric, half the
 hyperbolic one.  Row algebra runs in hyperbolic units internally.
@@ -36,8 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .halfplane import (REDUCE_CHUNK, ModelPoint, hyp_dist_arrays,
-                        sample_ball_arrays)
+from .halfplane import ModelPoint, hyp_dist_arrays, sample_ball_arrays
 from .report import ls_slope
 from .torus import systole_values
 
@@ -49,7 +50,9 @@ NODE_BUDGET = 10_000_000
 # Integers below 2^53 are exact in float64.  Every DP entry and prefix sum
 # is at most its step's total, so a total below this keeps them all exact.
 EXACT_COUNT_LIMIT = 2.0 ** 53
-DP_CHUNK = REDUCE_CHUNK  # count_trajectories evaluates target nodes in chunks this long
+# count_trajectories evaluates target nodes in chunks this long; its
+# temporaries, a few arrays of a chunk each, stay small next to the reach
+DP_CHUNK = 16_384
 
 
 def _is_thin(systoles, delta: float):
@@ -217,19 +220,22 @@ class RowNet:
     horizontally, so separation is at least 1.0 and every point of the
     plane lies within 1.0 of a node of the unclipped family.
 
-    Masks that depend only on the net are cached on it, one bool array
-    per row: thin masks by delta, return masks by (base, tolerance).  A
-    cached mask is shared by every caller and must not be written to.
-    With a counters mapping, the methods that sweep the net add one to
-    'walk.systole_sweeps' or 'walk.return_mask_sweeps' per sweep, and a
-    systole sweep adds the points it reduced to 'walk.swept_points'.
+    What depends only on the net is cached on it: masks, one bool array
+    per row, thin masks by delta and return masks by (base, tolerance),
+    and reach nets by (base, tau, n_steps).  A reach net is a RowNet of
+    its own, with its own cache, holding the nodes of this one that
+    count_trajectories can make nonzero.  A cached mask is shared by
+    every caller and must not be written to.  With a counters mapping,
+    the methods that sweep the net add one to 'walk.systole_sweeps' or
+    'walk.return_mask_sweeps' per sweep, and a systole sweep adds the
+    points it reduced to 'walk.swept_points'.
     """
 
     anchor: float
     center: ModelPoint
     radius: float
     rows: tuple
-    _masks: dict = field(default_factory=dict, init=False, repr=False,
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     @property
@@ -270,28 +276,50 @@ class RowNet:
         if not all(0.0 < d < 1.0 for d in deltas):
             raise ValueError("thin threshold must lie in (0, 1)")
         todo = [d for d in dict.fromkeys(deltas)
-                if ("thin", d) not in self._masks]
+                if ("thin", d) not in self._cache]
         if todo:
             new = {d: [] for d in todo}
             for sy in self.node_systoles(counters):
                 for d in todo:
                     new[d].append(_is_thin(sy, d))
             for d in todo:
-                self._masks[("thin", d)] = new[d]
+                self._cache[("thin", d)] = new[d]
             if counters is not None:
                 counters["walk.systole_sweeps"] += 1
-        return [self._masks[("thin", d)] for d in deltas]
+        return [self._cache[("thin", d)] for d in deltas]
 
     def thin_mask(self, delta: float, counters=None) -> list:
         """Per-row bool arrays flagging nodes with systole <= delta."""
         return self.thin_masks([delta], counters)[0]
+
+    def reach(self, base: ModelPoint, tau: float, n_steps: int) -> "RowNet":
+        """The nodes an n_steps DP from the base with step bound tau can
+        make nonzero, as a net: each row clipped to the hull, over the
+        steps, of its spans in the DP's span recurrence, and empty rows
+        dropped.  The recurrence runs on row ends alone."""
+        if n_steps < 1:
+            raise ValueError("need at least one step")
+        if tau <= 0.0:
+            raise ValueError("step bound must be positive")
+        key = ("reach", base.x, base.y, tau, n_steps)
+        if key not in self._cache:
+            ch = math.cosh(2.0 * tau) - 1.0
+            spans = _start_spans(self.rows, base, ch)
+            hull = spans
+            for _ in range(n_steps - 1):
+                spans = _span_step(self.rows, spans, ch)[1]
+                hull = [_hull(h, sp) for h, sp in zip(hull, spans)]
+            rows = tuple(replace(r, j_lo=r.j_lo + a, j_hi=r.j_lo + b)
+                         for r, (a, b) in zip(self.rows, hull) if a <= b)
+            self._cache[key] = replace(self, rows=rows)
+        return self._cache[key]
 
     def return_mask(self, base: ModelPoint, tol: float,
                     counters=None) -> list:
         """Per-row bool arrays flagging nodes within tol of the base,
         modulo the unit translation identifying x with x + 1."""
         key = ("return", base.x, base.y, tol)
-        if key not in self._masks:
+        if key not in self._cache:
             x0, y0 = base.x, base.y
             mask = []
             for r in self.rows:
@@ -299,10 +327,10 @@ class RowNet:
                 xr = xr - np.round(xr)
                 ch_d = 1.0 + (xr * xr + (r.y - y0) ** 2) / (2.0 * r.y * y0)
                 mask.append(0.5 * np.arccosh(ch_d) <= tol)
-            self._masks[key] = mask
+            self._cache[key] = mask
             if counters is not None:
                 counters["walk.return_mask_sweeps"] += 1
-        return self._masks[key]
+        return self._cache[key]
 
 
 def build_row_net(anchor: float, center: ModelPoint, radius: float,
@@ -350,9 +378,10 @@ class TrajectoryFamily:
     a thin threshold, every node must also have systole <= delta.
     per_step[i] is the number of (i+1)-node trajectories.
 
-    step_snapshots[i] holds the per-row counts after step i + 1, and
-    node_counts is the last of them.  They are the DP's own arrays, not
-    copies: no step writes to an array once the step is over, so the
+    net is the reach net the DP ran on, and the count arrays follow its
+    rows.  step_snapshots[i] holds the per-row counts after step i + 1,
+    and node_counts is the last of them.  They are the DP's own arrays,
+    not copies: no step writes to an array once the step is over, so the
     snapshots stay exact as long as callers do not write to them either.
     """
 
@@ -370,6 +399,8 @@ class TrajectoryFamily:
         return self.per_step[-1]
 
     def endpoint_counts(self, step: int | None = None) -> list:
+        if step is not None and not 1 <= step <= self.n_steps:
+            raise ValueError(f"step must lie in 1..{self.n_steps}")
         if step is None or step == self.n_steps:
             return self.node_counts
         if self.step_snapshots is None:
@@ -432,6 +463,64 @@ def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
     return t0, t1
 
 
+def _hull(p: tuple, q: tuple) -> tuple:
+    """The smallest span (a, b) holding the spans p and q; a > b is empty."""
+    if p[0] > p[1]:
+        return q
+    if q[0] > q[1]:
+        return p
+    return min(p[0], q[0]), max(p[1], q[1])
+
+
+def _start_spans(rows, base: ModelPoint, ch: float) -> list:
+    """Per row, the span (a, b) of node indices within the step bound of
+    the base, ch = cosh(2 tau) - 1: the nodes a trajectory can start
+    from.  a > b means none."""
+    spans = []
+    for r in rows:
+        w2 = 2.0 * r.y * base.y * ch - (r.y - base.y) ** 2
+        span = (0, -1)
+        if w2 > 0:
+            w = math.sqrt(w2)
+            lo = max(r.j_lo, math.ceil((base.x - w) / r.s))
+            hi = min(r.j_hi, math.floor((base.x + w) / r.s))
+            if hi >= lo:
+                span = (lo - r.j_lo, hi - r.j_lo)
+        spans.append(span)
+    return spans
+
+
+def _span_step(rows, spans, ch: float) -> tuple:
+    """One step of the DP's span recurrence, on row ends alone.
+
+    Returns (moves, new_spans).  moves holds (si, rs, hits) for each row
+    si with a nonempty span: rs is the row clipped to that span, and
+    hits the (ti, w, t0, t1) of each row ti whose nodes t0..t1 it can
+    reach (_reach) within x distance w.  A row's new span is the hull of
+    the ranges that reach it.
+    """
+    moves = []
+    new_spans = [(0, -1)] * len(rows)
+    for si, row in enumerate(rows):
+        a, b = spans[si]
+        if a > b:
+            continue
+        rs = replace(row, j_lo=row.j_lo + a, j_hi=row.j_lo + b)
+        hits = []
+        for ti, rt in enumerate(rows):
+            w2 = 2.0 * rs.y * rt.y * ch - (rs.y - rt.y) ** 2
+            if w2 <= 0:
+                continue
+            w = math.sqrt(w2)
+            t0, t1 = _reach(rs, rt, w)
+            if t0 > t1:
+                continue
+            hits.append((ti, w, t0, t1))
+            new_spans[ti] = _hull(new_spans[ti], (t0, t1))
+        moves.append((si, rs, hits))
+    return moves, new_spans
+
+
 def _add_window_sums(out, pref, rs: NetRow, rt: NetRow, w: float,
                      t0: int, t1: int, live):
     """Add to target nodes t0..t1 of rt the source counts within x
@@ -462,70 +551,61 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
                        counters=None) -> TrajectoryFamily:
     """Exact DP counts of trajectories with step bound tau from the base.
 
-    Each row carries a span of node indices outside which its counts are
-    zero.  A step runs source row by source row over the span alone, with
-    one prefix sum at a time, and adds window sums only into the target
-    nodes the span can reach (_reach) that the thin mask keeps.  The thin
-    mask comes from the net's cache, so it costs a systole sweep only the
-    first time a delta is seen; counters goes to that sweep.
+    The DP runs on net.reach(base, tau, n_steps), and every array it
+    makes has the reach's size.  Each row carries a span of node indices
+    outside which its counts are zero.  A step runs source row by source
+    row over the span alone, with one prefix sum at a time, and adds
+    window sums only into the target nodes the span can reach (_reach)
+    that the thin mask keeps.  The thin mask comes from the reach net's
+    cache, so it costs a systole sweep only the first time a delta is
+    seen; counters goes to that sweep.  node_budget bounds the net the
+    caller passes.
+
+    The counts are those of the DP on the whole net, node for node
+    inside the reach and zero outside it:
+    - The reach holds every span of the whole-net DP, and a count outside
+      its span is zero.  So a node outside the reach is zero at every
+      step and never adds to a target as a source; rows the reach drops
+      are zero throughout.
+    - The start nodes and the thin mask are per-node functions of (k, j).
+      A target's window (_windows) depends only on its j and on the
+      source span it is clipped to, and every nonzero source count lies
+      in that span in either net.  So, step by step, each window adds
+      the same source counts in both nets.
+    - Every count and prefix sum is an integer below 2^53, so every sum
+      and difference is exact in any order, and the totals agree too.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    if tau <= 0.0:
-        raise ValueError("step bound must be positive")
     nn = net.node_count
     if nn > node_budget:
         raise ResourceError(
             f"row net has {nn} nodes, over the {node_budget} node budget")
-    rho = 2.0 * tau
+    net = net.reach(base, tau, n_steps)
+    rows = net.rows
     mask = (net.thin_mask(thin_delta, counters) if thin_delta is not None
             else None)
-    live = ([None] * len(net.rows) if mask is None
+    live = ([None] * len(rows) if mask is None
             else [np.flatnonzero(m) for m in mask])
-    ch = math.cosh(rho) - 1.0
-    rows = net.rows
-    counts = []
-    spans = []
-    for r in rows:
-        w2 = 2.0 * r.y * base.y * ch - (r.y - base.y) ** 2
-        c = np.zeros(r.n)
-        span = (0, -1)
-        if w2 > 0:
-            w = math.sqrt(w2)
-            lo = max(r.j_lo, math.ceil((base.x - w) / r.s))
-            hi = min(r.j_hi, math.floor((base.x + w) / r.s))
-            if hi >= lo:
-                span = (lo - r.j_lo, hi - r.j_lo)
-                c[span[0]: span[1] + 1] = 1.0
-        counts.append(c)
-        spans.append(span)
+    ch = math.cosh(2.0 * tau) - 1.0
+    spans = _start_spans(rows, base, ch)
+    counts = [np.zeros(r.n) for r in rows]
+    for c, (a, b) in zip(counts, spans):
+        c[a:b + 1] = 1.0
     if mask is not None:
         for c, m in zip(counts, mask):
             c *= m
     per_step = [_exact_total(counts, spans)]
     snapshots = [counts] if keep_steps else None
     for _ in range(n_steps - 1):
+        moves, new_spans = _span_step(rows, spans, ch)
         new = [np.zeros(r.n) for r in rows]
-        new_spans = [(r.n, -1) for r in rows]
-        for si, row in enumerate(rows):
+        for si, rs, hits in moves:
             a, b = spans[si]
-            if a > b:
-                continue
             # the source is the span alone: outside it every count is zero
-            rs = replace(row, j_lo=row.j_lo + a, j_hi=row.j_lo + b)
             pref = np.zeros(rs.n + 1)
             np.cumsum(counts[si][a:b + 1], out=pref[1:])
-            for ti, rt in enumerate(rows):
-                w2 = 2.0 * rs.y * rt.y * ch - (rs.y - rt.y) ** 2
-                if w2 <= 0:
-                    continue
-                w = math.sqrt(w2)
-                t0, t1 = _reach(rs, rt, w)
-                if t0 > t1:
-                    continue
-                _add_window_sums(new[ti], pref, rs, rt, w, t0, t1, live[ti])
-                new_spans[ti] = (min(new_spans[ti][0], t0),
-                                 max(new_spans[ti][1], t1))
+            for ti, w, t0, t1 in hits:
+                _add_window_sums(new[ti], pref, rs, rows[ti], w, t0, t1,
+                                 live[ti])
             del pref  # before the next source row builds its own
         counts, spans = new, new_spans
         per_step.append(_exact_total(counts, spans))

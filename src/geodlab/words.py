@@ -102,10 +102,6 @@ class GeodesicClass:
     def matrix(self) -> MappingClass:
         return MappingClass(*self.entries)
 
-    @property
-    def label(self) -> str:
-        return ",".join(str(e) for e in self.exps)
-
 
 def _necklaces(trace_cap: float, primitive_only: bool) -> list:
     """The class of every pair necklace with trace <= trace_cap.

@@ -148,27 +148,38 @@ def test_lattice_footer_counts_rows_and_families():
 
 def test_thin_footer_counts_one_sweep_per_net():
     # three deltas and twelve almost-closed counts, from one systole sweep
-    # and one return-mask sweep over the net
+    # and one return-mask sweep over the reach the three DPs share
     report = run(build_config("thin"))
-    # the net is symmetric about x = 0, so the sweep reduces half its nodes
+    # the reach is symmetric about x = 0, so the sweep reduces half of it
     assert report.counters == {"walk.row_net_nodes": 2259155,
-                               "walk.swept_points": 1129585,
+                               "walk.reach_nodes": 47037,
+                               "walk.swept_points": 23524,
                                "walk.systole_sweeps": 1,
                                "walk.return_mask_sweeps": 1}
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
     assert "# count.walk.row_net_nodes = 2259155" in footer
-    assert "# count.walk.swept_points = 1129585" in footer
+    assert "# count.walk.reach_nodes = 47037" in footer
+    assert "# count.walk.swept_points = 23524" in footer
     assert "# count.walk.systole_sweeps = 1" in footer
     assert "# count.walk.return_mask_sweeps = 1" in footer
     assert "#" not in report.to_text(deterministic_only=True)
 
 
 def test_walk_and_veech_footers():
+    # at default config the DP reaches 595,018 of the net's nodes, and the
+    # reach is symmetric about x = 0, so the sweep reduces half of them
+    default = run(build_config("walk"))
+    assert default.counters == {"walk.row_net_nodes": 6149498,
+                                "walk.reach_nodes": 595018,
+                                "walk.swept_points": 297515,
+                                "walk.systole_sweeps": 1}
     walk = run(build_config("walk", overrides={"tau": "1.5", "steps": "3"}))
     assert walk.counters == {"walk.row_net_nodes": 3755,
-                             "walk.swept_points": 1882,
+                             "walk.reach_nodes": 627,
+                             "walk.swept_points": 317,
                              "walk.systole_sweeps": 1}
-    assert "# count.walk.swept_points = 1882" in walk.to_text()
+    assert "# count.walk.reach_nodes = 627" in walk.to_text()
+    assert "# count.walk.swept_points = 317" in walk.to_text()
     veech = run(build_config("veech", overrides={"max_length": "3"}))
     assert veech.counters == {"veech.axis_points": 9440}
     assert "# count.veech.axis_points = 9440" in veech.to_text()

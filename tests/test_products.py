@@ -183,15 +183,16 @@ def test_verify_system_thin_and_thick():
     thin = [ModelPoint(0.0, math.exp(38.0)), ModelPoint(0.25, math.exp(41.0))]
     thick = [ModelPoint(0.0, 1.2)]
     rep = verify_system(params, thin + thick, c, 3.0, 4000, rng)
+    thick_checks = [k for k in rep.checks if k.region == 0]
     assert len(rep.thin_checks) == 4  # two readings per thin point
-    assert len(rep.thick_checks) == 1
+    assert len(thick_checks) == 1
     for k in rep.thin_checks:
         assert k.reading in ("u_tail", "u")
         assert k.sigma > 0
     # thick reading records the additive excess against the bare ratio
-    assert rep.thick_checks[0].bound == c
-    assert rep.max_thick_excess > 0.0
-    assert rep.worst_thin_score < 5.0
+    assert thick_checks[0].bound == c
+    assert thick_checks[0].excess > 0.0
+    assert max(k.excess / k.sigma for k in rep.thin_checks) < 5.0
 
 
 def test_verify_system_guards():

@@ -1,9 +1,14 @@
-"""Surface gate: every module-level function and class of the package is used.
+"""Surface gate: every function, class, method and property of the package is used.
 
-A definition counts as used when code in src/geodlab names it outside its
-own body, or tests/test_acceptance.py does.  Docstrings, comments and
-import lines do not count as naming it.  ALLOWED holds the test oracles
-and fixtures kept on purpose, each with its reason.
+A module-level definition counts as used when code in src/geodlab names it
+outside its own body, or tests/test_acceptance.py or perfbench/tracer.py
+does.  A method or property of a class counts as used when that code names
+it outside the method's own body; dunder and name-mangled methods are
+exempt.  Names are matched by identifier, so a method counts as used
+wherever an attribute of the same name is read.  Docstrings, comments and
+import lines do not count as naming it.  ALLOWED holds the test oracles and fixtures kept on purpose,
+each with its reason.  perfbench/tracer.py counts because it rebinds and
+reads package members by name in every traced benchmark run.
 """
 
 import ast
@@ -11,16 +16,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "geodlab"
-ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+CONSUMERS = (ROOT / "tests" / "test_acceptance.py",
+             ROOT / "perfbench" / "tracer.py")
 
 ALLOWED = {
     "torus.extremal_length":
         "brute-force oracle of test_systole_is_min_over_curves",
+    "torus.CurveClass.normalized":
+        "builds the curve classes test_systole_is_min_over_curves minimises over",
     "words.min_systole_along_axis":
         "per-class loop reference that min_systole_batch is compared against",
+    "words.GeodesicClass.from_exps":
+        "class of a word by canonical and word_to_matrix, the reference each "
+        "enumerated class is compared against",
     "flow.default_box": "the box the flow tests share",
     "halfplane.teich_dist":
         "scalar model metric the lattice and ball-sampling tests check against",
+    "halfplane.MappingClass.apply":
+        "scalar Mobius action of the matrix-loop lattice oracle and the "
+        "reduction tests",
 }
 
 
@@ -38,7 +52,7 @@ def _names(nodes) -> set:
 
 def _unused() -> list:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    named = _names([ast.parse(ACCEPTANCE.read_text())])
+    named = _names(ast.parse(p.read_text()) for p in CONSUMERS)
     per_module = {mod: _names(tree.body) for mod, tree in trees.items()}
     unused = []
     for mod, tree in trees.items():
@@ -49,6 +63,15 @@ def _unused() -> list:
             rest = _names(other for other in tree.body if other is not node)
             if node.name not in elsewhere | rest:
                 unused.append(f"{mod}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if (not isinstance(member, ast.FunctionDef)
+                        or member.name.startswith("__")):
+                    continue
+                siblings = _names(m for m in node.body if m is not member)
+                if member.name not in elsewhere | rest | siblings:
+                    unused.append(f"{mod}.{node.name}.{member.name}")
     return unused
 
 

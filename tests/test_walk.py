@@ -116,6 +116,20 @@ def test_thin_masks_one_sweep_matches_fresh(deltas, bad):
     assert counters == {"walk.systole_sweeps": 1, "walk.swept_points": 96}
 
 
+def _on_net(net, reach, counts):
+    """Per-row counts on the reach net, laid out on the rows of net with
+    zeros outside the reach."""
+    inside = {r.k: (r, c) for r, c in zip(reach.rows, counts)}
+    out = []
+    for r in net.rows:
+        full = np.zeros(r.n)
+        if r.k in inside:
+            rr, c = inside[r.k]
+            full[rr.j_lo - r.j_lo: rr.j_hi - r.j_lo + 1] = c
+        out.append(full)
+    return out
+
+
 def test_dp_counts_frozen_and_brute():
     net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
     base = ModelPoint(0.0, 5.0)
@@ -170,7 +184,9 @@ def test_almost_closed_brute():
     fam = count_trajectories(net, base, 1.5, 2)
     got = fam.almost_closed(1.0)
     assert got == 37.0
-    assert got == _almost_closed_loop(net, base, fam.node_counts, 1.0)
+    assert got == _almost_closed_loop(fam.net, base, fam.node_counts, 1.0)
+    assert got == _almost_closed_loop(
+        net, base, _on_net(net, fam.net, fam.node_counts), 1.0)
 
 
 def test_return_mask_cached_per_base_and_tolerance():
@@ -187,7 +203,7 @@ def test_return_mask_cached_per_base_and_tolerance():
                 for step in (1, 2):
                     got = fam.almost_closed(tol, step=step, counters=counters)
                     want = _almost_closed_loop(
-                        net, fam.base, fam.endpoint_counts(step), tol)
+                        fam.net, fam.base, fam.endpoint_counts(step), tol)
                     assert got == want
                     seen.add(got)
     assert len(seen) == 8  # every (base, tol, step) gives its own count
@@ -203,12 +219,25 @@ def test_step_snapshots_match_shorter_runs(thin_delta):
                              keep_steps=True)
     assert len(fam.step_snapshots) == 4
     for i in range(1, 5):
+        # a shorter run has a smaller reach: compare on the whole net
         short = count_trajectories(net, base, 1.5, i, thin_delta=thin_delta)
-        snap = fam.endpoint_counts(step=i)
-        assert len(snap) == len(short.node_counts)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(snap, short.node_counts))
+        snap = _on_net(net, fam.net, fam.endpoint_counts(step=i))
+        want = _on_net(net, short.net, short.node_counts)
+        assert all(np.array_equal(a, b) for a, b in zip(snap, want))
         assert fam.per_step[i - 1] == short.total
+
+
+def test_endpoint_counts_rejects_steps_outside_the_run():
+    net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
+    fam = count_trajectories(net, ModelPoint(0.0, 5.0), 1.5, 2,
+                             keep_steps=True)
+    assert fam.almost_closed(0.5, step=2) == 29.0
+    assert fam.almost_closed(0.5, step=1) != 29.0
+    for step in (0, -1, 3):
+        with pytest.raises(ValueError, match=r"^step must lie in 1\.\.2$"):
+            fam.endpoint_counts(step)
+        with pytest.raises(ValueError):
+            fam.almost_closed(0.5, step=step)
 
 
 def test_dp_guards():
@@ -337,21 +366,44 @@ def test_chunked_dp_matches_full_row_dp(anchor, cx, cy, tau, n_steps,
         mp.setattr(walk, "DP_CHUNK", chunk)  # so chunk edges are crossed
         fam = count_trajectories(net, base, tau, n_steps,
                                  thin_delta=thin_delta, keep_steps=True)
+    reach = fam.net
+    assert reach is net.reach(base, tau, n_steps)
+    # every reach row is a nonempty piece of its row of the full net
+    full = {r.k: r for r in net.rows}
+    assert len(full) == len(net.rows)
+    for rr in reach.rows:
+        r = full[rr.k]
+        assert (rr.y, rr.s) == (r.y, r.s)
+        assert r.j_lo <= rr.j_lo <= rr.j_hi <= r.j_hi
     assert fam.per_step == tuple(sum(float(c.sum()) for c in counts)
                                  for counts in want)
     assert len(fam.step_snapshots) == n_steps
+    inside = {rr.k: rr for rr in reach.rows}
     for snap, counts in zip(fam.step_snapshots, want):
-        assert all(np.array_equal(a, b) for a, b in zip(snap, counts))
+        assert len(snap) == len(reach.rows)
+        got = dict(zip(inside, snap))
+        for r, c in zip(net.rows, counts):
+            kept = np.zeros(r.n, dtype=bool)
+            if r.k in inside:
+                rr = inside[r.k]
+                part = slice(rr.j_lo - r.j_lo, rr.j_hi - r.j_lo + 1)
+                # node for node inside the reach
+                assert np.array_equal(got[r.k], c[part])
+                kept[part] = True
+            # and the full-row DP is exactly zero outside it
+            assert not c[~kept].any()
 
 
 def test_dp_peak_memory_is_two_count_arrays_and_one_prefix():
     # walk's default net: the DP holds this step's and the next step's
-    # counts (8 bytes a node each), one source prefix sum at a time, and
-    # temporaries no longer than a chunk
+    # counts on the reach (8 bytes a node each), one source prefix sum at
+    # a time, and temporaries no longer than a chunk
     net = build_row_net(20.0, ModelPoint(0.0, 1.0), 8.0)
-    n = net.node_count
-    assert n == 6149498
-    bound = 16 * n + 8 * max(r.n for r in net.rows)
+    assert net.node_count == 6149498
+    reach = net.reach(ModelPoint(0.0, 1.0), 2.0, 4)
+    n = reach.node_count
+    assert n == 595018
+    bound = 16 * n + 8 * max(r.n for r in reach.rows)
     tracemalloc.start()
     try:
         count_trajectories(net, ModelPoint(0.0, 1.0), 2.0, 4)

@@ -68,6 +68,8 @@ def test_enumerate_respects_bound_and_canonical():
         assert c.matrix == word_to_matrix(c.exps)
         assert c.length == pytest.approx(teich_length_from_trace(c.trace),
                                          rel=1e-12)
+        # and the class equals the one built from its word alone
+        assert c == GeodesicClass.from_exps(c.exps)
     assert len({c.exps for c in classes}) == len(classes)
 
 
@@ -102,7 +104,6 @@ def test_geodesic_class_from_exps():
     g = GeodesicClass.from_exps((2, 1, 1, 3))
     assert g.exps == canonical((2, 1, 1, 3))
     assert g.matrix.trace == g.trace
-    assert g.label == ",".join(str(e) for e in g.exps)
 
 
 def test_conjugacy_word_identifies_classes():
