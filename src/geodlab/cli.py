@@ -19,6 +19,7 @@ import argparse
 import math
 import sys
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .halfplane import ModelPoint
 from .lattice import orbit_count, spread_count
 from .report import CountReport, fmt_value, ls_slope
 from .walk import build_row_net, count_trajectories
-from .words import count_classes, enumerate_classes, min_systole_batch
+from .words import enumerate_classes, min_systole_batch
 from .products import verify_contraction
 
 RNG_NAME = "philox-4x64 jumped per work item"
@@ -113,10 +114,14 @@ def _echo(config: ExperimentConfig) -> dict:
 
 
 def run_count(config: ExperimentConfig) -> CountReport:
+    grid = config.params["r_grid"]
+    # one enumeration at the largest radius; radius r keeps the traces up
+    # to 2 cosh r, the cap enumerate_classes(r) would prune at
+    traces = [g.trace for g in enumerate_classes(max(grid))]
     rows = []
     ratios = []
-    for r in config.params["r_grid"]:
-        n = count_classes(r)
+    for r in grid:
+        n = bisect_right(traces, 2.0 * math.cosh(r))
         ratio = n * GROWTH * r / math.exp(GROWTH * r)
         ratios.append(ratio)
         rows.append((r, n, ratio, "0.55..1.45", _ok(0.55 <= ratio <= 1.45)))
@@ -182,8 +187,10 @@ def run_bias_verify(config: ExperimentConfig) -> CountReport:
     j, taus, n = p["factors"], p["tau_grid"], p["samples"]
     rows = []
     ests = []
+    counters = Counter()
     for i, tau in enumerate(taus):
-        chk = verify_contraction(j, tau, n, worker_stream(config.seed, i))
+        chk = verify_contraction(j, tau, n, worker_stream(config.seed, i),
+                                 counters=counters)
         ests.append(chk.estimate)
         z = (chk.estimate - chk.exact) / chk.sigma if chk.sigma > 0 else 0.0
         # the statistic is heavy-tailed at large tau, so per-row stderr
@@ -201,7 +208,7 @@ def run_bias_verify(config: ExperimentConfig) -> CountReport:
         title=f"ball-average contraction, {j} factor(s)",
         params=_echo(config),
         columns=COLUMNS["bias-verify"],
-        rows=rows, derived=derived)
+        rows=rows, derived=derived, counters=dict(counters))
 
 
 def run_walk(config: ExperimentConfig) -> CountReport:

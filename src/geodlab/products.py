@@ -14,11 +14,10 @@ whose ratios never leave float range.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .halfplane import ModelPoint, sample_ball_arrays
 from .torus import BiasParams, systole, systole_values
@@ -119,34 +118,47 @@ def in_region_W(j: int, X, params: BiasParams) -> bool:
 # Exact ball average of the single-factor contraction ratio, deep in a cusp.
 
 
-def _ring_average(rho: float, s: float) -> float:
-    # the integrand is mildly singular near t = 0 at large rho; the
-    # roundoff warning is harmless at the accuracy used here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(
-            lambda t: (math.cosh(rho) - math.sinh(rho) * math.cos(t)) ** (-s),
-            0.0,
-            2.0 * math.pi,
-            limit=200,
-        )[0]
+def _quad(f, a: float, b: float, limit: int, counters) -> tuple:
+    """quad's value and its number of integrand evaluations.
+
+    With full_output, quad hands back QUADPACK's message instead of
+    warning when a result misses its tolerance; with a counters mapping,
+    'bias.quad_unconverged' counts those results.
+    """
+    out = quad(f, a, b, limit=limit, full_output=1)
+    if counters is not None:
+        counters["bias.quad_unconverged"] += int(len(out) > 3)
+    return out[0], out[2]["neval"]
 
 
-def contraction_ratio_exact(tau: float, s: float = 0.5) -> float:
+def _ring_average(rho: float, s: float, counters=None) -> float:
+    # cosh, sinh and the exponent are fixed for one ring; hoisting them
+    # leaves every integrand value, and so quad's subdivision, unchanged
+    ch, sh, e, cos = math.cosh(rho), math.sinh(rho), -s, math.cos
+    val, neval = _quad(lambda t: (ch - sh * cos(t)) ** e,
+                       0.0, 2.0 * math.pi, 200, counters)
+    if counters is not None:
+        counters["bias.inner_quads"] += 1
+        counters["bias.integrand_evals"] += neval
+    return val
+
+
+def contraction_ratio_exact(tau: float, s: float = 0.5, counters=None) -> float:
     """Ball average of (l(X)/l(z))^s over the radius-tau ball, deep in a cusp.
 
     Depth makes the systole exactly 1/Im, so the ratio depends only on the
     hyperbolic polar coordinates and the average is a plain double integral
-    over the radius-2*tau hyperbolic ball.
+    over the radius-2*tau hyperbolic ball.  With a counters mapping, adds
+    the inner quadratures, their integrand evaluations and the quadratures
+    that did not converge under 'bias.*'.
     """
     if tau <= 0:
         raise ValueError("radius must be positive")
     if not (0.0 < s < 1.0):
         raise ValueError("exponent must lie in (0, 1)")
     area = 2.0 * math.pi * (math.cosh(2.0 * tau) - 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val = quad(lambda p: _ring_average(p, s) * math.sinh(p), 0.0, 2.0 * tau, limit=400)[0]
+    val, _ = _quad(lambda p: _ring_average(p, s, counters) * math.sinh(p),
+                   0.0, 2.0 * tau, 400, counters)
     return val / area
 
 
@@ -165,7 +177,8 @@ class ContractionCheck:
 
 
 def verify_contraction(j: int, tau: float, n: int, rng, s: float = 0.5,
-                       depth_log: float | None = None) -> ContractionCheck:
+                       depth_log: float | None = None,
+                       counters=None) -> ContractionCheck:
     """Monte Carlo ball average of the j-factor ratio against the quadrature.
 
     All j factors sit at the same representable depth; the ratio statistic
@@ -186,7 +199,7 @@ def verify_contraction(j: int, tau: float, n: int, rng, s: float = 0.5,
     for _ in range(j):
         _, y = sample_ball_arrays(center, tau, n, rng)
         stat *= (y / y0) ** s
-    exact = contraction_ratio_exact(tau, s) ** j
+    exact = contraction_ratio_exact(tau, s, counters) ** j
     est = float(stat.mean())
     sigma = float(stat.std(ddof=1) / math.sqrt(n))
     return ContractionCheck(tau=tau, factors=j, samples=n, exact=exact,

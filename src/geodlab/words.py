@@ -111,37 +111,42 @@ def _necklaces(trace_cap: float, primitive_only: bool) -> list:
     only by a pair >= its pair t - p, and is a necklace (a least rotation)
     exactly when p divides t, a Lyndon word (primitive) when p == t.
     Appending a pair and raising either exponent both strictly increase
-    the trace, so pruning at the cap is exact.
+    the trace, so pruning at the cap is exact.  Classes come out in
+    pre-order of the lexicographic tree, so their exps strictly increase.
     """
     out = []
     word = []
+    acosh = math.acosh
 
-    def rec(m, t, p):
+    def rec(m00, m01, m10, m11, t, p):
         if t:
             ra, rb = word[2 * (t - p)], word[2 * (t - p) + 1]
         else:
             ra, rb = 1, 1
-        m00, m01, m10, m11 = m
         a, b = ra, rb
         while True:
-            tr = m00 + m01 * a + m10 * b + m11 * (a * b + 1)
+            # m . R^a L^b = m . [[1, b], [a, ab+1]]
+            e = a * b + 1
+            tr = m00 + m01 * a + m10 * b + m11 * e
             if tr > trace_cap:
                 if b == 1:
                     break  # (a, 1) overflows, so does every larger pair
                 # (a, b > 1) overflows, but (a + 1, 1) may not
                 a, b = a + 1, 1
                 continue
-            q = p if (a, b) == (ra, rb) else t + 1
+            q = p if a == ra and b == rb else t + 1
             word.extend((a, b))
-            nxt = _append_pair(m, a, b)
+            n00, n01 = m00 + m01 * a, m00 * b + m01 * e
+            n10, n11 = m10 + m11 * a, m10 * b + m11 * e
             if q == t + 1 or (not primitive_only and (t + 1) % q == 0):
-                out.append(GeodesicClass(tuple(word), tr,
-                                         teich_length_from_trace(tr), nxt))
-            rec(nxt, t + 1, q)
+                # acosh(tr / 2) is teich_length_from_trace(tr) for tr < 1e300
+                out.append(GeodesicClass(tuple(word), tr, acosh(tr / 2.0),
+                                         (n00, n01, n10, n11)))
+            rec(n00, n01, n10, n11, t + 1, q)
             del word[-2:]
             b += 1
 
-    rec((1, 0, 0, 1), 0, 1)
+    rec(1, 0, 0, 1, 0, 1)
     return out
 
 
@@ -149,7 +154,9 @@ def enumerate_classes(max_length: float, primitive_only: bool = True) -> list:
     """All conjugacy classes with translation length <= max_length.
 
     Each class is generated once, directly in canonical form, so no
-    rotation is ever deduplicated; sorted by (trace, exps).
+    rotation is ever deduplicated; sorted by (trace, exps).  The
+    generator emits exps in increasing order, so a stable sort on the
+    trace alone gives that order.
     """
     if max_length > MAX_ENUM_LENGTH:
         raise ValueError(
@@ -159,12 +166,8 @@ def enumerate_classes(max_length: float, primitive_only: bool = True) -> list:
         return []
     trace_cap = 2.0 * math.cosh(max_length)
     classes = _necklaces(trace_cap, primitive_only)
-    classes.sort(key=lambda g: (g.trace, g.exps))
+    classes.sort(key=lambda g: g.trace)
     return classes
-
-
-def count_classes(max_length: float, primitive_only: bool = True) -> int:
-    return len(enumerate_classes(max_length, primitive_only=primitive_only))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodlab.cli import (COLUMNS, RUNNERS, AssemblyResult, main, run,
                          telescoping_assembly, worker_stream)
 from geodlab.config import EXPERIMENTS, ConfigError, build_config
 from geodlab.report import CountReport, fmt_value, ls_slope
+from geodlab.words import enumerate_classes
 
 
 def _body(text: str) -> str:
@@ -56,6 +59,29 @@ def test_main_count_stdout(capsys):
     assert "2;10;0.732625556;0.55..1.45;yes" in out
     assert "3;74;1.10056597;0.55..1.45;yes" in out
     assert "trend_ok = yes" in out
+
+
+# radii acosh(t/2) whose cap 2 cosh r rounds below t (t = 4, 9) or above
+# it (t = 6, 12, 403): at t = 4 and 9 a count by length instead of by the
+# trace cap would disagree with enumerate_classes
+_TRACE_EDGE_RADII = tuple(math.acosh(t / 2.0) for t in (4, 6, 9, 12, 403))
+
+
+def _counts(grid):
+    report = run(build_config("count", overrides={"r_grid": tuple(grid)}))
+    return [row[1] for row in report.rows]
+
+
+def test_count_rows_equal_one_enumeration_per_radius():
+    for grid in (EXPERIMENTS["count"]["r_grid"].default, _TRACE_EDGE_RADII):
+        assert _counts(grid) == [len(enumerate_classes(r)) for r in grid]
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.lists(st.floats(1.0, 6.0), min_size=1, max_size=3, unique=True))
+def test_count_rows_equal_enumeration_off_grid(radii):
+    grid = sorted(radii)
+    assert _counts(grid) == [len(enumerate_classes(r)) for r in grid]
 
 
 def test_main_check_failure_exit_code(capsys):
@@ -183,6 +209,21 @@ def test_walk_and_veech_footers():
     veech = run(build_config("veech", overrides={"max_length": "3"}))
     assert veech.counters == {"veech.axis_points": 9440}
     assert "# count.veech.axis_points = 9440" in veech.to_text()
+
+
+def test_bias_verify_footers_count_the_quadrature_work():
+    # tau = 3 converges in 21 inner quadratures; tau = 7 takes 525, and 127
+    # of them plus the outer quadrature come back unconverged
+    report = run(build_config("bias-verify", overrides={
+        "tau_grid": "3, 7", "samples": "1000"}))
+    assert report.counters == {"bias.inner_quads": 546,
+                               "bias.integrand_evals": 917700,
+                               "bias.quad_unconverged": 128}
+    footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
+    assert "# count.bias.inner_quads = 546" in footer
+    assert "# count.bias.integrand_evals = 917700" in footer
+    assert "# count.bias.quad_unconverged = 128" in footer
+    assert "#" not in report.to_text(deterministic_only=True)
 
 
 def test_report_helpers():

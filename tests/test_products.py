@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from geodlab.halfplane import ModelPoint
 from geodlab.products import (ContractionCheck, ProductPoint, bias_eval,
@@ -29,6 +31,24 @@ def test_contraction_ratio_frozen_values():
     assert contraction_ratio_exact(3.0) == pytest.approx(0.343141689, abs=2e-9)
     assert contraction_ratio_exact(7.0) == pytest.approx(0.0155421038,
                                                          abs=2e-9)
+
+
+@pytest.mark.parametrize("tau, s", [(3.0, 0.5), (6.0, 0.25), (7.0, 0.5)])
+def test_contraction_ratio_is_bit_identical_to_the_plain_nested_quad(tau, s):
+    # the integrand with cosh and sinh evaluated at every call: any
+    # drift, even below the 9 printed digits, fails.
+    # At tau = 7 most quadratures stop unconverged, so their subdivision
+    # must match too; quad warns there, which is expected here.
+    def ring(rho):
+        return quad(lambda t: (math.cosh(rho) - math.sinh(rho) * math.cos(t))
+                    ** (-s), 0.0, 2.0 * math.pi, limit=200)[0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val = quad(lambda p: ring(p) * math.sinh(p), 0.0, 2.0 * tau,
+                   limit=400)[0]
+    area = 2.0 * math.pi * (math.cosh(2.0 * tau) - 1.0)
+    assert contraction_ratio_exact(tau, s) == val / area
 
 
 def test_contraction_ratio_matches_sampling():

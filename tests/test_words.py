@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodlab.halfplane import MappingClass
-from geodlab.words import (MAX_ENUM_LENGTH, GeodesicClass, axis_samples,
-                           canonical, classes_by_entry_search,
-                           conjugacy_word, count_classes, enumerate_classes,
+from geodlab.words import (MAX_ENUM_LENGTH, GeodesicClass, _necklaces,
+                           axis_samples, canonical, classes_by_entry_search,
+                           conjugacy_word, enumerate_classes,
                            is_primitive, min_systole_along_axis,
                            min_systole_batch, teich_length_from_trace,
                            word_to_matrix)
@@ -47,7 +47,7 @@ def test_primitivity():
 
 def test_enumerate_counts_frozen():
     for r, n in ((3.0, 74), (4.0, 408), (5.0, 2451), (6.0, 14904)):
-        assert count_classes(r) == n
+        assert len(enumerate_classes(r)) == n
 
 
 def test_enumerate_budget_guard():
@@ -98,6 +98,14 @@ def test_enumerate_emits_each_class_once(primitive_only):
     assert len(set(words)) == len(words)
     assert all(w == canonical(w) for w in words)
     assert all(is_primitive(w) or not primitive_only for w in words)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(3.0, 2.0 * math.cosh(4.5)), st.booleans())
+def test_necklaces_emit_words_in_increasing_order(cap, primitive_only):
+    # the order enumerate_classes relies on to sort by trace alone
+    words = [g.exps for g in _necklaces(cap, primitive_only)]
+    assert all(u < v for u, v in zip(words, words[1:]))
 
 
 def test_geodesic_class_from_exps():
