@@ -26,7 +26,7 @@ TOTAL_FRAME_MEASURE = FUND_AREA * 2.0 * math.pi
 # A point counts as inside the unit circle, and gets inverted, only when
 # |z|^2 < 1 - BOUNDARY_TOL; the scalar and vector reductions share it.
 BOUNDARY_TOL = 1e-12
-REDUCE_CHUNK = 65_536  # reduce_points works through its input in chunks this long
+REDUCE_CHUNK = 65_536  # reduce_in_place works through its input in chunks this long
 _DECK_LIMIT = 2.0 ** 62  # float bound on deck entries, with margin below 2^63
 
 
@@ -160,20 +160,19 @@ def _translate(x, g):
         g[:, 0] -= m.astype(np.int64)[:, None] * g[:, 1]
 
 
-def reduce_points(x, y, max_iter: int = 300, deck: bool = False):
-    """Vectorized reduction of coordinate arrays into F.
+def reduce_in_place(x, y, g=None, max_iter: int = 300) -> None:
+    """Reduce 1-D float64 coordinate arrays into F, overwriting them.
 
-    Translate once, then invert-and-translate the points still inside the
-    unit circle until none is, revisiting only those.  Returns (x', y'),
-    or (x', y', g) with deck=True, where g holds int64 matrices with
-    g.z = z'.  Raises ReductionError when a point needs more than max_iter
-    inversions or a deck entry would leave int64.
+    The vectorised reduction loop: translate once, then
+    invert-and-translate the points still inside the unit circle until
+    none is, revisiting only those, REDUCE_CHUNK points at a time.  With
+    g, an int64 array of shape (n, 2, 2), the deck matrices are updated
+    in place too, so that g.z = z' for the z that g held on entry.  Every
+    step is elementwise, so a point's result does not depend on the
+    points reduced with it.  Raises ReductionError when a point needs
+    more than max_iter inversions or a deck entry would leave int64.
     """
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    shape = x.shape
-    x, y = x.reshape(-1), y.reshape(-1)
-    g = np.tile(np.eye(2, dtype=np.int64), (x.size, 1, 1)) if deck else None
+    deck = g is not None
     for lo in range(0, x.size, REDUCE_CHUNK):
         part = slice(lo, lo + REDUCE_CHUNK)
         cx, cy = x[part], y[part]
@@ -196,6 +195,23 @@ def reduce_points(x, y, max_iter: int = 300, deck: bool = False):
         if idx.size:
             raise ReductionError(f"{idx.size} points still inside the unit circle "
                                  f"after {max_iter} inversions")
+
+
+def reduce_points(x, y, max_iter: int = 300, deck: bool = False):
+    """Vectorized reduction of coordinate arrays into F.
+
+    Copies its inputs and reduces the copies with reduce_in_place, so x
+    and y are left as they were.  Returns (x', y'), or (x', y', g) with
+    deck=True, where g holds int64 matrices with g.z = z'.  Raises
+    ReductionError when a point needs more than max_iter inversions or a
+    deck entry would leave int64.
+    """
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    shape = x.shape
+    x, y = x.reshape(-1), y.reshape(-1)
+    g = np.tile(np.eye(2, dtype=np.int64), (x.size, 1, 1)) if deck else None
+    reduce_in_place(x, y, g, max_iter)
     if deck:
         return x.reshape(shape), y.reshape(shape), g.reshape(shape + (2, 2))
     return x.reshape(shape), y.reshape(shape)

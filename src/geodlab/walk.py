@@ -38,9 +38,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .halfplane import ModelPoint, hyp_dist_arrays, sample_ball_arrays
+from .halfplane import (ModelPoint, hyp_dist_arrays, reduce_in_place,
+                        sample_ball_arrays)
 from .report import ls_slope
-from .torus import systole_values
 
 XSTEP = 2.4  # row-net x spacing in units of the row height
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -249,14 +249,17 @@ class RowNet:
         j * s with (-j) * s == -(j * s) in float64; the reduction sees x
         only through x^2 and rounds half to even, so it gives the same
         y at -x as at x.  Each row is reduced once per |j| and gathered
-        back: half the points on a row centred at x = 0.
+        back: half the points on a row centred at x = 0.  The row's
+        coordinate arrays are its own temporaries, so they are reduced in
+        place, uncopied, and the systole, 1 / y, overwrites y.
         """
         for r in self.rows:
             lo, hi = r.j_lo, r.j_hi
             a_lo, a_hi = max(lo, -hi, 0), max(-lo, hi)
             # sy[a - a_lo] is the systole at j = a and at j = -a
-            sy = systole_values(np.arange(a_lo, a_hi + 1) * r.s,
-                                np.full(a_hi - a_lo + 1, r.y))
+            sy = np.full(a_hi - a_lo + 1, r.y)
+            reduce_in_place(np.arange(a_lo, a_hi + 1) * r.s, sy)
+            np.divide(1.0, sy, out=sy)
             if counters is not None:
                 counters["walk.swept_points"] += sy.size
             if lo >= 0:

@@ -16,12 +16,11 @@ e^{2R} / (2R), which the counting tests exercise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .halfplane import MappingClass
+from .halfplane import MappingClass, reduce_in_place
 from .torus import systole_values
 
 # Enumeration beyond this radius needs hundreds of thousands of classes
@@ -81,10 +80,13 @@ def word_to_matrix(exps: Sequence[int]) -> MappingClass:
     return MappingClass(*m)
 
 
-@dataclass(frozen=True)
-class GeodesicClass:
+class GeodesicClass(NamedTuple):
     """A conjugacy class: canonical exponents, trace, Teichmueller length,
-    and the entries (a, b, c, d) of the matrix of the canonical word."""
+    and the entries (a, b, c, d) of the matrix of the canonical word.
+
+    A named tuple: immutable, compared field by field, and cheap to build
+    for the tens of thousands of classes one enumeration emits.
+    """
 
     exps: tuple
     trace: int
@@ -370,21 +372,10 @@ def _axis_halves(length, step: float):
     return 2 * np.maximum(np.ceil(length / (2.0 * step)).astype(np.int64), 1)
 
 
-def _axis_points(c0, r0, length, half):
-    """Axis samples of many classes, concatenated class after class.
-
-    c0, r0 and length are per-class float64 arrays and half comes from
-    _axis_halves.  Class i gets half[i] + 1 points at arc-length offsets
-    sigma spaced 2 length / half apart and centred on the apex.  Every
-    operation is elementwise, so a class's samples do not depend on the
-    classes batched with it.
-    """
-    n = half + 1
-    k = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-    sigma = (k - np.repeat(half // 2, n)) * np.repeat(2.0 * length / half, n)
-    x = np.repeat(c0, n) + np.repeat(r0, n) * np.tanh(sigma)
-    y = np.repeat(r0, n) / np.cosh(sigma)
-    return sigma, x, y
+def _axis_sigma(length, half):
+    """Arc-length offsets of one class's half + 1 axis samples, spaced
+    2 length / half apart and centred on the apex (k = half // 2)."""
+    return (np.arange(half + 1) - half // 2) * (2.0 * length / half)
 
 
 def axis_samples(exps: Sequence[int], step: float = 0.02):
@@ -393,9 +384,9 @@ def axis_samples(exps: Sequence[int], step: float = 0.02):
     The sample grid always contains the apex of the axis semicircle, where
     the systole along simple axes is attained.
     """
-    c0, r0, length = (np.array([v])
-                      for v in _axis_circle(*word_to_matrix(exps).entries()))
-    return _axis_points(c0, r0, length, _axis_halves(length, step))
+    c0, r0, length = _axis_circle(*word_to_matrix(exps).entries())
+    sigma = _axis_sigma(length, _axis_halves(length, step))
+    return sigma, c0 + r0 * np.tanh(sigma), r0 / np.cosh(sigma)
 
 
 def min_systole_along_axis(exps: Sequence[int], step: float = 0.02) -> float:
@@ -404,31 +395,67 @@ def min_systole_along_axis(exps: Sequence[int], step: float = 0.02) -> float:
 
 
 def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
-                      chunk_points: int = 500000, counters=None) -> np.ndarray:
-    """Sampled axis-systole minimum per class, batching the reduction.
+                      chunk_points: int = 16384, counters=None) -> np.ndarray:
+    """Sampled axis-systole minimum per class, bit for bit what
+    min_systole_along_axis gives for each class on its own.
 
-    The classes are cut into runs of whole classes with at most
-    chunk_points samples (a longer class gets a run of its own); each run
-    is sampled and reduced in one call.  With a counters mapping, adds
-    the samples reduced to 'veech.axis_points'.
+    - One table per trace.  Classes of equal trace share the length, the
+      sample count and so the sigma grid, so tanh and cosh are computed
+      once per distinct trace, and a class's samples are formed from the
+      table as c0 + r0 * tanh and r0 / cosh: the same floats through the
+      same elementwise operations.  A stable sort groups the classes by
+      trace, so their order does not matter.
+    - In-place blocks.  The classes of a trace go, at most chunk_points
+      samples at a time (one class at least), into two reused buffers,
+      sized at the default to stay in cache, and reduce_in_place reduces
+      them there.  Its steps are elementwise, so no point's result depends on
+      its block.
+    - 1 / max height.  The systole at a reduced point is 1 / y and
+      correctly rounded division is monotone, so the class minimum of
+      1 / y is exactly 1 / (the class maximum of y).
+
+    With a counters mapping, adds the samples reduced to
+    'veech.axis_points' and the tanh/cosh tables built to
+    'veech.trace_tables'.
     """
-    circles = np.array([_axis_circle(*g.entries)
-                        for g in classes]).reshape(-1, 3)
-    c0, r0, length = circles.T
-    half = _axis_halves(length, step)
-    n = half + 1
-    ends = np.cumsum(n)
-    mins = np.empty(len(classes))
-    i0 = 0
-    while i0 < len(classes):
-        done = ends[i0 - 1] if i0 else 0
-        i1 = max(int(np.searchsorted(ends, done + chunk_points, "right")),
-                 i0 + 1)
-        part = slice(i0, i1)
-        _, x, y = _axis_points(c0[part], r0[part], length[part], half[part])
-        mins[part] = np.minimum.reduceat(systole_values(x, y),
-                                         ends[part] - n[part] - done)
-        i0 = i1
+    traces = [g.trace for g in classes]
+    order = sorted(range(len(classes)), key=traces.__getitem__)
+    srt = [classes[i] for i in order]
+    # _axis_circle's operations: a - d and t t - 4 exact in integers,
+    # each rounded to float once
+    ac = np.array([(a - d, c) for a, _, c, d in (g.entries for g in srt)],
+                  dtype=float).reshape(-1, 2)
+    two_c = 2.0 * ac[:, 1]
+    c0 = ac[:, 0] / two_c
+    r0 = np.empty(len(srt))  # sqrt(t t - 4) / (2 c), filled trace by trace
+    starts = [i for i in range(len(srt))
+              if i == 0 or srt[i].trace != srt[i - 1].trace]
+    ends = starts[1:] + [len(srt)]
+    halves = _axis_halves(np.array([srt[i].length for i in starts]), step)
+    points = int((halves + 1) @ np.subtract(ends, starts))
+    # the largest block: chunk_points samples, one longer class, or all
+    size = min(max(chunk_points, int(halves.max(initial=0)) + 1), points)
+    bx, by = np.empty(size), np.empty(size)
+    mins = np.empty(len(srt))
+    for i0, i1, half in zip(starts, ends, halves):
+        t = srt[i0].trace
+        r0[i0:i1] = math.sqrt(float(t * t - 4)) / two_c[i0:i1]
+        sigma = _axis_sigma(srt[i0].length, half)
+        tanh, cosh = np.tanh(sigma), np.cosh(sigma)
+        n = sigma.size
+        per = max(chunk_points // n, 1)
+        for lo in range(i0, i1, per):
+            hi = min(lo + per, i1)
+            x = bx[:(hi - lo) * n].reshape(hi - lo, n)
+            y = by[:(hi - lo) * n].reshape(hi - lo, n)
+            np.multiply(r0[lo:hi, None], tanh, out=x)
+            x += c0[lo:hi, None]
+            np.divide(r0[lo:hi, None], cosh, out=y)
+            reduce_in_place(x.reshape(-1), y.reshape(-1))
+            mins[lo:hi] = 1.0 / y.max(axis=1)
+    out = np.empty(len(srt))
+    out[order] = mins
     if counters is not None:
-        counters["veech.axis_points"] += int(n.sum())
-    return mins
+        counters["veech.axis_points"] += points
+        counters["veech.trace_tables"] += len(starts)
+    return out

@@ -207,8 +207,11 @@ def test_walk_and_veech_footers():
     assert "# count.walk.reach_nodes = 627" in walk.to_text()
     assert "# count.walk.swept_points = 317" in walk.to_text()
     veech = run(build_config("veech", overrides={"max_length": "3"}))
-    assert veech.counters == {"veech.axis_points": 9440}
+    # one tanh/cosh table per distinct trace among the 74 classes
+    assert veech.counters == {"veech.axis_points": 9440,
+                              "veech.trace_tables": 18}
     assert "# count.veech.axis_points = 9440" in veech.to_text()
+    assert "# count.veech.trace_tables = 18" in veech.to_text()
 
 
 def test_bias_verify_footers_count_the_quadrature_work():

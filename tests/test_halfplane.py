@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from geodlab.halfplane import (BOUNDARY_TOL, FUND_AREA, TOTAL_FRAME_MEASURE,
                                MappingClass, ModelPoint,
                                ReductionError, hyp_ball_area, hyp_dist,
-                               hyp_dist_arrays, reduce_points,
-                               reduce_to_fundamental,
+                               hyp_dist_arrays, reduce_in_place,
+                               reduce_points, reduce_to_fundamental,
                                sample_ball_arrays, teich_dist)
 
 # Points anywhere in a wide strip, down to deep cusp heights.
@@ -150,6 +150,35 @@ def test_reduce_points_raises_at_cap(x, negate):
     # one inversion lifts 1e-14 to at most 1e-10: far short of F
     with pytest.raises(ReductionError):
         reduce_points([-x if negate else x], [1e-14], max_iter=1)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(deadline=None)
+@given(POINTS, st.booleans())
+def test_reduce_points_copies_then_runs_the_in_place_core(pts, deck):
+    x, y = (np.array(c) for c in zip(*pts))
+    x0, y0 = x.copy(), y.copy()
+    out = reduce_points(x, y, deck=deck)
+    assert np.array_equal(_bits(x), _bits(x0))
+    assert np.array_equal(_bits(y), _bits(y0))
+    g = np.tile(np.eye(2, dtype=np.int64), (x.size, 1, 1)) if deck else None
+    reduce_in_place(x, y, g)  # the inputs themselves, now overwritten
+    assert np.array_equal(_bits(out[0]), _bits(x))
+    assert np.array_equal(_bits(out[1]), _bits(y))
+    if deck:
+        assert np.array_equal(out[2], g)
+
+
+def test_reduce_in_place_raises_at_cap_and_on_deck_overflow():
+    with pytest.raises(ReductionError):
+        reduce_in_place(np.array([0.3]), np.array([1e-14]), max_iter=1)
+    # the translation 3e19 does not fit in an int64 deck entry
+    g = np.eye(2, dtype=np.int64)[None]
+    with pytest.raises(ReductionError):
+        reduce_in_place(np.array([3e19]), np.array([1.0]), g)
 
 
 def test_reduce_points_deep_cusp_batch():

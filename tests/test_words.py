@@ -127,12 +127,13 @@ def test_conjugacy_word_identifies_classes():
         assert w2 == g.exps
 
 
+_CLASSES_4 = enumerate_classes(4.0)
 _SL2Z_GENERATORS = (MappingClass(1, 1, 0, 1), MappingClass(1, -1, 0, 1),
                     MappingClass(0, -1, 1, 0))
 
 
 @settings(deadline=None)
-@given(st.sampled_from(enumerate_classes(4.0)),
+@given(st.sampled_from(_CLASSES_4),
        st.lists(st.sampled_from(_SL2Z_GENERATORS), max_size=16))
 def test_conjugacy_word_is_conjugation_invariant(g, gens):
     conj = MappingClass.identity()
@@ -174,13 +175,27 @@ def test_min_systole_simplest_class():
 
 
 def test_min_systole_batch_matches_loop():
-    # the batch runs the per-class kernel on concatenated classes, so it
-    # must agree exactly, whatever the chunking
+    # the batch forms each class's samples from a per-trace table with the
+    # per-class kernel's operations and takes 1 / max height, so it must
+    # agree exactly, whatever the block size
     classes = enumerate_classes(4.0)
     loop = np.array([min_systole_along_axis(g.exps) for g in classes])
     counters = Counter()
     assert np.array_equal(min_systole_batch(classes, counters=counters), loop)
     assert np.array_equal(min_systole_batch(classes, chunk_points=100), loop)
     assert counters == {"veech.axis_points":
-                        sum(axis_samples(g.exps)[0].size for g in classes)}
+                        sum(axis_samples(g.exps)[0].size for g in classes),
+                        "veech.trace_tables": len({g.trace for g in classes})}
     assert min_systole_batch([]).size == 0
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.integers(0, 407), min_size=1, max_size=60, unique=True),
+       st.integers(1, 5000))
+def test_min_systole_batch_matches_loop_on_shuffled_subsets(picks, chunk):
+    # any subset in any order, and any block size, gives the per-class
+    # minima bit for bit
+    classes = [_CLASSES_4[i] for i in picks]
+    loop = np.array([min_systole_along_axis(g.exps) for g in classes])
+    got = min_systole_batch(classes, chunk_points=chunk)
+    assert np.array_equal(got.view(np.int64), loop.view(np.int64))
