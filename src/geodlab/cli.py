@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; import it here, not inside a run
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, build_config
 from .flow import (Box, closing_constants, margulis_count, mixing_correlation,

@@ -49,15 +49,19 @@ def frames_from_points(x, y, th) -> np.ndarray:
     return A
 
 
-def frame_base_dir(A: np.ndarray):
-    """Base point coordinates and direction angle of each frame."""
+def frame_base(A: np.ndarray):
+    """Base point coordinates of each frame."""
     a, b = A[..., 0, 0], A[..., 0, 1]
     c, d = A[..., 1, 0], A[..., 1, 1]
     den = c * c + d * d
-    x = (a * c + b * d) / den
-    y = 1.0 / den
+    return (a * c + b * d) / den, 1.0 / den
+
+
+def frame_base_dir(A: np.ndarray):
+    """Base point coordinates and direction angle of each frame."""
+    c, d = A[..., 1, 0], A[..., 1, 1]
     th = np.mod(math.pi / 2 - 2.0 * np.arctan2(c, d), 2.0 * math.pi)
-    return x, y, th
+    return (*frame_base(A), th)
 
 
 def flow(A: np.ndarray, t: float) -> np.ndarray:
@@ -72,7 +76,7 @@ def reduce_frames(A: np.ndarray):
 
     Returns (deck, reduced) with deck integral and reduced = deck . A.
     """
-    x, y, _ = frame_base_dir(A)
+    x, y = frame_base(A)
     g = reduce_points(x, y, deck=True)[2]
     return g, g @ A
 
@@ -383,7 +387,7 @@ def recurrence_fraction(n: int, horizon: int, delta: float, theta: float,
     fracs = []
     for r in range(1, horizon + 1):
         _, B = reduce_frames(flow(B, 1.0))
-        bx, by, _ = frame_base_dir(B)
+        bx, by = frame_base(B)
         thin_steps += systole_values(bx, by) < delta
         flagged = thin_steps >= theta * r - 1e-12
         fracs.append(float(flagged.mean()))

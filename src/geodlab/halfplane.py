@@ -148,19 +148,54 @@ def reduce_to_fundamental(z: ModelPoint) -> tuple[ModelPoint, MappingClass]:
     return ModelPoint(x, y), MappingClass(ga, gb, gc, gd)
 
 
-def _translate(x, g):
-    """z -> z - round(x) in place; with a deck g, also g <- T^{-m} g."""
-    m = np.round(x)
+class ReductionWork:
+    """Scratch arrays for reduce_in_place, for chunks of up to n points.
+
+    Every float and mask temporary of the point reduction is a view into
+    these; only the indices of the points still inside the unit circle
+    are allocated, one array per inversion step.  A caller that reduces
+    block after block passes one ReductionWork to every call.  Its blocks
+    then allocate no block-sized float arrays, which glibc would hand
+    back to the system and fault in again on the next block.
+    """
+
+    def __init__(self, n: int):
+        n = max(1, min(n, REDUCE_CHUNK))
+        self.size = n
+        self.f = np.empty((4, n))  # float temporaries
+        self.inside = np.empty(n, dtype=bool)
+
+
+def _translate(x, g, m):
+    """z -> z - round(x) in place, round(x) going to m; with a deck g, also
+    g <- T^{-m} g."""
+    np.round(x, out=m)
     m += 0.0  # round gives -0.0 on (-1/2, 0]; x - (+0.0) keeps the sign of a zero
     x -= m
     if g is not None:
-        grow = np.abs(m) * np.abs(g[:, 1]).max(axis=1) + np.abs(g[:, 0]).max(axis=1)
+        # entrywise, not as max(axis=1) reductions over pairs, which cost
+        # several times as much
+        grow = (np.abs(m) * np.maximum(np.abs(g[:, 1, 0]), np.abs(g[:, 1, 1]))
+                + np.maximum(np.abs(g[:, 0, 0]), np.abs(g[:, 0, 1])))
         if not np.all(grow < _DECK_LIMIT):
             raise ReductionError("deck translation would overflow int64")
-        g[:, 0] -= m.astype(np.int64)[:, None] * g[:, 1]
+        mi = m.astype(np.int64)
+        g[:, 0, 0] -= mi * g[:, 1, 0]
+        g[:, 0, 1] -= mi * g[:, 1, 1]
 
 
-def reduce_in_place(x, y, g=None, max_iter: int = 300) -> None:
+def _inside(x, y, work):
+    """Indices of the points (x, y) inside the unit circle; work.f[2:] is
+    scratch."""
+    k = x.size
+    sq, ysq, inside = work.f[2, :k], work.f[3, :k], work.inside[:k]
+    np.multiply(x, x, out=sq)
+    sq += np.multiply(y, y, out=ysq)
+    np.less(sq, 1.0 - BOUNDARY_TOL, out=inside)
+    return np.flatnonzero(inside)
+
+
+def reduce_in_place(x, y, g=None, max_iter: int = 300, work=None) -> None:
     """Reduce 1-D float64 coordinate arrays into F, overwriting them.
 
     The vectorised reduction loop: translate once, then
@@ -169,29 +204,49 @@ def reduce_in_place(x, y, g=None, max_iter: int = 300) -> None:
     g, an int64 array of shape (n, 2, 2), the deck matrices are updated
     in place too, so that g.z = z' for the z that g held on entry.  Every
     step is elementwise, so a point's result does not depend on the
-    points reduced with it.  Raises ReductionError when a point needs
+    points reduced with it.  The temporaries live in work, a
+    ReductionWork for at least min(x.size, REDUCE_CHUNK) points, made
+    here when none is given.  Raises ReductionError when a point needs
     more than max_iter inversions or a deck entry would leave int64.
     """
+    if work is None:
+        work = ReductionWork(x.size)
+    elif work.size < min(x.size, REDUCE_CHUNK):
+        raise ValueError(f"work area holds {work.size} points, "
+                         f"a chunk needs {min(x.size, REDUCE_CHUNK)}")
     deck = g is not None
     for lo in range(0, x.size, REDUCE_CHUNK):
         part = slice(lo, lo + REDUCE_CHUNK)
         cx, cy = x[part], y[part]
         cg = g[part] if deck else None
-        _translate(cx, cg)
-        idx = np.flatnonzero(cx * cx + cy * cy < 1.0 - BOUNDARY_TOL)
+        n = cx.size
+        _translate(cx, cg, work.f[0, :n])
+        idx = _inside(cx, cy, work)
         for _ in range(max_iter):
             if idx.size == 0:
                 break
-            ax, ay = cx[idx], cy[idx]
-            r2 = ax * ax + ay * ay
-            ax, ay = -ax / r2, ay / r2
-            # z -> -1/z acts on the deck as S = [[0, -1], [1, 0]] from the left
-            ag = np.stack((-cg[idx, 1], cg[idx, 0]), axis=1) if deck else None
-            _translate(ax, ag)
+            k = idx.size
+            # mode="clip" only skips take's bounds check, which makes it
+            # buffer out; every index is in range
+            ax = cx.take(idx, out=work.f[0, :k], mode="clip")
+            ay = cy.take(idx, out=work.f[1, :k], mode="clip")
+            r2 = np.multiply(ax, ax, out=work.f[2, :k])
+            r2 += np.multiply(ay, ay, out=work.f[3, :k])
+            # z -> -1/z: (-x / r2, y / r2)
+            np.negative(ax, out=ax)
+            ax /= r2
+            ay /= r2
+            # z -> -1/z acts on the deck as S = [[0, -1], [1, 0]] from the
+            # left: the rows swap, and the new first row changes sign
+            ag = None
+            if deck:
+                ag = cg[idx][:, ::-1]
+                np.negative(ag[:, 0], out=ag[:, 0])
+            _translate(ax, ag, work.f[2, :k])
             cx[idx], cy[idx] = ax, ay
             if deck:
                 cg[idx] = ag
-            idx = idx[ax * ax + ay * ay < 1.0 - BOUNDARY_TOL]
+            idx = idx[_inside(ax, ay, work)]
         if idx.size:
             raise ReductionError(f"{idx.size} points still inside the unit circle "
                                  f"after {max_iter} inversions")

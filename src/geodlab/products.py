@@ -13,11 +13,14 @@ whose ratios never leave float range.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.integrate import quad
 
 from .halfplane import ModelPoint, sample_ball_arrays
 from .torus import BiasParams, systole, systole_values
@@ -118,16 +121,53 @@ def in_region_W(j: int, X, params: BiasParams) -> bool:
 # Exact ball average of the single-factor contraction ratio, deep in a cusp.
 
 
-def _quad(f, a: float, b: float, limit: int, counters) -> tuple:
-    """quad's value and its number of integrand evaluations.
+@functools.cache
+def _qagse():
+    """QUADPACK's qagse, the routine scipy.integrate.quad runs on a finite
+    interval, loaded on first use from scipy's _quadpack extension file.
 
-    With full_output, quad hands back QUADPACK's message instead of
-    warning when a result misses its tolerance; with a counters mapping,
-    'bias.quad_unconverged' counts those results.
+    The file is loaded on its own, so scipy/integrate/__init__.py and what
+    it imports (scipy.special among them), about 0.6 s, never run.  The
+    extension's first call imports scipy._lib._ccallback for its callback
+    wrapper, and with it scipy/__init__.py: about 15 ms, paid by the
+    first quadrature.  The extension registers itself in sys.modules
+    under its own name, where a later `import scipy.integrate` finds and
+    shares it.
     """
-    out = quad(f, a, b, limit=limit, full_output=1)
+    scipy = importlib.util.find_spec("scipy")
+    spec = None if scipy is None else FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "integrate"),
+        (ExtensionFileLoader, EXTENSION_SUFFIXES),
+    ).find_spec("scipy.integrate._quadpack")
+    if spec is None:
+        raise ModuleNotFoundError("the ball-average quadrature needs scipy's "
+                                  "QUADPACK extension, scipy/integrate/_quadpack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._qagse
+
+
+def _quad(f, a: float, b: float, limit: int, counters) -> tuple:
+    """quad(f, a, b, limit=limit)'s value and its number of integrand
+    evaluations, from the same qagse call with quad's default tolerances.
+
+    QUADPACK's ier decides the rest, as quad decides it:
+    - 0: converged.
+    - 1-5 and 7: a result that misses its tolerance (subdivision limit,
+      roundoff, bad integrand, divergence, extrapolation).  Its value is
+      still returned; with a counters mapping, 'bias.quad_unconverged'
+      counts it.
+    - 6 (invalid input, such as limit < 1), 80 (scipy's code for a failed
+      integrand call) and any other: ValueError.  An exception the
+      integrand raises propagates as it is.
+    """
+    # (value, error, info, ier), or (value, error, ier) on invalid input
+    out = _qagse()(f, a, b, (), 1, 1.49e-8, 1.49e-8, limit)
+    ier = out[-1]
+    if ier not in (0, 1, 2, 3, 4, 5, 7):
+        raise ValueError(f"QUADPACK qagse stopped with ier = {ier}")
     if counters is not None:
-        counters["bias.quad_unconverged"] += int(len(out) > 3)
+        counters["bias.quad_unconverged"] += int(ier != 0)
     return out[0], out[2]["neval"]
 
 

@@ -15,17 +15,19 @@ What depends only on the row net is computed once per net and kept on it:
 per-row bool masks, where one systole sweep thresholds every node for a
 whole list of thin deltas (RowNet.thin_masks) and one distance sweep
 flags the nodes near a base point (RowNet.return_mask), and the reach
-nets (RowNet.reach).  Float systoles are never kept, only the masks.
-The sweep reduces each |j| of a row once, since the reduced point at -x
-is the mirror of the one at x.
+nets with the DP's span schedule on them (RowNet.reach_schedule).  Float
+systoles are never kept, only the masks.  The sweep reduces each |j| of
+a row once, since the reduced point at -x is the mirror of the one at x.
 
 The DP runs on the reach of the net: each row clipped to the nodes its
 span recurrence (_span_step) can make nonzero at some step, so counts,
-snapshots, thin masks and return masks all have the reach's size.  A
-step reads only the source spans and evaluates only the target nodes
-they can reach, in DP_CHUNK pieces, and with a thin delta only the nodes
-the mask keeps.  Every skipped node would add exactly zero, so counts,
-snapshots and per-step totals are those of the full-row DP.
+snapshots, thin masks and return masks all have the reach's size.  The
+recurrence runs once, on the whole net, and every DP on the same (base,
+tau, n_steps) reuses its spans.  A step reads only the source spans and
+evaluates only the target nodes they can reach, in DP_CHUNK pieces, and
+with a thin delta only the nodes the mask keeps.  Every skipped node
+would add exactly zero, so counts, snapshots and per-step totals are
+those of the full-row DP.
 
 Public distances (tau, c1, c2, radii) are in the model metric, half the
 hyperbolic one.  Row algebra runs in hyperbolic units internally.
@@ -222,9 +224,9 @@ class RowNet:
 
     What depends only on the net is cached on it: masks, one bool array
     per row, thin masks by delta and return masks by (base, tolerance),
-    and reach nets by (base, tau, n_steps).  A reach net is a RowNet of
-    its own, with its own cache, holding the nodes of this one that
-    count_trajectories can make nonzero.  A cached mask is shared by
+    and reach nets with their DP span schedules by (base, tau, n_steps).
+    A reach net is a RowNet of its own, with its own cache, holding the
+    nodes of this one that count_trajectories can make nonzero.  A cached mask is shared by
     every caller and must not be written to.  With a counters mapping,
     the methods that sweep the net add one to 'walk.systole_sweeps' or
     'walk.return_mask_sweeps' per sweep, and a systole sweep adds the
@@ -300,6 +302,18 @@ class RowNet:
         make nonzero, as a net: each row clipped to the hull, over the
         steps, of its spans in the DP's span recurrence, and empty rows
         dropped.  The recurrence runs on row ends alone."""
+        return self.reach_schedule(base, tau, n_steps)[0]
+
+    def reach_schedule(self, base: ModelPoint, tau: float,
+                       n_steps: int) -> tuple:
+        """(reach, start spans, steps): the reach net and the DP's span
+        recurrence on its rows, from one run of the recurrence on this net.
+
+        steps holds _span_step's (moves, new_spans) for each of the
+        n_steps - 1 steps, with row numbers and node indices moved from
+        this net's rows onto the reach's.  Every span and hit range lies
+        inside the reach, since the reach is their hull.
+        """
         if n_steps < 1:
             raise ValueError("need at least one step")
         if tau <= 0.0:
@@ -307,14 +321,31 @@ class RowNet:
         key = ("reach", base.x, base.y, tau, n_steps)
         if key not in self._cache:
             ch = math.cosh(2.0 * tau) - 1.0
-            spans = _start_spans(self.rows, base, ch)
-            hull = spans
+            start = spans = hull = _start_spans(self.rows, base, ch)
+            whole = []  # each step's (moves, new_spans) on this net's rows
             for _ in range(n_steps - 1):
-                spans = _span_step(self.rows, spans, ch)[1]
+                moves, spans = _span_step(self.rows, spans, ch)
+                whole.append((moves, spans))
                 hull = [_hull(h, sp) for h, sp in zip(hull, spans)]
-            rows = tuple(replace(r, j_lo=r.j_lo + a, j_hi=r.j_lo + b)
-                         for r, (a, b) in zip(self.rows, hull) if a <= b)
-            self._cache[key] = replace(self, rows=rows)
+            kept = [i for i, (a, b) in enumerate(hull) if a <= b]
+            index = {i: n for n, i in enumerate(kept)}
+            off = {i: hull[i][0] for i in kept}
+            rows = tuple(replace(self.rows[i], j_lo=self.rows[i].j_lo + off[i],
+                                 j_hi=self.rows[i].j_lo + hull[i][1])
+                         for i in kept)
+
+            def onto_reach(spans):
+                return [(spans[i][0] - off[i], spans[i][1] - off[i])
+                        if spans[i][0] <= spans[i][1] else (0, -1)
+                        for i in kept]
+
+            steps = [([(index[si], rs,
+                        [(index[ti], w, t0 - off[ti], t1 - off[ti])
+                         for ti, w, t0, t1 in hits])
+                       for si, rs, hits in moves], onto_reach(new_spans))
+                     for moves, new_spans in whole]
+            self._cache[key] = (replace(self, rows=rows), onto_reach(start),
+                                steps)
         return self._cache[key]
 
     def return_mask(self, base: ModelPoint, tol: float,
@@ -555,7 +586,10 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
     """Exact DP counts of trajectories with step bound tau from the base.
 
     The DP runs on net.reach(base, tau, n_steps), and every array it
-    makes has the reach's size.  Each row carries a span of node indices
+    makes has the reach's size.  Its spans and moves are the ones the
+    span recurrence computed on the whole net to build the reach
+    (RowNet.reach_schedule), so the recurrence runs once per (base, tau,
+    n_steps), not once per DP.  Each row carries a span of node indices
     outside which its counts are zero.  A step runs source row by source
     row over the span alone, with one prefix sum at a time, and adds
     window sums only into the target nodes the span can reach (_reach)
@@ -570,11 +604,11 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
       its span is zero.  So a node outside the reach is zero at every
       step and never adds to a target as a source; rows the reach drops
       are zero throughout.
-    - The start nodes and the thin mask are per-node functions of (k, j).
-      A target's window (_windows) depends only on its j and on the
-      source span it is clipped to, and every nonzero source count lies
-      in that span in either net.  So, step by step, each window adds
-      the same source counts in both nets.
+    - The start nodes and the thin mask are per-node functions of (k, j),
+      and the spans and hit ranges are the whole net's.  A target's
+      window (_windows) depends only on its j and on the source span it
+      is clipped to.  So, step by step, each window adds the same source
+      counts in both nets.
     - Every count and prefix sum is an integer below 2^53, so every sum
       and difference is exact in any order, and the totals agree too.
     """
@@ -582,14 +616,12 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
     if nn > node_budget:
         raise ResourceError(
             f"row net has {nn} nodes, over the {node_budget} node budget")
-    net = net.reach(base, tau, n_steps)
+    net, spans, steps = net.reach_schedule(base, tau, n_steps)
     rows = net.rows
     mask = (net.thin_mask(thin_delta, counters) if thin_delta is not None
             else None)
     live = ([None] * len(rows) if mask is None
             else [np.flatnonzero(m) for m in mask])
-    ch = math.cosh(2.0 * tau) - 1.0
-    spans = _start_spans(rows, base, ch)
     counts = [np.zeros(r.n) for r in rows]
     for c, (a, b) in zip(counts, spans):
         c[a:b + 1] = 1.0
@@ -598,8 +630,7 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
             c *= m
     per_step = [_exact_total(counts, spans)]
     snapshots = [counts] if keep_steps else None
-    for _ in range(n_steps - 1):
-        moves, new_spans = _span_step(rows, spans, ch)
+    for moves, new_spans in steps:
         new = [np.zeros(r.n) for r in rows]
         for si, rs, hits in moves:
             a, b = spans[si]

@@ -20,12 +20,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .halfplane import MappingClass, reduce_in_place
+from .halfplane import MappingClass, ReductionWork, reduce_in_place
 from .torus import systole_values
 
 # Enumeration beyond this radius needs hundreds of thousands of classes
 # and is out of desk-scale budget.
 MAX_ENUM_LENGTH = 7.5
+_EXACT_INT64 = 2 ** 62  # |a|, |d| below this keep a - d exact in int64
 
 
 def teich_length_from_trace(trace) -> float:
@@ -408,8 +409,8 @@ def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
     - In-place blocks.  The classes of a trace go, at most chunk_points
       samples at a time (one class at least), into two reused buffers,
       sized at the default to stay in cache, and reduce_in_place reduces
-      them there.  Its steps are elementwise, so no point's result depends on
-      its block.
+      them there, with its temporaries in one ReductionWork.  Its steps
+      are elementwise, so no point's result depends on its block.
     - 1 / max height.  The systole at a reduced point is 1 / y and
       correctly rounded division is monotone, so the class minimum of
       1 / y is exactly 1 / (the class maximum of y).
@@ -422,11 +423,13 @@ def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
     order = sorted(range(len(classes)), key=traces.__getitem__)
     srt = [classes[i] for i in order]
     # _axis_circle's operations: a - d and t t - 4 exact in integers,
-    # each rounded to float once
-    ac = np.array([(a - d, c) for a, _, c, d in (g.entries for g in srt)],
-                  dtype=float).reshape(-1, 2)
-    two_c = 2.0 * ac[:, 1]
-    c0 = ac[:, 0] / two_c
+    # each rounded to float once.  Entries inside +-2^62 keep a - d
+    # exact in int64.
+    ent = np.array([g.entries for g in srt], dtype=np.int64).reshape(-1, 4)
+    if ent.size and not (-_EXACT_INT64 < ent.min() and ent.max() < _EXACT_INT64):
+        raise OverflowError("matrix entries beyond 2^62 would make a - d inexact")
+    two_c = 2.0 * ent[:, 2]
+    c0 = (ent[:, 0] - ent[:, 3]) / two_c
     r0 = np.empty(len(srt))  # sqrt(t t - 4) / (2 c), filled trace by trace
     starts = [i for i in range(len(srt))
               if i == 0 or srt[i].trace != srt[i - 1].trace]
@@ -435,7 +438,7 @@ def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
     points = int((halves + 1) @ np.subtract(ends, starts))
     # the largest block: chunk_points samples, one longer class, or all
     size = min(max(chunk_points, int(halves.max(initial=0)) + 1), points)
-    bx, by = np.empty(size), np.empty(size)
+    bx, by, work = np.empty(size), np.empty(size), ReductionWork(size)
     mins = np.empty(len(srt))
     for i0, i1, half in zip(starts, ends, halves):
         t = srt[i0].trace
@@ -451,7 +454,7 @@ def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
             np.multiply(r0[lo:hi, None], tanh, out=x)
             x += c0[lo:hi, None]
             np.divide(r0[lo:hi, None], cosh, out=y)
-            reduce_in_place(x.reshape(-1), y.reshape(-1))
+            reduce_in_place(x.reshape(-1), y.reshape(-1), work=work)
             mins[lo:hi] = 1.0 / y.max(axis=1)
     out = np.empty(len(srt))
     out[order] = mins

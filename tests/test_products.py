@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from geodlab.halfplane import ModelPoint
-from geodlab.products import (ContractionCheck, ProductPoint, bias_eval,
+from geodlab.products import (ContractionCheck, ProductPoint, _quad,
+                              _ring_average, bias_eval,
                               bias_terms, classify_region,
                               contraction_ratio_exact, in_region_W,
                               sorted_lengths, verify_contraction,
@@ -49,6 +51,41 @@ def test_contraction_ratio_is_bit_identical_to_the_plain_nested_quad(tau, s):
                    limit=400)[0]
     area = 2.0 * math.pi * (math.cosh(2.0 * tau) - 1.0)
     assert contraction_ratio_exact(tau, s) == val / area
+
+
+@pytest.mark.parametrize("tau, unconverged", [(3.0, 0), (7.0, 128)])
+def test_direct_qagse_matches_quad(tau, unconverged):
+    # the outer quadrature and every inner one it asks for, through _quad
+    # and through quad: the same value bits, evaluation counts and
+    # unconverged flags.  At tau = 7, 127 inner results and the outer
+    # one miss their tolerance.
+    rhos = []
+
+    def outer(p):
+        rhos.append(p)
+        return _ring_average(p, 0.5) * math.sinh(p)
+
+    def both(f, b, limit):
+        counters = Counter()
+        got = _quad(f, 0.0, b, limit, counters)
+        ref = quad(f, 0.0, b, limit=limit, full_output=1)
+        assert got == (ref[0], ref[2]["neval"])
+        assert counters["bias.quad_unconverged"] == int(len(ref) > 3)
+        return counters["bias.quad_unconverged"]
+
+    missed = both(outer, 2.0 * tau, 400)
+    for rho in sorted(set(rhos)):
+        ch, sh = math.cosh(rho), math.sinh(rho)
+        missed += both(lambda t: (ch - sh * math.cos(t)) ** -0.5,
+                       2.0 * math.pi, 200)
+    assert missed == unconverged
+
+
+def test_direct_qagse_raises_on_invalid_input_as_quad_does():
+    with pytest.raises(ValueError):
+        quad(math.cos, 0.0, 1.0, limit=0)
+    with pytest.raises(ValueError, match="ier = 6"):
+        _quad(math.cos, 0.0, 1.0, 0, Counter())
 
 
 def test_contraction_ratio_matches_sampling():

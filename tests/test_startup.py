@@ -1,0 +1,109 @@
+"""What a fresh interpreter imports and faults in, checked in subprocesses.
+
+Start-up imports numpy and the package; scipy's QUADPACK extension is
+loaded from its file on the first quadrature, without scipy.integrate.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(code: str, *args: str):
+    """The JSON value the code prints last, run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_RUN = """
+import json, sys
+import geodlab.cli
+from geodlab.config import build_config
+config = build_config(sys.argv[1], overrides=json.loads(sys.argv[2]))
+before = set(sys.modules)
+geodlab.cli.run(config).to_text()
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_holds_numpy_random_and_no_scipy():
+    mods = _python("import json, sys; import geodlab.cli; "
+                   "print(json.dumps(sorted(sys.modules)))")
+    assert "numpy.random" in mods
+    assert [m for m in mods if m.split(".")[0] == "scipy"] == []
+
+
+def test_recurrence_run_imports_nothing():
+    assert _python(_RUN, "recurrence", "{}") == []
+
+
+def test_bias_verify_run_loads_only_the_quadpack_extension():
+    # the extension's callback wrapper imports scipy._lib._ccallback on its
+    # first call, and with it the scipy package itself: those modules and
+    # the extension are all the run may add
+    callback = _python("import json, sys; import geodlab.cli; "
+                       "before = set(sys.modules); "
+                       "import scipy._lib._ccallback; "
+                       "print(json.dumps(sorted(set(sys.modules) - before)))")
+    added = _python(_RUN, "bias-verify",
+                    json.dumps({"tau_grid": "2, 3", "samples": "1000"}))
+    assert set(added) == set(callback) | {"scipy.integrate._quadpack"}
+    assert not [m for m in added if m.startswith(("scipy.integrate.",
+                                                  "scipy.special"))
+                and m != "scipy.integrate._quadpack"]
+    assert "scipy.integrate" not in added
+
+
+_ORDER = """
+import json, math, sys
+from geodlab import products
+if sys.argv[1] == "scipy-first":
+    import scipy.integrate
+value = products.contraction_ratio_exact(3.0)
+if sys.argv[1] == "direct-first":
+    assert "scipy.integrate" not in sys.modules
+    import scipy.integrate
+ext = sys.modules["scipy.integrate._quadpack"]
+quad = scipy.integrate.quad(math.cos, 0.0, 1.0)[0]
+print(json.dumps([value.hex(), ext._qagse is products._qagse(),
+                  scipy.integrate._quadpack_py._quadpack is ext,
+                  quad == math.sin(1.0)]))
+"""
+
+
+def test_both_import_orders_share_one_extension():
+    direct = _python(_ORDER, "direct-first")
+    scipy_first = _python(_ORDER, "scipy-first")
+    assert direct[1:] == scipy_first[1:] == [True, True, True]
+    assert direct[0] == scipy_first[0]
+
+
+def test_axis_kernel_allocates_nothing_block_sized():
+    # every block of min_systole_batch reduces in the work area the batch
+    # owns; block-sized temporaries would be handed back to the system and
+    # faulted in again block after block (18,847 faults on the second call
+    # when each block allocated its own)
+    pytest.importorskip("resource")
+    faults, scipy = _python("""
+import json, resource, sys
+from geodlab.words import enumerate_classes, min_systole_batch
+classes = enumerate_classes(6.0)
+min_systole_batch(classes)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+min_systole_batch(classes)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps([faults, [m for m in sys.modules if m.startswith("scipy")]]))
+""")
+    assert scipy == []
+    assert faults < 5000

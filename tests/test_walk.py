@@ -394,6 +394,23 @@ def test_chunked_dp_matches_full_row_dp(anchor, cx, cy, tau, n_steps,
             assert not c[~kept].any()
 
 
+def test_span_recurrence_runs_once_per_step(monkeypatch):
+    # the reach and every DP on it share one run of the span recurrence
+    net = build_row_net(5.0, ModelPoint(0.0, 1.0), 3.0)
+    base = ModelPoint(0.1, 1.0)
+    calls = []
+    span_step = walk._span_step
+    monkeypatch.setattr(walk, "_span_step",
+                        lambda *a: calls.append(a) or span_step(*a))
+    plain = count_trajectories(net, base, 1.5, 3)
+    thin = count_trajectories(net, base, 1.5, 3, thin_delta=0.2)
+    assert len(calls) == 2
+    assert all(rows is net.rows for rows, _, _ in calls)
+    assert plain.net is thin.net is net.reach(base, 1.5, 3)
+    assert plain.per_step == (14.0, 172.0, 1410.0)
+    assert thin.per_step == (2.0, 8.0, 37.0)
+
+
 def test_dp_peak_memory_is_two_count_arrays_and_one_prefix():
     # walk's default net: the DP holds this step's and the next step's
     # counts on the reach (8 bytes a node each), one source prefix sum at

@@ -189,6 +189,20 @@ def test_min_systole_batch_matches_loop():
     assert min_systole_batch([]).size == 0
 
 
+def test_min_systole_batch_entry_table_is_exact_to_2_62():
+    # a - d comes out of int64 exactly and rounds to float once, as the
+    # per-class kernel's Python integers do, also past 2^53
+    classes = [GeodesicClass.from_exps(e)
+               for e in ((2 ** 30 + 1, 2 ** 29 + 3), (2 ** 27 + 5, 7, 3, 2 ** 26))]
+    assert max(max(g.entries) for g in classes) > 2 ** 53
+    loop = np.array([min_systole_along_axis(g.exps) for g in classes])
+    got = min_systole_batch(classes)
+    assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+    # an entry of 2^62 + 1 could make a - d leave int64: refused
+    with pytest.raises(OverflowError):
+        min_systole_batch([GeodesicClass.from_exps((2 ** 31, 2 ** 31))])
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.lists(st.integers(0, 407), min_size=1, max_size=60, unique=True),
        st.integers(1, 5000))
