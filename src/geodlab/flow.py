@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import (TOTAL_FRAME_MEASURE, MappingClass, ModelPoint,
-                        hyp_ball_area, reduce_points)
+from .halfplane import (BOUNDARY_TOL, TOTAL_FRAME_MEASURE, MappingClass,
+                        ModelPoint, hyp_ball_area, reduce_points)
 from .torus import systole_values
 from .words import axis_samples, conjugacy_word, teich_length_from_trace
 
@@ -79,6 +79,25 @@ def reduce_frames(A: np.ndarray):
     x, y = frame_base(A)
     g = reduce_points(x, y, deck=True)[2]
     return g, g @ A
+
+
+def frame_systoles(A: np.ndarray) -> np.ndarray:
+    """systole_values of the frames' base points, bit for bit.
+
+    A translation leaves y as it is, so the systole is 1 / y for every
+    point that the reduction would not invert after its first
+    translation; only the others are reduced.  For frames reduce_frames
+    returned that is almost none: their base points, recomputed from the
+    frames, lie in F up to rounding.
+    """
+    x, y = frame_base(A)
+    sysv = 1.0 / y
+    t = x - np.round(x)
+    # the inversion test of halfplane.reduce_in_place
+    again = np.flatnonzero(t * t + y * y < 1.0 - BOUNDARY_TOL)
+    if again.size:
+        sysv[again] = systole_values(x[again], y[again])
+    return sysv
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +406,7 @@ def recurrence_fraction(n: int, horizon: int, delta: float, theta: float,
     fracs = []
     for r in range(1, horizon + 1):
         _, B = reduce_frames(flow(B, 1.0))
-        bx, by = frame_base(B)
-        thin_steps += systole_values(bx, by) < delta
+        thin_steps += frame_systoles(B) < delta
         flagged = thin_steps >= theta * r - 1e-12
         fracs.append(float(flagged.mean()))
     return RecurrenceResult(horizon=horizon, samples=n, delta=delta,

@@ -9,9 +9,11 @@ window edges are float64 integers, exact below 2^53; once an edge
 reaches 2^53 the count raises OverflowError instead of returning an
 inexact number.  Distinct (c, d) rows give distinct point sets unless X
 has a nontrivial stabilizer, which for a reduced X means X is exactly i
-or a corner rho of F.  Only there are families deduplicated, by
-(q, fractional part of the real offset) in exact integers.  All rows of
-one ball are built as int64/float64 arrays, in blocks of ROW_BLOCK rows.
+or a corner rho of F.  There two rows give one family exactly when the
+stabilizer, acting on rows from the right, maps one onto the other; the
+rows are tested in exact integers and each family keeps only the first of
+its rows.  All rows of one ball are built as int64/float64 arrays, in
+blocks of ROW_BLOCK rows.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -33,12 +35,16 @@ ROW_BLOCK = 65_536
 # Integers below 2^53 are exact in float64; window edges at or past it
 # are no longer exact integers, and neither is the count.
 EXACT_EDGE_LIMIT = 2.0 ** 53
-# Reduced points with a nontrivial stabilizer, keyed by exact (Re, Im), as
-# the integers (2 Re, 4 Im^2): i, and rho = -1/2 + i sqrt(3)/2 with its
-# translate rho + 1.  Im rho is the float nearest sqrt(3)/2.
-_CONE_POINTS = {(0.0, 1.0): (0, 4),
-                (-0.5, math.sqrt(3.0) / 2.0): (-1, 3),
-                (0.5, math.sqrt(3.0) / 2.0): (1, 3)}
+# Reduced points with a nontrivial stabilizer, keyed by exact (Re, Im): i,
+# and rho = -1/2 + i sqrt(3)/2 with its translate rho + 1.  Im rho is the
+# float nearest sqrt(3)/2.  Each holds the integers (2 Re, 4 Im^2) and the
+# images (c, d) -> (al c + be d, ga c + de d) of a bottom row under the
+# stabilizer's nontrivial elements, as (al, be, ga, de).
+_CONE_POINTS = {(0.0, 1.0): (0, 4, ((0, 1, -1, 0),)),
+                (-0.5, math.sqrt(3.0) / 2.0): (-1, 3, ((0, 1, -1, 1),
+                                                       (-1, 1, -1, 0))),
+                (0.5, math.sqrt(3.0) / 2.0): (1, 3, ((1, 1, -1, 0),
+                                                     (0, -1, 1, 1)))}
 
 
 @dataclass
@@ -75,32 +81,61 @@ def _bezout(d: np.ndarray, c: np.ndarray):
     return u, (d * u - 1) // c
 
 
-def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int):
+def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int,
+                 cone=None):
     """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, in blocks.
 
     (0, 1) comes first, then c = 1..c_max with d ascending over the
     window where (c x0 + d)^2 + c^2 y0^2 <= q_max.  Rows are numbered
     flat and cut into ROW_BLOCK slices, so one block's arrays stay
-    bounded however large the ball.
+    bounded however large the ball.  Each block also carries the number
+    of coprime rows scanned in it.
+
+    At a cone point, cone = (n, m, images) from _CONE_POINTS, the window
+    is the exact 4q = (c n + 2d)^2 + c^2 m <= 4 q_max: the float window is
+    widened by one on each side and cut back by that test, so a row and
+    its stabilizer images are scanned together.  A row is then kept only
+    when it comes before each of its images (taken up to sign) in row
+    order, and only kept rows reach _bezout.  That keeps the first row of
+    every family, as a dedupe by exact family key would.
     """
-    yield np.array([0]), np.array([1]), np.array([1]), np.array([0])
+    # (0, 1), with q = 1, comes first; an exact window may leave it out
+    first = 1 if cone is None or q_max >= 1.0 else 0
+    one, zero = np.ones(first, np.int64), np.zeros(first, np.int64)
+    yield zero, one, one, zero, first
+    # At a cone point y0sq <= m / 4, so c_max and the c filter, with
+    # rounding monotone, never drop a c the exact window holds.
+    widen, images = (1, cone[2]) if cone else (0, ())
     cs = np.arange(1, c_max + 1, dtype=np.int64)
     dw = q_max - cs * cs * y0sq
     cs, dw = cs[dw >= 0.0], dw[dw >= 0.0]
     w = np.sqrt(dw)
-    d_lo = np.ceil(-cs * x0 - w).astype(np.int64)
-    n = np.maximum(np.floor(-cs * x0 + w).astype(np.int64) - d_lo + 1, 0)
-    ends = np.cumsum(n)
-    total = int(n.sum())
+    d_lo = np.ceil(-cs * x0 - w).astype(np.int64) - widen
+    nd = np.maximum(np.floor(-cs * x0 + w).astype(np.int64) + widen
+                    - d_lo + 1, 0)
+    ends = np.cumsum(nd)
+    total = int(nd.sum())
     for i0 in range(0, total, ROW_BLOCK):
         i = np.arange(i0, min(i0 + ROW_BLOCK, total), dtype=np.int64)
         k = np.searchsorted(ends, i, side="right")
         c = cs[k]
-        d = d_lo[k] + i - (ends[k] - n[k])
+        d = d_lo[k] + i - (ends[k] - nd[k])
         keep = np.gcd(c, d) == 1
+        if cone:
+            n, m, _ = cone
+            cn = c * n + 2 * d
+            keep &= cn * cn + c * c * m <= 4.0 * q_max
+        scanned = int(np.count_nonzero(keep))
+        # c >= 1 here, so an image with first entry 0 is +-(0, 1), which
+        # comes first
+        for al, be, ga, de in images:
+            e = al * c + be * d
+            f = (ga * c + de * d) * np.sign(e)
+            e = np.abs(e)
+            keep &= (c < e) | ((c == e) & (d < f))
         c, d = c[keep], d[keep]
         a0, b0 = _bezout(d, c)
-        yield c, d, a0, b0
+        yield c, d, a0, b0, scanned
 
 
 def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
@@ -108,8 +143,8 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
     """Families as arrays (re0, y_pt, lo, hi), in row order, for a reduced X.
 
     Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi.
-    At a cone point of _CONE_POINTS a family repeating an earlier
-    (q, offset) key is dropped; its point set is the earlier one's.
+    At a cone point of _CONE_POINTS, _bottom_rows yields one row per
+    family, each inside the exact window.
     Raises OverflowError once a window edge reaches EXACT_EDGE_LIMIT.  With
     a counters mapping, adds the coprime rows scanned and the families kept.
     """
@@ -123,32 +158,19 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
     c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
 
     # At a cone point, with n = 2 Re X and m = 4 Im^2 X, the integers
-    # 4q = (c n + 2d)^2 + c^2 m and 4 q re0 make an exact key (q, offset),
-    # one complex number, which numpy sorts by real part, then imaginary.
-    # The int64 arithmetic does not wrap: every integer here is a small
-    # multiple of q_max, which a reduced center and tau <= MAX_ORBIT_RADIUS
-    # keep below 2e6 at a cone point.
-    seen = np.empty(0, complex)  # sorted keys of all earlier blocks
+    # 4q = (c n + 2d)^2 + c^2 m and 4 q re0 are exact.  The int64
+    # arithmetic here and in _bottom_rows does not wrap: every integer is
+    # a small multiple of q_max, which a reduced center and
+    # tau <= MAX_ORBIT_RADIUS keep below 2e6 at a cone point.
     out = []
     rows = 0
-    for c, d, a0, b0 in _bottom_rows(x0, y0sq, q_max, c_max):
-        rows += c.size
+    for c, d, a0, b0, scanned in _bottom_rows(x0, y0sq, q_max, c_max, cone):
+        rows += scanned
         if cone:
-            n, m = cone
+            n, m, _ = cone
             cn = c * n + 2 * d
             q4 = cn * cn + c * c * m
-            ok = q4 <= 4.0 * q_max
-            q4, r4 = q4[ok], ((a0 * n + 2 * b0) * cn + a0 * c * m)[ok]
-            q, re0 = q4 / 4.0, r4 / q4
-            # First occurrence of each key in this block, unless seen before.
-            uniq, first = np.unique(q4 + 1j * (r4 % q4), return_index=True)
-            pos = np.searchsorted(seen, uniq)
-            fresh = np.ones(uniq.size, bool)
-            hit = pos < seen.size
-            fresh[hit] = seen[pos[hit]] != uniq[hit]
-            seen = np.insert(seen, pos[fresh], uniq[fresh])
-            new = np.sort(first[fresh])
-            q, re0 = q[new], re0[new]
+            q, re0 = q4 / 4.0, ((a0 * n + 2 * b0) * cn + a0 * c * m) / q4
         else:
             cxd = c * x0 + d
             q = cxd ** 2 + (c * y0) ** 2

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist_arrays,
                                reduce_to_fundamental, teich_dist)
-from geodlab.lattice import (MAX_ORBIT_RADIUS, _bezout, chain_bound_audit,
-                             orbit_count, orbit_points, spread_count)
+from geodlab import lattice
+from geodlab.lattice import (_CONE_POINTS, MAX_ORBIT_RADIUS, _bezout,
+                             _family_windows, chain_bound_audit, orbit_count,
+                             orbit_points, spread_count)
 
 
 def _orbit_by_bfs(X: ModelPoint, center: ModelPoint, tau: float,
@@ -282,3 +285,139 @@ def test_chain_audit_cusp_two_links():
     a = chain_bound_audit(ModelPoint(0.0, 30.0), ModelPoint(0.0, 1.0), 4.0)
     assert len(a.counts) == 2
     assert a.counts[0] <= a.counts[1]  # cumulative
+
+
+CONES = [ModelPoint(x, y) for x, y in _CONE_POINTS]
+
+
+def _family_windows_by_keys(X: ModelPoint, center: ModelPoint, tau: float,
+                            block: int = 4096) -> tuple:
+    """Key-dedupe oracle for _family_windows at a cone point X.
+
+    Every coprime row of the float window, in row order and in blocks of
+    `block` rows, is cut to the exact window and keyed by the exact family
+    key (4q, 4 q re0 mod 4q); a row is kept when no earlier row had its
+    key, through np.unique in its block and a sorted array of the keys of
+    all earlier blocks.  The windows of the kept rows follow as in
+    _family_windows.
+    """
+    x0, y0, xc, yc = X.x, X.y, center.x, center.y
+    n, m = round(2.0 * x0), round(4.0 * y0 * y0)
+    ch = math.cosh(2.0 * tau) - 1.0
+    y0sq = y0 * y0
+    q_max = (y0 / yc) * math.exp(2.0 * tau) * (1.0 + 1e-12)
+    c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
+    cs, ds = [], []
+    for c in range(1, c_max + 1):
+        dw = q_max - c * c * y0sq
+        if dw < 0.0:
+            continue
+        w = math.sqrt(dw)
+        d = np.arange(math.ceil(-c * x0 - w), math.floor(-c * x0 + w) + 1)
+        cs.append(np.full(d.size, c))
+        ds.append(d)
+    c = np.concatenate([np.zeros(0, np.int64)] + cs)
+    d = np.concatenate([np.zeros(0, np.int64)] + ds)
+    c, d = c[np.gcd(c, d) == 1], d[np.gcd(c, d) == 1]
+    a0, b0 = _bezout(d, c)
+    c, d = np.concatenate([[0], c]), np.concatenate([[1], d])
+    a0, b0 = np.concatenate([[1], a0]), np.concatenate([[0], b0])
+    seen = np.empty(0, complex)
+    out = []
+    for i in range(0, c.size, block):
+        bc, bd, ba, bb = (v[i:i + block] for v in (c, d, a0, b0))
+        cn = bc * n + 2 * bd
+        q4 = cn * cn + bc * bc * m
+        ok = q4 <= 4.0 * q_max
+        q4, r4 = q4[ok], ((ba * n + 2 * bb) * cn + ba * bc * m)[ok]
+        q, re0 = q4 / 4.0, r4 / q4
+        uniq, first = np.unique(q4 + 1j * (r4 % q4), return_index=True)
+        pos = np.searchsorted(seen, uniq)
+        fresh = np.ones(uniq.size, bool)
+        hit = pos < seen.size
+        fresh[hit] = seen[pos[hit]] != uniq[hit]
+        seen = np.insert(seen, pos[fresh], uniq[fresh])
+        new = np.sort(first[fresh])
+        q, re0 = q[new], re0[new]
+        y_pt = y0 / q
+        s = 2.0 * y_pt * yc * ch - (y_pt - yc) ** 2
+        live = s >= 0.0
+        re0, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
+        lo = np.ceil(xc - w - re0)
+        hi = np.floor(xc + w - re0)
+        keep = hi >= lo
+        out.append((re0[keep], y_pt[keep], lo[keep].astype(np.int64),
+                    hi[keep].astype(np.int64)))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(CONES), POINT, st.floats(0.05, 6.0))
+# the radii of the default lattice run, about the cone point itself
+@example(CONES[0], CONES[0], 6.0)
+@example(CONES[0], CONES[0], 4.0)
+@example(CONES[0], CONES[0], 2.0)
+@example(CONES[0], CONES[0], 0.5)
+@example(CONES[1], CONES[1], 6.0)
+@example(CONES[2], CONES[2], 5.0)
+# centers near the cone points, and the center of the near-cone tests
+@example(CONES[0], ModelPoint(0.0, 1.000001), 3.0)
+@example(CONES[1], ModelPoint(-0.5, 0.866026), 3.0)
+@example(CONES[2], ModelPoint(0.5 - 1e-10, 0.866026), 3.0)
+@example(CONES[1], ModelPoint(0.17, 0.6), 1.5)
+# a center too high for the row (0, 1): no family at all
+@example(CONES[0], ModelPoint(0.0, 100.0), 1.0)
+def test_stabilizer_fold_matches_key_dedupe(X, center, tau):
+    center, _ = reduce_to_fundamental(center)
+    got = _family_windows(X, center, tau)
+    want = _family_windows_by_keys(X, center, tau)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def _family_key(row: tuple, n: int, m: int) -> tuple:
+    """Exact family key (4q, 4 q re0 mod 4q) of a row, in Python ints."""
+    c, d = row
+    _, a0, b0 = _ext_gcd(d, -c)  # a0 d - b0 c = 1
+    cn = c * n + 2 * d
+    q4 = cn * cn + c * c * m
+    return q4, ((a0 * n + 2 * b0) * cn + a0 * c * m) % q4
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+@example(1, 0)
+@example(1, 1)
+@example(1, -1)
+@example(2, 1)
+@example(2, -1)
+def test_stabilizer_images_share_the_family_key(c, d):
+    g = math.gcd(c, d)
+    c, d = c // g, d // g
+    for n, m, images in _CONE_POINTS.values():
+        key = _family_key((c, d), n, m)
+        for al, be, ga, de in images:
+            e, f = al * c + be * d, ga * c + de * d
+            image = (e, f) if (e, f) > (0, 0) else (-e, -f)
+            assert image != (c, d)
+            assert _family_key(image, n, m) == key
+
+
+@pytest.mark.parametrize("X, order", [(CONES[0], 2), (CONES[1], 3),
+                                      (CONES[2], 3)])
+def test_bezout_runs_only_on_folded_rows(monkeypatch, X, order):
+    # each family has `order` coprime rows, and only its first reaches
+    # _bezout; (0, 1) needs none
+    sizes = []
+
+    def bezout(d, c):
+        sizes.append(d.size)
+        return _bezout(d, c)
+
+    monkeypatch.setattr(lattice, "_bezout", bezout)
+    counters = collections.Counter()
+    orbit_count(X, X, 6.0, counters)
+    rows = counters["lattice.coprime_rows"]
+    assert rows > lattice.ROW_BLOCK
+    assert 0 < sum(sizes) <= -(-rows // order) + 1
