@@ -116,9 +116,10 @@ def _echo(config: ExperimentConfig) -> dict:
 
 def run_count(config: ExperimentConfig) -> CountReport:
     grid = config.params["r_grid"]
+    counters = Counter()
     # one enumeration at the largest radius; radius r keeps the traces up
     # to 2 cosh r, the cap enumerate_classes(r) would prune at
-    traces = [g.trace for g in enumerate_classes(max(grid))]
+    traces = enumerate_classes(max(grid), counters=counters).trace
     rows = []
     ratios = []
     for r in grid:
@@ -135,7 +136,7 @@ def run_count(config: ExperimentConfig) -> CountReport:
         title="closed-class counts against e^{2R}/(2R)",
         params=_echo(config),
         columns=COLUMNS["count"],
-        rows=rows, derived=derived)
+        rows=rows, derived=derived, counters=dict(counters))
 
 
 def run_thin(config: ExperimentConfig) -> CountReport:
@@ -331,10 +332,10 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
 
 def run_veech(config: ExperimentConfig) -> CountReport:
     p = config.params
-    classes = enumerate_classes(p["max_length"])
     counters = Counter()
+    classes = enumerate_classes(p["max_length"], counters=counters)
     mins = min_systole_batch(classes, step=p["step"], counters=counters)
-    lengths = np.array([c.length for c in classes])
+    lengths = classes.length
     slope = ls_slope(lengths, np.log(mins))[0]
     eps0 = float(np.min(mins * np.exp(GROWTH * lengths)))
     floor = eps0 * np.exp(-GROWTH * lengths) * (1.0 - 1e-9)
@@ -381,13 +382,14 @@ def run_recurrence(config: ExperimentConfig) -> CountReport:
 def run_assemble(config: ExperimentConfig) -> CountReport:
     p = config.params
     r, nb = p["r"], p["bands"]
-    classes = enumerate_classes(r)
-    lengths = [c.length for c in classes]
+    counters = Counter()
+    classes = enumerate_classes(r, counters=counters)
+    lengths = classes.length
     edges = [r * k / nb for k in range(nb + 1)]
     bands = []
     rows = []
     for lo, hi in zip(edges, edges[1:]):
-        cnt = sum(1 for v in lengths if lo < v <= hi)
+        cnt = int(np.count_nonzero((lengths > lo) & (lengths <= hi)))
         bands.append((lo, hi, cnt))
         rows.append((lo, hi, cnt, "none", "yes"))
     asm = telescoping_assembly(bands)
@@ -403,7 +405,7 @@ def run_assemble(config: ExperimentConfig) -> CountReport:
         title="band counts reassembled into the full total",
         params=_echo(config),
         columns=COLUMNS["assemble"],
-        rows=rows, derived=derived)
+        rows=rows, derived=derived, counters=dict(counters))
 
 
 RUNNERS = {

@@ -6,7 +6,10 @@ R = [[1,0],[1,1]] and L = [[1,1],[0,1]], all exponents at least 1, unique
 up to rotation by whole (R, L) syllable pairs.  The exponent tuple in its
 lexicographically least pair rotation is the canonical label used
 throughout the package.  enumerate_classes generates these least
-rotations (necklaces over the pair alphabet) directly, one per class.
+rotations (necklaces over the pair alphabet) directly, one per class,
+one word length at a time in numpy, and returns them as a ClassTable:
+columns of traces, lengths, matrix entries and zero-padded words, from
+which GeodesicClass rows are built only on demand.
 
 Translation length in the Teichmueller metric is arccosh(trace / 2), half
 the hyperbolic translation length.  Closed-geodesic counts grow like
@@ -16,7 +19,8 @@ e^{2R} / (2R), which the counting tests exercise.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .torus import systole_values
 # and is out of desk-scale budget.
 MAX_ENUM_LENGTH = 7.5
 _EXACT_INT64 = 2 ** 62  # |a|, |d| below this keep a - d exact in int64
+_MAX_TRACE_CAP = 2 ** 31  # entries below this keep products of two in int64
 
 
 def teich_length_from_trace(trace) -> float:
@@ -85,8 +90,8 @@ class GeodesicClass(NamedTuple):
     """A conjugacy class: canonical exponents, trace, Teichmueller length,
     and the entries (a, b, c, d) of the matrix of the canonical word.
 
-    A named tuple: immutable, compared field by field, and cheap to build
-    for the tens of thousands of classes one enumeration emits.
+    A named tuple: immutable and compared field by field.  A ClassTable
+    builds one per row only when the row is indexed or iterated.
     """
 
     exps: tuple
@@ -106,71 +111,171 @@ class GeodesicClass(NamedTuple):
         return MappingClass(*self.entries)
 
 
-def _necklaces(trace_cap: float, primitive_only: bool) -> list:
+class ClassTable(Sequence):
+    """Conjugacy classes as columns, one row per class.
+
+    - trace: int64 (N,)
+    - length: float64 (N,), the Teichmueller length arccosh(trace / 2)
+    - entries: int64 (N, 4), the matrix (a, b, c, d) of the canonical word
+    - words: int64 (N, W), the canonical exps, zero-padded to the longest
+    - sizes: int64 (N,), the number of exps of each word
+
+    Indexing and iteration build a GeodesicClass per row on demand; bulk
+    consumers read the columns and build no per-class objects.  Entries
+    must lie inside +-2^62, where a - d stays exact in int64.
+    """
+
+    __slots__ = ("trace", "length", "entries", "words", "sizes")
+
+    def __init__(self, trace, length, entries, words, sizes):
+        if entries.size and not (-_EXACT_INT64 < entries.min()
+                                 and entries.max() < _EXACT_INT64):
+            raise OverflowError("matrix entries beyond 2^62 would make a - d inexact")
+        self.trace, self.length, self.entries = trace, length, entries
+        self.words, self.sizes = words, sizes
+
+    @classmethod
+    def sorted_by_trace(cls, classes: Sequence[GeodesicClass]) -> tuple:
+        """The classes as a table in stable trace order, and the position
+        in classes of each of its rows."""
+        width = max((len(g.exps) for g in classes), default=0)
+        words = np.zeros((len(classes), width), dtype=np.int64)
+        for row, g in zip(words, classes):
+            row[:len(g.exps)] = g.exps
+        trace = np.array([g.trace for g in classes], dtype=np.int64)
+        order = np.argsort(trace, kind="stable")
+        table = cls(trace[order],
+                    np.array([g.length for g in classes], dtype=float)[order],
+                    np.array([g.entries for g in classes],
+                             dtype=np.int64).reshape(-1, 4)[order],
+                    words[order],
+                    np.array([len(g.exps) for g in classes], dtype=np.int64)[order])
+        return table, order
+
+    def __len__(self) -> int:
+        return len(self.trace)
+
+    def __getitem__(self, i) -> GeodesicClass:
+        i = range(len(self))[i]  # IndexError and negative indices as a list's
+        return GeodesicClass(tuple(self.words[i, :self.sizes[i]].tolist()),
+                             int(self.trace[i]), float(self.length[i]),
+                             tuple(self.entries[i].tolist()))
+
+    def __iter__(self):
+        for w, n, t, ln, e in zip(self.words.tolist(), self.sizes.tolist(),
+                                  self.trace.tolist(), self.length.tolist(),
+                                  self.entries.tolist()):
+            yield GeodesicClass(tuple(w[:n]), t, ln, tuple(e))
+
+
+def _necklace_table(trace_cap: float, primitive_only: bool,
+                    counters=None) -> ClassTable:
     """The class of every pair necklace with trace <= trace_cap.
 
     Fredricksen-Kessler-Maiorana generation over (a, b) syllable pairs in
-    lexicographic order: a prenecklace of t pairs with period p extends
-    only by a pair >= its pair t - p, and is a necklace (a least rotation)
-    exactly when p divides t, a Lyndon word (primitive) when p == t.
-    Appending a pair and raising either exponent both strictly increase
-    the trace, so pruning at the cap is exact.  Classes come out in
-    pre-order of the lexicographic tree, so their exps strictly increase.
+    lexicographic order, one word length at a time.  A prenecklace of t
+    pairs with period p extends only by a pair >= its reference pair
+    t - p, and the child is a necklace (a least rotation) exactly when its
+    period divides t + 1, a Lyndon word (primitive) when it is t + 1.
+    The child's period stays p if it appended the reference pair and
+    becomes t + 1 otherwise.  With C = floor(trace_cap), the child by
+    (a, b) of the matrix m has trace
+    m00 + m11 + m01 a + b (m10 + m11 a) <= C, so for each a its b run
+    from 1 (or the reference b, at the reference a) up to
+    (C - m00 - m11 - m01 a) // (m10 + m11 a), and a runs up to
+    (C - m00 - m11 - m10) // (m01 + m11): every child of a level comes
+    from two np.repeat expansions.  Every entry is at most C, so products
+    of two stay in int64 while C < 2^31.
+
+    Rows come out sorted by (trace, exps): a zero-padded prefix sorts
+    before its extensions, as a tuple prefix does.  With a counters
+    mapping, adds the frontier rows expanded, the empty word included, to
+    'enum.prenecklaces'.
     """
-    out = []
-    word = []
-    acosh = math.acosh
+    cap = math.floor(trace_cap)
+    if cap >= _MAX_TRACE_CAP:
+        raise OverflowError(f"trace cap {trace_cap} would overflow int64 products")
+    m00, m01, m10, m11 = (np.array([v], dtype=np.int64) for v in (1, 0, 0, 1))
+    period = np.ones(1, dtype=np.int64)
+    ref_a, ref_b = period.copy(), period.copy()  # the empty word's: (1, 1)
+    words = np.zeros((1, 0), dtype=np.int64)
+    expanded = 0
+    found = []  # per length with any: (words, entries) of the emitted children
+    t = 0
+    while len(words):
+        expanded += len(words)
+        base = cap - m00 - m11
+        # a in [ref_a, a_max], one row per (parent, a)
+        n_a = np.maximum((base - m10) // (m01 + m11) - ref_a + 1, 0)
+        parent = np.repeat(np.arange(len(words)), n_a)
+        a = ref_a[parent] + _ramp(n_a)
+        # b in [b_lo, b_max], one row per child
+        b_lo = np.where(a == ref_a[parent], ref_b[parent], 1)
+        b_max = (base[parent] - m01[parent] * a) // (m10[parent] + m11[parent] * a)
+        n_b = np.maximum(b_max - b_lo + 1, 0)
+        parent, a = np.repeat(parent, n_b), np.repeat(a, n_b)
+        b = np.repeat(b_lo, n_b) + _ramp(n_b)
+        t += 1
+        at_ref = (a == ref_a[parent]) & (b == ref_b[parent])
+        period = np.where(at_ref, period[parent], t)
+        # m . R^a L^b = m . [[1, b], [a, ab+1]]
+        e = a * b + 1
+        p00, p01, p10, p11 = m00[parent], m01[parent], m10[parent], m11[parent]
+        m00, m01 = p00 + p01 * a, p00 * b + p01 * e
+        m10, m11 = p10 + p11 * a, p10 * b + p11 * e
+        words = np.concatenate([words[parent], a[:, None], b[:, None]], axis=1)
+        emit = period == t if primitive_only else t % period == 0
+        if emit.any():
+            found.append((words[emit],
+                          np.stack([m00, m01, m10, m11], axis=1)[emit]))
+        rows = np.arange(len(words))
+        ref_a = words[rows, 2 * (t - period)]
+        ref_b = words[rows, 2 * (t - period) + 1]
+    if counters is not None:
+        counters["enum.prenecklaces"] += expanded
+    n = sum(len(w) for w, _ in found)
+    words = np.zeros((n, max((w.shape[1] for w, _ in found), default=0)),
+                     dtype=np.int64)
+    sizes = np.empty(n, dtype=np.int64)
+    entries = np.empty((n, 4), dtype=np.int64)
+    lo = 0
+    for w, ent in found:
+        hi = lo + len(w)
+        words[lo:hi, :w.shape[1]] = w
+        sizes[lo:hi] = w.shape[1]
+        entries[lo:hi] = ent
+        lo = hi
+    trace = entries[:, 0] + entries[:, 3]
+    order = np.lexsort((*words.T[::-1], trace))
+    trace = trace[order]
+    # acosh(t / 2) once per distinct trace, teich_length_from_trace's
+    # value for t < 1e300
+    distinct, which = np.unique(trace, return_inverse=True)
+    length = np.array([math.acosh(v / 2.0) for v in distinct.tolist()])[which]
+    return ClassTable(trace, length, entries[order], words[order], sizes[order])
 
-    def rec(m00, m01, m10, m11, t, p):
-        if t:
-            ra, rb = word[2 * (t - p)], word[2 * (t - p) + 1]
-        else:
-            ra, rb = 1, 1
-        a, b = ra, rb
-        while True:
-            # m . R^a L^b = m . [[1, b], [a, ab+1]]
-            e = a * b + 1
-            tr = m00 + m01 * a + m10 * b + m11 * e
-            if tr > trace_cap:
-                if b == 1:
-                    break  # (a, 1) overflows, so does every larger pair
-                # (a, b > 1) overflows, but (a + 1, 1) may not
-                a, b = a + 1, 1
-                continue
-            q = p if a == ra and b == rb else t + 1
-            word.extend((a, b))
-            n00, n01 = m00 + m01 * a, m00 * b + m01 * e
-            n10, n11 = m10 + m11 * a, m10 * b + m11 * e
-            if q == t + 1 or (not primitive_only and (t + 1) % q == 0):
-                # acosh(tr / 2) is teich_length_from_trace(tr) for tr < 1e300
-                out.append(GeodesicClass(tuple(word), tr, acosh(tr / 2.0),
-                                         (n00, n01, n10, n11)))
-            rec(n00, n01, n10, n11, t + 1, q)
-            del word[-2:]
-            b += 1
 
-    rec(1, 0, 0, 1, 0, 1)
-    return out
+def _ramp(counts):
+    """0, 1, .., n - 1 for each n of counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def enumerate_classes(max_length: float, primitive_only: bool = True) -> list:
+def enumerate_classes(max_length: float, primitive_only: bool = True,
+                      counters=None) -> ClassTable:
     """All conjugacy classes with translation length <= max_length.
 
     Each class is generated once, directly in canonical form, so no
-    rotation is ever deduplicated; sorted by (trace, exps).  The
-    generator emits exps in increasing order, so a stable sort on the
-    trace alone gives that order.
+    rotation is ever deduplicated; rows sorted by (trace, exps).  With a
+    counters mapping, adds the prenecklaces expanded to
+    'enum.prenecklaces'.
     """
     if max_length > MAX_ENUM_LENGTH:
         raise ValueError(
             f"enumeration above length {MAX_ENUM_LENGTH} is out of budget; narrow the window"
         )
-    if max_length <= 0:
-        return []
-    trace_cap = 2.0 * math.cosh(max_length)
-    classes = _necklaces(trace_cap, primitive_only)
-    classes.sort(key=lambda g: g.trace)
-    return classes
+    # a cap of 2 admits no hyperbolic class
+    trace_cap = 2.0 * math.cosh(max_length) if max_length > 0 else 2.0
+    return _necklace_table(trace_cap, primitive_only, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +500,20 @@ def min_systole_along_axis(exps: Sequence[int], step: float = 0.02) -> float:
     return float(systole_values(x, y).min())
 
 
-def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
-                      chunk_points: int = 16384, counters=None) -> np.ndarray:
+def min_systole_batch(classes, step: float = 0.02, chunk_points: int = 16384,
+                      counters=None) -> np.ndarray:
     """Sampled axis-systole minimum per class, bit for bit what
     min_systole_along_axis gives for each class on its own.
 
+    classes is a ClassTable, whose rows are read as they stand, or
+    GeodesicClass rows in any order, which ClassTable.sorted_by_trace
+    puts into one; the minima come back in the order given.
+
     - One table per trace.  Classes of equal trace share the length, the
       sample count and so the sigma grid, so tanh and cosh are computed
-      once per distinct trace, and a class's samples are formed from the
-      table as c0 + r0 * tanh and r0 / cosh: the same floats through the
-      same elementwise operations.  A stable sort groups the classes by
-      trace, so their order does not matter.
+      once per run of equal traces, and a class's samples are formed
+      from the table as c0 + r0 * tanh and r0 / cosh: the same floats
+      through the same elementwise operations.
     - In-place blocks.  The classes of a trace go, at most chunk_points
       samples at a time (one class at least), into two reused buffers,
       sized at the default to stay in cache, and reduce_in_place reduces
@@ -419,31 +527,32 @@ def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
     'veech.axis_points' and the tanh/cosh tables built to
     'veech.trace_tables'.
     """
-    traces = [g.trace for g in classes]
-    order = sorted(range(len(classes)), key=traces.__getitem__)
-    srt = [classes[i] for i in order]
+    if isinstance(classes, ClassTable):
+        table, order = classes, None
+    else:
+        table, order = ClassTable.sorted_by_trace(classes)
     # _axis_circle's operations: a - d and t t - 4 exact in integers,
-    # each rounded to float once.  Entries inside +-2^62 keep a - d
-    # exact in int64.
-    ent = np.array([g.entries for g in srt], dtype=np.int64).reshape(-1, 4)
-    if ent.size and not (-_EXACT_INT64 < ent.min() and ent.max() < _EXACT_INT64):
-        raise OverflowError("matrix entries beyond 2^62 would make a - d inexact")
+    # each rounded to float once.  A ClassTable keeps its entries inside
+    # +-2^62, where a - d is exact in int64.
+    ent, trace = table.entries, table.trace
     two_c = 2.0 * ent[:, 2]
     c0 = (ent[:, 0] - ent[:, 3]) / two_c
-    r0 = np.empty(len(srt))  # sqrt(t t - 4) / (2 c), filled trace by trace
-    starts = [i for i in range(len(srt))
-              if i == 0 or srt[i].trace != srt[i - 1].trace]
-    ends = starts[1:] + [len(srt)]
-    halves = _axis_halves(np.array([srt[i].length for i in starts]), step)
-    points = int((halves + 1) @ np.subtract(ends, starts))
+    r0 = np.empty(len(table))  # sqrt(t t - 4) / (2 c), filled trace by trace
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = trace[1:] != trace[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(table))
+    halves = _axis_halves(table.length[starts], step)
+    points = int((halves + 1) @ (ends - starts))
     # the largest block: chunk_points samples, one longer class, or all
     size = min(max(chunk_points, int(halves.max(initial=0)) + 1), points)
     bx, by, work = np.empty(size), np.empty(size), ReductionWork(size)
-    mins = np.empty(len(srt))
-    for i0, i1, half in zip(starts, ends, halves):
-        t = srt[i0].trace
+    mins = np.empty(len(table))
+    for i0, i1, half, t, length in zip(
+            starts.tolist(), ends.tolist(), halves,
+            trace[starts].tolist(), table.length[starts].tolist()):
         r0[i0:i1] = math.sqrt(float(t * t - 4)) / two_c[i0:i1]
-        sigma = _axis_sigma(srt[i0].length, half)
+        sigma = _axis_sigma(length, half)
         tanh, cosh = np.tanh(sigma), np.cosh(sigma)
         n = sigma.size
         per = max(chunk_points // n, 1)
@@ -456,9 +565,11 @@ def min_systole_batch(classes: Sequence[GeodesicClass], step: float = 0.02,
             np.divide(r0[lo:hi, None], cosh, out=y)
             reduce_in_place(x.reshape(-1), y.reshape(-1), work=work)
             mins[lo:hi] = 1.0 / y.max(axis=1)
-    out = np.empty(len(srt))
-    out[order] = mins
     if counters is not None:
         counters["veech.axis_points"] += points
         counters["veech.trace_tables"] += len(starts)
+    if order is None:
+        return mins
+    out = np.empty(len(table))
+    out[order] = mins
     return out

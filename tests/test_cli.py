@@ -207,11 +207,23 @@ def test_walk_and_veech_footers():
     assert "# count.walk.reach_nodes = 627" in walk.to_text()
     assert "# count.walk.swept_points = 317" in walk.to_text()
     veech = run(build_config("veech", overrides={"max_length": "3"}))
-    # one tanh/cosh table per distinct trace among the 74 classes
-    assert veech.counters == {"veech.axis_points": 9440,
+    # one tanh/cosh table per distinct trace among the 74 classes, which
+    # the enumeration reaches through 79 prenecklaces
+    assert veech.counters == {"enum.prenecklaces": 79,
+                              "veech.axis_points": 9440,
                               "veech.trace_tables": 18}
     assert "# count.veech.axis_points = 9440" in veech.to_text()
     assert "# count.veech.trace_tables = 18" in veech.to_text()
+
+
+def test_enumerating_runs_count_the_prenecklaces_expanded():
+    # at R = 6 the generator expands 15,955 frontier rows, the empty word
+    # included, to emit the 14,904 primitive classes
+    for experiment in ("count", "assemble", "veech"):
+        report = run(build_config(experiment))
+        assert report.counters["enum.prenecklaces"] == 15955
+        assert "# count.enum.prenecklaces = 15955" in report.to_text()
+        assert "#" not in report.to_text(deterministic_only=True)
 
 
 def test_bias_verify_footers_count_the_quadrature_work():

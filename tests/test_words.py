@@ -7,12 +7,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodlab.halfplane import MappingClass
-from geodlab.words import (MAX_ENUM_LENGTH, GeodesicClass, _necklaces,
-                           axis_samples, canonical, classes_by_entry_search,
-                           conjugacy_word, enumerate_classes,
-                           is_primitive, min_systole_along_axis,
-                           min_systole_batch, teich_length_from_trace,
-                           word_to_matrix)
+from geodlab import words
+from geodlab.words import (MAX_ENUM_LENGTH, ClassTable, GeodesicClass,
+                           _necklace_table, axis_samples, canonical,
+                           classes_by_entry_search, conjugacy_word,
+                           enumerate_classes, is_primitive,
+                           min_systole_along_axis, min_systole_batch,
+                           teich_length_from_trace, word_to_matrix)
+
+
+def _necklaces_dfs(trace_cap: float, primitive_only: bool) -> tuple:
+    """Reference: the recursive depth-first generator of the same classes.
+
+    Fredricksen-Kessler-Maiorana generation over (a, b) syllable pairs in
+    lexicographic order: a prenecklace of t pairs with period p extends
+    only by a pair >= its pair t - p, and is a necklace (a least rotation)
+    exactly when p divides t, a Lyndon word (primitive) when p == t.
+    Appending a pair and raising either exponent both strictly increase
+    the trace, so pruning at the cap is exact.  Classes come out in
+    pre-order of the lexicographic tree, so their exps strictly increase,
+    and a stable sort by trace gives the (trace, exps) order.  Returns
+    the classes and the number of prenecklaces expanded, the empty word
+    included.
+    """
+    out = []
+    word = []
+    calls = [0]
+    acosh = math.acosh
+
+    def rec(m00, m01, m10, m11, t, p):
+        calls[0] += 1
+        if t:
+            ra, rb = word[2 * (t - p)], word[2 * (t - p) + 1]
+        else:
+            ra, rb = 1, 1
+        a, b = ra, rb
+        while True:
+            # m . R^a L^b = m . [[1, b], [a, ab+1]]
+            e = a * b + 1
+            tr = m00 + m01 * a + m10 * b + m11 * e
+            if tr > trace_cap:
+                if b == 1:
+                    break  # (a, 1) overflows, so does every larger pair
+                # (a, b > 1) overflows, but (a + 1, 1) may not
+                a, b = a + 1, 1
+                continue
+            q = p if a == ra and b == rb else t + 1
+            word.extend((a, b))
+            n00, n01 = m00 + m01 * a, m00 * b + m01 * e
+            n10, n11 = m10 + m11 * a, m10 * b + m11 * e
+            if q == t + 1 or (not primitive_only and (t + 1) % q == 0):
+                out.append(GeodesicClass(tuple(word), tr, acosh(tr / 2.0),
+                                         (n00, n01, n10, n11)))
+            rec(n00, n01, n10, n11, t + 1, q)
+            del word[-2:]
+            b += 1
+
+    rec(1, 0, 0, 1, 0, 1)
+    assert all(u.exps < v.exps for u, v in zip(out, out[1:]))
+    out.sort(key=lambda g: g.trace)
+    return out, calls[0]
 
 
 def test_length_from_trace():
@@ -53,8 +107,8 @@ def test_enumerate_counts_frozen():
 def test_enumerate_budget_guard():
     with pytest.raises(ValueError):
         enumerate_classes(MAX_ENUM_LENGTH + 0.1)
-    assert enumerate_classes(0.0) == []
-    assert enumerate_classes(-1.0) == []
+    assert len(enumerate_classes(0.0)) == 0
+    assert len(enumerate_classes(-1.0)) == 0
 
 
 def test_enumerate_respects_bound_and_canonical():
@@ -102,10 +156,52 @@ def test_enumerate_emits_each_class_once(primitive_only):
 
 @settings(deadline=None, max_examples=40)
 @given(st.floats(3.0, 2.0 * math.cosh(4.5)), st.booleans())
-def test_necklaces_emit_words_in_increasing_order(cap, primitive_only):
-    # the order enumerate_classes relies on to sort by trace alone
-    words = [g.exps for g in _necklaces(cap, primitive_only)]
-    assert all(u < v for u, v in zip(words, words[1:]))
+def test_table_equals_the_recursive_generator(cap, primitive_only):
+    # class by class: exps, trace, entries, and lengths to the bit
+    counters = Counter()
+    table = _necklace_table(cap, primitive_only, counters)
+    ref, calls = _necklaces_dfs(cap, primitive_only)
+    assert list(table) == ref
+    assert [g.length for g in table] == [g.length for g in ref]
+    assert counters == {"enum.prenecklaces": calls}
+    keys = [(g.trace, g.exps) for g in table]
+    assert all(u < v for u, v in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("primitive_only", [True, False])
+def test_table_equals_the_recursive_generator_at_r6(primitive_only):
+    counters = Counter()
+    table = enumerate_classes(6.0, primitive_only, counters=counters)
+    ref, calls = _necklaces_dfs(2.0 * math.cosh(6.0), primitive_only)
+    assert len(table) == len(ref) == (14904 if primitive_only else 14993)
+    assert list(table) == ref
+    assert table.length.tolist() == [g.length for g in ref]
+    assert table.entries.tolist() == [list(g.entries) for g in ref]
+    assert counters == {"enum.prenecklaces": calls} == {"enum.prenecklaces": 15955}
+
+
+def test_generator_refuses_caps_past_2_31_before_building_anything(monkeypatch):
+    # entries up to the cap multiply in int64; from 2^31 on they could
+    # leave it, so the cap is refused before numpy is touched
+    monkeypatch.setattr(words, "np", None)
+    for cap in (2.0 ** 31, 2.0 ** 31 + 0.5, 1e30):
+        with pytest.raises(OverflowError):
+            _necklace_table(cap, True)
+
+
+def test_class_table_rows():
+    table = enumerate_classes(3.0)
+    rows = list(table)
+    assert table[0] == rows[0] and table[-1] == rows[-1]
+    assert table[np.int64(5)] == rows[5]
+    with pytest.raises(IndexError):
+        table[len(table)]
+    # GeodesicClass rows in any order go into one table, stably by trace
+    rng = np.random.default_rng(3)
+    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    again, order = ClassTable.sorted_by_trace(shuffled)
+    assert list(again) == sorted(shuffled, key=lambda g: g.trace)
+    assert [shuffled[i] for i in order] == list(again)
 
 
 def test_geodesic_class_from_exps():
