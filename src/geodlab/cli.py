@@ -222,7 +222,8 @@ def run_walk(config: ExperimentConfig) -> CountReport:
                         "walk.reach_nodes":
                             net.reach(base, tau, steps).node_count})
     # only the per-step totals are kept, so each DP's arrays go with it
-    per_all = count_trajectories(net, base, tau, steps).per_step
+    per_all = count_trajectories(net, base, tau, steps,
+                                 counters=counters).per_step
     per_thin = count_trajectories(net, base, tau, steps, thin_delta=delta,
                                   counters=counters).per_step
     radii = [tau * (k + 1) for k in range(steps)]

@@ -23,7 +23,7 @@ import numpy as np
 from .halfplane import (BOUNDARY_TOL, TOTAL_FRAME_MEASURE, MappingClass,
                         ModelPoint, hyp_ball_area, reduce_points)
 from .torus import systole_values
-from .words import axis_samples, conjugacy_word, teich_length_from_trace
+from .words import conjugacy_word, teich_length_from_trace
 
 YMAX = 1e3
 MAX_CENSUS_TIME = 5.0
@@ -259,15 +259,11 @@ def closing_constants(box: Box, t: float):
 
 @dataclass(frozen=True)
 class CensusComponent:
-    deck: tuple
     word: str
     trace: int
     length: float
     events: int
-    est_measure: float
     axis_dist: float
-    axis_min_systole: float
-    thick_time_fraction: float
 
 
 @dataclass
@@ -306,15 +302,12 @@ class FlowCensus:
         return max((c.axis_dist for c in self.components), default=0.0)
 
 
-def margulis_count(box: Box, t: float, n: int, rng,
-                   delta_thick: float | None = None) -> FlowCensus:
+def margulis_count(box: Box, t: float, n: int, rng) -> FlowCensus:
     """Census of flow-and-return events through the box at flow time t.
 
     Each event yields the integer deck element closing the orbit; events
     are grouped by that element (trace sign normalized), and every group
     is certified: hyperbolic, length near t, axis near the box center.
-    An optional delta_thick keeps only regular components, those whose
-    closed orbit spends at least half its time with systole >= delta_thick.
     """
     if not (0.0 < t <= MAX_CENSUS_TIME):
         raise ValueError(f"census flow time must lie in (0, {MAX_CENSUS_TIME}]")
@@ -341,23 +334,13 @@ def margulis_count(box: Box, t: float, n: int, rng,
             continue
         length = teich_length_from_trace(float(tr))
         exps = conjugacy_word(MappingClass(*key))
-        _, ax, ay = axis_samples(exps)
-        sysv = systole_values(ax, ay)
-        thick = (float((sysv >= delta_thick).mean())
-                 if delta_thick is not None else 1.0)
         comps.append(CensusComponent(
-            deck=key,
             word=",".join(str(e) for e in exps),
             trace=tr,
             length=length,
             events=cnt,
-            est_measure=cnt / n * TOTAL_FRAME_MEASURE,
             axis_dist=axis_distance(key, box.center),
-            axis_min_systole=float(sysv.min()),
-            thick_time_fraction=thick,
         ))
-    if delta_thick is not None:
-        comps = [c for c in comps if c.thick_time_fraction >= 0.5]
     comps.sort(key=lambda c: (-c.events, c.trace, c.word))
     if len(comps) < 10:
         warnings.warn("census found fewer than 10 components; "

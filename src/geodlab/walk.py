@@ -21,13 +21,18 @@ a row once, since the reduced point at -x is the mirror of the one at x.
 
 The DP runs on the reach of the net: each row clipped to the nodes its
 span recurrence (_span_step) can make nonzero at some step, so counts,
-snapshots, thin masks and return masks all have the reach's size.  The
-recurrence runs once, on the whole net, and every DP on the same (base,
-tau, n_steps) reuses its spans.  A step reads only the source spans and
-evaluates only the target nodes they can reach, in DP_CHUNK pieces, and
-with a thin delta only the nodes the mask keeps.  Every skipped node
-would add exactly zero, so counts, snapshots and per-step totals are
-those of the full-row DP.
+snapshots, thin masks and return masks all have the reach's size.  For
+a near-tangent row pair, whose x bound is below half the source spacing,
+a source span's target range is clipped to the first and last target
+whose window holds a source node (_reach): most targets of such a pair
+fall between two source nodes, and a range of them would widen the
+spans of every later step.  The recurrence runs once, on the whole net,
+and every DP on the same (base, tau, n_steps) reuses its spans.  A step
+reads only the source spans and evaluates only the target nodes they
+can reach, in DP_CHUNK pieces, and with a thin delta only the nodes the
+mask keeps.
+Every skipped node would add exactly zero, so counts, snapshots and
+per-step totals are those of the full-row DP.
 
 Public distances (tau, c1, c2, radii) are in the model metric, half the
 hyperbolic one.  Row algebra runs in hyperbolic units internally.
@@ -485,6 +490,12 @@ def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
     so an empty window at node t0 - 1 that ends before rs clears every
     node before it, and one at t1 + 1 that starts past rs every node
     after it.  A side that fails the proof falls back to the row's end.
+
+    When 2 w is below the source spacing, as for near-tangent rows, a
+    window holds at most one source node and most targets of the range
+    fall between two of them.  The range is then clipped to its first
+    and last target with a nonempty window, found by _windows itself,
+    DP_CHUNK targets at a time.
     """
     t0 = max(math.ceil((rs.j_lo * rs.s - w) / rt.s) - 1 - rt.j_lo, 0)
     t1 = min(math.floor((rs.j_hi * rs.s + w) / rt.s) + 1 - rt.j_lo,
@@ -494,6 +505,15 @@ def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
         t0 = 0
     if t1 < rt.n - 1 and lo[1] < rs.n:
         t1 = rt.n - 1
+    if 2.0 * w < rs.s:
+        met = []
+        for c0 in range(t0, t1 + 1, DP_CHUNK):
+            jt = np.arange(c0, min(c0 + DP_CHUNK, t1 + 1)) + rt.j_lo
+            lo, hi = _windows(rs, rt, w, jt)
+            nz = np.flatnonzero(hi > lo)
+            if nz.size:
+                met += [c0 + int(nz[0]), c0 + int(nz[-1])]
+        t0, t1 = (met[0], met[-1]) if met else (0, -1)
     return t0, t1
 
 
@@ -562,6 +582,7 @@ def _add_window_sums(out, pref, rs: NetRow, rt: NetRow, w: float,
 
     Only the nodes that live keeps are evaluated (all of them when live
     is None), DP_CHUNK at a time, so no temporary is longer than a chunk.
+    Returns the number of target nodes evaluated.
     """
     if live is not None:
         live = live[np.searchsorted(live, t0):
@@ -576,6 +597,7 @@ def _add_window_sums(out, pref, rs: NetRow, rt: NetRow, w: float,
             jt = part + rt.j_lo
         lo, hi = _windows(rs, rt, w, jt)
         out[part] += pref[hi] - pref[lo]
+    return n
 
 
 def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
@@ -595,8 +617,9 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
     window sums only into the target nodes the span can reach (_reach)
     that the thin mask keeps.  The thin mask comes from the reach net's
     cache, so it costs a systole sweep only the first time a delta is
-    seen; counters goes to that sweep.  node_budget bounds the net the
-    caller passes.
+    seen; counters goes to that sweep, and 'walk.window_targets' in it
+    gains the target nodes whose window sums the DP evaluated, over all
+    steps.  node_budget bounds the net the caller passes.
 
     The counts are those of the DP on the whole net, node for node
     inside the reach and zero outside it:
@@ -630,6 +653,7 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
             c *= m
     per_step = [_exact_total(counts, spans)]
     snapshots = [counts] if keep_steps else None
+    evaluated = 0
     for moves, new_spans in steps:
         new = [np.zeros(r.n) for r in rows]
         for si, rs, hits in moves:
@@ -638,13 +662,15 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
             pref = np.zeros(rs.n + 1)
             np.cumsum(counts[si][a:b + 1], out=pref[1:])
             for ti, w, t0, t1 in hits:
-                _add_window_sums(new[ti], pref, rs, rows[ti], w, t0, t1,
-                                 live[ti])
+                evaluated += _add_window_sums(new[ti], pref, rs, rows[ti], w,
+                                              t0, t1, live[ti])
             del pref  # before the next source row builds its own
         counts, spans = new, new_spans
         per_step.append(_exact_total(counts, spans))
         if keep_steps:
             snapshots.append(counts)
+    if counters is not None:
+        counters["walk.window_targets"] += evaluated
     return TrajectoryFamily(net=net, base=base, tau=tau, n_steps=n_steps,
                             thin_delta=thin_delta, per_step=tuple(per_step),
                             node_counts=counts, step_snapshots=snapshots)

@@ -180,32 +180,39 @@ def test_thin_footer_counts_one_sweep_per_net():
     assert report.counters == {"walk.row_net_nodes": 2259155,
                                "walk.reach_nodes": 47037,
                                "walk.swept_points": 23524,
+                               "walk.window_targets": 24345,
                                "walk.systole_sweeps": 1,
                                "walk.return_mask_sweeps": 1}
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
     assert "# count.walk.row_net_nodes = 2259155" in footer
     assert "# count.walk.reach_nodes = 47037" in footer
     assert "# count.walk.swept_points = 23524" in footer
+    assert "# count.walk.window_targets = 24345" in footer
     assert "# count.walk.systole_sweeps = 1" in footer
     assert "# count.walk.return_mask_sweeps = 1" in footer
     assert "#" not in report.to_text(deterministic_only=True)
 
 
 def test_walk_and_veech_footers():
-    # at default config the DP reaches 595,018 of the net's nodes, and the
-    # reach is symmetric about x = 0, so the sweep reduces half of them
+    # at default config the DP reaches 17,392 of the net's nodes, and the
+    # reach is symmetric about x = 0, so the sweep reduces half of them;
+    # the two DPs evaluate the window sums of 24,656 target nodes in all
     default = run(build_config("walk"))
     assert default.counters == {"walk.row_net_nodes": 6149498,
-                                "walk.reach_nodes": 595018,
-                                "walk.swept_points": 297515,
+                                "walk.reach_nodes": 17392,
+                                "walk.swept_points": 8702,
+                                "walk.window_targets": 24656,
                                 "walk.systole_sweeps": 1}
+    assert "# count.walk.window_targets = 24656" in default.to_text()
     walk = run(build_config("walk", overrides={"tau": "1.5", "steps": "3"}))
     assert walk.counters == {"walk.row_net_nodes": 3755,
                              "walk.reach_nodes": 627,
                              "walk.swept_points": 317,
+                             "walk.window_targets": 927,
                              "walk.systole_sweeps": 1}
     assert "# count.walk.reach_nodes = 627" in walk.to_text()
     assert "# count.walk.swept_points = 317" in walk.to_text()
+    assert "#" not in default.to_text(deterministic_only=True)
     veech = run(build_config("veech", overrides={"max_length": "3"}))
     # one tanh/cosh table per distinct trace among the 74 classes, which
     # the enumeration reaches through 79 prenecklaces

@@ -145,19 +145,6 @@ def test_census_ladder_frozen():
         assert census.frac_within(3.0) >= 0.8
 
 
-def test_census_regular_filter():
-    box = default_box()
-    kept = []
-    for t, n, seed in ((3.0, 32000, 11), (4.0, 236449, 12),
-                       (5.0, 1747292, 13)):
-        census = margulis_count(box, t, n, np.random.default_rng(seed),
-                                delta_thick=0.1)
-        kept.append(census.component_count)
-        for c in census.components:
-            assert c.thick_time_fraction >= 0.5
-    assert kept == [15, 59, 400]
-
-
 def test_axis_distance_on_and_off_axis():
     m = word_to_matrix((1, 1))
     tr = m.trace

@@ -292,15 +292,29 @@ ROW_END = st.integers(-300, 300)
 
 @settings(deadline=None, max_examples=200)
 @given(ROW_END, ROW_END, st.floats(1e-3, 10.0), ROW_END, ROW_END,
-       st.floats(1e-3, 10.0), st.floats(1e-4, 50.0))
-def test_reach_covers_every_nonempty_window(a0, a1, ss, b0, b1, st_, w):
+       st.floats(1e-3, 10.0), st.floats(1e-4, 50.0),
+       st.sampled_from([1, 3, 64, walk.DP_CHUNK]))
+# one source node at x = 10 and targets at x = 6, 9, 12: the row ends
+# prove targets 9 and 12, and neither window holds the source node
+@example(1, 1, 10.0, 2, 4, 3.0, 0.5, 1)
+def test_reach_covers_every_nonempty_window(a0, a1, ss, b0, b1, st_, w,
+                                            chunk):
     rs = NetRow(0, 1.0, ss, min(a0, a1), max(a0, a1))
     rt = NetRow(0, 1.0, st_, min(b0, b1), max(b0, b1))
-    t0, t1 = _reach(rs, rt, w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk, "DP_CHUNK", chunk)  # so the scan crosses chunks
+        t0, t1 = _reach(rs, rt, w)
     lo, hi = _windows(rs, rt, w, np.arange(rt.j_lo, rt.j_hi + 1))
     met = np.flatnonzero(hi > lo)
     # every target whose window holds a source node lies in t0..t1
     assert met.size == 0 or t0 <= met[0] and met[-1] <= t1
+    if 2.0 * w < ss:
+        # and for near-tangent rows the range is tight: both ends have a
+        # nonempty window, or the range is empty and so is every window
+        if met.size:
+            assert (t0, t1) == (met[0], met[-1])
+        else:
+            assert t0 > t1
 
 
 def _full_row_dp(net, base, tau, n_steps, thin_delta):
@@ -356,6 +370,11 @@ def _full_row_dp(net, base, tau, n_steps, thin_delta):
        st.sampled_from([1, 2, 3, 7]))
 @example(5.0, 0.0, 5.0, 1.5, 3, 0.2, 2)
 @example(5.0, 0.0, 5.0, 1.5, 3, None, 3)
+# near-tangent row pairs (2 w below the source spacing): _reach clips
+# their ranges to the nonempty windows, which shrinks this reach from 88
+# nodes to 15, and in the second net empties some ranges altogether
+@example(8.0, 0.0, 1.0, 1.0, 3, None, 2)
+@example(8.0, 0.37, 1.0, 1.0, 4, 0.3, 3)
 def test_chunked_dp_matches_full_row_dp(anchor, cx, cy, tau, n_steps,
                                         thin_delta, chunk):
     center = ModelPoint(cx, cy)
@@ -411,16 +430,37 @@ def test_span_recurrence_runs_once_per_step(monkeypatch):
     assert thin.per_step == (2.0, 8.0, 37.0)
 
 
+def test_walk_default_reach_is_the_nonzero_nodes_and_little_more():
+    # walk's unmasked DP at default config keeps the whole net's totals,
+    # so the reach holds every node nonzero at some step, and few others
+    net = build_row_net(20.0, ModelPoint(0.0, 1.0), 8.0)
+    fam = count_trajectories(net, ModelPoint(0.0, 1.0), 2.0, 4,
+                             keep_steps=True)
+    assert fam.net is net.reach(ModelPoint(0.0, 1.0), 2.0, 4)
+    assert fam.per_step == (34.0, 836.0, 20611.0, 508222.0)
+    nonzero = sum(int(np.logical_or.reduce([s[i] != 0 for s in
+                                            fam.step_snapshots]).sum())
+                  for i in range(len(fam.net.rows)))
+    assert nonzero == 16602
+    assert fam.net.node_count == 17392
+
+
 def test_dp_peak_memory_is_two_count_arrays_and_one_prefix():
     # walk's default net: the DP holds this step's and the next step's
     # counts on the reach (8 bytes a node each), one source prefix sum at
-    # a time, and temporaries no longer than a chunk
+    # a time, and the temporaries of one chunk of _add_window_sums.  Those
+    # are at most six 8-byte arrays as long as the chunk: jt, _windows' x
+    # and its two live ends (with two scratch arrays while it clips), and
+    # then pref[hi], pref[lo] and their difference next to jt, lo and hi.
+    # A chunk is a piece of one target row, so it is no longer than the
+    # longest row.
     net = build_row_net(20.0, ModelPoint(0.0, 1.0), 8.0)
     assert net.node_count == 6149498
     reach = net.reach(ModelPoint(0.0, 1.0), 2.0, 4)
     n = reach.node_count
-    assert n == 595018
-    bound = 16 * n + 8 * max(r.n for r in reach.rows)
+    assert n == 17392
+    longest = max(r.n for r in reach.rows)
+    bound = 16 * n + 8 * longest + 6 * 8 * min(walk.DP_CHUNK, longest)
     tracemalloc.start()
     try:
         count_trajectories(net, ModelPoint(0.0, 1.0), 2.0, 4)
