@@ -20,14 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import (BOUNDARY_TOL, TOTAL_FRAME_MEASURE, MappingClass,
-                        ModelPoint, hyp_ball_area, reduce_points)
+from .halfplane import (BOUNDARY_TOL, TOTAL_FRAME_MEASURE, ModelPoint,
+                        hyp_ball_area, reduce_points)
 from .torus import systole_values
-from .words import conjugacy_word, teich_length_from_trace
+from .words import teich_length_from_trace
 
 YMAX = 1e3
 MAX_CENSUS_TIME = 5.0
 MIN_MIXING_SAMPLES = 10_000
+MIXING_BATCHES = 20  # equal batches behind mixing_correlation's std error
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +205,7 @@ class MixingEstimate:
         return self.diff / self.std_error
 
 
-def mixing_correlation(box: Box, t: float, n: int, rng,
-                       batches: int = 20) -> MixingEstimate:
+def mixing_correlation(box: Box, t: float, n: int, rng) -> MixingEstimate:
     """Estimate the normalized correlation m(U, flow t back into U).
 
     Samples the box uniformly, flows, reduces, and re-tests membership;
@@ -214,15 +214,15 @@ def mixing_correlation(box: Box, t: float, n: int, rng,
     """
     if n < MIN_MIXING_SAMPLES:
         raise ValueError(f"need at least {MIN_MIXING_SAMPLES} samples")
-    if n % batches != 0:
+    if n % MIXING_BATCHES != 0:
         raise ValueError("sample count must split into equal batches")
     A = sample_box(box, n, rng)
     _, B = reduce_frames(flow(A, t))
     hit = in_box(box, B).astype(float)
     mu = box.fraction
     est = mu * float(hit.mean())
-    bm = mu * hit.reshape(batches, -1).mean(axis=1)
-    se = float(bm.std(ddof=1)) / math.sqrt(batches)
+    bm = mu * hit.reshape(MIXING_BATCHES, -1).mean(axis=1)
+    se = float(bm.std(ddof=1)) / math.sqrt(MIXING_BATCHES)
     return MixingEstimate(time=t, samples=n, estimate=est,
                           std_error=se, target=mu * mu)
 
@@ -259,7 +259,6 @@ def closing_constants(box: Box, t: float):
 
 @dataclass(frozen=True)
 class CensusComponent:
-    word: str
     trace: int
     length: float
     events: int
@@ -308,6 +307,7 @@ def margulis_count(box: Box, t: float, n: int, rng) -> FlowCensus:
     Each event yields the integer deck element closing the orbit; events
     are grouped by that element (trace sign normalized), and every group
     is certified: hyperbolic, length near t, axis near the box center.
+    An element whose determinant is not 1 raises ArithmeticError.
     """
     if not (0.0 < t <= MAX_CENSUS_TIME):
         raise ValueError(f"census flow time must lie in (0, {MAX_CENSUS_TIME}]")
@@ -328,20 +328,19 @@ def margulis_count(box: Box, t: float, n: int, rng) -> FlowCensus:
     comps = []
     nonhyp = 0
     for key, cnt in counts.items():
+        if key[0] * key[3] - key[1] * key[2] != 1:
+            raise ArithmeticError(f"deck {key} does not have determinant 1")
         tr = key[0] + key[3]
         if tr <= 2:
             nonhyp += cnt
             continue
         length = teich_length_from_trace(float(tr))
-        exps = conjugacy_word(MappingClass(*key))
         comps.append(CensusComponent(
-            word=",".join(str(e) for e in exps),
             trace=tr,
             length=length,
             events=cnt,
             axis_dist=axis_distance(key, box.center),
         ))
-    comps.sort(key=lambda c: (-c.events, c.trace, c.word))
     if len(comps) < 10:
         warnings.warn("census found fewer than 10 components; "
                       "increase the sample count or the flow time")

@@ -216,30 +216,28 @@ class ContractionCheck:
         return abs(self.estimate - self.exact) <= 3.0 * self.sigma + 1e-12
 
 
-def verify_contraction(j: int, tau: float, n: int, rng, s: float = 0.5,
-                       depth_log: float | None = None,
+def verify_contraction(j: int, tau: float, n: int, rng,
                        counters=None) -> ContractionCheck:
     """Monte Carlo ball average of the j-factor ratio against the quadrature.
 
     All j factors sit at the same representable depth; the ratio statistic
-    is a product of per-factor (Im z / Im X)^s terms, each bounded by
-    e^(2 s tau), so no bias thresholds enter the estimate at all.
+    is a product of per-factor (Im z / Im X)^(1/2) terms, each bounded by
+    e^tau, so no bias thresholds enter the estimate at all.
     """
     if n < 1000:
         raise ValueError("fewer than 1000 samples is rejected as meaningless")
     if j < 1:
         raise ValueError("need at least one factor")
-    if depth_log is None:
-        params = BiasParams.default(m=j, tau=tau)
-        depth_log = -params.log_eps_prime[j - 1] + 2.0 * tau + 2.0
+    params = BiasParams.default(m=j, tau=tau)
+    depth_log = -params.log_eps_prime[j - 1] + 2.0 * tau + 2.0
     depth_log = min(depth_log, 225.0)  # keep Im and its ball within float range
     y0 = math.exp(depth_log)
     stat = np.ones(n)
     center = ModelPoint(0.0, y0)
     for _ in range(j):
         _, y = sample_ball_arrays(center, tau, n, rng)
-        stat *= (y / y0) ** s
-    exact = contraction_ratio_exact(tau, s, counters) ** j
+        stat *= (y / y0) ** 0.5
+    exact = contraction_ratio_exact(tau, 0.5, counters) ** j
     est = float(stat.mean())
     sigma = float(stat.std(ddof=1) / math.sqrt(n))
     return ContractionCheck(tau=tau, factors=j, samples=n, exact=exact,

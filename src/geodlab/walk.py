@@ -372,8 +372,7 @@ class RowNet:
         return self._cache[key]
 
 
-def build_row_net(anchor: float, center: ModelPoint, radius: float,
-                  k_min: int | None = None) -> RowNet:
+def build_row_net(anchor: float, center: ModelPoint, radius: float) -> RowNet:
     """Rows of the net meeting the ball of the given model-metric radius."""
     if anchor <= 0.0:
         raise ValueError("anchor height must be positive")
@@ -384,8 +383,6 @@ def build_row_net(anchor: float, center: ModelPoint, radius: float,
     nu_a = math.log(anchor)
     k_lo = math.ceil((nu_c - rad_hyp - nu_a) / 2.0 - 1e-12)
     k_hi = math.floor((nu_c + rad_hyp - nu_a) / 2.0 + 1e-12)
-    if k_min is not None:
-        k_lo = max(k_lo, k_min)
     ch = math.cosh(rad_hyp) - 1.0
     rows = []
     for k in range(k_lo, k_hi + 1):
@@ -603,7 +600,6 @@ def _add_window_sums(out, pref, rs: NetRow, rt: NetRow, w: float,
 def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
                        n_steps: int, thin_delta: float | None = None,
                        keep_steps: bool = False,
-                       node_budget: int = NODE_BUDGET,
                        counters=None) -> TrajectoryFamily:
     """Exact DP counts of trajectories with step bound tau from the base.
 
@@ -619,7 +615,7 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
     cache, so it costs a systole sweep only the first time a delta is
     seen; counters goes to that sweep, and 'walk.window_targets' in it
     gains the target nodes whose window sums the DP evaluated, over all
-    steps.  node_budget bounds the net the caller passes.
+    steps.  NODE_BUDGET bounds the net the caller passes.
 
     The counts are those of the DP on the whole net, node for node
     inside the reach and zero outside it:
@@ -636,9 +632,9 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
       and difference is exact in any order, and the totals agree too.
     """
     nn = net.node_count
-    if nn > node_budget:
+    if nn > NODE_BUDGET:
         raise ResourceError(
-            f"row net has {nn} nodes, over the {node_budget} node budget")
+            f"row net has {nn} nodes, over the {NODE_BUDGET} node budget")
     net, spans, steps = net.reach_schedule(base, tau, n_steps)
     rows = net.rows
     mask = (net.thin_mask(thin_delta, counters) if thin_delta is not None

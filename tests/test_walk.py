@@ -72,8 +72,6 @@ def test_row_net_guards_and_kmin():
         build_row_net(0.0, ModelPoint(0, 1), 2.0)
     with pytest.raises(ValueError):
         build_row_net(1.0, ModelPoint(0, 1), 0.0)
-    clipped = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0, k_min=0)
-    assert min(r.k for r in clipped.rows) == 0
 
 
 def test_thin_mask_semantics():
@@ -240,16 +238,17 @@ def test_endpoint_counts_rejects_steps_outside_the_run():
             fam.almost_closed(0.5, step=step)
 
 
-def test_dp_guards():
+def test_dp_guards(monkeypatch):
     net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
     base = ModelPoint(0.0, 5.0)
     with pytest.raises(ValueError):
         count_trajectories(net, base, 1.5, 0)
     with pytest.raises(ValueError):
         count_trajectories(net, base, 0.0, 2)
+    monkeypatch.setattr(walk, "NODE_BUDGET", 10)
     with pytest.raises(ResourceError, match=r"^row net has 187 nodes, over "
                        r"the 10 node budget$"):
-        count_trajectories(net, base, 1.5, 2, node_budget=10)
+        count_trajectories(net, base, 1.5, 2)
 
 
 def test_dp_raises_where_float_counts_stop_being_exact(monkeypatch):

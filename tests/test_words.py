@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodlab.halfplane import MappingClass
 from geodlab import words
 from geodlab.words import (MAX_ENUM_LENGTH, ClassTable, GeodesicClass,
                            _necklace_table, axis_samples, canonical,
-                           classes_by_entry_search, conjugacy_word,
+                           classes_by_entry_search,
                            enumerate_classes, is_primitive,
                            min_systole_along_axis, min_systole_batch,
                            teich_length_from_trace, word_to_matrix)
@@ -210,45 +209,7 @@ def test_geodesic_class_from_exps():
     assert g.matrix.trace == g.trace
 
 
-def test_conjugacy_word_identifies_classes():
-    rng = np.random.default_rng(12)
-    classes = enumerate_classes(4.0)
-    picks = [classes[i] for i in rng.integers(0, len(classes), 25)]
-    conj = MappingClass(1, 3, 1, 4) * MappingClass(2, 1, 1, 1)
-    for g in picks:
-        m = g.matrix
-        w = conjugacy_word(conj * m * conj.inverse())
-        assert w == g.exps
-        w2 = conjugacy_word(m.inverse() * m * m)  # conjugation by m is trivial
-        assert w2 == g.exps
-
-
 _CLASSES_4 = enumerate_classes(4.0)
-_SL2Z_GENERATORS = (MappingClass(1, 1, 0, 1), MappingClass(1, -1, 0, 1),
-                    MappingClass(0, -1, 1, 0))
-
-
-@settings(deadline=None)
-@given(st.sampled_from(_CLASSES_4),
-       st.lists(st.sampled_from(_SL2Z_GENERATORS), max_size=16))
-def test_conjugacy_word_is_conjugation_invariant(g, gens):
-    conj = MappingClass.identity()
-    for s in gens:
-        conj = conj * s
-    assert conjugacy_word(conj * g.matrix * conj.inverse()) == g.exps
-
-
-def test_conjugacy_word_power_cap():
-    assert conjugacy_word(word_to_matrix((1, 1) * 65)) == (1, 1) * 65
-    with pytest.raises(ArithmeticError):
-        conjugacy_word(word_to_matrix((1, 1) * 66))
-
-
-def test_conjugacy_word_rejects_nonhyperbolic():
-    with pytest.raises(ValueError):
-        conjugacy_word(MappingClass(1, 1, 0, 1))
-    with pytest.raises(ValueError):
-        conjugacy_word(MappingClass.identity())
 
 
 def test_axis_samples_lie_on_axis_and_hit_apex():
