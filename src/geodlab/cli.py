@@ -16,6 +16,7 @@ and the report echoes that as workers = 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -26,8 +27,8 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; import it here, not inside a run
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, build_config
-from .flow import (Box, closing_constants, margulis_count, mixing_correlation,
-                   recurrence_fraction)
+from .flow import (closing_constants, margulis_count, measure_box,
+                   mixing_correlation, recurrence_fraction)
 from .halfplane import ModelPoint
 from .lattice import orbit_count, spread_count
 from .report import CountReport, fmt_value, ls_slope
@@ -208,13 +209,9 @@ def run_walk(config: ExperimentConfig) -> CountReport:
         rows=rows, derived=derived, counters=dict(counters))
 
 
-def _measure_box(fraction: float) -> Box:
-    return Box.with_measure(ModelPoint(0.0, 1.5), 0.15, math.pi / 2.0, fraction)
-
-
 def run_mix(config: ExperimentConfig) -> CountReport:
     p = config.params
-    box = _measure_box(p["fraction"])
+    box = measure_box(p["fraction"])
     est = mixing_correlation(box, p["time"], p["samples"],
                              worker_stream(config.seed, 0))
     rows = [(p["time"], est.estimate, est.target, est.std_error,
@@ -230,7 +227,7 @@ def run_mix(config: ExperimentConfig) -> CountReport:
 
 def run_close(config: ExperimentConfig) -> CountReport:
     p = config.params
-    box = _measure_box(p["fraction"])
+    box = measure_box(p["fraction"])
     grid = p["r_grid"]
     rows = []
     ratios = []
@@ -434,17 +431,16 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = run(config)
-    body = report.to_text()
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(body)
-        except OSError as exc:
-            print(f"output error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(body)
+    # open --out before the run, so a bad path fails without running it
+    try:
+        out = (open(args.out, "w") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:
+        report = run(config)
+        fh.write(report.to_text())
     if args.check:
         failed = any(row[-1] == "no" for row in report.rows)
         failed = failed or any(v == "no" for v in report.derived.values())

@@ -158,8 +158,10 @@ class Box:
         return hyp_ball_area(2.0 * self.radius) * self.dtheta / TOTAL_FRAME_MEASURE
 
 
-def default_box() -> Box:
-    return Box.with_measure(ModelPoint(0.0, 1.5), 0.15, math.pi / 2, 0.02)
+def measure_box(fraction: float) -> Box:
+    """The box of radius 0.15 around 1.5i, pointing up, holding the given
+    fraction of the frame measure: the box of mix and close."""
+    return Box.with_measure(ModelPoint(0.0, 1.5), 0.15, math.pi / 2, fraction)
 
 
 def in_box_coords(box: Box, x, y, th):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfplane import ModelPoint, reduce_to_fundamental
-from .torus import CurveClass, systole
+from .torus import extremal_length, systole
 
 MAX_ORBIT_RADIUS = 7.0
 # Bottom rows per block of _family_windows: bounds its row arrays.
@@ -263,10 +263,6 @@ def short_curves(z: ModelPoint) -> list:
     return [(c, l)] if l < SHORT_THRESHOLD else []
 
 
-def curve_length_arrays(curve: CurveClass, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return ((curve.p + curve.q * x) ** 2 + (curve.q * y) ** 2) / y
-
-
 @dataclass(frozen=True)
 class ChainAudit:
     X: ModelPoint
@@ -309,7 +305,7 @@ def chain_bound_audit(X: ModelPoint, Y: ModelPoint, tau: float) -> ChainAudit:
     d2 = tau - d1
     rates = (1, 2)
     pts1 = orbit_points(X, Y, d1)
-    shared = curve_length_arrays(curve, pts1.x, pts1.y) < SHORT_THRESHOLD
+    shared = extremal_length(curve, pts1.x, pts1.y) < SHORT_THRESHOLD
     n1 = int(np.count_nonzero(shared))
     n2 = orbit_count(X, Y, tau)
     b1 = math.exp(rates[0] * d1) * gx * gy

@@ -1,14 +1,13 @@
-"""Products of once-punctured tori and the ball-averaging inequalities.
+"""Ball averaging of the cusp weights and the averaged inequality system.
 
-The product of m factors carries the sup metric.  Its short curves are
-the factor systoles sorted ascending, and the bias pack assigns eps_i to
-the i-th shortest.  The bias functions and regions are evaluated here
-for every m; a bare model point is the one-factor case.  Deep in a cusp
-the systole is exactly 1/Im, so the average of the contraction ratio
-(l(X)/l(z))^s over a ball is an explicit two-dimensional integral; the
-Monte Carlo checks are compared against that quadrature, and the ladder
-inequalities are then verified pointwise with normalized statistics
-whose ratios never leave float range.
+A product of m once-punctured tori carries the sup metric, and deep in
+a cusp each factor's systole is exactly 1/Im, so the average of the
+contraction ratio (l(X)/l(z))^s over a ball is an explicit
+two-dimensional integral, raised to the m-th power for m factors; the
+Monte Carlo checks are compared against that quadrature.  The ladder
+inequalities are verified pointwise for one factor (m = 1), where the
+bias functions are f_1 = (eps_1 / l)^s and u = 1 + f_1, with normalized
+statistics whose ratios never leave float range.
 """
 
 from __future__ import annotations
@@ -24,97 +23,6 @@ import numpy as np
 
 from .halfplane import ModelPoint, sample_ball_arrays
 from .torus import BiasParams, systole, systole_values
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    factors: tuple
-
-    def __post_init__(self):
-        if not self.factors or not all(isinstance(f, ModelPoint) for f in self.factors):
-            raise ValueError("a product point is a nonempty tuple of model points")
-
-    @property
-    def m(self) -> int:
-        return len(self.factors)
-
-
-def sorted_lengths(X) -> tuple:
-    """Factor systoles in ascending order; a bare model point is one factor."""
-    factors = X.factors if isinstance(X, ProductPoint) else (X,)
-    return tuple(sorted(systole(f)[1] for f in factors))
-
-
-@dataclass(frozen=True)
-class BiasEvaluation:
-    """Sorted short-curve lengths and derived bias values at one point."""
-
-    lengths: tuple
-    log_f: tuple  # log f_0 .. log f_m
-    f: tuple      # f_0 .. f_m as floats (inf if out of range)
-    u: float
-    u_tail: tuple  # u_j = sum_{k >= j} f_k for j = 0 .. m
-    G: float
-
-
-def _exp_safe(v):
-    """exp, reading inf past 709 rather than overflowing."""
-    v = np.asarray(v)
-    return np.where(v > 709.0, np.inf, np.exp(np.minimum(v, 709.0)))
-
-
-def bias_terms(lengths, params: BiasParams):
-    """log f, f and the tails u_j from ascending short-curve lengths.
-
-    The last axis of lengths holds the m lengths of one point; the three
-    results hold m + 1 values there.  log f_0 = 0 and log f_i adds
-    s (log eps_i - log l_i) to log f_{i-1}; u_j sums f_j .. f_m.
-    """
-    lengths = np.asarray(lengths, dtype=float)
-    if lengths.ndim == 0 or lengths.shape[-1] != params.m:
-        raise ValueError(f"need {params.m} lengths per point, "
-                         f"got shape {lengths.shape}")
-    steps = params.s * (np.asarray(params.log_eps) - np.log(lengths))
-    log_f = np.concatenate((np.zeros(lengths.shape[:-1] + (1,)),
-                            np.cumsum(steps, axis=-1)), axis=-1)
-    f = _exp_safe(log_f)
-    return log_f, f, np.cumsum(f[..., ::-1], axis=-1)[..., ::-1]
-
-
-def _point_lengths(X, params: BiasParams) -> tuple:
-    lengths = sorted_lengths(X)
-    if len(lengths) != params.m:
-        raise ValueError(f"point has {len(lengths)} factors, "
-                         f"parameters expect {params.m}")
-    return lengths
-
-
-def bias_eval(X, params: BiasParams) -> BiasEvaluation:
-    """Bias values at a product point, or at a model point when m = 1."""
-    lengths = _point_lengths(X, params)
-    log_f, f, tails = bias_terms(lengths, params)
-    return BiasEvaluation(
-        lengths=lengths,
-        log_f=tuple(log_f.tolist()),
-        f=tuple(f.tolist()),
-        u=float(tails[0]),
-        u_tail=tuple(tails.tolist()),
-        G=math.prod(l ** -0.5 for l in lengths),
-    )
-
-
-def in_region_W(j: int, X, params: BiasParams) -> bool:
-    """True iff the (j+1)-th shortest length exceeds its ladder threshold.
-
-    For j = m there is no (m+1)-th curve and the region is everything.
-    Comparison happens in log space so it stays meaningful when the
-    threshold underflows floats.
-    """
-    if not (0 <= j <= params.m):
-        raise ValueError(f"region index must lie in [0, {params.m}]")
-    if j == params.m:
-        return True
-    return math.log(_point_lengths(X, params)[j]) > params.log_eps_prime[j]
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +192,14 @@ class InequalityReport:
 
 
 def classify_region(z: ModelPoint, params: BiasParams) -> int:
-    """Largest j with all of the first j lengths under their thresholds."""
+    """1 when the systole is at most the threshold eps'_1, else 0.
+
+    The comparison is made in log space, so it stays meaningful when the
+    threshold underflows floats.
+    """
     if params.m != 1:
         raise ValueError("pointwise verification is built for the m = 1 pack")
-    return 0 if in_region_W(0, z, params) else 1
+    return 0 if math.log(systole(z)[1]) > params.log_eps_prime[0] else 1
 
 
 def verify_system(params: BiasParams, centers, contraction_bound: float,
@@ -313,24 +225,23 @@ def verify_system(params: BiasParams, centers, contraction_bound: float,
             raise ValueError(
                 f"point {X.z} lies in region {j}, not declared region {declared_region}"
             )
-        evX = bias_eval(X, params)
+        lX = systole(X)[1]
+        f1 = float(np.exp(params.s * (params.log_eps[0] - np.log(lX))))
+        u = f1 + 1.0
         xs, ys = sample_ball_arrays(X, tau, n, rng)
         lz = systole_values(xs, ys)
         # ratio f1(z)/f1(X) without leaving float range
-        r1 = np.exp(params.s * (math.log(evX.lengths[0]) - np.log(lz)))
+        r1 = np.exp(params.s * (math.log(lX) - np.log(lz)))
+        ru = (1.0 + f1 * r1) / u
+        estu = float(ru.mean())
+        sigu = float(ru.std(ddof=1) / math.sqrt(n))
         if j == 1:
             est = float(r1.mean())
             sig = float(r1.std(ddof=1) / math.sqrt(n))
-            bound = c + (evX.u_tail[0] / evX.u_tail[1]) * inv2K
+            bound = c + (u / f1) * inv2K
             checks.append(PointCheck(X.x, X.y, 1, "u_tail", est, bound, sig))
-            ru = (1.0 + evX.f[1] * r1) / evX.u
-            estu = float(ru.mean())
-            sigu = float(ru.std(ddof=1) / math.sqrt(n))
-            boundu = c + inv2K + 1.0 / evX.u
+            boundu = c + inv2K + 1.0 / u
             checks.append(PointCheck(X.x, X.y, 1, "u", estu, boundu, sigu))
         else:
-            ru = (1.0 + evX.f[1] * r1) / evX.u
-            estu = float(ru.mean())
-            sigu = float(ru.std(ddof=1) / math.sqrt(n))
             checks.append(PointCheck(X.x, X.y, 0, "u", estu, c, sigu))
     return InequalityReport(contraction_bound=c, tau=tau, samples=n, checks=checks)

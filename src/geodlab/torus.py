@@ -5,8 +5,9 @@ on the torus of modulus z it is |p + qz|^2 / Im z, the squared flat
 length over the area.  The systole is its minimum over primitive classes.
 
 BiasParams is the parameter pack (s, tau, K, eps ladder) of the bias
-functions f_j = prod (eps_i / l_i)^s, u = sum f_j, the tail sums u_j and
-G = prod l_i^{-1/2}, which products evaluates.  Ladder values decay so
+functions f_j = prod (eps_i / l_i)^s and u = sum f_j on a product of m
+tori.  products reads its ladder depth for the m-factor contraction
+check and evaluates f_1 and u for one factor.  Ladder values decay so
 fast that they are stored as logarithms; everything that consumes them
 works in log space and only exponentiates quantities that are
 representable.
@@ -53,8 +54,9 @@ class CurveClass:
         return CurveClass(p, q)
 
 
-def extremal_length(curve: CurveClass, z: ModelPoint) -> float:
-    return ((curve.p + curve.q * z.x) ** 2 + (curve.q * z.y) ** 2) / z.y
+def extremal_length(curve: CurveClass, x, y):
+    """Extremal length of the curve at x + iy; x and y may be arrays."""
+    return ((curve.p + curve.q * x) ** 2 + (curve.q * y) ** 2) / y
 
 
 def systole(z: ModelPoint) -> tuple[CurveClass, float]:
@@ -128,8 +130,3 @@ class BiasParams:
         for i in range(self.m - 1):
             if self.log_eps[i] >= self.log_eps[i + 1] - step:
                 raise ValueError(f"eps ladder violated between rungs {i + 1} and {i + 2}")
-
-    def eps(self, j: int) -> float:
-        """eps_j as a float; underflows to 0.0 below float range."""
-        le = self.log_eps[j - 1]
-        return math.exp(le) if le > -700.0 else 0.0

@@ -430,10 +430,6 @@ class TrajectoryFamily:
     node_counts: list
     step_snapshots: list | None = None
 
-    @property
-    def total(self) -> float:
-        return self.per_step[-1]
-
     def endpoint_counts(self, step: int | None = None) -> list:
         if step is not None and not 1 <= step <= self.n_steps:
             raise ValueError(f"step must lie in 1..{self.n_steps}")

@@ -106,10 +106,6 @@ class GeodesicClass(NamedTuple):
         return GeodesicClass(c, m.trace, teich_length_from_trace(m.trace),
                              m.entries())
 
-    @property
-    def matrix(self) -> MappingClass:
-        return MappingClass(*self.entries)
-
 
 class ClassTable(Sequence):
     """Conjugacy classes as columns, one row per class.

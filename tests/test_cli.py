@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodlab import cli
 from geodlab.cli import COLUMNS, RUNNERS, main, run, worker_stream
 from geodlab.config import EXPERIMENTS, build_config
 from geodlab.report import CountReport, fmt_value, ls_slope
@@ -117,7 +118,12 @@ def test_main_out_and_config_files(tmp_path, capsys):
     assert text.rstrip().splitlines()[-1].startswith("# wall_time")
 
 
-def test_main_out_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
+def test_main_out_to_unwritable_path_is_a_usage_error(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_run(config):
+        raise AssertionError("the run started before --out was opened")
+
+    monkeypatch.setattr(cli, "run", no_run)
     rc = main(["count", "--set", "r_grid=2", "--out",
                str(tmp_path / "missing" / "r.txt")])
     assert rc == 2

@@ -5,10 +5,10 @@ import pytest
 
 from geodlab import flow as flow_module
 from geodlab.halfplane import ModelPoint, ReductionError
-from geodlab.flow import (Box, axis_distance, closing_constants, default_box,
-                          flow, frame_base, frame_base_dir, frame_systoles,
+from geodlab.flow import (Box, axis_distance, closing_constants, flow,
+                          frame_base, frame_base_dir, frame_systoles,
                           frames_from_points, in_box, margulis_count,
-                          mixing_correlation, recurrence_fraction,
+                          measure_box, mixing_correlation, recurrence_fraction,
                           reduce_frames, sample_box, sample_fund,
                           sample_fund_frames)
 from geodlab.torus import systole_values
@@ -77,7 +77,7 @@ def test_sample_fund_in_domain():
 
 
 def test_box_measure_fraction():
-    box = default_box()
+    box = measure_box(0.02)
     assert box.fraction == pytest.approx(0.02, rel=1e-12)
     assert box.dtheta == pytest.approx(0.461946127, abs=1e-8)
     with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ def test_box_measure_fraction():
 
 
 def test_sample_box_membership():
-    box = default_box()
+    box = measure_box(0.02)
     A = sample_box(box, 500, np.random.default_rng(7))
     assert bool(np.all(in_box(box, A)))
     # points outside: flow far and most leave
@@ -96,7 +96,7 @@ def test_sample_box_membership():
 
 
 def test_mixing_guards():
-    box = default_box()
+    box = measure_box(0.02)
     with pytest.raises(ValueError):
         mixing_correlation(box, 3.0, 100, np.random.default_rng(8))
     with pytest.raises(ValueError):
@@ -105,21 +105,21 @@ def test_mixing_guards():
 
 def test_mixing_estimate_short_time_self_correlation():
     # at t = 0 the correlation is the full fraction, far above fraction^2
-    box = default_box()
+    box = measure_box(0.02)
     est = mixing_correlation(box, 0.0, 20000, np.random.default_rng(9))
     assert est.estimate == pytest.approx(box.fraction, rel=1e-9)
     assert est.z_score > 10.0
 
 
 def test_mixing_estimate_converges():
-    box = default_box()
+    box = measure_box(0.02)
     est = mixing_correlation(box, 6.0, 200000, np.random.default_rng(10))
     assert abs(est.diff) <= 4.0 * est.std_error
     assert est.target == pytest.approx(0.0004, rel=1e-12)
 
 
 def test_closing_constants_frozen():
-    box = default_box()
+    box = measure_box(0.02)
     c1, eps = closing_constants(box, 3.0)
     assert c1 == pytest.approx(0.531983896, abs=1e-8)
     assert eps == pytest.approx(0.54166505, abs=1e-8)
@@ -128,7 +128,7 @@ def test_closing_constants_frozen():
 
 
 def test_census_ladder_frozen():
-    box = default_box()
+    box = measure_box(0.02)
     expected = ((3.0, 32000, 11, 15, 1.85906413),
                 (4.0, 236449, 12, 59, 0.989614752),
                 (5.0, 1747292, 13, 480, 1.089597764))
@@ -150,7 +150,7 @@ def test_census_refuses_a_deck_without_determinant_1(monkeypatch):
 
     monkeypatch.setattr(flow_module, "reduce_frames", doubled_decks)
     with pytest.raises(ArithmeticError, match="determinant 1"):
-        margulis_count(default_box(), 3.0, 32000, np.random.default_rng(11))
+        margulis_count(measure_box(0.02), 3.0, 32000, np.random.default_rng(11))
 
 
 def test_axis_distance_on_and_off_axis():

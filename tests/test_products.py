@@ -4,17 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from geodlab.halfplane import ModelPoint
-from geodlab.products import (ContractionCheck, ProductPoint, _quad,
-                              _ring_average, bias_eval,
-                              bias_terms, classify_region,
-                              contraction_ratio_exact, in_region_W,
-                              sorted_lengths, verify_contraction,
-                              verify_system)
+from geodlab.products import (ContractionCheck, _quad, _ring_average,
+                              classify_region, contraction_ratio_exact,
+                              verify_contraction, verify_system)
 from geodlab.torus import BiasParams
 
 
@@ -123,114 +118,14 @@ def test_verify_contraction_product_rule():
     assert chk.ok
 
 
-def test_product_point_basics():
-    X = ProductPoint((ModelPoint(0.0, 5.0), ModelPoint(0.0, 2.0)))
-    assert X.m == 2
-    assert sorted_lengths(X) == pytest.approx((0.2, 0.5))
-    with pytest.raises(ValueError):
-        ProductPoint(())
-
-
-def test_product_bias_eval_tails():
-    params = BiasParams.default(m=2, tau=2.0)
-    X = ProductPoint((ModelPoint(0.0, math.exp(90.0)),
-                      ModelPoint(0.0, math.exp(120.0))))
-    ev = bias_eval(X, params)
-    assert ev.lengths[0] < ev.lengths[1]
-    assert ev.f[0] == 1.0
-    assert ev.u == pytest.approx(sum(ev.f), rel=1e-12)
-    assert ev.u_tail[0] == pytest.approx(ev.u, rel=1e-12)
-    assert ev.u_tail[-1] == pytest.approx(ev.f[-1], rel=1e-12)
-    assert ev.G == pytest.approx(
-        (ev.lengths[0] * ev.lengths[1]) ** -0.5, rel=1e-9)
-    with pytest.raises(ValueError):
-        bias_eval(ProductPoint((ModelPoint(0.0, 1.0),)), params)
-
-
-def test_product_region_indexing():
-    params = BiasParams.default(m=2, tau=2.0)
-    deep = ModelPoint(0.0, math.exp(200.0))
-    thick = ModelPoint(0.0, 1.0)
-    both = ProductPoint((deep, deep))
-    one = ProductPoint((deep, thick))
-    none = ProductPoint((thick, thick))
-    assert in_region_W(0, none, params) and not in_region_W(0, one, params)
-    assert in_region_W(1, one, params) and not in_region_W(1, both, params)
-    assert in_region_W(2, both, params)
-    with pytest.raises(ValueError):
-        in_region_W(3, both, params)
-    with pytest.raises(ValueError):  # a bare model point is one factor
-        in_region_W(0, deep, params)
-
-
-def test_bias_eval_deep_point():
-    p = BiasParams.default(m=1, tau=3.0)
-    z = ModelPoint(0.0, math.exp(20.0))
-    ev = bias_eval(z, p)
-    assert ev.lengths[0] == pytest.approx(math.exp(-20.0), rel=1e-9)
-    expect_logf = p.s * (p.log_eps[0] + 20.0)
-    assert ev.log_f[1] == pytest.approx(expect_logf, rel=1e-9)
-    assert ev.f[0] == 1.0
-    assert ev.u == pytest.approx(1.0 + ev.f[1], rel=1e-12)
-    assert ev.u_tail == (ev.u, ev.f[1])
-    assert ev.G == pytest.approx(math.exp(10.0), rel=1e-9)
-
-
-def test_bias_eval_thick_point_small_f():
-    p = BiasParams.default(m=1, tau=3.0)
-    ev = bias_eval(ModelPoint(0.0, 1.0), p)
-    # systole 1 is far above eps_1, so f_1 is exponentially small
-    assert ev.f[1] < 1e-3
-    assert ev.u == pytest.approx(1.0, abs=1e-3)
-
-
-def test_region_membership():
-    p = BiasParams.default(m=1, tau=3.0)
-    thick = ModelPoint(0.0, 1.0)
-    deep = ModelPoint(0.0, math.exp(40.0))
-    assert in_region_W(0, thick, p)
-    assert not in_region_W(0, deep, p)
-    assert in_region_W(1, thick, p) and in_region_W(1, deep, p)
-    with pytest.raises(ValueError):
-        in_region_W(2, thick, p)
-    with pytest.raises(ValueError):
-        in_region_W(-1, thick, p)
-
-
-def test_region_boundary_threshold():
-    p = BiasParams.default(m=1, tau=3.0)
-    y_edge = math.exp(-p.log_eps_prime[0])
-    assert not in_region_W(0, ModelPoint(0.0, y_edge * 1.01), p)
-    assert in_region_W(0, ModelPoint(0.0, y_edge * 0.99), p)
-
-
-FACTOR = st.tuples(st.floats(-0.5, 0.5), st.floats(-5.0, 60.0))
-
-
-@settings(deadline=None)
-@given(st.lists(FACTOR, min_size=1, max_size=2), st.floats(0.5, 4.0))
-def test_bias_eval_tails_steps_and_walk_u(factors, tau):
-    pts = tuple(ModelPoint(x, math.exp(ly)) for x, ly in factors)
-    m = len(pts)
-    params = BiasParams.default(m=m, tau=tau)
-    ev = bias_eval(pts[0] if m == 1 else ProductPoint(pts), params)
-    assert ev.lengths == sorted_lengths(ProductPoint(pts))
-    for j in range(m + 1):
-        assert ev.u_tail[j] == pytest.approx(sum(ev.f[j:]), rel=1e-15)
-    for j in range(1, m + 1):
-        step = params.s * (params.log_eps[j - 1] - math.log(ev.lengths[j - 1]))
-        assert ev.log_f[j] - ev.log_f[j - 1] == pytest.approx(
-            step, rel=1e-12, abs=1e-12 * abs(ev.log_f[j]))
-    if m == 1:  # a batch axis of single-length points gives the same u
-        lengths = np.array(ev.lengths)[:, None]
-        assert bias_terms(lengths, params)[2][0, 0] == ev.u
-
-
 def test_classify_region_threshold():
     params = BiasParams.default(m=1, tau=3.0)
     y_edge = math.exp(-params.log_eps_prime[0])
     assert classify_region(ModelPoint(0.0, y_edge * 1.01), params) == 1
     assert classify_region(ModelPoint(0.0, y_edge * 0.99), params) == 0
+    # systole 1 is far above eps'_1; systole e^-40 far below it
+    assert classify_region(ModelPoint(0.0, 1.0), params) == 0
+    assert classify_region(ModelPoint(0.0, math.exp(40.0)), params) == 1
 
 
 def test_verify_system_thin_and_thick():
@@ -250,6 +145,15 @@ def test_verify_system_thin_and_thick():
     assert thick_checks[0].bound == c
     assert thick_checks[0].excess > 0.0
     assert max(k.excess / k.sigma for k in rep.thin_checks) < 5.0
+    # deep in the cusp the systole is 1/y, so f_1 = (eps_1 y)^(1/2), u = 1 + f_1
+    inv2K = 0.5 * math.exp(-params.log_K)
+    for z, tail, full in zip(thin, rep.thin_checks[::2], rep.thin_checks[1::2]):
+        f1 = math.sqrt(math.exp(params.log_eps[0]) * z.y)
+        assert (tail.reading, full.reading) == ("u_tail", "u")
+        assert tail.bound == pytest.approx(c + ((1.0 + f1) / f1) * inv2K,
+                                           rel=1e-12)
+        assert full.bound == pytest.approx(c + inv2K + 1.0 / (1.0 + f1),
+                                           rel=1e-12)
 
 
 def test_verify_system_guards():

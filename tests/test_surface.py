@@ -4,9 +4,10 @@ A module-level definition counts as used when code in src/geodlab names it
 outside its own body, or tests/test_acceptance.py or perfbench/tracer.py
 does.  A method or property of a class counts as used when that code names
 it outside the method's own body; dunder and name-mangled methods are
-exempt.  Names are matched by identifier, so a method counts as used
-wherever an attribute of the same name is read.  Docstrings, comments and
-import lines do not count as naming it.  ALLOWED holds the test oracles and fixtures kept on purpose,
+exempt.  A member counts only where it is read as an attribute (.name),
+wherever an attribute of the same name is read; a bare identifier of the
+same name, such as a parameter, does not count.  Docstrings, comments and
+import lines do not count as naming anything.  ALLOWED holds the test oracles and fixtures kept on purpose,
 each with its reason.  perfbench/tracer.py counts because it rebinds and
 reads package members by name in every traced benchmark run.
 """
@@ -20,8 +21,6 @@ CONSUMERS = (ROOT / "tests" / "test_acceptance.py",
              ROOT / "perfbench" / "tracer.py")
 
 ALLOWED = {
-    "torus.extremal_length":
-        "brute-force oracle of test_systole_is_min_over_curves",
     "torus.CurveClass.normalized":
         "builds the curve classes test_systole_is_min_over_curves minimises over",
     "words.min_systole_along_axis":
@@ -29,7 +28,6 @@ ALLOWED = {
     "words.GeodesicClass.from_exps":
         "class of a word by canonical and word_to_matrix, the reference each "
         "enumerated class is compared against",
-    "flow.default_box": "the box the flow tests share",
     "halfplane.teich_dist":
         "scalar model metric the lattice and ball-sampling tests check against",
     "halfplane.MappingClass.apply":
@@ -38,12 +36,13 @@ ALLOWED = {
 }
 
 
-def _names(nodes) -> set:
-    """Identifiers loaded or attribute names read anywhere under the nodes."""
+def _names(nodes, attributes_only=False) -> set:
+    """Attribute names read anywhere under the nodes and, unless
+    attributes_only, the identifiers loaded there too."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and not attributes_only:
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 out.add(sub.attr)
@@ -52,25 +51,33 @@ def _names(nodes) -> set:
 
 def _unused() -> list:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    named = _names(ast.parse(p.read_text()) for p in CONSUMERS)
+    consumers = [ast.parse(p.read_text()) for p in CONSUMERS]
+    named = _names(consumers)
+    read = _names(consumers, attributes_only=True)
     per_module = {mod: _names(tree.body) for mod, tree in trees.items()}
+    read_per_module = {mod: _names(tree.body, attributes_only=True)
+                       for mod, tree in trees.items()}
     unused = []
     for mod, tree in trees.items():
         elsewhere = named.union(*(n for m, n in per_module.items() if m != mod))
+        read_elsewhere = read.union(*(n for m, n in read_per_module.items()
+                                      if m != mod))
         defs = [node for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
         for node in defs:
-            rest = _names(other for other in tree.body if other is not node)
-            if node.name not in elsewhere | rest:
+            others = [other for other in tree.body if other is not node]
+            if node.name not in elsewhere | _names(others):
                 unused.append(f"{mod}.{node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
+            read_rest = read_elsewhere | _names(others, attributes_only=True)
             for member in node.body:
                 if (not isinstance(member, ast.FunctionDef)
                         or member.name.startswith("__")):
                     continue
-                siblings = _names(m for m in node.body if m is not member)
-                if member.name not in elsewhere | rest | siblings:
+                siblings = _names((m for m in node.body if m is not member),
+                                  attributes_only=True)
+                if member.name not in read_rest | siblings:
                     unused.append(f"{mod}.{node.name}.{member.name}")
     return unused
 

@@ -25,9 +25,9 @@ def test_extremal_length_formula():
     z = ModelPoint(0.3, 1.7)
     c = CurveClass(2, 3)
     expect = ((2 + 3 * 0.3) ** 2 + (3 * 1.7) ** 2) / 1.7
-    assert extremal_length(c, z) == pytest.approx(expect, rel=1e-15)
+    assert extremal_length(c, z.x, z.y) == pytest.approx(expect, rel=1e-15)
     # scaling: Ext((1,0), x+iy) = 1/y
-    assert extremal_length(CurveClass(1, 0), ModelPoint(0.0, 4.0)) == \
+    assert extremal_length(CurveClass(1, 0), 0.0, 4.0) == \
         pytest.approx(0.25, rel=1e-15)
 
 
@@ -41,14 +41,14 @@ def test_systole_after_deck_translation():
     # same point marked through z -> z + 5: shortest class pulls back
     c, v = systole(ModelPoint(5.0, 10.0))
     assert v == pytest.approx(0.1, rel=1e-12)
-    assert extremal_length(c, ModelPoint(5.0, 10.0)) == pytest.approx(v, rel=1e-9)
+    assert extremal_length(c, 5.0, 10.0) == pytest.approx(v, rel=1e-9)
 
 
 def test_systole_after_inversion():
     # z = -1/w for w = 10i gives y = 0.1; the short curve there is (0,1)
     c, v = systole(ModelPoint(0.0, 0.1))
     assert v == pytest.approx(0.1, rel=1e-12)
-    assert extremal_length(c, ModelPoint(0.0, 0.1)) == pytest.approx(v, rel=1e-9)
+    assert extremal_length(c, 0.0, 0.1) == pytest.approx(v, rel=1e-9)
 
 
 def test_max_systole_at_hexagonal_point():
@@ -70,9 +70,9 @@ def test_systole_is_min_over_curves():
     for _ in range(25):
         z = ModelPoint(float(rng.uniform(-2, 2)), float(rng.uniform(0.1, 3)))
         c, v = systole(z)
-        brute = min(extremal_length(k, z) for k in curves)
+        brute = min(extremal_length(k, z.x, z.y) for k in curves)
         assert v == pytest.approx(brute, rel=1e-9)
-        assert extremal_length(c, z) == pytest.approx(v, rel=1e-9)
+        assert extremal_length(c, z.x, z.y) == pytest.approx(v, rel=1e-9)
 
 
 def test_systole_values_matches_scalar():
@@ -114,7 +114,6 @@ def test_bias_params_default_ladder():
                                          rel=1e-12)
     assert p.log_eps_prime[0] == pytest.approx(
         p.log_eps[0] - 2.0 * p.log_K, rel=1e-12)
-    assert p.eps(1) == pytest.approx(math.exp(p.log_eps[0]), rel=1e-12)
 
 
 def test_bias_params_multi_factor_ladder_monotone():
@@ -122,8 +121,8 @@ def test_bias_params_multi_factor_ladder_monotone():
     assert p.log_eps[0] < p.log_eps[1] < p.log_eps[2]
     # deep rungs underflow floats but stay ordered in log space
     assert p.log_eps[0] < -700.0
-    assert p.eps(1) == 0.0
-    assert p.eps(3) > 0.0
+    assert math.exp(p.log_eps[0]) == 0.0
+    assert math.exp(p.log_eps[2]) > 0.0
     p.validate()
 
 

@@ -152,7 +152,7 @@ def test_dp_snapshots_and_weights():
     net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
     base = ModelPoint(0.0, 5.0)
     fam = count_trajectories(net, base, 1.5, 2, keep_steps=True)
-    assert fam.total == 161.0
+    assert fam.per_step[-1] == 161.0
     first = fam.endpoint_counts(step=1)
     assert sum(float(c.sum()) for c in first) == 13.0
     last = fam.endpoint_counts()
@@ -222,7 +222,7 @@ def test_step_snapshots_match_shorter_runs(thin_delta):
         snap = _on_net(net, fam.net, fam.endpoint_counts(step=i))
         want = _on_net(net, short.net, short.node_counts)
         assert all(np.array_equal(a, b) for a, b in zip(snap, want))
-        assert fam.per_step[i - 1] == short.total
+        assert fam.per_step[i - 1] == short.per_step[-1]
 
 
 def test_endpoint_counts_rejects_steps_outside_the_run():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodlab import words
+from geodlab.halfplane import MappingClass
 from geodlab.words import (MAX_ENUM_LENGTH, ClassTable, GeodesicClass,
                            _necklace_table, axis_samples, canonical,
                            classes_by_entry_search,
@@ -118,7 +119,7 @@ def test_enumerate_respects_bound_and_canonical():
         assert c.exps == canonical(c.exps)
         assert c.trace == word_to_matrix(c.exps).trace
         # the entries carried over from the enumeration are the word's matrix
-        assert c.matrix == word_to_matrix(c.exps)
+        assert MappingClass(*c.entries) == word_to_matrix(c.exps)
         assert c.length == pytest.approx(teich_length_from_trace(c.trace),
                                          rel=1e-12)
         # and the class equals the one built from its word alone
@@ -206,7 +207,7 @@ def test_class_table_rows():
 def test_geodesic_class_from_exps():
     g = GeodesicClass.from_exps((2, 1, 1, 3))
     assert g.exps == canonical((2, 1, 1, 3))
-    assert g.matrix.trace == g.trace
+    assert MappingClass(*g.entries).trace == g.trace
 
 
 _CLASSES_4 = enumerate_classes(4.0)
