@@ -20,7 +20,6 @@ import contextlib
 import math
 import sys
 import time
-from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -33,7 +32,7 @@ from .halfplane import ModelPoint
 from .lattice import orbit_count, spread_count
 from .report import CountReport, fmt_value, ls_slope
 from .walk import build_row_net, count_trajectories
-from .words import enumerate_classes, min_systole_batch
+from .words import enumerate_classes, min_systole_batch, teich_length_from_trace
 from .products import verify_contraction
 
 RNG_NAME = "philox-4x64 jumped per work item"
@@ -82,12 +81,14 @@ def run_count(config: ExperimentConfig) -> CountReport:
     grid = config.params["r_grid"]
     counters = Counter()
     # one enumeration at the largest radius; radius r keeps the traces up
-    # to 2 cosh r, the cap enumerate_classes(r) would prune at
-    traces = enumerate_classes(max(grid), counters=counters).trace
+    # to 2 cosh r, the cap enumerate_classes(r) would prune at: integers
+    # up to floor(2 cosh r), or all of them past the histogram's own cap
+    below = np.cumsum(enumerate_classes(max(grid), counters=counters,
+                                        by_trace=True).counts)
     rows = []
     ratios = []
     for r in grid:
-        n = bisect_right(traces, 2.0 * math.cosh(r))
+        n = int(below[min(math.floor(2.0 * math.cosh(r)), len(below) - 1)])
         ratio = n * GROWTH * r / math.exp(GROWTH * r)
         ratios.append(ratio)
         rows.append((r, n, ratio, "0.55..1.45", _ok(0.55 <= ratio <= 1.45)))
@@ -344,18 +345,21 @@ def run_assemble(config: ExperimentConfig) -> CountReport:
     p = config.params
     r, nb = p["r"], p["bands"]
     counters = Counter()
-    classes = enumerate_classes(r, counters=counters)
-    lengths = classes.length
+    # one length per distinct trace, weighted by its number of classes
+    hist = enumerate_classes(r, counters=counters, by_trace=True)
+    traces = np.flatnonzero(hist.counts)
+    lengths = np.array([teich_length_from_trace(t) for t in traces.tolist()])
+    weights = hist.counts[traces]
     edges = [r * k / nb for k in range(nb + 1)]
     counts = []
     rows = []
     for lo, hi in zip(edges, edges[1:]):
-        cnt = int(np.count_nonzero((lengths > lo) & (lengths <= hi)))
+        cnt = int(weights[(lengths > lo) & (lengths <= hi)].sum())
         counts.append(cnt)
         rows.append((lo, hi, cnt, "none", "yes"))
     total = float(sum(counts))
     ratio = total / (math.exp(GROWTH * edges[-1]) / (GROWTH * edges[-1]))
-    direct = len(classes)
+    direct = len(hist)
     derived = {
         "assembled_total": total,
         "direct_total": direct,

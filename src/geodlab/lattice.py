@@ -113,13 +113,17 @@ def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int,
     d_lo = np.ceil(-cs * x0 - w).astype(np.int64) - widen
     nd = np.maximum(np.floor(-cs * x0 + w).astype(np.int64) + widen
                     - d_lo + 1, 0)
-    ends = np.cumsum(nd)
-    total = int(nd.sum())
+    # the rows of c = cs[k] are numbered edges[k] .. edges[k + 1] - 1
+    edges = np.concatenate(([0], np.cumsum(nd)))
+    total = int(edges[-1])
     for i0 in range(0, total, ROW_BLOCK):
-        i = np.arange(i0, min(i0 + ROW_BLOCK, total), dtype=np.int64)
-        k = np.searchsorted(ends, i, side="right")
+        i1 = min(i0 + ROW_BLOCK, total)
+        # the c of each row: the block's runs of c, clipped to the block
+        k0, k1 = np.searchsorted(edges, [i0, i1 - 1], side="right") - 1
+        k = np.repeat(np.arange(k0, k1 + 1),
+                      np.diff(np.clip(edges[k0:k1 + 2], i0, i1)))
         c = cs[k]
-        d = d_lo[k] + i - (ends[k] - nd[k])
+        d = d_lo[k] + np.arange(i0, i1) - edges[k]
         keep = np.gcd(c, d) == 1
         if cone:
             n, m, _ = cone

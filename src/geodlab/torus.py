@@ -63,11 +63,13 @@ def systole(z: ModelPoint) -> tuple[CurveClass, float]:
     """Shortest curve class and its extremal length; ties break lexicographically.
 
     Reduce to F, minimize over the four candidate classes there, and pull
-    the winner back through the deck to the original marking.
+    the winner back through the deck to the original marking.  Above
+    y = 1 in F, (1, 0) is strictly shortest (1/y < 1 < q^2 y), so the
+    others, whose squares could overflow for huge y, are skipped.
     """
     zr, deck = reduce_to_fundamental(z)
     cands = []
-    for p, q in _FUND_CANDIDATES:
+    for p, q in _FUND_CANDIDATES if zr.y <= 1.0 else _FUND_CANDIDATES[:1]:
         val = ((p + q * zr.x) ** 2 + (q * zr.y) ** 2) / zr.y
         # Ext((p,q), z) = Ext((pa - qb, -pc + qd), deck z); invert that map.
         p0 = deck.d * p + deck.b * q

@@ -488,7 +488,7 @@ def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
     window holds at most one source node and most targets of the range
     fall between two of them.  The range is then clipped to its first
     and last target with a nonempty window, found by _windows itself,
-    DP_CHUNK targets at a time.
+    DP_CHUNK targets at a time inward from each end.
     """
     t0 = max(math.ceil((rs.j_lo * rs.s - w) / rt.s) - 1 - rt.j_lo, 0)
     t1 = min(math.floor((rs.j_hi * rs.s + w) / rt.s) + 1 - rt.j_lo,
@@ -499,14 +499,19 @@ def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
     if t1 < rt.n - 1 and lo[1] < rs.n:
         t1 = rt.n - 1
     if 2.0 * w < rs.s:
-        met = []
-        for c0 in range(t0, t1 + 1, DP_CHUNK):
+        def met(c0):
             jt = np.arange(c0, min(c0 + DP_CHUNK, t1 + 1)) + rt.j_lo
             lo, hi = _windows(rs, rt, w, jt)
-            nz = np.flatnonzero(hi > lo)
-            if nz.size:
-                met += [c0 + int(nz[0]), c0 + int(nz[-1])]
-        t0, t1 = (met[0], met[-1]) if met else (0, -1)
+            return c0 + np.flatnonzero(hi > lo)
+
+        chunks = range(t0, t1 + 1, DP_CHUNK)
+        k, head = next(((k, m) for k, m in enumerate(map(met, chunks))
+                        if m.size), (0, None))
+        if head is None:
+            return 0, -1
+        # back from the last chunk to the one after head's, else head's
+        tail = next((m for m in map(met, chunks[:k:-1]) if m.size), head)
+        t0, t1 = int(head[0]), int(tail[-1])
     return t0, t1
 
 

@@ -9,7 +9,9 @@ throughout the package.  enumerate_classes generates these least
 rotations (necklaces over the pair alphabet) directly, one per class,
 one word length at a time in numpy, and returns them as a ClassTable:
 columns of traces, lengths, matrix entries and zero-padded words, from
-which GeodesicClass rows are built only on demand.
+which GeodesicClass rows are built only on demand.  Counting needs only
+the traces, so it asks for a TraceHistogram, built from the same word
+lengths with no table.
 
 Translation length in the Teichmueller metric is arccosh(trace / 2), half
 the hyperbolic translation length.  Closed-geodesic counts grow like
@@ -164,9 +166,11 @@ class ClassTable(Sequence):
             yield GeodesicClass(tuple(w[:n]), t, ln, tuple(e))
 
 
-def _necklace_table(trace_cap: float, primitive_only: bool,
-                    counters=None) -> ClassTable:
-    """The class of every pair necklace with trace <= trace_cap.
+def _necklace_levels(trace_cap: float, primitive_only: bool, counters=None):
+    """Yields (words, (m00, m01, m10, m11), emit) per word length with any
+    class: the prenecklaces of trace <= trace_cap as rows of exps, their
+    matrix entries, and the mask of the necklaces (or Lyndon words, if
+    primitive_only) among them.
 
     Fredricksen-Kessler-Maiorana generation over (a, b) syllable pairs in
     lexicographic order, one word length at a time.  A prenecklace of t
@@ -181,11 +185,8 @@ def _necklace_table(trace_cap: float, primitive_only: bool,
     (C - m00 - m11 - m01 a) // (m10 + m11 a), and a runs up to
     (C - m00 - m11 - m10) // (m01 + m11): every child of a level comes
     from two np.repeat expansions.  Every entry is at most C, so products
-    of two stay in int64 while C < 2^31.
-
-    Rows come out sorted by (trace, exps): a zero-padded prefix sorts
-    before its extensions, as a tuple prefix does.  With a counters
-    mapping, adds the frontier rows expanded, the empty word included, to
+    of two stay in int64 while C < 2^31.  With a counters mapping, adds
+    the frontier rows expanded, the empty word included, to
     'enum.prenecklaces'.
     """
     cap = math.floor(trace_cap)
@@ -196,7 +197,6 @@ def _necklace_table(trace_cap: float, primitive_only: bool,
     ref_a, ref_b = period.copy(), period.copy()  # the empty word's: (1, 1)
     words = np.zeros((1, 0), dtype=np.int64)
     expanded = 0
-    found = []  # per length with any: (words, entries) of the emitted children
     t = 0
     while len(words):
         expanded += len(words)
@@ -222,13 +222,22 @@ def _necklace_table(trace_cap: float, primitive_only: bool,
         words = np.concatenate([words[parent], a[:, None], b[:, None]], axis=1)
         emit = period == t if primitive_only else t % period == 0
         if emit.any():
-            found.append((words[emit],
-                          np.stack([m00, m01, m10, m11], axis=1)[emit]))
+            yield words, (m00, m01, m10, m11), emit
         rows = np.arange(len(words))
         ref_a = words[rows, 2 * (t - period)]
         ref_b = words[rows, 2 * (t - period) + 1]
     if counters is not None:
         counters["enum.prenecklaces"] += expanded
+
+
+def _necklace_table(trace_cap: float, primitive_only: bool,
+                    counters=None) -> ClassTable:
+    """The class of every pair necklace with trace <= trace_cap, as the
+    rows of _necklace_levels sorted by (trace, exps): a zero-padded
+    prefix sorts before its extensions, as a tuple prefix does."""
+    found = [(w[emit], np.stack(m, axis=1)[emit])
+             for w, m, emit in _necklace_levels(trace_cap, primitive_only,
+                                                counters)]
     n = sum(len(w) for w, _ in found)
     words = np.zeros((n, max((w.shape[1] for w, _ in found), default=0)),
                      dtype=np.int64)
@@ -251,19 +260,38 @@ def _necklace_table(trace_cap: float, primitive_only: bool,
     return ClassTable(trace, length, entries[order], words[order], sizes[order])
 
 
+class TraceHistogram:
+    """The classes of _necklace_table counted per trace, by one np.bincount
+    of the levels' traces, with no words kept and no sort: counts[t]
+    classes have trace t, for t up to floor(trace_cap).  Its length, as a
+    ClassTable's, is the number of classes."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, trace_cap: float, primitive_only: bool, counters=None):
+        traces = [(m[0] + m[3])[emit] for _, m, emit
+                  in _necklace_levels(trace_cap, primitive_only, counters)]
+        self.counts = np.bincount(np.concatenate([np.zeros(0, np.int64), *traces]),
+                                  minlength=math.floor(trace_cap) + 1)
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+
 def _ramp(counts):
     """0, 1, .., n - 1 for each n of counts, concatenated."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def enumerate_classes(max_length: float, primitive_only: bool = True,
-                      counters=None) -> ClassTable:
+                      counters=None, by_trace: bool = False):
     """All conjugacy classes with translation length <= max_length.
 
     Each class is generated once, directly in canonical form, so no
-    rotation is ever deduplicated; rows sorted by (trace, exps).  With a
-    counters mapping, adds the prenecklaces expanded to
-    'enum.prenecklaces'.
+    rotation is ever deduplicated; rows sorted by (trace, exps).  With
+    by_trace, the same classes come back counted per trace, as a
+    TraceHistogram, and no table is built.  With a counters mapping,
+    adds the prenecklaces expanded to 'enum.prenecklaces'.
     """
     if max_length > MAX_ENUM_LENGTH:
         raise ValueError(
@@ -271,7 +299,8 @@ def enumerate_classes(max_length: float, primitive_only: bool = True,
         )
     # a cap of 2 admits no hyperbolic class
     trace_cap = 2.0 * math.cosh(max_length) if max_length > 0 else 2.0
-    return _necklace_table(trace_cap, primitive_only, counters)
+    build = TraceHistogram if by_trace else _necklace_table
+    return build(trace_cap, primitive_only, counters)
 
 
 # ---------------------------------------------------------------------------

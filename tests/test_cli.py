@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodlab import cli
+from geodlab import cli, words
 from geodlab.cli import COLUMNS, RUNNERS, main, run, worker_stream
 from geodlab.config import EXPERIMENTS, build_config
 from geodlab.report import CountReport, fmt_value, ls_slope
@@ -59,6 +59,37 @@ def test_count_rows_equal_one_enumeration_per_radius():
 def test_count_rows_equal_enumeration_off_grid(radii):
     grid = sorted(radii)
     assert _counts(grid) == [len(enumerate_classes(r)) for r in grid]
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.floats(1.0, 6.5), st.integers(1, 16))
+def test_assemble_rows_equal_the_table_band_counts(r, bands):
+    report = run(build_config("assemble", overrides={"r": r, "bands": bands}))
+    lengths = enumerate_classes(r).length
+    edges = [r * k / bands for k in range(bands + 1)]
+    counts = [int(np.count_nonzero((lengths > lo) & (lengths <= hi)))
+              for lo, hi in zip(edges, edges[1:])]
+    assert report.rows == [(lo, hi, n, "none", "yes")
+                           for lo, hi, n in zip(edges, edges[1:], counts)]
+    ratio = sum(counts) / (math.exp(2.0 * edges[-1]) / (2.0 * edges[-1]))
+    assert report.derived == {
+        "assembled_total": float(sum(counts)),
+        "direct_total": len(lengths),
+        "exact_match_ok": "yes" if sum(counts) == len(lengths) else "no",
+        "ratio": ratio,
+        "ratio_ok": "yes" if 0.55 <= ratio <= 1.45 else "no"}
+
+
+def test_count_and_assemble_build_no_class_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ClassTable was built")
+
+    monkeypatch.setattr(words, "ClassTable", refuse)
+    with pytest.raises(AssertionError):
+        enumerate_classes(3.0)  # the table path does reach the patch
+    for experiment in ("count", "assemble"):
+        assert run(build_config(experiment)).counters == {
+            "enum.prenecklaces": 15955}
 
 
 def test_main_check_failure_exit_code(capsys):

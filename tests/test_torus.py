@@ -37,6 +37,18 @@ def test_systole_deep_cusp():
     assert v == pytest.approx(0.1, rel=1e-12)
 
 
+def test_systole_far_up_the_cusp_does_not_overflow():
+    # (q y)^2 leaves float range above y ~ 1.3e154; above y = 1 in F the
+    # class (1, 0) is strictly shortest and the only one evaluated
+    assert systole(ModelPoint(0.0, 1e160)) == (CurveClass(1, 0), 1e-160)
+
+
+@settings(deadline=None)
+@given(st.floats(-20.0, 20.0), st.floats(1e150, 1e300))
+def test_systole_deep_in_the_cusp_is_one_over_y(x, y):
+    assert systole(ModelPoint(x, y)) == (CurveClass(1, 0), 1.0 / y)
+
+
 def test_systole_after_deck_translation():
     # same point marked through z -> z + 5: shortest class pulls back
     c, v = systole(ModelPoint(5.0, 10.0))

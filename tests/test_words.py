@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from geodlab import words
 from geodlab.halfplane import MappingClass
 from geodlab.words import (MAX_ENUM_LENGTH, ClassTable, GeodesicClass,
-                           _necklace_table, axis_samples, canonical,
+                           TraceHistogram, _necklace_table,
+                           axis_samples, canonical,
                            classes_by_entry_search,
                            enumerate_classes, is_primitive,
                            min_systole_along_axis, min_systole_batch,
@@ -187,6 +188,33 @@ def test_generator_refuses_caps_past_2_31_before_building_anything(monkeypatch):
     for cap in (2.0 ** 31, 2.0 ** 31 + 0.5, 1e30):
         with pytest.raises(OverflowError):
             _necklace_table(cap, True)
+        with pytest.raises(OverflowError):
+            TraceHistogram(cap, True)
+
+
+@pytest.mark.parametrize("primitive_only", [True, False])
+@pytest.mark.parametrize("r", [2.3, 3.0, 6.0, 7.5])
+def test_trace_histogram_equals_the_table_trace_by_trace(r, primitive_only):
+    by_table, by_trace = Counter(), Counter()
+    table = enumerate_classes(r, primitive_only, counters=by_table)
+    hist = enumerate_classes(r, primitive_only, counters=by_trace,
+                             by_trace=True)
+    cap = math.floor(2.0 * math.cosh(r))
+    assert hist.counts.tolist() == np.bincount(table.trace,
+                                               minlength=cap + 1).tolist()
+    assert len(hist) == len(table)
+    assert by_trace == by_table
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.floats(2.0, 2.0 * math.cosh(4.5)), st.booleans())
+def test_trace_histogram_equals_the_recursive_generator(cap, primitive_only):
+    counters = Counter()
+    hist = TraceHistogram(cap, primitive_only, counters)
+    ref, calls = _necklaces_dfs(cap, primitive_only)
+    assert hist.counts.tolist() == np.bincount(
+        [g.trace for g in ref], minlength=math.floor(cap) + 1).tolist()
+    assert counters == {"enum.prenecklaces": calls}
 
 
 def test_class_table_rows():
