@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import (BOUNDARY_TOL, TOTAL_FRAME_MEASURE, ModelPoint,
-                        hyp_ball_area, reduce_points)
+from .halfplane import (TOTAL_FRAME_MEASURE, ModelPoint, hyp_ball_area,
+                        reduce_points, sample_ball_arrays)
+from .report import ls_slope
 from .torus import systole_values
 from .words import teich_length_from_trace
 
 YMAX = 1e3
 MAX_CENSUS_TIME = 5.0
 MIN_MIXING_SAMPLES = 10_000
-MIXING_BATCHES = 20  # equal batches behind mixing_correlation's std error
 
 
 # ---------------------------------------------------------------------------
@@ -80,25 +80,6 @@ def reduce_frames(A: np.ndarray):
     x, y = frame_base(A)
     g = reduce_points(x, y, deck=True)[2]
     return g, g @ A
-
-
-def frame_systoles(A: np.ndarray) -> np.ndarray:
-    """systole_values of the frames' base points, bit for bit.
-
-    A translation leaves y as it is, so the systole is 1 / y for every
-    point that the reduction would not invert after its first
-    translation; only the others are reduced.  For frames reduce_frames
-    returned that is almost none: their base points, recomputed from the
-    frames, lie in F up to rounding.
-    """
-    x, y = frame_base(A)
-    sysv = 1.0 / y
-    t = x - np.round(x)
-    # the inversion test of halfplane.reduce_in_place
-    again = np.flatnonzero(t * t + y * y < 1.0 - BOUNDARY_TOL)
-    if again.size:
-        sysv[again] = systole_values(x[again], y[again])
-    return sysv
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +159,6 @@ def in_box(box: Box, frames: np.ndarray):
 
 
 def sample_box(box: Box, n: int, rng) -> np.ndarray:
-    from .halfplane import sample_ball_arrays
-
     x, y = sample_ball_arrays(box.center, box.radius, n, rng)
     th = box.theta0 + (rng.random(n) - 0.5) * box.dtheta
     return frames_from_points(x, y, th)
@@ -202,7 +181,7 @@ class MixingEstimate:
 
     @property
     def z_score(self) -> float:
-        if self.std_error == 0.0:  # all batches identical at short times
+        if self.std_error == 0.0:  # every sample hit, or none did
             return 0.0 if self.diff == 0.0 else math.copysign(math.inf, self.diff)
         return self.diff / self.std_error
 
@@ -212,19 +191,18 @@ def mixing_correlation(box: Box, t: float, n: int, rng) -> MixingEstimate:
 
     Samples the box uniformly, flows, reduces, and re-tests membership;
     the estimate multiplies the hit rate by the box fraction, so for a
-    mixing flow it approaches fraction squared as t grows.
+    mixing flow it approaches fraction squared as t grows.  The hits are
+    i.i.d. Bernoulli, so the std error is fraction * sqrt(p (1 - p) / n)
+    at hit rate p.
     """
     if n < MIN_MIXING_SAMPLES:
         raise ValueError(f"need at least {MIN_MIXING_SAMPLES} samples")
-    if n % MIXING_BATCHES != 0:
-        raise ValueError("sample count must split into equal batches")
     A = sample_box(box, n, rng)
     _, B = reduce_frames(flow(A, t))
-    hit = in_box(box, B).astype(float)
+    p = float(in_box(box, B).mean())
     mu = box.fraction
-    est = mu * float(hit.mean())
-    bm = mu * hit.reshape(MIXING_BATCHES, -1).mean(axis=1)
-    se = float(bm.std(ddof=1)) / math.sqrt(MIXING_BATCHES)
+    est = mu * p
+    se = mu * math.sqrt(p * (1.0 - p) / n)
     return MixingEstimate(time=t, samples=n, estimate=est,
                           std_error=se, target=mu * mu)
 
@@ -366,8 +344,6 @@ class RecurrenceResult:
     def decay_exponent(self) -> float:
         """Exponential decay rate of the flagged fraction, from the
         log-linear fit over horizons with nonzero fraction."""
-        from .report import ls_slope
-
         rs = [r + 1 for r in range(self.horizon) if self.fractions[r] > 0.0]
         if len(rs) < 2:
             return float("nan")
@@ -390,7 +366,7 @@ def recurrence_fraction(n: int, horizon: int, delta: float, theta: float,
     fracs = []
     for r in range(1, horizon + 1):
         _, B = reduce_frames(flow(B, 1.0))
-        thin_steps += frame_systoles(B) < delta
+        thin_steps += systole_values(*frame_base(B)) < delta
         flagged = thin_steps >= theta * r - 1e-12
         fracs.append(float(flagged.mean()))
     return RecurrenceResult(horizon=horizon, samples=n, delta=delta,

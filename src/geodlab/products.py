@@ -137,7 +137,7 @@ def verify_contraction(j: int, tau: float, n: int, rng,
     if j < 1:
         raise ValueError("need at least one factor")
     params = BiasParams.default(m=j, tau=tau)
-    depth_log = -params.log_eps_prime[j - 1] + 2.0 * tau + 2.0
+    depth_log = -params.log_eps_prime + 2.0 * tau + 2.0
     depth_log = min(depth_log, 225.0)  # keep Im and its ball within float range
     y0 = math.exp(depth_log)
     stat = np.ones(n)
@@ -199,7 +199,7 @@ def classify_region(z: ModelPoint, params: BiasParams) -> int:
     """
     if params.m != 1:
         raise ValueError("pointwise verification is built for the m = 1 pack")
-    return 0 if math.log(systole(z)[1]) > params.log_eps_prime[0] else 1
+    return 0 if math.log(systole(z)[1]) > params.log_eps_prime else 1
 
 
 def verify_system(params: BiasParams, centers, contraction_bound: float,
@@ -226,7 +226,7 @@ def verify_system(params: BiasParams, centers, contraction_bound: float,
                 f"point {X.z} lies in region {j}, not declared region {declared_region}"
             )
         lX = systole(X)[1]
-        f1 = float(np.exp(params.s * (params.log_eps[0] - np.log(lX))))
+        f1 = float(np.exp(params.s * (params.log_eps - np.log(lX))))
         u = f1 + 1.0
         xs, ys = sample_ball_arrays(X, tau, n, rng)
         lz = systole_values(xs, ys)

@@ -4,13 +4,13 @@ Extremal length is the single length functional: for a curve class (p,q)
 on the torus of modulus z it is |p + qz|^2 / Im z, the squared flat
 length over the area.  The systole is its minimum over primitive classes.
 
-BiasParams is the parameter pack (s, tau, K, eps ladder) of the bias
+BiasParams is the parameter pack (s, tau, K, top eps rung) of the bias
 functions f_j = prod (eps_i / l_i)^s and u = sum f_j on a product of m
-tori.  products reads its ladder depth for the m-factor contraction
-check and evaluates f_1 and u for one factor.  Ladder values decay so
-fast that they are stored as logarithms; everything that consumes them
-works in log space and only exponentiates quantities that are
-representable.
+tori.  products reads the depth of the top rung eps_m for the m-factor
+contraction check, and evaluates f_1 and u for one factor, where eps_1
+is that top rung.  Eps values decay so fast that they are stored as
+logarithms; everything that consumes them works in log space and only
+exponentiates quantities that are representable.
 """
 
 from __future__ import annotations
@@ -94,30 +94,27 @@ def systole_values(x, y):
 class BiasParams:
     """Parameter pack for the bias functions.
 
-    The ladder is stored in log space: for m factors at step radius tau,
-    K slightly exceeds e^{2 m tau} and the eps values shrink by the factor
-    K^2 (2m K^2)^{2/s} at each rung, far below float range for large
-    m * tau.  log_eps[j] is log eps_{j+1}; log_eps_prime likewise.
+    It holds the one eps rung the checks read, the top rung m, in log
+    space: for m factors at step radius tau, K slightly exceeds
+    e^{2 m tau} and eps_m = K^{-3}/2, far below float range for large
+    m * tau.  log_eps is log eps_m and log_eps_prime is
+    log eps'_m = log(eps_m / (m K^2)).
     """
 
     m: int
     s: float
     tau: float
     log_K: float
-    log_eps: tuple
-    log_eps_prime: tuple
+    log_eps: float
+    log_eps_prime: float
 
     @staticmethod
     def default(m: int = 1, tau: float = 3.0, s: float = 0.5) -> "BiasParams":
-        """Canonical ladder: built top-down from eps_m = K^{-3}/2 with 2x slack."""
+        """Canonical top rung: eps_m = K^{-3}/2, with 2x slack."""
         log_K = 2.0 * m * tau + math.log1p(1e-3)
-        step = 2.0 * log_K + (2.0 / s) * (math.log(2.0 * m) + 2.0 * log_K)
-        log_eps = [0.0] * m
-        log_eps[m - 1] = -3.0 * log_K - math.log(2.0)
-        for i in range(m - 2, -1, -1):
-            log_eps[i] = log_eps[i + 1] - step - math.log(2.0)
-        log_eps_prime = [le - math.log(m) - 2.0 * log_K for le in log_eps]
-        p = BiasParams(m, s, tau, log_K, tuple(log_eps), tuple(log_eps_prime))
+        log_eps = -3.0 * log_K - math.log(2.0)
+        log_eps_prime = log_eps - math.log(m) - 2.0 * log_K
+        p = BiasParams(m, s, tau, log_K, log_eps, log_eps_prime)
         p.validate()
         return p
 
@@ -126,9 +123,5 @@ class BiasParams:
             raise ValueError("exponent s must lie in (0, 1)")
         if self.log_K <= 2.0 * self.m * self.tau:
             raise ValueError("K must exceed e^{2 m tau}")
-        if self.log_eps[self.m - 1] >= -3.0 * self.log_K:
+        if self.log_eps >= -3.0 * self.log_K:
             raise ValueError("top eps must be below K^{-3}")
-        step = 2.0 * self.log_K + (2.0 / self.s) * (math.log(2.0 * self.m) + 2.0 * self.log_K)
-        for i in range(self.m - 1):
-            if self.log_eps[i] >= self.log_eps[i + 1] - step:
-                raise ValueError(f"eps ladder violated between rungs {i + 1} and {i + 2}")

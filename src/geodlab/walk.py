@@ -24,7 +24,8 @@ span recurrence (_span_step) can make nonzero at some step, so counts,
 snapshots, thin masks and return masks all have the reach's size.  For
 a near-tangent row pair, whose x bound is below half the source spacing,
 a source span's target range is clipped to the first and last target
-whose window holds a source node (_reach): most targets of such a pair
+whose window holds a source node, found in one pass of the window
+arithmetic over the range (_reach): most targets of such a pair
 fall between two source nodes, and a range of them would widen the
 spans of every later step.  The recurrence runs once, on the whole net,
 and every DP on the same (base, tau, n_steps) reuses its spans.  A step
@@ -487,8 +488,8 @@ def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
     When 2 w is below the source spacing, as for near-tangent rows, a
     window holds at most one source node and most targets of the range
     fall between two of them.  The range is then clipped to its first
-    and last target with a nonempty window, found by _windows itself,
-    DP_CHUNK targets at a time inward from each end.
+    and last target with a nonempty window, found by _windows itself in
+    one pass over the range, DP_CHUNK targets at a time.
     """
     t0 = max(math.ceil((rs.j_lo * rs.s - w) / rt.s) - 1 - rt.j_lo, 0)
     t1 = min(math.floor((rs.j_hi * rs.s + w) / rt.s) + 1 - rt.j_lo,
@@ -499,19 +500,14 @@ def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
     if t1 < rt.n - 1 and lo[1] < rs.n:
         t1 = rt.n - 1
     if 2.0 * w < rs.s:
-        def met(c0):
+        met = []
+        for c0 in range(t0, t1 + 1, DP_CHUNK):
             jt = np.arange(c0, min(c0 + DP_CHUNK, t1 + 1)) + rt.j_lo
             lo, hi = _windows(rs, rt, w, jt)
-            return c0 + np.flatnonzero(hi > lo)
-
-        chunks = range(t0, t1 + 1, DP_CHUNK)
-        k, head = next(((k, m) for k, m in enumerate(map(met, chunks))
-                        if m.size), (0, None))
-        if head is None:
-            return 0, -1
-        # back from the last chunk to the one after head's, else head's
-        tail = next((m for m in map(met, chunks[:k:-1]) if m.size), head)
-        t0, t1 = int(head[0]), int(tail[-1])
+            nz = np.flatnonzero(hi > lo)
+            if nz.size:
+                met += [c0 + int(nz[0]), c0 + int(nz[-1])]
+        t0, t1 = (met[0], met[-1]) if met else (0, -1)
     return t0, t1
 
 

@@ -6,12 +6,10 @@ import pytest
 from geodlab import flow as flow_module
 from geodlab.halfplane import ModelPoint, ReductionError
 from geodlab.flow import (Box, axis_distance, closing_constants, flow,
-                          frame_base, frame_base_dir, frame_systoles,
-                          frames_from_points, in_box, margulis_count,
-                          measure_box, mixing_correlation, recurrence_fraction,
-                          reduce_frames, sample_box, sample_fund,
-                          sample_fund_frames)
-from geodlab.torus import systole_values
+                          frame_base_dir, frames_from_points, in_box,
+                          margulis_count, measure_box, mixing_correlation,
+                          recurrence_fraction, reduce_frames, sample_box,
+                          sample_fund, sample_fund_frames)
 from geodlab.words import word_to_matrix
 
 
@@ -99,8 +97,6 @@ def test_mixing_guards():
     box = measure_box(0.02)
     with pytest.raises(ValueError):
         mixing_correlation(box, 3.0, 100, np.random.default_rng(8))
-    with pytest.raises(ValueError):
-        mixing_correlation(box, 3.0, 10001, np.random.default_rng(8))
 
 
 def test_mixing_estimate_short_time_self_correlation():
@@ -173,21 +169,6 @@ def test_recurrence_fraction_seeded():
     res2 = recurrence_fraction(4000, 4, 0.25, 0.5, np.random.default_rng(12))
     assert res.fractions == res2.fractions
     assert math.isfinite(res.decay_exponent)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 12])
-def test_frame_systoles_match_systole_values_bitwise(seed):
-    # the frames of each recurrence step, reduced and, where most base
-    # points still need inverting, before reduction
-    rng = np.random.default_rng(seed)
-    B = frames_from_points(*sample_fund_frames(20_000, rng))
-    for _ in range(8):
-        flowed = flow(B, 1.0)
-        _, B = reduce_frames(flowed)
-        for A in (flowed, B):
-            want = systole_values(*frame_base(A))
-            assert np.array_equal(frame_systoles(A).view(np.uint64),
-                                  want.view(np.uint64))
 
 
 def test_recurrence_guards():

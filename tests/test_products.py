@@ -120,7 +120,7 @@ def test_verify_contraction_product_rule():
 
 def test_classify_region_threshold():
     params = BiasParams.default(m=1, tau=3.0)
-    y_edge = math.exp(-params.log_eps_prime[0])
+    y_edge = math.exp(-params.log_eps_prime)
     assert classify_region(ModelPoint(0.0, y_edge * 1.01), params) == 1
     assert classify_region(ModelPoint(0.0, y_edge * 0.99), params) == 0
     # systole 1 is far above eps'_1; systole e^-40 far below it
@@ -148,7 +148,7 @@ def test_verify_system_thin_and_thick():
     # deep in the cusp the systole is 1/y, so f_1 = (eps_1 y)^(1/2), u = 1 + f_1
     inv2K = 0.5 * math.exp(-params.log_K)
     for z, tail, full in zip(thin, rep.thin_checks[::2], rep.thin_checks[1::2]):
-        f1 = math.sqrt(math.exp(params.log_eps[0]) * z.y)
+        f1 = math.sqrt(math.exp(params.log_eps) * z.y)
         assert (tail.reading, full.reading) == ("u_tail", "u")
         assert tail.bound == pytest.approx(c + ((1.0 + f1) / f1) * inv2K,
                                            rel=1e-12)

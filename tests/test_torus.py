@@ -122,29 +122,19 @@ def test_systole_values_equals_scalar_systole(x, y):
 def test_bias_params_default_ladder():
     p = BiasParams.default(m=1, tau=3.0)
     assert p.log_K == pytest.approx(6.0 + math.log1p(1e-3), rel=1e-12)
-    assert p.log_eps[0] == pytest.approx(-3.0 * p.log_K - math.log(2.0),
-                                         rel=1e-12)
-    assert p.log_eps_prime[0] == pytest.approx(
-        p.log_eps[0] - 2.0 * p.log_K, rel=1e-12)
-
-
-def test_bias_params_multi_factor_ladder_monotone():
-    p = BiasParams.default(m=3, tau=8.0)
-    assert p.log_eps[0] < p.log_eps[1] < p.log_eps[2]
-    # deep rungs underflow floats but stay ordered in log space
-    assert p.log_eps[0] < -700.0
-    assert math.exp(p.log_eps[0]) == 0.0
-    assert math.exp(p.log_eps[2]) > 0.0
-    p.validate()
+    assert p.log_eps == pytest.approx(-3.0 * p.log_K - math.log(2.0),
+                                      rel=1e-12)
+    assert p.log_eps_prime == pytest.approx(
+        p.log_eps - 2.0 * p.log_K, rel=1e-12)
 
 
 def test_bias_params_validation_errors():
     good = BiasParams.default(m=1, tau=3.0)
     with pytest.raises(ValueError, match="top eps"):  # eps too big
-        BiasParams(1, 0.5, 3.0, 6.001, (math.log(0.5),),
+        BiasParams(1, 0.5, 3.0, 6.001, math.log(0.5),
                    good.log_eps_prime).validate()
     with pytest.raises(ValueError, match="K must exceed"):  # K too small
-        BiasParams(1, 0.5, 3.0, 0.0, (math.log(1e-9),),
+        BiasParams(1, 0.5, 3.0, 0.0, math.log(1e-9),
                    good.log_eps_prime).validate()
     with pytest.raises(ValueError):
         BiasParams(1, 1.5, good.tau, good.log_K, good.log_eps,
