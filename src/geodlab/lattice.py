@@ -12,8 +12,8 @@ has a nontrivial stabilizer, which for a reduced X means X is exactly i
 or a corner rho of F.  There two rows give one family exactly when the
 stabilizer, acting on rows from the right, maps one onto the other; the
 rows are tested in exact integers and each family keeps only the first of
-its rows.  All rows of one ball are built as int64/float64 arrays, in
-blocks of ROW_BLOCK rows.
+its rows.  Rows and their Bezout partners come from the Stern-Brocot tree,
+with no gcd and no Euclid, as int64/float64 arrays, one block per chunk.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -30,8 +30,8 @@ from .halfplane import ModelPoint, reduce_to_fundamental
 from .torus import extremal_length, systole
 
 MAX_ORBIT_RADIUS = 7.0
-# Bottom rows per block of _family_windows: bounds its row arrays.
-ROW_BLOCK = 65_536
+# Tree words per block of _family_windows: bounds its row arrays.
+ROW_BLOCK = 8_192
 # Integers below 2^53 are exact in float64; window edges at or past it
 # are no longer exact integers, and neither is the count.
 EXACT_EDGE_LIMIT = 2.0 ** 53
@@ -59,72 +59,45 @@ class OrbitPointSet:
         return int(self.x.size)
 
 
-def _bezout(d: np.ndarray, c: np.ndarray):
-    """(u, v) with d u - c v = 1 for coprime rows (c >= 1).
-
-    The extended Euclid steps on (d, -c) with floor division, run in
-    place on the rows not yet at remainder 0, then the sign that makes
-    the gcd 1; v follows from u exactly.
-    """
-    old_r, r = d.copy(), -c
-    old_u, u = np.ones(d.size, np.int64), np.zeros(d.size, np.int64)
-    run = np.arange(d.size)
-    while run.size:
-        a, b = old_r[run], r[run]
-        qt = a // b
-        nr = a - qt * b
-        old_r[run], r[run] = b, nr
-        uu = u[run]
-        old_u[run], u[run] = uu, old_u[run] - qt * uu
-        run = run[nr != 0]
-    u = np.where(old_r < 0, -old_u, old_u)
-    return u, (d * u - 1) // c
-
-
 def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int,
                  cone=None):
     """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, in blocks.
 
-    (0, 1) comes first, then c = 1..c_max with d ascending over the
-    window where (c x0 + d)^2 + c^2 y0^2 <= q_max.  Rows are numbered
-    flat and cut into ROW_BLOCK slices, so one block's arrays stay
-    bounded however large the ball.  Each block also carries the number
-    of coprime rows scanned in it.
+    (0, 1) comes first, then (1, 0), then the Stern-Brocot tree: each word
+    [[a, b], [c, e]] in L = [[1, 1], [0, 1]] and R = [[1, 0], [1, 1]] that
+    starts with R is one coprime (c, e >= 1), giving the rows (c, +-e) with
+    top rows (+-a, b).  Descendants have larger c and e, so each step
+    appends a whole run, L^j after an R and R^j after an L, while e stays
+    within the window of some c' >= c.  The tree is walked depth first in
+    chunks of at most ROW_BLOCK words, one block each, with the number of
+    coprime rows scanned: those in the float window (c x0 + d)^2 + c^2 y0^2
+    <= q_max.  Kept partners move to Euclid's, -(c // 2) <= a0 < c - c // 2.
 
     At a cone point, cone = (n, m, images) from _CONE_POINTS, the window
     is the exact 4q = (c n + 2d)^2 + c^2 m <= 4 q_max: the float window is
     widened by one on each side and cut back by that test, so a row and
-    its stabilizer images are scanned together.  A row is then kept only
-    when it comes before each of its images (taken up to sign) in row
-    order, and only kept rows reach _bezout.  That keeps the first row of
-    every family, as a dedupe by exact family key would.
+    its stabilizer images are scanned together.  A row is kept when it
+    precedes each image (up to sign) in (c, d) order: its family's first row.
     """
     # (0, 1), with q = 1, comes first; an exact window may leave it out
-    first = 1 if cone is None or q_max >= 1.0 else 0
-    one, zero = np.ones(first, np.int64), np.zeros(first, np.int64)
-    yield zero, one, one, zero, first
+    one = np.ones(1 if cone is None or q_max >= 1.0 else 0, np.int64)
+    yield 0 * one, one, one, 0 * one, one.size
     # At a cone point y0sq <= m / 4, so c_max and the c filter, with
     # rounding monotone, never drop a c the exact window holds.
     widen, images = (1, cone[2]) if cone else (0, ())
-    cs = np.arange(1, c_max + 1, dtype=np.int64)
-    dw = q_max - cs * cs * y0sq
-    cs, dw = cs[dw >= 0.0], dw[dw >= 0.0]
-    w = np.sqrt(dw)
-    d_lo = np.ceil(-cs * x0 - w).astype(np.int64) - widen
-    nd = np.maximum(np.floor(-cs * x0 + w).astype(np.int64) + widen
-                    - d_lo + 1, 0)
-    # the rows of c = cs[k] are numbered edges[k] .. edges[k + 1] - 1
-    edges = np.concatenate(([0], np.cumsum(nd)))
-    total = int(edges[-1])
-    for i0 in range(0, total, ROW_BLOCK):
-        i1 = min(i0 + ROW_BLOCK, total)
-        # the c of each row: the block's runs of c, clipped to the block
-        k0, k1 = np.searchsorted(edges, [i0, i1 - 1], side="right") - 1
-        k = np.repeat(np.arange(k0, k1 + 1),
-                      np.diff(np.clip(edges[k0:k1 + 2], i0, i1)))
-        c = cs[k]
-        d = d_lo[k] + np.arange(i0, i1) - edges[k]
-        keep = np.gcd(c, d) == 1
+    dw = q_max - np.arange(1, c_max + 1, dtype=np.int64) ** 2 * y0sq
+    w = np.sqrt(dw[dw >= 0.0])  # dw falls with c: c = 1 .. w.size
+    cx = -np.arange(1, w.size + 1, dtype=np.int64) * x0
+    d_lo = np.ceil(cx - w).astype(np.int64) - widen
+    d_hi = np.floor(cx + w).astype(np.int64) + widen
+    # dmax[c - 1]: the largest |d| in the window of any c' >= c
+    dmax = np.maximum.accumulate(np.maximum(-d_lo, d_hi)[::-1])[::-1]
+    # c_top[e]: the last c whose window, or a later one, reaches e; the
+    # table stops at e = w.size, as no R-run reaches c + e > w.size
+    c_top = np.searchsorted(-dmax, -np.arange(w.size + 1), side="right")
+
+    def block(a, b, c, d):
+        keep = (d >= d_lo[c - 1]) & (d <= d_hi[c - 1])
         if cone:
             n, m, _ = cone
             cn = c * n + 2 * d
@@ -137,14 +110,41 @@ def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int,
             f = (ga * c + de * d) * np.sign(e)
             e = np.abs(e)
             keep &= (c < e) | ((c == e) & (d < f))
-        c, d = c[keep], d[keep]
-        a0, b0 = _bezout(d, c)
-        yield c, d, a0, b0, scanned
+        a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+        k = (a + c // 2) // c
+        return c, d, a - k * c, b - k * d, scanned
+
+    if w.size:
+        yield block(*(np.array([v]) for v in (0, -1, 1, 0)))
+    # Entries: words (a, b, c, e), whether their runs are of R, and their
+    # first child not yet taken.  The identity's R-runs are the roots.
+    stack = [(*np.eye(2, dtype=np.int64).reshape(4, 1), True, 0)]
+    while stack:
+        a, b, c, e, r_run, i0 = stack.pop()
+        n = ((c_top[np.minimum(e, w.size)] - c) // e if r_run
+             else (dmax[c - 1] - e) // c)
+        # the children are numbered flat, run after run
+        edges = np.concatenate(([0], np.cumsum(n)))
+        i1 = min(i0 + ROW_BLOCK, int(edges[-1]))
+        if i1 == i0:
+            continue
+        if i1 < edges[-1]:
+            stack.append((a, b, c, e, r_run, i1))
+        k = np.repeat(np.arange(n.size), np.diff(np.clip(edges, i0, i1)))
+        j = np.arange(i0 + 1, i1 + 1) - edges[k]
+        a, b, c, e = a[k], b[k], c[k], e[k]
+        if r_run:
+            a, c = a + j * b, c + j * e
+        else:
+            b, e = b + j * a, e + j * c
+        stack.append((a, b, c, e, not r_run, 0))
+        yield block(np.concatenate((a, -a)), np.concatenate((b, b)),
+                    np.concatenate((c, c)), np.concatenate((e, -e)))
 
 
 def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
                     counters=None):
-    """Families as arrays (re0, y_pt, lo, hi), in row order, for a reduced X.
+    """Families as arrays (re0, y_pt, lo, hi) for a reduced X.
 
     Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi.
     At a cone point of _CONE_POINTS, _bottom_rows yields one row per
@@ -163,11 +163,11 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
 
     # At a cone point, with n = 2 Re X and m = 4 Im^2 X, the integers
     # 4q = (c n + 2d)^2 + c^2 m and 4 q re0 are exact.  The int64
-    # arithmetic here and in _bottom_rows does not wrap: every integer is
-    # a small multiple of q_max, which a reduced center and
+    # arithmetic here and in _bottom_rows does not wrap: the top row of a
+    # word that starts with R is bounded by its bottom row, and every
+    # integer is a small multiple of q_max, which a reduced center and
     # tau <= MAX_ORBIT_RADIUS keep below 2e6 at a cone point.
-    out = []
-    rows = 0
+    out, rows = [], 0
     for c, d, a0, b0, scanned in _bottom_rows(x0, y0sq, q_max, c_max, cone):
         rows += scanned
         if cone:

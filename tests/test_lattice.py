@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist_arrays,
                                reduce_to_fundamental, teich_dist)
 from geodlab import lattice
-from geodlab.lattice import (_CONE_POINTS, MAX_ORBIT_RADIUS, _bezout,
+from geodlab.lattice import (_CONE_POINTS, MAX_ORBIT_RADIUS, _bottom_rows,
                              _family_windows, chain_bound_audit, orbit_count,
                              orbit_points, spread_count)
 
@@ -242,17 +242,6 @@ def _ext_gcd(a: int, b: int) -> tuple:
     return old_r, old_u, old_v
 
 
-def test_bezout_matches_scalar_euclid():
-    c, d = np.meshgrid(np.arange(1, 60), np.arange(-90, 91))
-    c, d = c.ravel(), d.ravel()
-    keep = np.gcd(c, d) == 1
-    c, d = c[keep], d[keep]
-    u, v = _bezout(d, c)
-    assert np.all(d * u - c * v == 1)
-    ref = [_ext_gcd(int(dd), -int(cc))[1:] for cc, dd in zip(c, d)]
-    assert [(int(a), int(b)) for a, b in zip(u, v)] == ref
-
-
 def test_spread_count_grows_into_cusp():
     thin = spread_count(ModelPoint(0.0, 100.0), 0.5)
     thick = spread_count(ModelPoint(0.0, 1.0), 0.5)
@@ -290,11 +279,32 @@ def test_chain_audit_cusp_two_links():
 CONES = [ModelPoint(x, y) for x, y in _CONE_POINTS]
 
 
+def _euclid(d: np.ndarray, c: np.ndarray):
+    """(u, v) with d u - c v = 1 for coprime rows (c >= 1), vectorised.
+
+    The steps of _ext_gcd(d, -c), run in place on the rows not yet at
+    remainder 0, then the sign that makes the gcd 1; v follows from u.
+    """
+    old_r, r = d.copy(), -c
+    old_u, u = np.ones(d.size, np.int64), np.zeros(d.size, np.int64)
+    run = np.arange(d.size)
+    while run.size:
+        a, b = old_r[run], r[run]
+        qt = a // b
+        nr = a - qt * b
+        old_r[run], r[run] = b, nr
+        uu = u[run]
+        old_u[run], u[run] = uu, old_u[run] - qt * uu
+        run = run[nr != 0]
+    u = np.where(old_r < 0, -old_u, old_u)
+    return u, (d * u - 1) // c
+
+
 def _family_windows_by_keys(X: ModelPoint, center: ModelPoint, tau: float,
                             block: int = 4096) -> tuple:
     """Key-dedupe oracle for _family_windows at a cone point X.
 
-    Every coprime row of the float window, in row order and in blocks of
+    Every coprime row of the float window, in (c, d) order and in blocks of
     `block` rows, is cut to the exact window and keyed by the exact family
     key (4q, 4 q re0 mod 4q); a row is kept when no earlier row had its
     key, through np.unique in its block and a sorted array of the keys of
@@ -319,7 +329,7 @@ def _family_windows_by_keys(X: ModelPoint, center: ModelPoint, tau: float,
     c = np.concatenate([np.zeros(0, np.int64)] + cs)
     d = np.concatenate([np.zeros(0, np.int64)] + ds)
     c, d = c[np.gcd(c, d) == 1], d[np.gcd(c, d) == 1]
-    a0, b0 = _bezout(d, c)
+    a0, b0 = _euclid(d, c)
     c, d = np.concatenate([[0], c]), np.concatenate([[1], d])
     a0, b0 = np.concatenate([[1], a0]), np.concatenate([[0], b0])
     seen = np.empty(0, complex)
@@ -368,10 +378,14 @@ def _family_windows_by_keys(X: ModelPoint, center: ModelPoint, tau: float,
 # a center too high for the row (0, 1): no family at all
 @example(CONES[0], ModelPoint(0.0, 100.0), 1.0)
 def test_stabilizer_fold_matches_key_dedupe(X, center, tau):
+    # the same families, as a set: keeping another row of a family would
+    # shift its re0, lo and hi by an integer
     center, _ = reduce_to_fundamental(center)
     got = _family_windows(X, center, tau)
     want = _family_windows_by_keys(X, center, tau)
     assert [a.dtype for a in got] == [a.dtype for a in want]
+    got, want = ([a[np.lexsort(fams[::-1])] for a in fams]
+                 for fams in (got, want))
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -406,18 +420,91 @@ def test_stabilizer_images_share_the_family_key(c, d):
 
 @pytest.mark.parametrize("X, order", [(CONES[0], 2), (CONES[1], 3),
                                       (CONES[2], 3)])
-def test_bezout_runs_only_on_folded_rows(monkeypatch, X, order):
-    # each family has `order` coprime rows, and only its first reaches
-    # _bezout; (0, 1) needs none
+def test_coprime_rows_are_order_times_rows_kept(monkeypatch, X, order):
+    # The stabilizer acts freely on primitive rows up to sign and keeps the
+    # exact window, and the fold keeps one row of each orbit, (0, 1) too.
     sizes = []
 
-    def bezout(d, c):
-        sizes.append(d.size)
-        return _bezout(d, c)
+    def bottom_rows(*args):
+        for block in _bottom_rows(*args):
+            sizes.append(block[0].size)
+            yield block
 
-    monkeypatch.setattr(lattice, "_bezout", bezout)
+    monkeypatch.setattr(lattice, "_bottom_rows", bottom_rows)
     counters = collections.Counter()
     orbit_count(X, X, 6.0, counters)
-    rows = counters["lattice.coprime_rows"]
-    assert rows > lattice.ROW_BLOCK
-    assert 0 < sum(sizes) <= -(-rows // order) + 1
+    assert len(sizes) > 3
+    assert counters["lattice.coprime_rows"] == order * sum(sizes)
+
+
+def _window_args(X: ModelPoint, center: ModelPoint, tau: float) -> tuple:
+    """The arguments _family_windows passes to _bottom_rows."""
+    y0sq = X.y * X.y
+    q_max = (X.y / center.y) * math.exp(2.0 * tau) * (1.0 + 1e-12)
+    c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
+    return X.x, y0sq, q_max, c_max, _CONE_POINTS.get((X.x, X.y))
+
+
+def _bottom_rows_by_scan(x0, y0sq, q_max, c_max, cone) -> tuple:
+    """Brute-force oracle for _bottom_rows: sorted (c, d, a0, b0), scanned.
+
+    Every row (c, d) of the float window of each c, widened by one at a
+    cone point, that np.gcd finds coprime is scanned; at a cone point only
+    those within the exact window.  There a row is kept when it is the
+    least in (c, d) order of the rows its stabilizer images are, up to
+    sign.  Each kept row takes the partner of the scalar _ext_gcd(d, -c).
+    """
+    widen = 1 if cone else 0
+    rows = [(0, 1)] if cone is None or q_max >= 1.0 else []
+    for c in range(1, c_max + 1):
+        dw = q_max - c * c * y0sq
+        if dw < 0.0:
+            break
+        w = math.sqrt(dw)
+        d = np.arange(math.ceil(-c * x0 - w) - widen,
+                      math.floor(-c * x0 + w) + widen + 1)
+        d = d[np.gcd(c, d) == 1]
+        if cone:
+            n, m, _ = cone
+            d = d[(c * n + 2 * d) ** 2 + c * c * m <= 4.0 * q_max]
+        rows += [(c, int(dd)) for dd in d]
+    if cone:
+        def least(c, d):
+            images = [(al * c + be * d, ga * c + de * d)
+                      for al, be, ga, de in cone[2]]
+            return (c, d) < min(max(g, (-g[0], -g[1])) for g in images)
+        kept = [r for r in rows if least(*r)]
+    else:
+        kept = rows
+    return sorted((c, d) + _ext_gcd(d, -c)[1:] for c, d in kept), len(rows)
+
+
+REDUCED = POINT.map(lambda z: reduce_to_fundamental(z)[0])
+# the largest radius drawn with each ROW_BLOCK: with blocks of one word,
+# a ball of radius 6 takes some 75,000 blocks and 10 s
+BLOCK_TAU = {1: 3.5, 7: 4.5, 100: 6.0, 65_536: 6.0}
+
+
+@settings(deadline=None, max_examples=40)
+@given(REDUCED, REDUCED,
+       st.sampled_from(sorted(BLOCK_TAU)).flatmap(
+           lambda block: st.tuples(st.just(block),
+                                   st.floats(0.05, BLOCK_TAU[block]))))
+@example(CONES[0], CONES[0], (65_536, 6.0))
+@example(CONES[1], CONES[1], (100, 6.0))
+@example(CONES[2], ModelPoint(0.17, 1.1), (7, 4.0))
+@example(CONES[0], ModelPoint(0.0, 100.0), (1, 1.0))  # no row at all
+@example(ModelPoint(0.3, 1.2), ModelPoint(0.1, 1.0), (100, 6.0))
+def test_bottom_rows_match_the_window_scan(X, center, block_tau):
+    block, tau = block_tau
+    args = _window_args(X, center, tau)
+    got, scanned = [], 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "ROW_BLOCK", block)
+        for c, d, a0, b0, n in _bottom_rows(*args):
+            assert c.size <= 2 * block
+            got += zip(c.tolist(), d.tolist(), a0.tolist(), b0.tolist())
+            scanned += n
+    want, rows = _bottom_rows_by_scan(*args)
+    assert sorted(got) == want
+    assert scanned == rows
