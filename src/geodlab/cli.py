@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -435,15 +436,25 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # open --out before the run, so a bad path fails without running it
+    # open --out before the run, so a bad path fails without running it,
+    # and empty it only once the report is in hand, so a run that raises
+    # leaves an existing file as it was (and removes one it created)
+    created = bool(args.out) and not os.path.exists(args.out)
     try:
-        out = (open(args.out, "w") if args.out
+        out = (open(args.out, "a") if args.out
                else contextlib.nullcontext(sys.stdout))
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
     with out as fh:
-        report = run(config)
+        try:
+            report = run(config)
+        except BaseException:
+            if created:
+                os.remove(args.out)
+            raise
+        if args.out and fh.seekable():  # not a pipe or terminal
+            fh.truncate(0)
         fh.write(report.to_text())
     if args.check:
         failed = any(row[-1] == "no" for row in report.rows)

@@ -2,8 +2,11 @@
 
 A config file is plain text, one `key = value` per line, with blank
 lines and `#` comments ignored.  Every experiment declares its keys in a
-registry; unknown keys, malformed values, non-increasing grids, and
-out-of-range probabilities are rejected with the offending key named.
+registry.  Unknown keys, malformed values, grids that are not strictly
+increasing and positive, and values outside a key's range are rejected
+with the offending key named.  The ranges are the probabilities' open
+interval, minima, and the maxima that the runners' modules enforce,
+imported from them.
 Values given on the command line override file values.
 """
 
@@ -12,6 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .flow import MAX_CENSUS_TIME
+from .lattice import MAX_ORBIT_RADIUS, MAX_SPREAD_RADIUS
+from .words import MAX_AXIS_STEP, MAX_ENUM_LENGTH
+
 
 class ConfigError(ValueError):
     """A configuration value failed validation."""
@@ -19,18 +26,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One config key: value kind, default, optional inclusive minimum."""
+    """One config key: value kind, default, optional inclusive minimum
+    and maximum; a grid's maximum bounds each entry."""
 
     kind: str  # int | float | prob | grid
     default: object
     minimum: float | None = None
+    maximum: float | None = None
 
 
 # Per-experiment key registries.  Grids are strictly increasing tuples;
-# prob values live in the open interval (0, 1); minima bound counts.
+# prob values live in the open interval (0, 1); minima bound counts;
+# maxima are the ranges the runners' modules enforce.
 EXPERIMENTS: dict = {
     "count": {
-        "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0, 6.0)),
+        "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0, 6.0),
+                            maximum=MAX_ENUM_LENGTH),
     },
     "thin": {
         "delta_grid": ParamSpec("grid", (0.05, 0.1, 0.2)),
@@ -55,18 +66,21 @@ EXPERIMENTS: dict = {
         "fraction": ParamSpec("prob", 0.02),
     },
     "close": {
-        "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0)),
+        "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0), maximum=MAX_CENSUS_TIME),
         "samples": ParamSpec("int", 32_000, minimum=1000),
         "fraction": ParamSpec("prob", 0.02),
     },
     "lattice": {
         "systole_grid": ParamSpec("grid", (0.01, 0.1, 1.0)),
-        "tau_grid": ParamSpec("grid", (2.0, 3.0, 4.0, 5.0, 6.0)),
-        "spread_radius": ParamSpec("float", 0.5, minimum=0.05),
+        "tau_grid": ParamSpec("grid", (2.0, 3.0, 4.0, 5.0, 6.0),
+                              maximum=MAX_ORBIT_RADIUS),
+        "spread_radius": ParamSpec("float", 0.5, minimum=0.05,
+                                   maximum=MAX_SPREAD_RADIUS),
     },
     "veech": {
-        "max_length": ParamSpec("float", 6.0, minimum=1.0),
-        "step": ParamSpec("float", 0.02, minimum=0.001),
+        "max_length": ParamSpec("float", 6.0, minimum=1.0,
+                                maximum=MAX_ENUM_LENGTH),
+        "step": ParamSpec("float", 0.02, minimum=0.001, maximum=MAX_AXIS_STEP),
     },
     "recurrence": {
         "horizon": ParamSpec("int", 8, minimum=2),
@@ -75,7 +89,7 @@ EXPERIMENTS: dict = {
         "theta": ParamSpec("prob", 0.5),
     },
     "assemble": {
-        "r": ParamSpec("float", 6.0, minimum=1.0),
+        "r": ParamSpec("float", 6.0, minimum=1.0, maximum=MAX_ENUM_LENGTH),
         "bands": ParamSpec("int", 3, minimum=1),
     },
 }
@@ -139,6 +153,12 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw):
                 f"{experiment}.{key}: grid must be strictly increasing, got {v}")
         if any(not math.isfinite(g) for g in v):
             raise ConfigError(f"{experiment}.{key}: grid entries must be finite")
+        if v[0] <= 0.0:
+            raise ConfigError(
+                f"{experiment}.{key}: grid entries must be positive, got {v}")
+        if ps.maximum is not None and v[-1] > ps.maximum:
+            raise ConfigError(
+                f"{experiment}.{key}: entries must be at most {ps.maximum}, got {v}")
         return v
     if ps.kind == "prob" and not 0.0 < v < 1.0:
         raise ConfigError(f"{experiment}.{key}: must lie in (0, 1), got {v}")
@@ -147,6 +167,9 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw):
     if ps.minimum is not None and v < ps.minimum:
         raise ConfigError(
             f"{experiment}.{key}: must be at least {ps.minimum}, got {v}")
+    if ps.maximum is not None and v > ps.maximum:
+        raise ConfigError(
+            f"{experiment}.{key}: must be at most {ps.maximum}, got {v}")
     return v
 
 

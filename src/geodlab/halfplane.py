@@ -153,10 +153,9 @@ class ReductionWork:
 
     Every float and mask temporary of the point reduction is a view into
     these; only the indices of the points still inside the unit circle
-    are allocated, one array per inversion step.  A caller that reduces
-    block after block passes one ReductionWork to every call.  Its blocks
-    then allocate no block-sized float arrays, which glibc would hand
-    back to the system and fault in again on the next block.
+    are allocated, one array per inversion step.  So the chunks of one
+    call allocate no chunk-sized float arrays, which glibc would hand
+    back to the system and fault in again on the next chunk.
     """
 
     def __init__(self, n: int):
@@ -195,7 +194,7 @@ def _inside(x, y, work):
     return np.flatnonzero(inside)
 
 
-def reduce_in_place(x, y, g=None, max_iter: int = 300, work=None) -> None:
+def reduce_in_place(x, y, g=None, max_iter: int = 300) -> None:
     """Reduce 1-D float64 coordinate arrays into F, overwriting them.
 
     The vectorised reduction loop: translate once, then
@@ -204,16 +203,11 @@ def reduce_in_place(x, y, g=None, max_iter: int = 300, work=None) -> None:
     g, an int64 array of shape (n, 2, 2), the deck matrices are updated
     in place too, so that g.z = z' for the z that g held on entry.  Every
     step is elementwise, so a point's result does not depend on the
-    points reduced with it.  The temporaries live in work, a
-    ReductionWork for at least min(x.size, REDUCE_CHUNK) points, made
-    here when none is given.  Raises ReductionError when a point needs
-    more than max_iter inversions or a deck entry would leave int64.
+    points reduced with it.  The temporaries live in one ReductionWork
+    for all the chunks.  Raises ReductionError when a point needs more
+    than max_iter inversions or a deck entry would leave int64.
     """
-    if work is None:
-        work = ReductionWork(x.size)
-    elif work.size < min(x.size, REDUCE_CHUNK):
-        raise ValueError(f"work area holds {work.size} points, "
-                         f"a chunk needs {min(x.size, REDUCE_CHUNK)}")
+    work = ReductionWork(x.size)
     deck = g is not None
     for lo in range(0, x.size, REDUCE_CHUNK):
         part = slice(lo, lo + REDUCE_CHUNK)

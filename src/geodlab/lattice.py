@@ -30,6 +30,7 @@ from .halfplane import ModelPoint, reduce_to_fundamental
 from .torus import extremal_length, systole
 
 MAX_ORBIT_RADIUS = 7.0
+MAX_SPREAD_RADIUS = 2.0
 # Tree words per block of _family_windows: bounds its row arrays.
 ROW_BLOCK = 8_192
 # Integers below 2^53 are exact in float64; window edges at or past it
@@ -249,8 +250,8 @@ def orbit_count(X: ModelPoint, center: ModelPoint, tau: float,
 
 def spread_count(X: ModelPoint, c2: float, counters=None) -> int:
     """Orbit points in the ball of radius c2 around the point itself."""
-    if not (0.0 < c2 <= 2.0):
-        raise ValueError("spread radius must lie in (0, 2]")
+    if not (0.0 < c2 <= MAX_SPREAD_RADIUS):
+        raise ValueError(f"spread radius must lie in (0, {MAX_SPREAD_RADIUS}]")
     return orbit_count(X, X, c2, counters)
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .halfplane import MappingClass, ReductionWork, reduce_in_place
+from .halfplane import MappingClass, reduce_in_place
 from .torus import systole_values
 
 # Enumeration beyond this radius needs hundreds of thousands of classes
@@ -34,6 +34,12 @@ from .torus import systole_values
 MAX_ENUM_LENGTH = 7.5
 _EXACT_INT64 = 2 ** 62  # |a|, |d| below this keep a - d exact in int64
 _MAX_TRACE_CAP = 2 ** 31  # entries below this keep products of two in int64
+MAX_AXIS_STEP = 0.1  # the coarsest axis sample step
+# Classes of trace below this take min_systole_batch's block walk, whose
+# integers reach 3 t^2 < 2^53, exact in int64 and float64; the others, none
+# of them from enumerate_classes (traces up to 2 cosh 7.5 < 1809), take
+# their whole sample grid.
+_WALK_TRACE_CAP = 2 ** 25
 
 
 def teich_length_from_trace(trace) -> float:
@@ -393,15 +399,15 @@ def _axis_circle(a: int, b: int, c: int, d: int) -> tuple:
 
 def _axis_halves(length, step: float):
     """Per-class sample intervals along one period: even, at least 2."""
-    if not (0.0 < step <= 0.1):
-        raise ValueError("step must lie in (0, 0.1]")
+    if not (0.0 < step <= MAX_AXIS_STEP):
+        raise ValueError(f"step must lie in (0, {MAX_AXIS_STEP}]")
     return 2 * np.maximum(np.ceil(length / (2.0 * step)).astype(np.int64), 1)
 
 
-def _axis_sigma(length, half):
-    """Arc-length offsets of one class's half + 1 axis samples, spaced
-    2 length / half apart and centred on the apex (k = half // 2)."""
-    return (np.arange(half + 1) - half // 2) * (2.0 * length / half)
+def _axis_sigma(length, half, j):
+    """Arc-length offset of axis sample j of a class's half + 1, spaced
+    2 length / half apart and centred on the apex (j = half // 2)."""
+    return (j - half // 2) * (2.0 * length / half)
 
 
 def axis_samples(exps: Sequence[int], step: float = 0.02):
@@ -411,7 +417,8 @@ def axis_samples(exps: Sequence[int], step: float = 0.02):
     the systole along simple axes is attained.
     """
     c0, r0, length = _axis_circle(*word_to_matrix(exps).entries())
-    sigma = _axis_sigma(length, _axis_halves(length, step))
+    half = _axis_halves(length, step)
+    sigma = _axis_sigma(length, half, np.arange(half + 1))
     return sigma, c0 + r0 * np.tanh(sigma), r0 / np.cosh(sigma)
 
 
@@ -420,31 +427,108 @@ def min_systole_along_axis(exps: Sequence[int], step: float = 0.02) -> float:
     return float(systole_values(x, y).min())
 
 
-def min_systole_batch(classes, step: float = 0.02, chunk_points: int = 16384,
-                      counters=None) -> np.ndarray:
+def block_apices(entries, words) -> tuple:
+    """The apex of the axis lift that each letter block of a class starts:
+    (rho, sigma), float64 arrays (N, W), zero past the end of a word.
+
+    entries and words are ClassTable columns, of traces below
+    _WALK_TRACE_CAP.  A lift of the axis A0 of M = (a, b, c, d) is
+    g^-1 A0, the axis of g^-1 M g, for g in SL(2, Z).  With (p, r) the
+    first column of g, f(p, r) = c p^2 + (d - a) p r - b r^2 is the c
+    entry of g^-1 M g, so the lift's apex height is
+    rho = sqrt(t^2 - 4) / (2 |f(p, r)|).  g carries that apex onto A0 at
+    arc length sigma from A0's apex, where
+    e^sigma = |N + r sqrt(D)| / |N - r sqrt(D)|, N = 2 c p + (d - a) r
+    and D = t^2 - 4.  As N^2 - r^2 D = 4 c f(p, r), this is
+    sigma = sgn(N) log((|N| + r sqrt(D))^2 / (4 c |f(p, r)|)), which
+    cancels nothing.
+
+    The walk peels block k off the front of the rotation M_k = P^-1 M P
+    that starts there (P the blocks before it) and appends it at the
+    back, so every entry stays within the trace, and every integer
+    formed, up to 3 t^2, within 2^53.  An R block's lift is
+    g = P S^-1, first column (q, s) of P up to sign, with |f| the b of
+    M_k; an L block's is g = P, first column (p, r), with |f| its c.
+    The other entry names a neighbouring block's lift, since R^a keeps
+    P's second column and L^b its first.  A lift with rho > 1 spans two
+    vertical lines of the Farey tessellation, so it fans about one
+    vertex through a whole block and is that block's (Series 1985,
+    Math. Intelligencer 7(3)).
+    """
+    n, width = words.shape
+    a, b, c, d = np.ascontiguousarray(entries.T)
+    t = a + d
+    if n and t.max() >= _WALK_TRACE_CAP:
+        raise OverflowError("block walk integers would pass 2^53")
+    m00, m01, m10, m11 = a, b, c, d
+    p, q, r, s = (np.full(n, v, dtype=np.int64) for v in (1, 0, 0, 1))
+    # per block: |f| and the lift's column (x, y)
+    f, x, y = (np.empty((width, n), dtype=np.int64) for _ in range(3))
+    blocks = np.ascontiguousarray(words.T)
+    for k, e in enumerate(blocks):
+        if k % 2 == 0:  # M_k = R^e ..., from the left R^-e, on the right R^e
+            f[k], x[k], y[k] = m01, q, s
+            m00, m10, m11 = (m00 + e * m01, m10 + e * (m11 - m00) - e * e * m01,
+                             m11 - e * m01)
+            p, r = p + e * q, r + e * s
+        else:  # M_k = L^e ...
+            f[k], x[k], y[k] = m10, p, r
+            m00, m01, m11 = (m00 - e * m10, m01 + e * (m00 - m11) - e * e * m10,
+                             m11 + e * m10)
+            q, s = q + e * p, s + e * r
+    root_d = np.sqrt((t * t - 4).astype(float))
+    big = 2 * c * x + (d - a) * y
+    live = blocks > 0
+    rho = np.where(live, root_d / (2.0 * f), 0.0)
+    sigma = np.where(live, np.sign(big) * np.log(
+        np.square(np.abs(big) + y * root_d) / (4.0 * c * f)), 0.0)
+    return rho.T, sigma.T
+
+
+def min_systole_batch(classes, step: float = 0.02, counters=None) -> np.ndarray:
     """Sampled axis-systole minimum per class, bit for bit what
-    min_systole_along_axis gives for each class on its own.
+    min_systole_along_axis gives for each class on its own, from the few
+    samples next to the apexes of the class's highest axis lifts.
 
     classes is a ClassTable, whose rows are read as they stand, or
     GeodesicClass rows in any order, which ClassTable.sorted_by_trace
     puts into one; the minima come back in the order given.
 
-    - One table per trace.  Classes of equal trace share the length, the
-      sample count and so the sigma grid, so tanh and cosh are computed
-      once per run of equal traces, and a class's samples are formed
-      from the table as c0 + r0 * tanh and r0 / cosh: the same floats
-      through the same elementwise operations.
-    - In-place blocks.  The classes of a trace go, at most chunk_points
-      samples at a time (one class at least), into two reused buffers,
-      sized at the default to stay in cache, and reduce_in_place reduces
-      them there, with its temporaries in one ReductionWork.  Its steps
-      are elementwise, so no point's result depends on its block.
-    - 1 / max height.  The systole at a reduced point is 1 / y and
-      correctly rounded division is monotone, so the class minimum of
-      1 / y is exactly 1 / (the class maximum of y).
+    Why those samples hold the whole grid's minimum, Delta = 2 length /
+    half being the grid step on the sampled period A0 of the axis:
+    - The reduced height of a sample at arc length sigma is the largest
+      value of rho_L / cosh(sigma - s_L) over the lifts L of the axis,
+      rho_L the height of L's apex and s_L where it pulls back to on A0
+      (block_apices), since F holds the highest point of each orbit.
+    - Only lifts with rho > 1 can hold a class maximum, because every
+      class maximum is at least sqrt(5)/2 (Hurwitz), above 1.1 even a
+      half step Delta / 2 <= 0.1 from the apex; those lifts are the
+      blocks' lifts.
+    - On a uniform grid, the largest value of rho / cosh(sigma - s)
+      falls on one of the two grid points beside s.  A point one step
+      farther away is lower by a factor of at least cosh Delta, about
+      1 + 2e-6 at step 0.001, while the reduction's float error is about
+      1e-13 and its boundary tolerance 1e-12.  So the float maximum is
+      always among the samples reduced.
+    - The grid maximum is at least rho_top / cosh(Delta / 2), which a
+      lift below rho_top / cosh(Delta / 2) (1 - 1e-9) cannot reach, so
+      only the lifts above that are kept.  Each gives the samples
+      round(u) - 1 .. round(u) + 1, u the grid position of its s_L,
+      wrapped around the period; j = 0 and j = half sample one point of
+      the geodesic in two floats, and both are kept.
+    - Samples are formed as min_systole_along_axis forms them, from the
+      per-trace sigma grid, as c0 + r0 tanh and r0 / cosh: the same
+      floats through the same elementwise operations.  One
+      reduce_in_place reduces them all, elementwise.
+    - The systole at a reduced point is 1 / y and correctly rounded
+      division is monotone, so the class minimum of 1 / y is exactly
+      1 / (the class maximum of y).
 
-    With a counters mapping, adds the samples reduced to
-    'veech.axis_points' and the tanh/cosh tables built to
+    Classes of trace _WALK_TRACE_CAP or more, whose positions float64
+    would lose, and grids whose step lowers a height by less than 1e-9
+    take their whole grid.  With a counters mapping, adds the grid
+    samples to 'veech.axis_points', the samples reduced to
+    'veech.reduced_points' and the per-trace sample grids to
     'veech.trace_tables'.
     """
     if isinstance(classes, ClassTable):
@@ -455,38 +539,44 @@ def min_systole_batch(classes, step: float = 0.02, chunk_points: int = 16384,
     # each rounded to float once.  A ClassTable keeps its entries inside
     # +-2^62, where a - d is exact in int64.
     ent, trace = table.entries, table.trace
-    two_c = 2.0 * ent[:, 2]
-    c0 = (ent[:, 0] - ent[:, 3]) / two_c
-    r0 = np.empty(len(table))  # sqrt(t t - 4) / (2 c), filled trace by trace
     first = np.ones(len(table), dtype=bool)
     first[1:] = trace[1:] != trace[:-1]
     starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], len(table))
-    halves = _axis_halves(table.length[starts], step)
-    points = int((halves + 1) @ (ends - starts))
-    # the largest block: chunk_points samples, one longer class, or all
-    size = min(max(chunk_points, int(halves.max(initial=0)) + 1), points)
-    bx, by, work = np.empty(size), np.empty(size), ReductionWork(size)
-    mins = np.empty(len(table))
-    for i0, i1, half, t, length in zip(
-            starts.tolist(), ends.tolist(), halves,
-            trace[starts].tolist(), table.length[starts].tolist()):
-        r0[i0:i1] = math.sqrt(float(t * t - 4)) / two_c[i0:i1]
-        sigma = _axis_sigma(length, half)
-        tanh, cosh = np.tanh(sigma), np.cosh(sigma)
-        n = sigma.size
-        per = max(chunk_points // n, 1)
-        for lo in range(i0, i1, per):
-            hi = min(lo + per, i1)
-            x = bx[:(hi - lo) * n].reshape(hi - lo, n)
-            y = by[:(hi - lo) * n].reshape(hi - lo, n)
-            np.multiply(r0[lo:hi, None], tanh, out=x)
-            x += c0[lo:hi, None]
-            np.divide(r0[lo:hi, None], cosh, out=y)
-            reduce_in_place(x.reshape(-1), y.reshape(-1), work=work)
-            mins[lo:hi] = 1.0 / y.max(axis=1)
+    runs = np.diff(np.append(starts, len(table)))
+    # one sample grid per run of equal traces
+    length = np.repeat(table.length[starts], runs)
+    half = np.repeat(_axis_halves(table.length[starts], step), runs)
+    root_d = np.repeat([math.sqrt(float(t * t - 4))
+                        for t in trace[starts].tolist()], runs)
+    two_c = 2.0 * ent[:, 2]
+    c0 = (ent[:, 0] - ent[:, 3]) / two_c
+    r0 = root_d / two_c
+    delta = 2.0 * length / half
+    dense = (trace >= _WALK_TRACE_CAP) | (np.cosh(delta) - 1.0 < 1e-9)
+    walk = np.flatnonzero(~dense)
+    rho, s = block_apices(ent[walk], table.words[walk])
+    floor = rho.max(axis=1, initial=0.0) / np.cosh(delta[walk] / 2.0)
+    row, blk = np.nonzero(rho >= (floor * (1.0 - 1e-9))[:, None])
+    cls = walk[row]
+    u = s[row, blk] / delta[cls] + half[cls] / 2
+    j = (np.rint(u).astype(np.int64)[:, None] + np.arange(-1, 2)) % half[cls, None]
+    # the period's last sample, where its first is taken; -1 where not
+    last = np.where((j == 0).any(axis=1), half[cls], -1)
+    j = np.concatenate([j, last[:, None]], axis=1).reshape(-1)
+    taken = j >= 0
+    whole = np.flatnonzero(dense)
+    cls = np.concatenate([np.repeat(cls, 4)[taken], np.repeat(whole, half[whole] + 1)])
+    j = np.concatenate([j[taken], _ramp(half[whole] + 1)])
+    sigma = _axis_sigma(length[cls], half[cls], j)
+    x = c0[cls] + r0[cls] * np.tanh(sigma)
+    y = r0[cls] / np.cosh(sigma)
+    reduce_in_place(x, y)
+    top = np.zeros(len(table))
+    np.maximum.at(top, cls, y)
+    mins = 1.0 / top
     if counters is not None:
-        counters["veech.axis_points"] += points
+        counters["veech.axis_points"] += int((half + 1).sum())
+        counters["veech.reduced_points"] += len(y)
         counters["veech.trace_tables"] += len(starts)
     if order is None:
         return mins

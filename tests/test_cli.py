@@ -164,6 +164,52 @@ def test_main_out_to_unwritable_path_is_a_usage_error(tmp_path, capsys,
     assert "No such file or directory" in captured.err
 
 
+def test_main_out_keeps_an_existing_report_when_the_run_raises(
+        tmp_path, monkeypatch):
+    def failing(config):
+        raise RuntimeError("the run failed")
+
+    kept = tmp_path / "kept.txt"
+    kept.write_text("an earlier report\n")
+    fresh = tmp_path / "fresh.txt"
+    monkeypatch.setattr(cli, "run", failing)
+    for path in (kept, fresh):
+        with pytest.raises(RuntimeError, match="the run failed"):
+            main(["count", "--set", "r_grid=2", "--out", str(path)])
+    assert kept.read_text() == "an earlier report\n"
+    assert not fresh.exists()
+    monkeypatch.undo()
+    # a run that finishes replaces the whole file, even a longer one
+    kept.write_text("@" * 10_000)
+    assert main(["count", "--set", "r_grid=2", "--out", str(kept)]) == 0
+    assert kept.read_text().startswith("closed-class counts")
+    assert "@" not in kept.read_text()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["veech", "--set", "step=0.5"], "veech.step"),
+    (["veech", "--set", "max_length=8"], "veech.max_length"),
+    (["count", "--set", "r_grid=3,8"], "count.r_grid"),
+    (["assemble", "--set", "r=8"], "assemble.r"),
+    (["lattice", "--set", "tau_grid=2,8"], "lattice.tau_grid"),
+    (["lattice", "--set", "spread_radius=3"], "lattice.spread_radius"),
+    (["close", "--set", "r_grid=3,6"], "close.r_grid"),
+    (["lattice", "--set", "tau_grid=-1,2"], "lattice.tau_grid"),
+])
+def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
+                                                 monkeypatch):
+    def no_run(config):
+        raise AssertionError("the run started on an out-of-range config")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "r.txt"
+    out.write_text("an earlier report\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert out.read_text() == "an earlier report\n"
+
+
 def test_main_seed_controls_body(tmp_path):
     paths = [tmp_path / f"r{i}.txt" for i in range(3)]
     main(["mix", "--set", "time=3.0", "--set", "samples=20000",
@@ -245,12 +291,15 @@ def test_walk_and_veech_footers():
     assert "# count.walk.swept_points = 317" in walk.to_text()
     assert "#" not in default.to_text(deterministic_only=True)
     veech = run(build_config("veech", overrides={"max_length": "3"}))
-    # one tanh/cosh table per distinct trace among the 74 classes, which
-    # the enumeration reaches through 79 prenecklaces
+    # one sample grid per distinct trace among the 74 classes, which the
+    # enumeration reaches through 79 prenecklaces; of the grids' 9,440
+    # samples, the 271 beside the highest apexes are reduced
     assert veech.counters == {"enum.prenecklaces": 79,
                               "veech.axis_points": 9440,
+                              "veech.reduced_points": 271,
                               "veech.trace_tables": 18}
     assert "# count.veech.axis_points = 9440" in veech.to_text()
+    assert "# count.veech.reduced_points = 271" in veech.to_text()
     assert "# count.veech.trace_tables = 18" in veech.to_text()
 
 

@@ -61,6 +61,33 @@ def test_minimum_enforced():
         ExperimentConfig("walk", params={"tau": 0.1})
 
 
+def test_maximum_enforced_from_the_runners_modules():
+    from geodlab.flow import MAX_CENSUS_TIME
+    from geodlab.lattice import MAX_ORBIT_RADIUS, MAX_SPREAD_RADIUS
+    from geodlab.words import MAX_AXIS_STEP, MAX_ENUM_LENGTH
+    for experiment, key, top in (("veech", "max_length", MAX_ENUM_LENGTH),
+                                 ("veech", "step", MAX_AXIS_STEP),
+                                 ("assemble", "r", MAX_ENUM_LENGTH),
+                                 ("lattice", "spread_radius", MAX_SPREAD_RADIUS)):
+        assert ExperimentConfig(experiment, params={key: top}).params[key] == top
+        with pytest.raises(ConfigError, match=f"{experiment}.{key}: must be at most"):
+            ExperimentConfig(experiment, params={key: top * 1.01})
+    # a grid's maximum bounds each entry
+    for experiment, key, top in (("count", "r_grid", MAX_ENUM_LENGTH),
+                                 ("lattice", "tau_grid", MAX_ORBIT_RADIUS),
+                                 ("close", "r_grid", MAX_CENSUS_TIME)):
+        grid = f"1, {top}"
+        assert ExperimentConfig(experiment, params={key: grid}).params[key][-1] == top
+        with pytest.raises(ConfigError, match="entries must be at most"):
+            ExperimentConfig(experiment, params={key: f"1, {top + 0.5}"})
+
+
+def test_grid_entries_must_be_positive():
+    for grid in ("0, 1", "-1, 2"):
+        with pytest.raises(ConfigError, match="lattice.systole_grid: grid entries must be positive"):
+            ExperimentConfig("lattice", params={"systole_grid": grid})
+
+
 def test_seed_and_workers_ranges():
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig("count", seed=-1)

@@ -36,3 +36,19 @@ def test_seeded_body(experiment):
     report = run(build_config(experiment,
                               overrides={"seed": GOLDEN["pinned_seed"]}))
     assert _digest(report) == GOLDEN["seeded"][experiment]
+
+
+# veech bodies off the default config, pinned from a reduction of every
+# axis grid sample: (max_length, step) -> digest
+VEECH_BODIES = {
+    ("5", "0.001"): "1cf321537387508b927464b6272ceec55c3a97ca2b70451ddb21beae127c09e9",
+    ("6", "0.1"): "7b23d2c1b4731ccfbb00f1edd6600d4e6d3231a589ffe9dc6bfc8e8fb9552681",
+    ("7.5", "0.02"): "39510f70b21a2b32626d54f69b118d498de3e609d0d5800fd626c80f1dbcb63a",
+}
+
+
+@pytest.mark.parametrize("max_length, step", sorted(VEECH_BODIES))
+def test_veech_body_off_default(max_length, step):
+    report = run(build_config("veech", overrides={"max_length": max_length,
+                                                  "step": step}))
+    assert _digest(report) == VEECH_BODIES[(max_length, step)]

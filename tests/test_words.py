@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodlab import words
-from geodlab.halfplane import MappingClass
+from geodlab.halfplane import MappingClass, ModelPoint
 from geodlab.words import (MAX_ENUM_LENGTH, ClassTable, GeodesicClass,
                            TraceHistogram, _necklace_table,
-                           axis_samples, canonical,
+                           axis_samples, block_apices, canonical,
                            classes_by_entry_search,
                            enumerate_classes, is_primitive,
                            min_systole_along_axis, min_systole_batch,
@@ -261,16 +262,19 @@ def test_min_systole_simplest_class():
 
 
 def test_min_systole_batch_matches_loop():
-    # the batch forms each class's samples from a per-trace table with the
-    # per-class kernel's operations and takes 1 / max height, so it must
-    # agree exactly, whatever the block size
+    # the batch forms each class's samples with the per-class kernel's
+    # operations and takes 1 / max height, so it must agree exactly, from a
+    # table or from GeodesicClass rows in any order
     classes = enumerate_classes(4.0)
     loop = np.array([min_systole_along_axis(g.exps) for g in classes])
     counters = Counter()
     assert np.array_equal(min_systole_batch(classes, counters=counters), loop)
-    assert np.array_equal(min_systole_batch(classes, chunk_points=100), loop)
+    assert np.array_equal(min_systole_batch(list(classes)[::-1]), loop[::-1])
+    # three samples beside each kept apex, and the period's last sample
+    # where its first is one of them: 1,410 of the 71,018 grid samples
     assert counters == {"veech.axis_points":
                         sum(axis_samples(g.exps)[0].size for g in classes),
+                        "veech.reduced_points": 1410,
                         "veech.trace_tables": len({g.trace for g in classes})}
     assert min_systole_batch([]).size == 0
 
@@ -290,12 +294,147 @@ def test_min_systole_batch_entry_table_is_exact_to_2_62():
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.lists(st.integers(0, 407), min_size=1, max_size=60, unique=True),
-       st.integers(1, 5000))
-def test_min_systole_batch_matches_loop_on_shuffled_subsets(picks, chunk):
-    # any subset in any order, and any block size, gives the per-class
-    # minima bit for bit
+@given(st.lists(st.integers(0, 407), min_size=1, max_size=60, unique=True))
+def test_min_systole_batch_matches_loop_on_shuffled_subsets(picks):
+    # any subset in any order gives the per-class minima bit for bit
     classes = [_CLASSES_4[i] for i in picks]
     loop = np.array([min_systole_along_axis(g.exps) for g in classes])
-    got = min_systole_batch(classes, chunk_points=chunk)
+    got = min_systole_batch(classes)
     assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+
+
+@functools.lru_cache(maxsize=1)
+def _classes_at_the_enumeration_limit():
+    return enumerate_classes(MAX_ENUM_LENGTH)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), st.floats(0.001, 0.1))
+def test_min_systole_batch_matches_loop_at_the_enumeration_limit(data, step):
+    # any subset of the R = 7.5 table, in any order, at any step of the
+    # config's range: the few samples beside the highest apexes give the
+    # whole grid's minimum bit for bit
+    table = _classes_at_the_enumeration_limit()
+    picks = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1,
+                               max_size=12, unique=True))
+    classes = [table[i] for i in picks]
+    loop = np.array([min_systole_along_axis(g.exps, step) for g in classes])
+    got = min_systole_batch(classes, step=step)
+    assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+
+
+def _mul(m, n):
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def _blocks(exps):
+    """The letter blocks R^a1, L^b1, ... as Python integer matrices."""
+    return [(1, 0, e, 1) if k % 2 == 0 else (1, e, 0, 1)
+            for k, e in enumerate(exps)]
+
+
+def _rotation_entries(exps):
+    """Per block, the b (R block) or c (L block) of the product of the
+    blocks rotated to start there."""
+    blocks = _blocks(exps)
+    out = []
+    for k in range(len(blocks)):
+        m = (1, 0, 0, 1)
+        for blk in blocks[k:] + blocks[:k]:
+            m = _mul(m, blk)
+        out.append(m[1] if k % 2 == 0 else m[2])
+    return out
+
+
+def _apices(exps):
+    g = GeodesicClass.from_exps(exps)
+    rho, sigma = block_apices(np.array([g.entries]), np.array([g.exps]))
+    return g, rho[0], sigma[0]
+
+
+def test_block_apices_match_the_rotations_and_pull_back_onto_the_axis():
+    table = enumerate_classes(4.0)
+    rho, sigma = block_apices(table.entries, table.words)
+    assert rho.shape == sigma.shape == table.words.shape
+    for g, n, rho_g, sigma_g in zip(table, table.sizes, rho, sigma):
+        assert not rho_g[n:].any() and not sigma_g[n:].any()
+        root_d = math.sqrt(g.trace ** 2 - 4)
+        assert rho_g[:n].tolist() == [root_d / (2.0 * e)
+                                      for e in _rotation_entries(g.exps)]
+        # g^-1 maps the point of the axis at arc length sigma onto its
+        # lift, at height rho: that lift's apex
+        a, b, c, d = g.entries
+        c0, r0 = (a - d) / (2.0 * c), root_d / (2.0 * c)
+        prefix = (1, 0, 0, 1)
+        for k, blk in enumerate(_blocks(g.exps)):
+            p, q, r, s = prefix
+            # an R block's lift is P S^-1, an L block's P
+            lift = (-q, p, -s, r) if k % 2 == 0 else prefix
+            z = ModelPoint(c0 + r0 * math.tanh(sigma_g[k]),
+                           r0 / math.cosh(sigma_g[k]))
+            w, x, y, v = lift
+            back = MappingClass(v, -x, -y, w).apply(z)
+            assert back.y == pytest.approx(rho_g[k], rel=1e-9)
+            prefix = _mul(prefix, blk)
+
+
+def test_walk_cases_ties_and_the_period_wrap():
+    # (1, 1): two lifts of apex sqrt(5)/2, one pulled back to sigma = l,
+    # where the period wraps, the other to 2 l, one period past A0's apex
+    g, rho, sigma = _apices((1, 1))
+    assert rho.tolist() == [math.sqrt(5.0) / 2.0] * 2
+    assert sigma == pytest.approx([g.length, 2.0 * g.length], rel=1e-12)
+    # a palindrome: its top apex is reached from two blocks, at two places
+    g, rho, sigma = _apices((1, 2, 2, 1))
+    tops = np.flatnonzero(rho == rho.max())
+    assert len(tops) == 2
+    gap = abs(sigma[tops[0]] - sigma[tops[1]]) % (2.0 * g.length)
+    assert 0.1 < gap < 2.0 * g.length - 0.1
+    # (3, 1): the only top apex pulls back to sigma = l
+    g, rho, sigma = _apices((3, 1))
+    assert np.flatnonzero(rho == rho.max()).tolist() == [0]
+    assert sigma[0] == pytest.approx(g.length, rel=1e-12)
+    # (2, 3, 4, 4, 3, 3): at step 0.1 the grid's highest sample lies beside
+    # the second apex, 0.3% below the top one, and above any the top gives
+    g, rho, sigma = _apices((2, 3, 4, 4, 3, 3))
+    top, second = np.argsort(rho)[::-1][:2]
+    grid = axis_samples(g.exps, 0.1)[0]
+    gap = np.abs((grid - sigma[top] + g.length) % (2.0 * g.length) - g.length)
+    from_top = rho[top] / np.cosh(gap).min()
+    assert rho[second] > rho[top] / math.cosh(0.1)
+    assert 1.0 / min_systole_along_axis(g.exps, 0.1) > from_top * (1.0 + 1e-9)
+    words = [(1, 1), (1, 2, 2, 1), (3, 1), (2, 3, 4, 4, 3, 3)]
+    for step in (0.001, 0.0137, 0.02, 0.1):
+        loop = np.array([min_systole_along_axis(e, step) for e in words])
+        got = min_systole_batch([GeodesicClass.from_exps(e) for e in words],
+                                step=step)
+        assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+    assert min_systole_along_axis((1, 1), 0.001) == pytest.approx(
+        2.0 / math.sqrt(5.0), rel=1e-6)
+
+
+def test_min_systole_batch_reduces_the_whole_grid_below_its_resolution():
+    # at step 1e-5 one grid step lowers a height by less than 1e-9, too
+    # little to rule out a sample: every one is reduced
+    classes = [GeodesicClass.from_exps(e) for e in ((1, 1), (3, 1))]
+    counters = Counter()
+    got = min_systole_batch(classes, step=1e-5, counters=counters)
+    loop = np.array([min_systole_along_axis(g.exps, 1e-5) for g in classes])
+    assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+    assert counters["veech.reduced_points"] == counters["veech.axis_points"]
+
+
+@pytest.mark.parametrize("step", [0.001, 0.02, 0.1])
+def test_sampled_minimum_is_bracketed_by_the_markov_minimum(step):
+    # 2 m / sqrt(t^2 - 4), m the least b or c over the block rotations, is
+    # the exact minimum over the axis; the grid comes within half a step
+    # Delta <= 2 step of the highest apex, so its minimum is at most
+    # cosh(step) above it
+    classes = enumerate_classes(5.0)
+    mins = min_systole_batch(classes, step=step)
+    exact = np.array([2.0 * min(_rotation_entries(g.exps))
+                      / math.sqrt(g.trace ** 2 - 4) for g in classes])
+    assert np.all(mins >= exact * (1.0 - 1e-12))
+    assert np.all(mins <= exact * math.cosh(step) * (1.0 + 1e-12))
+    assert mins[0] == pytest.approx(2.0 / math.sqrt(5.0), rel=step * step)
