@@ -4,8 +4,9 @@ Each subcommand validates its configuration, runs the owning module, and
 prints (or writes) one CountReport: a parameter echo, a semicolon table
 whose rows carry their own tolerance and pass/fail, and derived scalars.
 Bodies are byte-identical across runs with the same config and seed;
-only '#' footer lines vary.  Exit codes: 0 ok, 2 usage or config error,
-3 a tolerance failed when --check was given.
+only '#' footer lines vary.  Exit codes: 0 ok, 2 usage or config error
+or a run past its resource budget, 3 a tolerance failed when --check was
+given.
 
 Randomness is philox-4x64 keyed by the master seed; work item i draws
 from the stream jumped(i), so results do not depend on how items would
@@ -15,7 +16,6 @@ and the report echoes that as workers = 1.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import os
@@ -32,7 +32,7 @@ from .flow import (closing_constants, margulis_count, measure_box,
 from .halfplane import ModelPoint
 from .lattice import orbit_count, spread_count
 from .report import CountReport, fmt_value, ls_slope
-from .walk import build_row_net, count_trajectories
+from .walk import ResourceError, build_row_net, count_trajectories
 from .words import enumerate_classes, min_systole_batch, teich_length_from_trace
 from .products import verify_contraction
 
@@ -397,6 +397,8 @@ def run(config: ExperimentConfig) -> CountReport:
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so importing the package does not load it
+
     parser = argparse.ArgumentParser(
         prog="geodlab",
         description="Counting experiments on the model surface. All floats "
@@ -449,9 +451,12 @@ def main(argv=None) -> int:
     with out as fh:
         try:
             report = run(config)
-        except BaseException:
+        except BaseException as exc:
             if created:
                 os.remove(args.out)
+            if isinstance(exc, ResourceError):
+                print(f"resource error: {exc}", file=sys.stderr)
+                return 2
             raise
         if args.out and fh.seekable():  # not a pipe or terminal
             fh.truncate(0)

@@ -29,14 +29,15 @@ class ParamSpec:
     """One config key: value kind, default, optional inclusive minimum
     and maximum; a grid's maximum bounds each entry."""
 
-    kind: str  # int | float | prob | grid
+    kind: str  # int | float | prob | grid | prob_grid
     default: object
     minimum: float | None = None
     maximum: float | None = None
 
 
 # Per-experiment key registries.  Grids are strictly increasing tuples;
-# prob values live in the open interval (0, 1); minima bound counts;
+# prob values, and each entry of a prob_grid, live in the open interval
+# (0, 1); minima bound counts;
 # maxima are the ranges the runners' modules enforce.
 EXPERIMENTS: dict = {
     "count": {
@@ -44,7 +45,7 @@ EXPERIMENTS: dict = {
                             maximum=MAX_ENUM_LENGTH),
     },
     "thin": {
-        "delta_grid": ParamSpec("grid", (0.05, 0.1, 0.2)),
+        "delta_grid": ParamSpec("prob_grid", (0.05, 0.1, 0.2)),
         "tau": ParamSpec("float", 1.5, minimum=0.5),
         "steps": ParamSpec("int", 5, minimum=3),
         "base_height": ParamSpec("float", 40.0, minimum=2.0),
@@ -134,7 +135,7 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw):
                 raise ValueError
         elif ps.kind in ("float", "prob"):
             v = float(raw)
-        elif ps.kind == "grid":
+        elif ps.kind in ("grid", "prob_grid"):
             if isinstance(raw, str):
                 parts = [p for p in raw.replace(",", " ").split() if p]
                 v = tuple(float(p) for p in parts)
@@ -145,7 +146,7 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw):
     except (TypeError, ValueError):
         raise ConfigError(
             f"{experiment}.{key}: cannot read {raw!r} as {ps.kind}") from None
-    if ps.kind == "grid":
+    if ps.kind in ("grid", "prob_grid"):
         if len(v) < 1:
             raise ConfigError(f"{experiment}.{key}: grid is empty")
         if any(b <= a for a, b in zip(v, v[1:])):
@@ -159,6 +160,9 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw):
         if ps.maximum is not None and v[-1] > ps.maximum:
             raise ConfigError(
                 f"{experiment}.{key}: entries must be at most {ps.maximum}, got {v}")
+        if ps.kind == "prob_grid" and not v[-1] < 1.0:
+            raise ConfigError(
+                f"{experiment}.{key}: entries must lie in (0, 1), got {v}")
         return v
     if ps.kind == "prob" and not 0.0 < v < 1.0:
         raise ConfigError(f"{experiment}.{key}: must lie in (0, 1), got {v}")

@@ -374,17 +374,28 @@ class RowNet:
 
 
 def build_row_net(anchor: float, center: ModelPoint, radius: float) -> RowNet:
-    """Rows of the net meeting the ball of the given model-metric radius."""
+    """Rows of the net meeting the ball of the given model-metric radius.
+
+    The row widths are summed in Python integers as the rows are found,
+    and a net of more than NODE_BUDGET nodes raises ResourceError before
+    any array is made, as does a ball too wide for cosh in float64.
+    """
     if anchor <= 0.0:
         raise ValueError("anchor height must be positive")
     if radius <= 0.0:
         raise ValueError("net radius must be positive")
+    over = (f"the row net of radius {radius:g} has more than "
+            f"NODE_BUDGET = {NODE_BUDGET} nodes")
     rad_hyp = 2.0 * radius
     nu_c = math.log(center.y)
     nu_a = math.log(anchor)
     k_lo = math.ceil((nu_c - rad_hyp - nu_a) / 2.0 - 1e-12)
     k_hi = math.floor((nu_c + rad_hyp - nu_a) / 2.0 + 1e-12)
-    ch = math.cosh(rad_hyp) - 1.0
+    try:
+        ch = math.cosh(rad_hyp) - 1.0
+    except OverflowError:
+        raise ResourceError(over) from None
+    nodes = 0
     rows = []
     for k in range(k_lo, k_hi + 1):
         y = anchor * math.exp(2.0 * k)
@@ -397,6 +408,9 @@ def build_row_net(anchor: float, center: ModelPoint, radius: float) -> RowNet:
         j_hi = math.floor((center.x + w) / s)
         if j_hi < j_lo:
             continue
+        nodes += j_hi - j_lo + 1
+        if nodes > NODE_BUDGET:
+            raise ResourceError(over)
         rows.append(NetRow(k=k, y=y, s=s, j_lo=j_lo, j_hi=j_hi))
     return RowNet(anchor=anchor, center=center, radius=radius, rows=tuple(rows))
 
@@ -470,9 +484,12 @@ def _windows(rs: NetRow, rt: NetRow, w: float, jt):
     xt = jt * rt.s
     lo = np.ceil((xt - w) / rs.s).astype(np.int64)
     hi = np.floor((xt + w) / rs.s).astype(np.int64)
-    lo = np.clip(lo - rs.j_lo, 0, rs.n)
-    hi = np.clip(hi - rs.j_lo + 1, 0, rs.n)
-    return lo, np.maximum(hi, lo)
+    lo -= rs.j_lo
+    hi -= rs.j_lo - 1
+    for end in (lo, hi):
+        np.maximum(end, 0, out=end)
+        np.minimum(end, rs.n, out=end)
+    return lo, np.maximum(hi, lo, out=hi)
 
 
 def _reach(rs: NetRow, rt: NetRow, w: float) -> tuple:
@@ -579,8 +596,7 @@ def _add_window_sums(out, pref, rs: NetRow, rt: NetRow, w: float,
     Returns the number of target nodes evaluated.
     """
     if live is not None:
-        live = live[np.searchsorted(live, t0):
-                    np.searchsorted(live, t1, "right")]
+        live = live[live.searchsorted(t0):live.searchsorted(t1, "right")]
     n = t1 - t0 + 1 if live is None else live.size
     for c0 in range(0, n, DP_CHUNK):
         if live is None:

@@ -257,13 +257,33 @@ def _necklace_table(trace_cap: float, primitive_only: bool,
         entries[lo:hi] = ent
         lo = hi
     trace = entries[:, 0] + entries[:, 3]
-    order = np.lexsort((*words.T[::-1], trace))
+    order = _class_order(trace, words, math.floor(trace_cap))
     trace = trace[order]
     # acosh(t / 2) once per distinct trace, teich_length_from_trace's
     # value for t < 1e300
     distinct, which = np.unique(trace, return_inverse=True)
     length = np.array([math.acosh(v / 2.0) for v in distinct.tolist()])[which]
     return ClassTable(trace, length, entries[order], words[order], sizes[order])
+
+
+def _class_order(trace, words, cap: int):
+    """The stable sort by (trace, words row) that
+    np.lexsort((*words.T[::-1], trace)) gives, for words entries in
+    [0, cap], cap >= 1: floor(63 / b) columns, b the bit length of cap,
+    packed into each int64 key.  Each column keeps its own b bits, so
+    keys compare as their column runs do, and a few keys stand in for
+    the columns."""
+    bits = cap.bit_length()
+    per = 63 // bits
+    cols = np.ascontiguousarray(words.T)
+    keys = []
+    for lo in range(0, len(cols), per):
+        key = cols[lo].copy()
+        for col in cols[lo + 1:lo + per]:
+            key <<= bits
+            key |= col
+        keys.append(key)
+    return np.lexsort((*keys[::-1], trace))
 
 
 class TraceHistogram:
@@ -429,7 +449,10 @@ def min_systole_along_axis(exps: Sequence[int], step: float = 0.02) -> float:
 
 def block_apices(entries, words) -> tuple:
     """The apex of the axis lift that each letter block of a class starts:
-    (rho, sigma), float64 arrays (N, W), zero past the end of a word.
+    (rho, sigma).  rho is float64 (N, W), the apex height, zero past the
+    end of a word; sigma(row, blk) gives, elementwise, the arc length of
+    the apices at the slots (row, blk), where they pull back to on the
+    axis.
 
     entries and words are ClassTable columns, of traces below
     _WALK_TRACE_CAP.  A lift of the axis A0 of M = (a, b, c, d) is
@@ -441,16 +464,23 @@ def block_apices(entries, words) -> tuple:
     e^sigma = |N + r sqrt(D)| / |N - r sqrt(D)|, N = 2 c p + (d - a) r
     and D = t^2 - 4.  As N^2 - r^2 D = 4 c f(p, r), this is
     sigma = sgn(N) log((|N| + r sqrt(D))^2 / (4 c |f(p, r)|)), which
-    cancels nothing.
+    cancels nothing.  sigma is formed only at the slots asked for,
+    elementwise, so a slot's value does not depend on the others asked.
 
-    The walk peels block k off the front of the rotation M_k = P^-1 M P
-    that starts there (P the blocks before it) and appends it at the
-    back, so every entry stays within the trace, and every integer
-    formed, up to 3 t^2, within 2^53.  An R block's lift is
-    g = P S^-1, first column (q, s) of P up to sign, with |f| the b of
-    M_k; an L block's is g = P, first column (p, r), with |f| its c.
-    The other entry names a neighbouring block's lift, since R^a keeps
-    P's second column and L^b its first.  A lift with rho > 1 spans two
+    The walk runs over the rotations M_k = P^-1 M P that start at each
+    block k (P the blocks before it).  An R block's lift is g = P S^-1,
+    first column (q, s) of P up to sign, with |f| the b of M_k; an L
+    block's is g = P, first column (p, r), with |f| its c.  The other
+    entry names a neighbouring block's lift, since R^e keeps P's second
+    column and L^e its first.  So block k + 1's column is block k - 1's
+    plus e_k times block k's: the columns are continuants,
+    z_{k+1} = z_{k-1} + e_k z_k for z = x and y, e_k the block's
+    exponent.  As R^-e M_k R^e keeps b and L^-e M_k L^e keeps c, the
+    |f| of consecutive blocks alternate between the two: with
+    w_k = (-1)^k (d - a) of M_k and v = w_k - e_k f_k,
+    f_{k+1} = f_{k-1} + e_k v and w_{k+1} = e_k f_k - v.  Every entry of
+    every M_k stays within the trace, and every integer formed, up to
+    3 t^2, within 2^53.  A lift with rho > 1 spans two
     vertical lines of the Farey tessellation, so it fans about one
     vertex through a whole block and is that block's (Series 1985,
     Math. Intelligencer 7(3)).
@@ -460,29 +490,33 @@ def block_apices(entries, words) -> tuple:
     t = a + d
     if n and t.max() >= _WALK_TRACE_CAP:
         raise OverflowError("block walk integers would pass 2^53")
-    m00, m01, m10, m11 = a, b, c, d
-    p, q, r, s = (np.full(n, v, dtype=np.int64) for v in (1, 0, 0, 1))
-    # per block: |f| and the lift's column (x, y)
-    f, x, y = (np.empty((width, n), dtype=np.int64) for _ in range(3))
-    blocks = np.ascontiguousarray(words.T)
-    for k, e in enumerate(blocks):
-        if k % 2 == 0:  # M_k = R^e ..., from the left R^-e, on the right R^e
-            f[k], x[k], y[k] = m01, q, s
-            m00, m10, m11 = (m00 + e * m01, m10 + e * (m11 - m00) - e * e * m01,
-                             m11 - e * m01)
-            p, r = p + e * q, r + e * s
-        else:  # M_k = L^e ...
-            f[k], x[k], y[k] = m10, p, r
-            m00, m01, m11 = (m00 - e * m10, m01 + e * (m00 - m11) - e * e * m10,
-                             m11 + e * m10)
-            q, s = q + e * p, s + e * r
     root_d = np.sqrt((t * t - 4).astype(float))
-    big = 2 * c * x + (d - a) * y
-    live = blocks > 0
-    rho = np.where(live, root_d / (2.0 * f), 0.0)
-    sigma = np.where(live, np.sign(big) * np.log(
-        np.square(np.abs(big) + y * root_d) / (4.0 * c * f)), 0.0)
-    return rho.T, sigma.T
+    d_a = d - a
+    # row k + 1 holds block k's |f| and lift column (x, y).  Row 1 is
+    # block 0's: the b of M and the second column (0, 1) of P = I; row 0
+    # holds the c of M and the first column (1, 0), so that the
+    # recurrences start at k = 0.
+    f, x, y = (np.empty((width + 2, n), dtype=np.int64) for _ in range(3))
+    f[0], f[1], x[0], x[1], y[0], y[1] = c, b, 1, 0, 0, 1
+    w = d_a
+    rho = np.zeros((width, n))
+    for k, e in enumerate(np.ascontiguousarray(words.T), 1):
+        np.divide(root_d, 2.0 * f[k], out=rho[k - 1], where=e > 0)
+        ef = e * f[k]
+        v = w - ef
+        w = ef - v
+        for z, by in ((f, v), (x, x[k]), (y, y[k])):
+            np.multiply(e, by, out=z[k + 1])
+            z[k + 1] += z[k - 1]
+    f, x, y = f[1:-1], x[1:-1], y[1:-1]
+
+    def sigma(row, blk):
+        fk, xk, yk, ck = f[blk, row], x[blk, row], y[blk, row], c[row]
+        big = 2 * ck * xk + d_a[row] * yk
+        return np.sign(big) * np.log(
+            np.square(np.abs(big) + yk * root_d[row]) / (4.0 * ck * fk))
+
+    return rho.T, sigma
 
 
 def min_systole_batch(classes, step: float = 0.02, counters=None) -> np.ndarray:
@@ -554,11 +588,11 @@ def min_systole_batch(classes, step: float = 0.02, counters=None) -> np.ndarray:
     delta = 2.0 * length / half
     dense = (trace >= _WALK_TRACE_CAP) | (np.cosh(delta) - 1.0 < 1e-9)
     walk = np.flatnonzero(~dense)
-    rho, s = block_apices(ent[walk], table.words[walk])
+    rho, apex_sigma = block_apices(ent[walk], table.words[walk])
     floor = rho.max(axis=1, initial=0.0) / np.cosh(delta[walk] / 2.0)
     row, blk = np.nonzero(rho >= (floor * (1.0 - 1e-9))[:, None])
     cls = walk[row]
-    u = s[row, blk] / delta[cls] + half[cls] / 2
+    u = apex_sigma(row, blk) / delta[cls] + half[cls] / 2
     j = (np.rint(u).astype(np.int64)[:, None] + np.arange(-1, 2)) % half[cls, None]
     # the period's last sample, where its first is taken; -1 where not
     last = np.where((j == 0).any(axis=1), half[cls], -1)

@@ -195,6 +195,7 @@ def test_main_out_keeps_an_existing_report_when_the_run_raises(
     (["lattice", "--set", "spread_radius=3"], "lattice.spread_radius"),
     (["close", "--set", "r_grid=3,6"], "close.r_grid"),
     (["lattice", "--set", "tau_grid=-1,2"], "lattice.tau_grid"),
+    (["thin", "--set", "delta_grid=0.5,1"], "thin.delta_grid"),
 ])
 def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
                                                  monkeypatch):
@@ -208,6 +209,24 @@ def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert out.read_text() == "an earlier report\n"
+
+
+@pytest.mark.parametrize("experiment", ["walk", "thin"])
+def test_main_refuses_a_row_net_past_its_node_budget(experiment, tmp_path,
+                                                     capsys):
+    # at tau = 20 the row net's radius is 80 (walk) or 100 (thin), whose
+    # node count alone would overflow int64 indices; build_row_net counts
+    # the rows' widths in Python integers and refuses it first
+    out = tmp_path / "r.txt"
+    out.write_text("an earlier report\n")
+    fresh = tmp_path / "fresh.txt"
+    for path in (out, fresh):
+        assert main([experiment, "--set", "tau=20", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: ") and "NODE_BUDGET" in err
+        assert "Traceback" not in err
+    assert out.read_text() == "an earlier report\n"
+    assert not fresh.exists()
 
 
 def test_main_seed_controls_body(tmp_path):

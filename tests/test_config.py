@@ -54,6 +54,16 @@ def test_prob_open_interval():
     assert ExperimentConfig("walk", params={"delta": "0.1"}).params["delta"] == 0.1
 
 
+def test_prob_grid_entries_lie_in_the_open_interval():
+    for bad in ("0.5, 1", "0.5, 2", "0, 0.5"):
+        with pytest.raises(ConfigError, match="thin.delta_grid: "):
+            ExperimentConfig("thin", params={"delta_grid": bad})
+    with pytest.raises(ConfigError, match=r"entries must lie in \(0, 1\)"):
+        ExperimentConfig("thin", params={"delta_grid": "0.5, 1"})
+    cfg = ExperimentConfig("thin", params={"delta_grid": "0.01, 0.999"})
+    assert cfg.params["delta_grid"] == (0.01, 0.999)
+
+
 def test_minimum_enforced():
     with pytest.raises(ConfigError, match="must be at least 1000"):
         ExperimentConfig("mix", params={"samples": 500})

@@ -251,6 +251,23 @@ def test_dp_guards(monkeypatch):
         count_trajectories(net, base, 1.5, 2)
 
 
+def test_row_net_budget_is_checked_before_any_array(monkeypatch):
+    net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
+    assert net.node_count == 187
+    # the widths are summed in Python integers and nothing touches numpy
+    monkeypatch.setattr(walk, "np", None)
+    monkeypatch.setattr(walk, "NODE_BUDGET", 187)
+    assert build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0).rows == net.rows
+    monkeypatch.setattr(walk, "NODE_BUDGET", 186)
+    with pytest.raises(ResourceError, match="NODE_BUDGET = 186 nodes$"):
+        build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
+    monkeypatch.undo()
+    # radii whose widths pass int64, or whose cosh passes float64
+    for radius in (80.0, 1000.0):
+        with pytest.raises(ResourceError, match="NODE_BUDGET"):
+            build_row_net(20.0, ModelPoint(0.0, 1.0), radius)
+
+
 def test_dp_raises_where_float_counts_stop_being_exact(monkeypatch):
     net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
     base = ModelPoint(0.0, 5.0)
@@ -314,6 +331,27 @@ def test_reach_covers_every_nonempty_window(a0, a1, ss, b0, b1, st_, w,
             assert (t0, t1) == (met[0], met[-1])
         else:
             assert t0 > t1
+
+
+@settings(deadline=None, max_examples=200)
+@given(ROW_END, ROW_END, st.floats(1e-3, 10.0), ROW_END, ROW_END,
+       st.floats(1e-3, 10.0), st.floats(1e-4, 50.0), st.integers(0, 400))
+# a one-node source row inside a wide target row padded on both sides:
+# windows clipped to 0 before it and to rs.n after it
+@example(0, 0, 1.0, -5, 5, 1.0, 0.5, 10)
+def test_windows_equal_the_clip_form(a0, a1, ss, b0, b1, st_, w, pad):
+    rs = NetRow(0, 1.0, ss, min(a0, a1), max(a0, a1))
+    rt = NetRow(0, 1.0, st_, min(b0, b1), max(b0, b1))
+    # targets past both ends of the target row as well as on it
+    jt = np.arange(rt.j_lo - pad, rt.j_hi + pad + 1)
+    xt = jt * rt.s
+    lo = np.clip(np.ceil((xt - w) / rs.s).astype(np.int64) - rs.j_lo,
+                 0, rs.n)
+    hi = np.clip(np.floor((xt + w) / rs.s).astype(np.int64) - rs.j_lo + 1,
+                 0, rs.n)
+    got_lo, got_hi = _windows(rs, rt, w, jt)
+    assert np.array_equal(got_lo, lo)
+    assert np.array_equal(got_hi, np.maximum(hi, lo))
 
 
 def _full_row_dp(net, base, tau, n_steps, thin_delta):

@@ -4,13 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodlab import words
 from geodlab.halfplane import MappingClass, ModelPoint
 from geodlab.words import (MAX_ENUM_LENGTH, ClassTable, GeodesicClass,
-                           TraceHistogram, _necklace_table,
+                           TraceHistogram, _axis_halves, _class_order,
+                           _necklace_table,
                            axis_samples, block_apices, canonical,
                            classes_by_entry_search,
                            enumerate_classes, is_primitive,
@@ -182,6 +183,44 @@ def test_table_equals_the_recursive_generator_at_r6(primitive_only):
     assert counters == {"enum.prenecklaces": calls} == {"enum.prenecklaces": 15955}
 
 
+@st.composite
+def _padded_rows(draw):
+    """(trace, words, cap): zero-padded rows of entries in [1, cap], with
+    few distinct traces and words, so that ties are common."""
+    cap = draw(st.one_of(st.integers(1, 2 ** 31 - 1),
+                         st.sampled_from([2, 403, 2 ** 21 - 1, 2 ** 31 - 1])))
+    width = draw(st.integers(0, 16))
+    n = draw(st.integers(0, 40))
+    entry = st.one_of(st.sampled_from([1, cap]), st.integers(1, cap))
+    rows = draw(st.lists(st.lists(entry, max_size=width), min_size=n,
+                         max_size=n))
+    words = np.zeros((n, width), dtype=np.int64)
+    for row, w in zip(words, rows):
+        row[:len(w)] = w
+    trace = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                   max_size=n)), dtype=np.int64)
+    return trace, words, cap
+
+
+@settings(deadline=None, max_examples=100)
+@given(_padded_rows())
+# caps whose keys hold exactly floor(63 / b) columns, every key full:
+# b = 31 (2 a key), 21 (3 a key, all 63 bits) and 9 (7 a key, R = 6's)
+@example((np.zeros(2, np.int64), np.array([[2 ** 31 - 1] * 4, [2 ** 31 - 1] * 3
+                                           + [1]]), 2 ** 31 - 1))
+@example((np.zeros(2, np.int64), np.array([[2 ** 21 - 1] * 6, [1] * 6]),
+          2 ** 21 - 1))
+@example((np.zeros(3, np.int64), np.array([[403] * 14, [403] * 7 + [0] * 7,
+                                           [1] * 14]), 403))
+# b = 16: four columns would fill the sign bit, so a key holds three
+@example((np.zeros(2, np.int64), np.array([[2 ** 16 - 1, 1, 1, 1], [1] * 4]),
+          2 ** 16 - 1))
+def test_packed_keys_sort_as_the_column_lexsort(rows):
+    trace, words, cap = rows
+    assert np.array_equal(_class_order(trace, words, cap),
+                          np.lexsort((*words.T[::-1], trace)))
+
+
 def test_generator_refuses_caps_past_2_31_before_building_anything(monkeypatch):
     # entries up to the cap multiply in int64; from 2^31 on they could
     # leave it, so the cap is refused before numpy is touched
@@ -347,15 +386,26 @@ def _rotation_entries(exps):
     return out
 
 
+def _sigma_grid(sigma, words):
+    """block_apices' sigma at every live slot of words, zero past the
+    end of each word."""
+    grid = np.zeros(words.shape)
+    live = np.nonzero(words)
+    grid[live] = sigma(*live)
+    return grid
+
+
 def _apices(exps):
     g = GeodesicClass.from_exps(exps)
-    rho, sigma = block_apices(np.array([g.entries]), np.array([g.exps]))
-    return g, rho[0], sigma[0]
+    words = np.array([g.exps])
+    rho, sigma = block_apices(np.array([g.entries]), words)
+    return g, rho[0], _sigma_grid(sigma, words)[0]
 
 
 def test_block_apices_match_the_rotations_and_pull_back_onto_the_axis():
     table = enumerate_classes(4.0)
     rho, sigma = block_apices(table.entries, table.words)
+    sigma = _sigma_grid(sigma, table.words)
     assert rho.shape == sigma.shape == table.words.shape
     for g, n, rho_g, sigma_g in zip(table, table.sizes, rho, sigma):
         assert not rho_g[n:].any() and not sigma_g[n:].any()
@@ -377,6 +427,44 @@ def test_block_apices_match_the_rotations_and_pull_back_onto_the_axis():
             back = MappingClass(v, -x, -y, w).apply(z)
             assert back.y == pytest.approx(rho_g[k], rel=1e-9)
             prefix = _mul(prefix, blk)
+
+
+def test_block_apices_sigma_at_the_kept_slots_is_the_full_grid_formula():
+    # the full grid of the (W, N) expression over every block's |f| and
+    # lift column, here from the conjugated rotations M_k = P^-1 M P and
+    # the prefixes P, against sigma at just the slots min_systole_batch
+    # keeps at R = 6, bit for bit
+    table = enumerate_classes(6.0)
+    a, b, c, d = table.entries.T
+    t = a + d
+    p, q, r, s = (np.full(len(table), v, dtype=np.int64) for v in (1, 0, 0, 1))
+    f, x, y = (np.zeros(table.words.T.shape, dtype=np.int64) for _ in range(3))
+    for k, e in enumerate(table.words.T):
+        # P^-1 = (s, -q, -r, p): the b of M_k for an R block, its c for an L
+        mp = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+        if k % 2 == 0:
+            f[k] = s * mp[1] - q * mp[3]
+            x[k], y[k] = q, s
+            p, r = p + e * q, r + e * s
+        else:
+            f[k] = -r * mp[0] + p * mp[2]
+            x[k], y[k] = p, r
+            q, s = q + e * p, s + e * r
+    root_d = np.sqrt((t * t - 4).astype(float))
+    big = 2 * c * x + (d - a) * y
+    full = np.sign(big) * np.log(
+        np.square(np.abs(big) + y * root_d) / (4.0 * c * f))
+    rho, sigma = block_apices(table.entries, table.words)
+    delta = 2.0 * table.length / _axis_halves(table.length, 0.02)
+    floor = rho.max(axis=1) / np.cosh(delta / 2.0)
+    row, blk = np.nonzero(rho >= (floor * (1.0 - 1e-9))[:, None])
+    assert len(row) == 15294
+    assert np.array_equal(sigma(row, blk).view(np.int64),
+                          full[blk, row].view(np.int64))
+    # in any order and with repeats, too
+    pick = np.random.default_rng(7).integers(0, len(row), 5000)
+    assert np.array_equal(sigma(row[pick], blk[pick]).view(np.int64),
+                          full[blk[pick], row[pick]].view(np.int64))
 
 
 def test_walk_cases_ties_and_the_period_wrap():
