@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .flow import MAX_CENSUS_TIME
+from .flow import MAX_CENSUS_TIME, MAX_MIX_TIME
 from .lattice import MAX_ORBIT_RADIUS, MAX_SPREAD_RADIUS
-from .words import MAX_AXIS_STEP, MAX_ENUM_LENGTH
+from .products import MAX_CONTRACTION_RADIUS
+from .words import MAX_AXIS_STEP, MAX_ENUM_LENGTH, MIN_AXIS_STEP
 
 
 class ConfigError(ValueError):
@@ -53,7 +54,8 @@ EXPERIMENTS: dict = {
     },
     "bias-verify": {
         "factors": ParamSpec("int", 1, minimum=1),
-        "tau_grid": ParamSpec("grid", (3.0, 4.0, 5.0, 6.0, 7.0)),
+        "tau_grid": ParamSpec("grid", (3.0, 4.0, 5.0, 6.0, 7.0),
+                              maximum=MAX_CONTRACTION_RADIUS),
         "samples": ParamSpec("int", 100_000, minimum=1000),
     },
     "walk": {
@@ -62,7 +64,7 @@ EXPERIMENTS: dict = {
         "delta": ParamSpec("prob", 0.05),
     },
     "mix": {
-        "time": ParamSpec("float", 6.0, minimum=1.0),
+        "time": ParamSpec("float", 6.0, minimum=1.0, maximum=MAX_MIX_TIME),
         "samples": ParamSpec("int", 1_000_000, minimum=10_000),
         "fraction": ParamSpec("prob", 0.02),
     },
@@ -81,7 +83,8 @@ EXPERIMENTS: dict = {
     "veech": {
         "max_length": ParamSpec("float", 6.0, minimum=1.0,
                                 maximum=MAX_ENUM_LENGTH),
-        "step": ParamSpec("float", 0.02, minimum=0.001, maximum=MAX_AXIS_STEP),
+        "step": ParamSpec("float", 0.02, minimum=MIN_AXIS_STEP,
+                          maximum=MAX_AXIS_STEP),
     },
     "recurrence": {
         "horizon": ParamSpec("int", 8, minimum=2),

@@ -28,6 +28,13 @@ from .words import teich_length_from_trace
 
 YMAX = 1e3
 MAX_CENSUS_TIME = 5.0
+# The longest flow time mixing_correlation takes.  A reduced frame
+# g . flow(A, t) comes from products of size e^{2t} that cancel to O(1),
+# so its float error grows like e^{2t} 2^-53: its determinant is off by
+# about 4e-9 at t = 10 and 1e-3 at 16, from t = 20 the box test reads
+# noise (the estimate is 0 at t = 30), and near t = 40 the deck leaves
+# int64.
+MAX_MIX_TIME = 10.0
 MIN_MIXING_SAMPLES = 10_000
 
 
@@ -197,6 +204,9 @@ def mixing_correlation(box: Box, t: float, n: int, rng) -> MixingEstimate:
     """
     if n < MIN_MIXING_SAMPLES:
         raise ValueError(f"need at least {MIN_MIXING_SAMPLES} samples")
+    if not abs(t) <= MAX_MIX_TIME:
+        raise ValueError(
+            f"flow time must lie in [-{MAX_MIX_TIME}, {MAX_MIX_TIME}]")
     A = sample_box(box, n, rng)
     _, B = reduce_frames(flow(A, t))
     p = float(in_box(box, B).mean())
@@ -250,7 +260,6 @@ class FlowCensus:
     box: Box
     time: float
     samples: int
-    in_box_count: int
     events: int
     nonhyperbolic_events: int
     components: list
@@ -324,9 +333,8 @@ def margulis_count(box: Box, t: float, n: int, rng) -> FlowCensus:
     if len(comps) < 10:
         warnings.warn("census found fewer than 10 components; "
                       "increase the sample count or the flow time")
-    return FlowCensus(box=box, time=t, samples=n, in_box_count=int(sel.sum()),
-                      events=int(hit.sum()), nonhyperbolic_events=nonhyp,
-                      components=comps)
+    return FlowCensus(box=box, time=t, samples=n, events=int(hit.sum()),
+                      nonhyperbolic_events=nonhyp, components=comps)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +344,6 @@ def margulis_count(box: Box, t: float, n: int, rng) -> FlowCensus:
 class RecurrenceResult:
     horizon: int
     samples: int
-    delta: float
-    theta: float
     fractions: tuple
 
     @property
@@ -369,5 +375,4 @@ def recurrence_fraction(n: int, horizon: int, delta: float, theta: float,
         thin_steps += systole_values(*frame_base(B)) < delta
         flagged = thin_steps >= theta * r - 1e-12
         fracs.append(float(flagged.mean()))
-    return RecurrenceResult(horizon=horizon, samples=n, delta=delta,
-                            theta=theta, fractions=tuple(fracs))
+    return RecurrenceResult(horizon=horizon, samples=n, fractions=tuple(fracs))

@@ -266,20 +266,33 @@ def reduce_points(x, y, max_iter: int = 300, deck: bool = False):
     return x.reshape(shape), y.reshape(shape)
 
 
-def sample_ball_arrays(center: ModelPoint, r: float, n: int, rng):
-    """Uniform ball sample as coordinate arrays.
+def ball_slice_sq(y, yc, ch):
+    """The squared x half-width 2 y yc ch - (y - yc)^2 of the slice at
+    height y of the ball about a center at height yc, ch = cosh(2 r) - 1
+    for its model radius r: |x - xc| <= sqrt of it inside the ball, and
+    the line misses the ball where it is negative.  Elementwise."""
+    return 2.0 * y * yc * ch - (y - yc) ** 2
 
-    Inverse-CDF in the hyperbolic radius, uniform angle, then the affine
-    isometry taking i to the center.  Draw order: radii first, then angles.
-    """
+
+def ball_points(center: ModelPoint, r: float, u, ang):
+    """(x, y, rho): the points of the radius-r ball about center at area
+    fraction u of the ball (inverse CDF in the hyperbolic radius rho) and
+    angle ang, through the disk, then the affine isometry taking i to the
+    center."""
+    rho = np.arccosh(1.0 + u * (math.cosh(2.0 * r) - 1.0))
+    w = np.tanh(rho / 2.0) * np.exp(1j * ang)
+    z = (1j - 1j * w) / (1.0 + w)  # disk -> H, 0 -> i
+    z = center.x + center.y * z
+    return z.real, z.imag, rho
+
+
+def sample_ball_arrays(center: ModelPoint, r: float, n: int, rng):
+    """Uniform ball sample as coordinate arrays (ball_points at uniform u
+    and angle).  Draw order: radii first, then angles."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     u = rng.random(n)
     if r == 0.0:
         return np.full(n, center.x), np.full(n, center.y)
-    rho = np.arccosh(1.0 + u * (math.cosh(2.0 * r) - 1.0))
-    ang = rng.random(n) * 2.0 * math.pi
-    w = np.tanh(rho / 2.0) * np.exp(1j * ang)
-    z = (1j - 1j * w) / (1.0 + w)  # disk -> H, 0 -> i
-    z = center.x + center.y * z
-    return z.real, z.imag
+    x, y, _ = ball_points(center, r, u, rng.random(n) * 2.0 * math.pi)
+    return x, y

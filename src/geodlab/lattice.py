@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import ModelPoint, reduce_to_fundamental
+from .halfplane import ModelPoint, ball_slice_sq, reduce_to_fundamental
 from .torus import extremal_length, systole
 
 MAX_ORBIT_RADIUS = 7.0
@@ -184,7 +184,7 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
             re0 = ((a0 * x0 + b0) * cxd + a0 * c * y0sq)[ok] / q
 
         y_pt = y0 / q
-        s = 2.0 * y_pt * yc * ch - (y_pt - yc) ** 2
+        s = ball_slice_sq(y_pt, yc, ch)
         live = s >= 0.0
         re0, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
         lo = np.ceil(xc - w - re0)
@@ -270,12 +270,7 @@ def short_curves(z: ModelPoint) -> list:
 
 @dataclass(frozen=True)
 class ChainAudit:
-    X: ModelPoint
-    Y: ModelPoint
     tau: float
-    k: int
-    depths: tuple
-    rates: tuple
     counts: tuple
     bounds: tuple
 
@@ -300,19 +295,16 @@ def chain_bound_audit(X: ModelPoint, Y: ModelPoint, tau: float) -> ChainAudit:
     gx = systole(X)[1] ** -0.5
     gy = systole(Y)[1] ** -0.5
     sc = short_curves(X)
-    k = len(sc)
-    if k == 0:
+    if not sc:
         n = orbit_count(X, Y, tau)
-        return ChainAudit(X, Y, tau, 0, (tau,), (2,), (n,),
-                          (math.exp(2.0 * tau) * gx * gy,))
+        return ChainAudit(tau, (n,), (math.exp(2.0 * tau) * gx * gy,))
     curve, l1 = sc[0]
     d1 = min(-math.log(l1), tau)
     d2 = tau - d1
-    rates = (1, 2)
     pts1 = orbit_points(X, Y, d1)
     shared = extremal_length(curve, pts1.x, pts1.y) < SHORT_THRESHOLD
     n1 = int(np.count_nonzero(shared))
     n2 = orbit_count(X, Y, tau)
-    b1 = math.exp(rates[0] * d1) * gx * gy
-    b2 = math.exp(rates[0] * d1 + rates[1] * d2) * gx * gy
-    return ChainAudit(X, Y, tau, 1, (d1, d2), rates, (n1, n2), (b1, b2))
+    b1 = math.exp(d1) * gx * gy  # rate 1, then rate 2
+    b2 = math.exp(d1 + 2 * d2) * gx * gy
+    return ChainAudit(tau, (n1, n2), (b1, b2))

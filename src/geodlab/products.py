@@ -24,6 +24,15 @@ import numpy as np
 from .halfplane import ModelPoint, sample_ball_arrays
 from .torus import BiasParams, systole, systole_values
 
+# The largest radius contraction_ratio_exact integrates over.  Its
+# integrand (cosh rho - sinh rho cos t)^-s peaks where the base is
+# cosh rho - sinh rho = e^-rho, which float64 forms with a relative error
+# of about e^{2 rho} 2^-53: 1.6e-4 at the rim, rho = 2 tau, of tau = 7.
+# Past 7 that error grows e^4-fold per unit of tau, the quadrature
+# subdivides ever more (8 times the time at tau = 8 as at 7, over 100
+# times at 9), and near tau = 9.2 the base rounds to 0, where the
+# negative power divides by zero.
+MAX_CONTRACTION_RADIUS = 7.0
 
 # ---------------------------------------------------------------------------
 # Exact ball average of the single-factor contraction ratio, deep in a cusp.
@@ -100,8 +109,8 @@ def contraction_ratio_exact(tau: float, s: float = 0.5, counters=None) -> float:
     the inner quadratures, their integrand evaluations and the quadratures
     that did not converge under 'bias.*'.
     """
-    if tau <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < tau <= MAX_CONTRACTION_RADIUS:
+        raise ValueError(f"radius must lie in (0, {MAX_CONTRACTION_RADIUS}]")
     if not (0.0 < s < 1.0):
         raise ValueError("exponent must lie in (0, 1)")
     area = 2.0 * math.pi * (math.cosh(2.0 * tau) - 1.0)
@@ -113,7 +122,6 @@ def contraction_ratio_exact(tau: float, s: float = 0.5, counters=None) -> float:
 @dataclass(frozen=True)
 class ContractionCheck:
     tau: float
-    factors: int
     samples: int
     exact: float
     estimate: float
@@ -148,8 +156,8 @@ def verify_contraction(j: int, tau: float, n: int, rng,
     exact = contraction_ratio_exact(tau, 0.5, counters) ** j
     est = float(stat.mean())
     sigma = float(stat.std(ddof=1) / math.sqrt(n))
-    return ContractionCheck(tau=tau, factors=j, samples=n, exact=exact,
-                            estimate=est, sigma=sigma)
+    return ContractionCheck(tau=tau, samples=n, exact=exact, estimate=est,
+                            sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +185,6 @@ class PointCheck:
 
 @dataclass
 class InequalityReport:
-    contraction_bound: float
     tau: float
     samples: int
     checks: list
@@ -244,4 +251,4 @@ def verify_system(params: BiasParams, centers, contraction_bound: float,
             checks.append(PointCheck(X.x, X.y, 1, "u", estu, boundu, sigu))
         else:
             checks.append(PointCheck(X.x, X.y, 0, "u", estu, c, sigu))
-    return InequalityReport(contraction_bound=c, tau=tau, samples=n, checks=checks)
+    return InequalityReport(tau=tau, samples=n, checks=checks)

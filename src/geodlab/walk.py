@@ -46,8 +46,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .halfplane import (ModelPoint, hyp_dist_arrays, reduce_in_place,
-                        sample_ball_arrays)
+from .halfplane import (ModelPoint, ball_points, ball_slice_sq,
+                        hyp_dist_arrays, reduce_in_place, sample_ball_arrays)
 from .report import ls_slope
 
 XSTEP = 2.4  # row-net x spacing in units of the row height
@@ -82,8 +82,6 @@ class GreedyNet:
 
     center: ModelPoint
     radius: float
-    c1: float
-    c2: float
     x: np.ndarray
     y: np.ndarray
 
@@ -95,13 +93,8 @@ class GreedyNet:
 def _stream_points(center: ModelPoint, radius: float, n: int):
     """Deterministic center-out spiral filling the ball uniformly in area."""
     k = np.arange(n)
-    u = (k + 0.5) / n
-    rho = np.arccosh(1.0 + u * (math.cosh(2.0 * radius) - 1.0))
     ang = np.mod(k * GOLDEN_ANGLE, 2.0 * math.pi)
-    w = np.tanh(rho / 2.0) * np.exp(1j * ang)
-    z = (1j - 1j * w) / (1.0 + w)
-    z = center.x + center.y * z
-    return z.real, z.imag, rho, ang
+    return (*ball_points(center, radius, (k + 0.5) / n, ang), ang)
 
 
 def _sector_count(k: int) -> int:
@@ -122,8 +115,8 @@ def build_net(center: ModelPoint, radius: float, rng,
     if not 0.0 < c1 <= c2:
         raise ValueError("need 0 < c1 <= c2")
     if radius == 0.0:
-        return GreedyNet(center, 0.0, c1, c2,
-                         np.array([center.x]), np.array([center.y]))
+        return GreedyNet(center, 0.0, np.array([center.x]),
+                         np.array([center.y]))
     sep = 2.0 * c1  # hyp units
     span = math.ceil(sep)
     stream_n = min(int(10.0 * (math.cosh(2.0 * radius) - 1.0)
@@ -180,7 +173,7 @@ def build_net(center: ModelPoint, radius: float, rng,
         dmin = hyp_dist_arrays(px[:, None], py[:, None],
                                ax[None, :], ay[None, :]).min(axis=1)
         if float(dmin.max()) <= 2.0 * c2:
-            return GreedyNet(center, radius, c1, c2, ax, ay)
+            return GreedyNet(center, radius, ax, ay)
         if stream_n >= MAX_STREAM:
             raise ResourceError(
                 f"coverage not reached with {stream_n} stream points; "
@@ -205,7 +198,6 @@ def net_size_slope(center: ModelPoint, radii, rng,
 
 @dataclass(frozen=True)
 class NetRow:
-    k: int
     y: float
     s: float
     j_lo: int
@@ -239,7 +231,6 @@ class RowNet:
     points it reduced to 'walk.swept_points'.
     """
 
-    anchor: float
     center: ModelPoint
     radius: float
     rows: tuple
@@ -378,7 +369,8 @@ def build_row_net(anchor: float, center: ModelPoint, radius: float) -> RowNet:
 
     The row widths are summed in Python integers as the rows are found,
     and a net of more than NODE_BUDGET nodes raises ResourceError before
-    any array is made, as does a ball too wide for cosh in float64.
+    any array is made, as does a ball too wide for cosh in float64 or a
+    row whose window leaves float64.
     """
     if anchor <= 0.0:
         raise ValueError("anchor height must be positive")
@@ -386,6 +378,8 @@ def build_row_net(anchor: float, center: ModelPoint, radius: float) -> RowNet:
         raise ValueError("net radius must be positive")
     over = (f"the row net of radius {radius:g} has more than "
             f"NODE_BUDGET = {NODE_BUDGET} nodes")
+    wide = (f"the row net of radius {radius:g} about height {center.y:g} "
+            "has row windows beyond the float64 range")
     rad_hyp = 2.0 * radius
     nu_c = math.log(center.y)
     nu_a = math.log(anchor)
@@ -398,21 +392,26 @@ def build_row_net(anchor: float, center: ModelPoint, radius: float) -> RowNet:
     nodes = 0
     rows = []
     for k in range(k_lo, k_hi + 1):
-        y = anchor * math.exp(2.0 * k)
-        w2 = 2.0 * y * center.y * ch - (y - center.y) ** 2
+        try:
+            y = anchor * math.exp(2.0 * k)
+            w2 = ball_slice_sq(y, center.y, ch)
+        except OverflowError:
+            raise ResourceError(wide) from None
         if w2 <= 0:
             continue
         w = math.sqrt(w2)
         s = XSTEP * y
-        j_lo = math.ceil((center.x - w) / s)
-        j_hi = math.floor((center.x + w) / s)
+        lo, hi = (center.x - w) / s, (center.x + w) / s
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ResourceError(wide)
+        j_lo, j_hi = math.ceil(lo), math.floor(hi)
         if j_hi < j_lo:
             continue
         nodes += j_hi - j_lo + 1
         if nodes > NODE_BUDGET:
             raise ResourceError(over)
-        rows.append(NetRow(k=k, y=y, s=s, j_lo=j_lo, j_hi=j_hi))
-    return RowNet(anchor=anchor, center=center, radius=radius, rows=tuple(rows))
+        rows.append(NetRow(y=y, s=s, j_lo=j_lo, j_hi=j_hi))
+    return RowNet(center=center, radius=radius, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +439,6 @@ class TrajectoryFamily:
     base: ModelPoint
     tau: float
     n_steps: int
-    thin_delta: float | None
     per_step: tuple
     node_counts: list
     step_snapshots: list | None = None
@@ -543,7 +541,7 @@ def _start_spans(rows, base: ModelPoint, ch: float) -> list:
     from.  a > b means none."""
     spans = []
     for r in rows:
-        w2 = 2.0 * r.y * base.y * ch - (r.y - base.y) ** 2
+        w2 = ball_slice_sq(r.y, base.y, ch)
         span = (0, -1)
         if w2 > 0:
             w = math.sqrt(w2)
@@ -573,7 +571,7 @@ def _span_step(rows, spans, ch: float) -> tuple:
         rs = replace(row, j_lo=row.j_lo + a, j_hi=row.j_lo + b)
         hits = []
         for ti, rt in enumerate(rows):
-            w2 = 2.0 * rs.y * rt.y * ch - (rs.y - rt.y) ** 2
+            w2 = ball_slice_sq(rs.y, rt.y, ch)
             if w2 <= 0:
                 continue
             w = math.sqrt(w2)
@@ -681,5 +679,5 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
     if counters is not None:
         counters["walk.window_targets"] += evaluated
     return TrajectoryFamily(net=net, base=base, tau=tau, n_steps=n_steps,
-                            thin_delta=thin_delta, per_step=tuple(per_step),
-                            node_counts=counts, step_snapshots=snapshots)
+                            per_step=tuple(per_step), node_counts=counts,
+                            step_snapshots=snapshots)

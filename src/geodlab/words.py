@@ -35,10 +35,13 @@ MAX_ENUM_LENGTH = 7.5
 _EXACT_INT64 = 2 ** 62  # |a|, |d| below this keep a - d exact in int64
 _MAX_TRACE_CAP = 2 ** 31  # entries below this keep products of two in int64
 MAX_AXIS_STEP = 0.1  # the coarsest axis sample step
-# Classes of trace below this take min_systole_batch's block walk, whose
-# integers reach 3 t^2 < 2^53, exact in int64 and float64; the others, none
-# of them from enumerate_classes (traces up to 2 cosh 7.5 < 1809), take
-# their whole sample grid.
+# The finest step min_systole_batch takes.  Its sample selection needs a
+# grid step to lower a height by far more than the reduction's float
+# error: the factor is about 1 + 2e-6 here, against errors near 1e-12.
+MIN_AXIS_STEP = 0.001
+# The block walk's integers reach 3 t^2 < 2^53, exact in int64 and
+# float64, for traces below this; enumerate_classes' stay below
+# 2 cosh 7.5 < 1809.
 _WALK_TRACE_CAP = 2 ** 25
 
 
@@ -137,24 +140,6 @@ class ClassTable(Sequence):
             raise OverflowError("matrix entries beyond 2^62 would make a - d inexact")
         self.trace, self.length, self.entries = trace, length, entries
         self.words, self.sizes = words, sizes
-
-    @classmethod
-    def sorted_by_trace(cls, classes: Sequence[GeodesicClass]) -> tuple:
-        """The classes as a table in stable trace order, and the position
-        in classes of each of its rows."""
-        width = max((len(g.exps) for g in classes), default=0)
-        words = np.zeros((len(classes), width), dtype=np.int64)
-        for row, g in zip(words, classes):
-            row[:len(g.exps)] = g.exps
-        trace = np.array([g.trace for g in classes], dtype=np.int64)
-        order = np.argsort(trace, kind="stable")
-        table = cls(trace[order],
-                    np.array([g.length for g in classes], dtype=float)[order],
-                    np.array([g.entries for g in classes],
-                             dtype=np.int64).reshape(-1, 4)[order],
-                    words[order],
-                    np.array([len(g.exps) for g in classes], dtype=np.int64)[order])
-        return table, order
 
     def __len__(self) -> int:
         return len(self.trace)
@@ -259,10 +244,10 @@ def _necklace_table(trace_cap: float, primitive_only: bool,
     trace = entries[:, 0] + entries[:, 3]
     order = _class_order(trace, words, math.floor(trace_cap))
     trace = trace[order]
-    # acosh(t / 2) once per distinct trace, teich_length_from_trace's
-    # value for t < 1e300
+    # one length per distinct trace
     distinct, which = np.unique(trace, return_inverse=True)
-    length = np.array([math.acosh(v / 2.0) for v in distinct.tolist()])[which]
+    length = np.array([teich_length_from_trace(v)
+                       for v in distinct.tolist()])[which]
     return ClassTable(trace, length, entries[order], words[order], sizes[order])
 
 
@@ -449,16 +434,17 @@ def min_systole_along_axis(exps: Sequence[int], step: float = 0.02) -> float:
 
 def block_apices(entries, words) -> tuple:
     """The apex of the axis lift that each letter block of a class starts:
-    (rho, sigma).  rho is float64 (N, W), the apex height, zero past the
-    end of a word; sigma(row, blk) gives, elementwise, the arc length of
-    the apices at the slots (row, blk), where they pull back to on the
-    axis.
+    (rho, sigma, root_d).  rho is float64 (N, W), the apex height, zero
+    past the end of a word; sigma(row, blk) gives, elementwise, the arc
+    length of the apices at the slots (row, blk), where they pull back to
+    on the axis; root_d is float64 (N,), sqrt(t^2 - 4) per class, rounded
+    once from its exact integer.
 
-    entries and words are ClassTable columns, of traces below
-    _WALK_TRACE_CAP.  A lift of the axis A0 of M = (a, b, c, d) is
-    g^-1 A0, the axis of g^-1 M g, for g in SL(2, Z).  With (p, r) the
-    first column of g, f(p, r) = c p^2 + (d - a) p r - b r^2 is the c
-    entry of g^-1 M g, so the lift's apex height is
+    entries and words are ClassTable columns; a trace of _WALK_TRACE_CAP
+    or more raises OverflowError.  A lift of the axis A0 of
+    M = (a, b, c, d) is g^-1 A0, the axis of g^-1 M g, for g in SL(2, Z).
+    With (p, r) the first column of g, f(p, r) = c p^2 + (d - a) p r -
+    b r^2 is the c entry of g^-1 M g, so the lift's apex height is
     rho = sqrt(t^2 - 4) / (2 |f(p, r)|).  g carries that apex onto A0 at
     arc length sigma from A0's apex, where
     e^sigma = |N + r sqrt(D)| / |N - r sqrt(D)|, N = 2 c p + (d - a) r
@@ -516,17 +502,15 @@ def block_apices(entries, words) -> tuple:
         return np.sign(big) * np.log(
             np.square(np.abs(big) + yk * root_d[row]) / (4.0 * ck * fk))
 
-    return rho.T, sigma
+    return rho.T, sigma, root_d
 
 
-def min_systole_batch(classes, step: float = 0.02, counters=None) -> np.ndarray:
-    """Sampled axis-systole minimum per class, bit for bit what
-    min_systole_along_axis gives for each class on its own, from the few
-    samples next to the apexes of the class's highest axis lifts.
-
-    classes is a ClassTable, whose rows are read as they stand, or
-    GeodesicClass rows in any order, which ClassTable.sorted_by_trace
-    puts into one; the minima come back in the order given.
+def min_systole_batch(table: ClassTable, step: float = 0.02,
+                      counters=None) -> np.ndarray:
+    """Sampled axis-systole minimum per class of the table, in its row
+    order, bit for bit what min_systole_along_axis gives for each class on
+    its own, from the few samples next to the apexes of the class's
+    highest axis lifts.  A step below MIN_AXIS_STEP raises ValueError.
 
     Why those samples hold the whole grid's minimum, Delta = 2 length /
     half being the grid step on the sampled period A0 of the axis:
@@ -541,79 +525,53 @@ def min_systole_batch(classes, step: float = 0.02, counters=None) -> np.ndarray:
     - On a uniform grid, the largest value of rho / cosh(sigma - s)
       falls on one of the two grid points beside s.  A point one step
       farther away is lower by a factor of at least cosh Delta, about
-      1 + 2e-6 at step 0.001, while the reduction's float error is about
-      1e-13 and its boundary tolerance 1e-12.  So the float maximum is
-      always among the samples reduced.
+      1 + 2e-6 at step MIN_AXIS_STEP, while the reduction's float error
+      is about 1e-13 and its boundary tolerance 1e-12.  So the float
+      maximum is always among the samples reduced.
     - The grid maximum is at least rho_top / cosh(Delta / 2), which a
       lift below rho_top / cosh(Delta / 2) (1 - 1e-9) cannot reach, so
       only the lifts above that are kept.  Each gives the samples
       round(u) - 1 .. round(u) + 1, u the grid position of its s_L,
       wrapped around the period; j = 0 and j = half sample one point of
       the geodesic in two floats, and both are kept.
-    - Samples are formed as min_systole_along_axis forms them, from the
-      per-trace sigma grid, as c0 + r0 tanh and r0 / cosh: the same
-      floats through the same elementwise operations.  One
-      reduce_in_place reduces them all, elementwise.
+    - Samples are formed as min_systole_along_axis forms them, as
+      c0 + r0 tanh and r0 / cosh of _axis_sigma: the same floats through
+      the same elementwise operations, with a - d exact in int64 (a
+      ClassTable keeps its entries inside +-2^62) and t^2 - 4 exact in
+      integers, each rounded to float once.  One reduce_in_place reduces
+      them all, elementwise.
     - The systole at a reduced point is 1 / y and correctly rounded
       division is monotone, so the class minimum of 1 / y is exactly
       1 / (the class maximum of y).
 
-    Classes of trace _WALK_TRACE_CAP or more, whose positions float64
-    would lose, and grids whose step lowers a height by less than 1e-9
-    take their whole grid.  With a counters mapping, adds the grid
-    samples to 'veech.axis_points', the samples reduced to
-    'veech.reduced_points' and the per-trace sample grids to
-    'veech.trace_tables'.
+    With a counters mapping, adds the grid samples to
+    'veech.axis_points' and the samples reduced to 'veech.reduced_points'.
     """
-    if isinstance(classes, ClassTable):
-        table, order = classes, None
-    else:
-        table, order = ClassTable.sorted_by_trace(classes)
-    # _axis_circle's operations: a - d and t t - 4 exact in integers,
-    # each rounded to float once.  A ClassTable keeps its entries inside
-    # +-2^62, where a - d is exact in int64.
-    ent, trace = table.entries, table.trace
-    first = np.ones(len(table), dtype=bool)
-    first[1:] = trace[1:] != trace[:-1]
-    starts = np.flatnonzero(first)
-    runs = np.diff(np.append(starts, len(table)))
-    # one sample grid per run of equal traces
-    length = np.repeat(table.length[starts], runs)
-    half = np.repeat(_axis_halves(table.length[starts], step), runs)
-    root_d = np.repeat([math.sqrt(float(t * t - 4))
-                        for t in trace[starts].tolist()], runs)
+    if step < MIN_AXIS_STEP:
+        raise ValueError(f"step must be at least {MIN_AXIS_STEP}")
+    ent, length = table.entries, table.length
+    half = _axis_halves(length, step)
+    delta = 2.0 * length / half
+    rho, apex_sigma, root_d = block_apices(ent, table.words)
     two_c = 2.0 * ent[:, 2]
     c0 = (ent[:, 0] - ent[:, 3]) / two_c
     r0 = root_d / two_c
-    delta = 2.0 * length / half
-    dense = (trace >= _WALK_TRACE_CAP) | (np.cosh(delta) - 1.0 < 1e-9)
-    walk = np.flatnonzero(~dense)
-    rho, apex_sigma = block_apices(ent[walk], table.words[walk])
-    floor = rho.max(axis=1, initial=0.0) / np.cosh(delta[walk] / 2.0)
-    row, blk = np.nonzero(rho >= (floor * (1.0 - 1e-9))[:, None])
-    cls = walk[row]
-    u = apex_sigma(row, blk) / delta[cls] + half[cls] / 2
+    floor = rho.max(axis=1, initial=0.0) / np.cosh(delta / 2.0)
+    cls, blk = np.nonzero(rho >= (floor * (1.0 - 1e-9))[:, None])
+    u = apex_sigma(cls, blk) / delta[cls] + half[cls] / 2
     j = (np.rint(u).astype(np.int64)[:, None] + np.arange(-1, 2)) % half[cls, None]
     # the period's last sample, where its first is taken; -1 where not
     last = np.where((j == 0).any(axis=1), half[cls], -1)
     j = np.concatenate([j, last[:, None]], axis=1).reshape(-1)
     taken = j >= 0
-    whole = np.flatnonzero(dense)
-    cls = np.concatenate([np.repeat(cls, 4)[taken], np.repeat(whole, half[whole] + 1)])
-    j = np.concatenate([j[taken], _ramp(half[whole] + 1)])
+    cls, j = np.repeat(cls, 4)[taken], j[taken]
     sigma = _axis_sigma(length[cls], half[cls], j)
     x = c0[cls] + r0[cls] * np.tanh(sigma)
     y = r0[cls] / np.cosh(sigma)
     reduce_in_place(x, y)
     top = np.zeros(len(table))
     np.maximum.at(top, cls, y)
-    mins = 1.0 / top
     if counters is not None:
         counters["veech.axis_points"] += int((half + 1).sum())
         counters["veech.reduced_points"] += len(y)
-        counters["veech.trace_tables"] += len(starts)
-    if order is None:
-        return mins
-    out = np.empty(len(table))
-    out[order] = mins
-    return out
+    return 1.0 / top

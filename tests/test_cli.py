@@ -196,6 +196,9 @@ def test_main_out_keeps_an_existing_report_when_the_run_raises(
     (["close", "--set", "r_grid=3,6"], "close.r_grid"),
     (["lattice", "--set", "tau_grid=-1,2"], "lattice.tau_grid"),
     (["thin", "--set", "delta_grid=0.5,1"], "thin.delta_grid"),
+    (["bias-verify", "--set", "tau_grid=3,50"], "bias-verify.tau_grid"),
+    (["mix", "--set", "time=500"], "mix.time"),
+    (["veech", "--set", "step=0.0005"], "veech.step"),
 ])
 def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
                                                  monkeypatch):
@@ -310,16 +313,14 @@ def test_walk_and_veech_footers():
     assert "# count.walk.swept_points = 317" in walk.to_text()
     assert "#" not in default.to_text(deterministic_only=True)
     veech = run(build_config("veech", overrides={"max_length": "3"}))
-    # one sample grid per distinct trace among the 74 classes, which the
-    # enumeration reaches through 79 prenecklaces; of the grids' 9,440
-    # samples, the 271 beside the highest apexes are reduced
+    # one sample grid per class of the 74, which the enumeration reaches
+    # through 79 prenecklaces; of the grids' 9,440 samples, the 271 beside
+    # the highest apexes are reduced
     assert veech.counters == {"enum.prenecklaces": 79,
                               "veech.axis_points": 9440,
-                              "veech.reduced_points": 271,
-                              "veech.trace_tables": 18}
+                              "veech.reduced_points": 271}
     assert "# count.veech.axis_points = 9440" in veech.to_text()
     assert "# count.veech.reduced_points = 271" in veech.to_text()
-    assert "# count.veech.trace_tables = 18" in veech.to_text()
 
 
 def test_enumerating_runs_count_the_prenecklaces_expanded():
@@ -370,3 +371,13 @@ def test_report_layout_sorted_and_stable():
     assert text.splitlines() == [
         "t", "a = 1.5", "b = 2", "", "x;ok", "1;yes", "",
         "a = yes", "z = 0.25"]
+
+
+@pytest.mark.parametrize("height", ["1e150", "1e300"])
+def test_main_refuses_a_row_net_past_float64(height, tmp_path, capsys):
+    out = tmp_path / "r.txt"
+    assert main(["thin", "--set", f"base_height={height}", "--out",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and "float64 range" in err
+    assert "Traceback" not in err and not out.exists()

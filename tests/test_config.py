@@ -69,23 +69,31 @@ def test_minimum_enforced():
         ExperimentConfig("mix", params={"samples": 500})
     with pytest.raises(ConfigError, match="must be at least 0.5"):
         ExperimentConfig("walk", params={"tau": 0.1})
+    # veech's from words, as its maximum
+    from geodlab.words import MIN_AXIS_STEP
+    with pytest.raises(ConfigError, match=f"must be at least {MIN_AXIS_STEP}"):
+        ExperimentConfig("veech", params={"step": MIN_AXIS_STEP * 0.99})
 
 
 def test_maximum_enforced_from_the_runners_modules():
-    from geodlab.flow import MAX_CENSUS_TIME
+    from geodlab.flow import MAX_CENSUS_TIME, MAX_MIX_TIME
     from geodlab.lattice import MAX_ORBIT_RADIUS, MAX_SPREAD_RADIUS
+    from geodlab.products import MAX_CONTRACTION_RADIUS
     from geodlab.words import MAX_AXIS_STEP, MAX_ENUM_LENGTH
     for experiment, key, top in (("veech", "max_length", MAX_ENUM_LENGTH),
                                  ("veech", "step", MAX_AXIS_STEP),
                                  ("assemble", "r", MAX_ENUM_LENGTH),
-                                 ("lattice", "spread_radius", MAX_SPREAD_RADIUS)):
+                                 ("lattice", "spread_radius", MAX_SPREAD_RADIUS),
+                                 ("mix", "time", MAX_MIX_TIME)):
         assert ExperimentConfig(experiment, params={key: top}).params[key] == top
         with pytest.raises(ConfigError, match=f"{experiment}.{key}: must be at most"):
             ExperimentConfig(experiment, params={key: top * 1.01})
     # a grid's maximum bounds each entry
     for experiment, key, top in (("count", "r_grid", MAX_ENUM_LENGTH),
                                  ("lattice", "tau_grid", MAX_ORBIT_RADIUS),
-                                 ("close", "r_grid", MAX_CENSUS_TIME)):
+                                 ("close", "r_grid", MAX_CENSUS_TIME),
+                                 ("bias-verify", "tau_grid",
+                                  MAX_CONTRACTION_RADIUS)):
         grid = f"1, {top}"
         assert ExperimentConfig(experiment, params={key: grid}).params[key][-1] == top
         with pytest.raises(ConfigError, match="entries must be at most"):

@@ -5,7 +5,8 @@ import pytest
 
 from geodlab import flow as flow_module
 from geodlab.halfplane import ModelPoint, ReductionError
-from geodlab.flow import (Box, axis_distance, closing_constants, flow,
+from geodlab.flow import (MAX_MIX_TIME, Box, axis_distance,
+                          closing_constants, flow,
                           frame_base_dir, frames_from_points, in_box,
                           margulis_count, measure_box, mixing_correlation,
                           recurrence_fraction, reduce_frames, sample_box,
@@ -179,3 +180,14 @@ def test_recurrence_guards():
         recurrence_fraction(100, 4, 1.5, 0.5, rng)
     with pytest.raises(ValueError):
         recurrence_fraction(100, 4, 0.25, 0.0, rng)
+
+
+def test_mixing_refuses_flow_times_past_its_maximum():
+    box = measure_box(0.02)
+    est = mixing_correlation(box, MAX_MIX_TIME, 20000,
+                             np.random.default_rng(13))
+    assert abs(est.diff) <= 4.0 * est.std_error
+    for t in (np.nextafter(MAX_MIX_TIME, math.inf), 40.0,
+              -MAX_MIX_TIME * 1.01):
+        with pytest.raises(ValueError, match="flow time must lie in"):
+            mixing_correlation(box, t, 20000, np.random.default_rng(13))

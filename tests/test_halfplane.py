@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from geodlab.halfplane import (BOUNDARY_TOL, FUND_AREA, TOTAL_FRAME_MEASURE,
                                MappingClass, ModelPoint,
-                               ReductionError, hyp_ball_area, hyp_dist,
+                               ReductionError, ball_slice_sq, hyp_ball_area,
+                               hyp_dist,
                                hyp_dist_arrays, reduce_in_place,
                                reduce_points, reduce_to_fundamental,
                                sample_ball_arrays, teich_dist)
@@ -235,3 +236,29 @@ def test_sample_ball_deterministic():
     a = sample_ball_arrays(center, 2.0, 10, np.random.default_rng(11))
     b = sample_ball_arrays(center, 2.0, 10, np.random.default_rng(11))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_sample_ball_draws_radii_then_angles_through_the_disk():
+    # bit for bit the inverse CDF in rho, then the disk -> H map and the
+    # affine move, with the radii drawn before the angles
+    center = ModelPoint(0.3, 2.0)
+    xs, ys = sample_ball_arrays(center, 1.5, 500, np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    u = rng.random(500)
+    rho = np.arccosh(1.0 + u * (math.cosh(3.0) - 1.0))
+    w = np.tanh(rho / 2.0) * np.exp(1j * (rng.random(500) * 2.0 * math.pi))
+    z = center.x + center.y * ((1j - 1j * w) / (1.0 + w))
+    assert np.array_equal(xs, z.real) and np.array_equal(ys, z.imag)
+
+
+def test_ball_slice_ends_lie_on_the_sphere():
+    center, r = ModelPoint(0.3, 2.0), 1.2
+    ch = math.cosh(2.0 * r) - 1.0
+    for y in (0.3, 1.0, 2.0, 9.0):
+        half = math.sqrt(ball_slice_sq(y, center.y, ch))
+        for x in (center.x - half, center.x + half):
+            assert teich_dist(ModelPoint(x, y), center) == pytest.approx(r)
+    # heights past the ball's top and bottom miss it
+    top, bottom = center.y * math.exp(2.0 * r), center.y * math.exp(-2.0 * r)
+    assert ball_slice_sq(top * 1.01, center.y, ch) < 0.0
+    assert ball_slice_sq(bottom * 0.99, center.y, ch) < 0.0

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from geodlab.halfplane import ModelPoint
-from geodlab.products import (ContractionCheck, _quad, _ring_average,
+from geodlab.products import (MAX_CONTRACTION_RADIUS, ContractionCheck,
+                              _quad, _ring_average,
                               classify_region, contraction_ratio_exact,
                               verify_contraction, verify_system)
 from geodlab.torus import BiasParams
@@ -168,3 +169,10 @@ def test_verify_system_guards():
     with pytest.raises(ValueError):
         verify_system(BiasParams.default(m=2, tau=2.0), deep, c, 3.0, 4000,
                       rng)
+
+
+def test_contraction_ratio_refuses_radii_past_its_maximum():
+    assert contraction_ratio_exact(MAX_CONTRACTION_RADIUS) > 0.0
+    for tau in (np.nextafter(MAX_CONTRACTION_RADIUS, math.inf), 10.0, 50.0):
+        with pytest.raises(ValueError, match="radius must lie in"):
+            contraction_ratio_exact(tau)

@@ -4,7 +4,10 @@ A module-level definition counts as used when code in src/geodlab names it
 outside its own body, or tests/test_acceptance.py or perfbench/tracer.py
 does.  A method or property of a class counts as used when that code names
 it outside the method's own body; dunder and name-mangled methods are
-exempt.  A member counts only where it is read as an attribute (.name),
+exempt.  A field, an annotated name in a class body as in a dataclass or
+NamedTuple, counts as used when that code, or a method of its class,
+reads it.
+A member counts only where it is read as an attribute (.name),
 wherever an attribute of the same name is read; a bare identifier of the
 same name, such as a parameter, does not count.  Docstrings, comments and
 import lines do not count as naming anything.  ALLOWED holds the test oracles and fixtures kept on purpose,
@@ -79,6 +82,14 @@ def _unused() -> list:
                                   attributes_only=True)
                 if member.name not in read_rest | siblings:
                     unused.append(f"{mod}.{node.name}.{member.name}")
+            methods = _names((m for m in node.body
+                              if isinstance(m, ast.FunctionDef)),
+                             attributes_only=True)
+            for member in node.body:
+                if (isinstance(member, ast.AnnAssign)
+                        and isinstance(member.target, ast.Name)
+                        and member.target.id not in read_rest | methods):
+                    unused.append(f"{mod}.{node.name}.{member.target.id}")
     return unused
 
 

@@ -29,13 +29,13 @@ def test_greedy_net_separation_and_coverage():
     d = 0.5 * hyp_dist_arrays(net.x[:, None], net.y[:, None],
                               net.x[None, :], net.y[None, :])
     sep = d[~np.eye(net.size, dtype=bool)].min()
-    assert sep >= net.c1
+    assert sep >= 1.0  # build_net's default c1
     assert sep == pytest.approx(1.004436, abs=1e-5)
     px, py = sample_ball_arrays(ModelPoint(0, 1), 2.0, 2000,
                                 np.random.default_rng(2))
     gap = 0.5 * hyp_dist_arrays(px[:, None], py[:, None],
                                 net.x[None, :], net.y[None, :]).min(axis=1).max()
-    assert gap <= net.c2
+    assert gap <= 2.0  # and c2
     assert gap == pytest.approx(1.061005, abs=1e-5)
 
 
@@ -61,8 +61,11 @@ def test_row_net_structure():
     net = build_row_net(5.0, ModelPoint(0.0, 5.0), 3.0)
     assert len(net.rows) == 5
     assert net.node_count == 187
+    # rows at 5 e^{2k} for consecutive k
+    k = [math.log(r.y / 5.0) / 2.0 for r in net.rows]
+    assert k == pytest.approx(list(range(round(k[0]), round(k[0]) + 5)),
+                              abs=1e-12)
     for r in net.rows:
-        assert r.y == pytest.approx(5.0 * math.exp(2.0 * r.k), rel=1e-12)
         assert r.s == pytest.approx(2.4 * r.y, rel=1e-12)
         assert r.n == r.j_hi - r.j_lo + 1
 
@@ -117,12 +120,12 @@ def test_thin_masks_one_sweep_matches_fresh(deltas, bad):
 def _on_net(net, reach, counts):
     """Per-row counts on the reach net, laid out on the rows of net with
     zeros outside the reach."""
-    inside = {r.k: (r, c) for r, c in zip(reach.rows, counts)}
+    inside = {r.y: (r, c) for r, c in zip(reach.rows, counts)}
     out = []
     for r in net.rows:
         full = np.zeros(r.n)
-        if r.k in inside:
-            rr, c = inside[r.k]
+        if r.y in inside:
+            rr, c = inside[r.y]
             full[rr.j_lo - r.j_lo: rr.j_hi - r.j_lo + 1] = c
         out.append(full)
     return out
@@ -315,8 +318,8 @@ ROW_END = st.integers(-300, 300)
 @example(1, 1, 10.0, 2, 4, 3.0, 0.5, 1)
 def test_reach_covers_every_nonempty_window(a0, a1, ss, b0, b1, st_, w,
                                             chunk):
-    rs = NetRow(0, 1.0, ss, min(a0, a1), max(a0, a1))
-    rt = NetRow(0, 1.0, st_, min(b0, b1), max(b0, b1))
+    rs = NetRow(1.0, ss, min(a0, a1), max(a0, a1))
+    rt = NetRow(1.0, st_, min(b0, b1), max(b0, b1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walk, "DP_CHUNK", chunk)  # so the scan crosses chunks
         t0, t1 = _reach(rs, rt, w)
@@ -340,8 +343,8 @@ def test_reach_covers_every_nonempty_window(a0, a1, ss, b0, b1, st_, w,
 # windows clipped to 0 before it and to rs.n after it
 @example(0, 0, 1.0, -5, 5, 1.0, 0.5, 10)
 def test_windows_equal_the_clip_form(a0, a1, ss, b0, b1, st_, w, pad):
-    rs = NetRow(0, 1.0, ss, min(a0, a1), max(a0, a1))
-    rt = NetRow(0, 1.0, st_, min(b0, b1), max(b0, b1))
+    rs = NetRow(1.0, ss, min(a0, a1), max(a0, a1))
+    rt = NetRow(1.0, st_, min(b0, b1), max(b0, b1))
     # targets past both ends of the target row as well as on it
     jt = np.arange(rt.j_lo - pad, rt.j_hi + pad + 1)
     xt = jt * rt.s
@@ -424,27 +427,28 @@ def test_chunked_dp_matches_full_row_dp(anchor, cx, cy, tau, n_steps,
                                  thin_delta=thin_delta, keep_steps=True)
     reach = fam.net
     assert reach is net.reach(base, tau, n_steps)
-    # every reach row is a nonempty piece of its row of the full net
-    full = {r.k: r for r in net.rows}
+    # every reach row is a nonempty piece of its row of the full net, the
+    # row of its height
+    full = {r.y: r for r in net.rows}
     assert len(full) == len(net.rows)
     for rr in reach.rows:
-        r = full[rr.k]
+        r = full[rr.y]
         assert (rr.y, rr.s) == (r.y, r.s)
         assert r.j_lo <= rr.j_lo <= rr.j_hi <= r.j_hi
     assert fam.per_step == tuple(sum(float(c.sum()) for c in counts)
                                  for counts in want)
     assert len(fam.step_snapshots) == n_steps
-    inside = {rr.k: rr for rr in reach.rows}
+    inside = {rr.y: rr for rr in reach.rows}
     for snap, counts in zip(fam.step_snapshots, want):
         assert len(snap) == len(reach.rows)
         got = dict(zip(inside, snap))
         for r, c in zip(net.rows, counts):
             kept = np.zeros(r.n, dtype=bool)
-            if r.k in inside:
-                rr = inside[r.k]
+            if r.y in inside:
+                rr = inside[r.y]
                 part = slice(rr.j_lo - r.j_lo, rr.j_hi - r.j_lo + 1)
                 # node for node inside the reach
-                assert np.array_equal(got[r.k], c[part])
+                assert np.array_equal(got[r.y], c[part])
                 kept[part] = True
             # and the full-row DP is exactly zero outside it
             assert not c[~kept].any()
@@ -505,3 +509,12 @@ def test_dp_peak_memory_is_two_count_arrays_and_one_prefix():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+@pytest.mark.parametrize("height", [1e150, 1e300])
+def test_row_net_refuses_windows_past_float64_before_any_array(height,
+                                                               monkeypatch):
+    # at these heights a row's slice width, or its row ends, leave float64
+    monkeypatch.setattr(walk, "np", None)
+    with pytest.raises(ResourceError, match="beyond the float64 range$"):
+        build_row_net(height, ModelPoint(0.0, height), 7.5)

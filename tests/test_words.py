@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from geodlab import words
 from geodlab.halfplane import MappingClass, ModelPoint
-from geodlab.words import (MAX_ENUM_LENGTH, ClassTable, GeodesicClass,
+from geodlab.words import (MAX_ENUM_LENGTH, MIN_AXIS_STEP, ClassTable,
+                           GeodesicClass,
                            TraceHistogram, _axis_halves, _class_order,
                            _necklace_table,
                            axis_samples, block_apices, canonical,
@@ -264,12 +265,10 @@ def test_class_table_rows():
     assert table[np.int64(5)] == rows[5]
     with pytest.raises(IndexError):
         table[len(table)]
-    # GeodesicClass rows in any order go into one table, stably by trace
+    # GeodesicClass rows in any order go into a table in that order
     rng = np.random.default_rng(3)
     shuffled = [rows[i] for i in rng.permutation(len(rows))]
-    again, order = ClassTable.sorted_by_trace(shuffled)
-    assert list(again) == sorted(shuffled, key=lambda g: g.trace)
-    assert [shuffled[i] for i in order] == list(again)
+    assert list(_table(shuffled)) == shuffled
 
 
 def test_geodesic_class_from_exps():
@@ -279,6 +278,20 @@ def test_geodesic_class_from_exps():
 
 
 _CLASSES_4 = enumerate_classes(4.0)
+
+
+def _table(classes) -> ClassTable:
+    """The GeodesicClass rows as a ClassTable, in the order given."""
+    width = max((len(g.exps) for g in classes), default=0)
+    words = np.zeros((len(classes), width), dtype=np.int64)
+    for row, g in zip(words, classes):
+        row[:len(g.exps)] = g.exps
+    return ClassTable(np.array([g.trace for g in classes], dtype=np.int64),
+                      np.array([g.length for g in classes], dtype=float),
+                      np.array([g.entries for g in classes],
+                               dtype=np.int64).reshape(-1, 4),
+                      words,
+                      np.array([len(g.exps) for g in classes], dtype=np.int64))
 
 
 def test_axis_samples_lie_on_axis_and_hit_apex():
@@ -302,34 +315,40 @@ def test_min_systole_simplest_class():
 
 def test_min_systole_batch_matches_loop():
     # the batch forms each class's samples with the per-class kernel's
-    # operations and takes 1 / max height, so it must agree exactly, from a
-    # table or from GeodesicClass rows in any order
+    # operations and takes 1 / max height, so it must agree exactly, with
+    # the table's rows in any order
     classes = enumerate_classes(4.0)
     loop = np.array([min_systole_along_axis(g.exps) for g in classes])
     counters = Counter()
     assert np.array_equal(min_systole_batch(classes, counters=counters), loop)
-    assert np.array_equal(min_systole_batch(list(classes)[::-1]), loop[::-1])
+    assert np.array_equal(min_systole_batch(_table(list(classes)[::-1])),
+                          loop[::-1])
     # three samples beside each kept apex, and the period's last sample
     # where its first is one of them: 1,410 of the 71,018 grid samples
     assert counters == {"veech.axis_points":
                         sum(axis_samples(g.exps)[0].size for g in classes),
-                        "veech.reduced_points": 1410,
-                        "veech.trace_tables": len({g.trace for g in classes})}
-    assert min_systole_batch([]).size == 0
+                        "veech.reduced_points": 1410}
+    assert min_systole_batch(_table([])).size == 0
 
 
-def test_min_systole_batch_entry_table_is_exact_to_2_62():
-    # a - d comes out of int64 exactly and rounds to float once, as the
-    # per-class kernel's Python integers do, also past 2^53
-    classes = [GeodesicClass.from_exps(e)
-               for e in ((2 ** 30 + 1, 2 ** 29 + 3), (2 ** 27 + 5, 7, 3, 2 ** 26))]
-    assert max(max(g.entries) for g in classes) > 2 ** 53
-    loop = np.array([min_systole_along_axis(g.exps) for g in classes])
-    got = min_systole_batch(classes)
-    assert np.array_equal(got.view(np.int64), loop.view(np.int64))
-    # an entry of 2^62 + 1 could make a - d leave int64: refused
+def test_min_systole_batch_refuses_traces_past_the_block_walk():
+    # a trace of 2^25 or more would take the block walk's integers past
+    # 2^53: refused, as is a table entry past 2^62, where a - d could
+    # leave int64
+    for exps in ((2 ** 25, 1), (2 ** 30 + 1, 2 ** 29 + 3),
+                 (2 ** 27 + 5, 7, 3, 2 ** 26)):
+        with pytest.raises(OverflowError):
+            min_systole_batch(_table([GeodesicClass.from_exps(exps)]))
+    past = GeodesicClass.from_exps((2 ** 31, 2 ** 31))
     with pytest.raises(OverflowError):
-        min_systole_batch([GeodesicClass.from_exps((2 ** 31, 2 ** 31))])
+        min_systole_batch(_table([past]))
+
+
+def test_min_systole_batch_refuses_a_step_below_its_resolution():
+    classes = _table([GeodesicClass.from_exps((1, 1))])
+    with pytest.raises(ValueError, match="at least"):
+        min_systole_batch(classes, step=np.nextafter(MIN_AXIS_STEP, 0.0))
+    assert min_systole_batch(classes, step=MIN_AXIS_STEP).size == 1
 
 
 @settings(deadline=None, max_examples=25)
@@ -338,7 +357,7 @@ def test_min_systole_batch_matches_loop_on_shuffled_subsets(picks):
     # any subset in any order gives the per-class minima bit for bit
     classes = [_CLASSES_4[i] for i in picks]
     loop = np.array([min_systole_along_axis(g.exps) for g in classes])
-    got = min_systole_batch(classes)
+    got = min_systole_batch(_table(classes))
     assert np.array_equal(got.view(np.int64), loop.view(np.int64))
 
 
@@ -358,7 +377,7 @@ def test_min_systole_batch_matches_loop_at_the_enumeration_limit(data, step):
                                max_size=12, unique=True))
     classes = [table[i] for i in picks]
     loop = np.array([min_systole_along_axis(g.exps, step) for g in classes])
-    got = min_systole_batch(classes, step=step)
+    got = min_systole_batch(_table(classes), step=step)
     assert np.array_equal(got.view(np.int64), loop.view(np.int64))
 
 
@@ -398,18 +417,20 @@ def _sigma_grid(sigma, words):
 def _apices(exps):
     g = GeodesicClass.from_exps(exps)
     words = np.array([g.exps])
-    rho, sigma = block_apices(np.array([g.entries]), words)
+    rho, sigma, _ = block_apices(np.array([g.entries]), words)
     return g, rho[0], _sigma_grid(sigma, words)[0]
 
 
 def test_block_apices_match_the_rotations_and_pull_back_onto_the_axis():
     table = enumerate_classes(4.0)
-    rho, sigma = block_apices(table.entries, table.words)
+    rho, sigma, root_ds = block_apices(table.entries, table.words)
     sigma = _sigma_grid(sigma, table.words)
     assert rho.shape == sigma.shape == table.words.shape
-    for g, n, rho_g, sigma_g in zip(table, table.sizes, rho, sigma):
+    for g, n, rho_g, sigma_g, root_d_g in zip(table, table.sizes, rho, sigma,
+                                              root_ds):
         assert not rho_g[n:].any() and not sigma_g[n:].any()
         root_d = math.sqrt(g.trace ** 2 - 4)
+        assert root_d_g == root_d
         assert rho_g[:n].tolist() == [root_d / (2.0 * e)
                                       for e in _rotation_entries(g.exps)]
         # g^-1 maps the point of the axis at arc length sigma onto its
@@ -454,7 +475,7 @@ def test_block_apices_sigma_at_the_kept_slots_is_the_full_grid_formula():
     big = 2 * c * x + (d - a) * y
     full = np.sign(big) * np.log(
         np.square(np.abs(big) + y * root_d) / (4.0 * c * f))
-    rho, sigma = block_apices(table.entries, table.words)
+    rho, sigma, _ = block_apices(table.entries, table.words)
     delta = 2.0 * table.length / _axis_halves(table.length, 0.02)
     floor = rho.max(axis=1) / np.cosh(delta / 2.0)
     row, blk = np.nonzero(rho >= (floor * (1.0 - 1e-9))[:, None])
@@ -495,22 +516,11 @@ def test_walk_cases_ties_and_the_period_wrap():
     words = [(1, 1), (1, 2, 2, 1), (3, 1), (2, 3, 4, 4, 3, 3)]
     for step in (0.001, 0.0137, 0.02, 0.1):
         loop = np.array([min_systole_along_axis(e, step) for e in words])
-        got = min_systole_batch([GeodesicClass.from_exps(e) for e in words],
-                                step=step)
+        got = min_systole_batch(
+            _table([GeodesicClass.from_exps(e) for e in words]), step=step)
         assert np.array_equal(got.view(np.int64), loop.view(np.int64))
     assert min_systole_along_axis((1, 1), 0.001) == pytest.approx(
         2.0 / math.sqrt(5.0), rel=1e-6)
-
-
-def test_min_systole_batch_reduces_the_whole_grid_below_its_resolution():
-    # at step 1e-5 one grid step lowers a height by less than 1e-9, too
-    # little to rule out a sample: every one is reduced
-    classes = [GeodesicClass.from_exps(e) for e in ((1, 1), (3, 1))]
-    counters = Counter()
-    got = min_systole_batch(classes, step=1e-5, counters=counters)
-    loop = np.array([min_systole_along_axis(g.exps, 1e-5) for g in classes])
-    assert np.array_equal(got.view(np.int64), loop.view(np.int64))
-    assert counters["veech.reduced_points"] == counters["veech.axis_points"]
 
 
 @pytest.mark.parametrize("step", [0.001, 0.02, 0.1])
