@@ -12,6 +12,11 @@ Randomness is philox-4x64 keyed by the master seed; work item i draws
 from the stream jumped(i), so results do not depend on how items would
 be scheduled.  Every experiment runs its items in order in one process,
 and the report echoes that as workers = 1.
+
+This module loads no layer itself.  build_config imports the module that
+owns the experiment, so a run loads only its own layer, and each runner
+imports the functions it calls when it is called, so it calls whatever
+the module holds under those names then, a tracer's wrappers included.
 """
 
 from __future__ import annotations
@@ -24,17 +29,10 @@ import time
 from collections import Counter
 
 import numpy as np
-import numpy.random  # numpy loads it lazily; import it here, not inside a run
 
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, build_config
-from .flow import (closing_constants, margulis_count, measure_box,
-                   mixing_correlation, recurrence_fraction)
-from .halfplane import ModelPoint
-from .lattice import orbit_count, spread_count
+from .config import (EXPERIMENTS, ConfigError, ExperimentConfig,
+                     ResourceError, build_config)
 from .report import CountReport, fmt_value, ls_slope
-from .walk import ResourceError, build_row_net, count_trajectories
-from .words import enumerate_classes, min_systole_batch, teich_length_from_trace
-from .products import verify_contraction
 
 RNG_NAME = "philox-4x64 jumped per work item"
 GROWTH = 2.0  # e^{2R} class growth in the model
@@ -42,6 +40,8 @@ GROWTH = 2.0  # e^{2R} class growth in the model
 
 def worker_stream(seed: int, item: int):
     """Independent generator for one work item under the master seed."""
+    # numpy loads numpy.random lazily; flow and products, whose runners
+    # call this, import it, so it is loaded before a run starts
     return np.random.Generator(np.random.Philox(key=seed).jumped(item))
 
 
@@ -79,6 +79,7 @@ def _echo(config: ExperimentConfig) -> dict:
 
 
 def run_count(config: ExperimentConfig) -> CountReport:
+    from .words import enumerate_classes
     grid = config.params["r_grid"]
     counters = Counter()
     # one enumeration at the largest radius; radius r keeps the traces up
@@ -106,6 +107,8 @@ def run_count(config: ExperimentConfig) -> CountReport:
 
 
 def run_thin(config: ExperimentConfig) -> CountReport:
+    from .halfplane import ModelPoint
+    from .walk import build_row_net, count_trajectories
     p = config.params
     tau, steps, y0 = p["tau"], p["steps"], p["base_height"]
     base = ModelPoint(0.0, y0)
@@ -151,6 +154,7 @@ def run_thin(config: ExperimentConfig) -> CountReport:
 
 
 def run_bias_verify(config: ExperimentConfig) -> CountReport:
+    from .products import verify_contraction
     p = config.params
     j, taus, n = p["factors"], p["tau_grid"], p["samples"]
     rows = []
@@ -180,6 +184,8 @@ def run_bias_verify(config: ExperimentConfig) -> CountReport:
 
 
 def run_walk(config: ExperimentConfig) -> CountReport:
+    from .halfplane import ModelPoint
+    from .walk import build_row_net, count_trajectories
     p = config.params
     tau, steps, delta = p["tau"], p["steps"], p["delta"]
     base = ModelPoint(0.0, 1.0)
@@ -212,6 +218,7 @@ def run_walk(config: ExperimentConfig) -> CountReport:
 
 
 def run_mix(config: ExperimentConfig) -> CountReport:
+    from .flow import measure_box, mixing_correlation
     p = config.params
     box = measure_box(p["fraction"])
     est = mixing_correlation(box, p["time"], p["samples"],
@@ -228,6 +235,7 @@ def run_mix(config: ExperimentConfig) -> CountReport:
 
 
 def run_close(config: ExperimentConfig) -> CountReport:
+    from .flow import closing_constants, margulis_count, measure_box
     p = config.params
     box = measure_box(p["fraction"])
     grid = p["r_grid"]
@@ -261,6 +269,8 @@ def run_close(config: ExperimentConfig) -> CountReport:
 
 
 def run_lattice(config: ExperimentConfig) -> CountReport:
+    from .halfplane import ModelPoint
+    from .lattice import orbit_count, spread_count
     p = config.params
     CELL_BOUND = 1.7702
     rows = []
@@ -294,6 +304,7 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
 
 
 def run_veech(config: ExperimentConfig) -> CountReport:
+    from .words import enumerate_classes, min_systole_batch
     p = config.params
     counters = Counter()
     classes = enumerate_classes(p["max_length"], counters=counters)
@@ -326,6 +337,7 @@ def run_veech(config: ExperimentConfig) -> CountReport:
 
 
 def run_recurrence(config: ExperimentConfig) -> CountReport:
+    from .flow import recurrence_fraction
     p = config.params
     res = recurrence_fraction(p["samples"], p["horizon"], p["delta"],
                               p["theta"], worker_stream(config.seed, 0))
@@ -343,6 +355,7 @@ def run_recurrence(config: ExperimentConfig) -> CountReport:
 
 
 def run_assemble(config: ExperimentConfig) -> CountReport:
+    from .words import enumerate_classes, teich_length_from_trace
     p = config.params
     r, nb = p["r"], p["bands"]
     counters = Counter()

@@ -5,45 +5,48 @@ lines and `#` comments ignored.  Every experiment declares its keys in a
 registry.  Unknown keys, malformed values, grids that are not strictly
 increasing and positive, and values outside a key's range are rejected
 with the offending key named.  The ranges are the probabilities' open
-interval, minima, and the maxima that the runners' modules enforce,
-imported from them.
+interval, minima, and the bounds that the runners' modules enforce.
+Each experiment names the one module that owns it; a config imports
+that module when it is built, so a run loads only its own layer, and
+reads those bounds from it by name.
 Values given on the command line override file values.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
-
-from .flow import MAX_CENSUS_TIME, MAX_MIX_TIME
-from .lattice import MAX_ORBIT_RADIUS, MAX_SPREAD_RADIUS
-from .products import MAX_CONTRACTION_RADIUS
-from .words import MAX_AXIS_STEP, MAX_ENUM_LENGTH, MIN_AXIS_STEP
 
 
 class ConfigError(ValueError):
     """A configuration value failed validation."""
 
 
+class ResourceError(RuntimeError):
+    """A requested computation exceeds its resource envelope."""
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """One config key: value kind, default, optional inclusive minimum
-    and maximum; a grid's maximum bounds each entry."""
+    and maximum; a grid's maximum bounds each entry.  A bound given as a
+    name is that constant of the experiment's owning module."""
 
     kind: str  # int | float | prob | grid | prob_grid
     default: object
-    minimum: float | None = None
-    maximum: float | None = None
+    minimum: float | str | None = None
+    maximum: float | str | None = None
 
 
 # Per-experiment key registries.  Grids are strictly increasing tuples;
 # prob values, and each entry of a prob_grid, live in the open interval
 # (0, 1); minima bound counts;
-# maxima are the ranges the runners' modules enforce.
+# bounds given by name are the ranges the owning modules enforce.
 EXPERIMENTS: dict = {
     "count": {
         "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0, 6.0),
-                            maximum=MAX_ENUM_LENGTH),
+                            maximum="MAX_ENUM_LENGTH"),
     },
     "thin": {
         "delta_grid": ParamSpec("prob_grid", (0.05, 0.1, 0.2)),
@@ -55,7 +58,7 @@ EXPERIMENTS: dict = {
     "bias-verify": {
         "factors": ParamSpec("int", 1, minimum=1),
         "tau_grid": ParamSpec("grid", (3.0, 4.0, 5.0, 6.0, 7.0),
-                              maximum=MAX_CONTRACTION_RADIUS),
+                              maximum="MAX_CONTRACTION_RADIUS"),
         "samples": ParamSpec("int", 100_000, minimum=1000),
     },
     "walk": {
@@ -64,27 +67,27 @@ EXPERIMENTS: dict = {
         "delta": ParamSpec("prob", 0.05),
     },
     "mix": {
-        "time": ParamSpec("float", 6.0, minimum=1.0, maximum=MAX_MIX_TIME),
+        "time": ParamSpec("float", 6.0, minimum=1.0, maximum="MAX_MIX_TIME"),
         "samples": ParamSpec("int", 1_000_000, minimum=10_000),
         "fraction": ParamSpec("prob", 0.02),
     },
     "close": {
-        "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0), maximum=MAX_CENSUS_TIME),
+        "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0), maximum="MAX_CENSUS_TIME"),
         "samples": ParamSpec("int", 32_000, minimum=1000),
         "fraction": ParamSpec("prob", 0.02),
     },
     "lattice": {
         "systole_grid": ParamSpec("grid", (0.01, 0.1, 1.0)),
         "tau_grid": ParamSpec("grid", (2.0, 3.0, 4.0, 5.0, 6.0),
-                              maximum=MAX_ORBIT_RADIUS),
+                              maximum="MAX_ORBIT_RADIUS"),
         "spread_radius": ParamSpec("float", 0.5, minimum=0.05,
-                                   maximum=MAX_SPREAD_RADIUS),
+                                   maximum="MAX_SPREAD_RADIUS"),
     },
     "veech": {
         "max_length": ParamSpec("float", 6.0, minimum=1.0,
-                                maximum=MAX_ENUM_LENGTH),
-        "step": ParamSpec("float", 0.02, minimum=MIN_AXIS_STEP,
-                          maximum=MAX_AXIS_STEP),
+                                maximum="MAX_ENUM_LENGTH"),
+        "step": ParamSpec("float", 0.02, minimum="MIN_AXIS_STEP",
+                          maximum="MAX_AXIS_STEP"),
     },
     "recurrence": {
         "horizon": ParamSpec("int", 8, minimum=2),
@@ -93,9 +96,19 @@ EXPERIMENTS: dict = {
         "theta": ParamSpec("prob", 0.5),
     },
     "assemble": {
-        "r": ParamSpec("float", 6.0, minimum=1.0, maximum=MAX_ENUM_LENGTH),
+        "r": ParamSpec("float", 6.0, minimum=1.0, maximum="MAX_ENUM_LENGTH"),
         "bands": ParamSpec("int", 3, minimum=1),
     },
+}
+
+# The module that owns each experiment: its runner calls into it, and
+# its named bounds are read from it.
+OWNERS = {
+    "count": "words", "assemble": "words", "veech": "words",
+    "walk": "walk", "thin": "walk",
+    "recurrence": "flow", "mix": "flow", "close": "flow",
+    "lattice": "lattice",
+    "bias-verify": "products",
 }
 
 DEFAULT_SEED = 20260821
@@ -123,14 +136,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown key '{sorted(unknown)[0]}' for experiment "
                 f"'{self.experiment}'; valid keys: {', '.join(sorted(spec))}")
+        owner = importlib.import_module(f".{OWNERS[self.experiment]}",
+                                        __package__)
         full = {}
         for key, ps in spec.items():
             raw = self.params.get(key, ps.default)
-            full[key] = _coerce(self.experiment, key, ps, raw)
+            full[key] = _coerce(self.experiment, key, ps, raw, owner)
         self.params = full
 
 
-def _coerce(experiment: str, key: str, ps: ParamSpec, raw):
+def _coerce(experiment: str, key: str, ps: ParamSpec, raw, owner):
+    lo, hi = (getattr(owner, b) if isinstance(b, str) else b
+              for b in (ps.minimum, ps.maximum))
     try:
         if ps.kind == "int":
             v = int(str(raw)) if not isinstance(raw, (int, float)) else int(raw)
@@ -160,9 +177,9 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw):
         if v[0] <= 0.0:
             raise ConfigError(
                 f"{experiment}.{key}: grid entries must be positive, got {v}")
-        if ps.maximum is not None and v[-1] > ps.maximum:
+        if hi is not None and v[-1] > hi:
             raise ConfigError(
-                f"{experiment}.{key}: entries must be at most {ps.maximum}, got {v}")
+                f"{experiment}.{key}: entries must be at most {hi}, got {v}")
         if ps.kind == "prob_grid" and not v[-1] < 1.0:
             raise ConfigError(
                 f"{experiment}.{key}: entries must lie in (0, 1), got {v}")
@@ -171,12 +188,12 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw):
         raise ConfigError(f"{experiment}.{key}: must lie in (0, 1), got {v}")
     if ps.kind in ("float", "int") and not math.isfinite(float(v)):
         raise ConfigError(f"{experiment}.{key}: must be finite")
-    if ps.minimum is not None and v < ps.minimum:
+    if lo is not None and v < lo:
         raise ConfigError(
-            f"{experiment}.{key}: must be at least {ps.minimum}, got {v}")
-    if ps.maximum is not None and v > ps.maximum:
+            f"{experiment}.{key}: must be at least {lo}, got {v}")
+    if hi is not None and v > hi:
         raise ConfigError(
-            f"{experiment}.{key}: must be at most {ps.maximum}, got {v}")
+            f"{experiment}.{key}: must be at most {hi}, got {v}")
     return v
 
 

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # cli.worker_stream's generators; numpy loads it lazily
 
 from .halfplane import (TOTAL_FRAME_MEASURE, ModelPoint, hyp_ball_area,
                         reduce_points, sample_ball_arrays)
@@ -176,8 +177,6 @@ def sample_box(box: Box, n: int, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixingEstimate:
-    time: float
-    samples: int
     estimate: float
     std_error: float
     target: float
@@ -213,8 +212,7 @@ def mixing_correlation(box: Box, t: float, n: int, rng) -> MixingEstimate:
     mu = box.fraction
     est = mu * p
     se = mu * math.sqrt(p * (1.0 - p) / n)
-    return MixingEstimate(time=t, samples=n, estimate=est,
-                          std_error=se, target=mu * mu)
+    return MixingEstimate(estimate=est, std_error=se, target=mu * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,6 @@ def margulis_count(box: Box, t: float, n: int, rng) -> FlowCensus:
 @dataclass(frozen=True)
 class RecurrenceResult:
     horizon: int
-    samples: int
     fractions: tuple
 
     @property
@@ -375,4 +372,4 @@ def recurrence_fraction(n: int, horizon: int, delta: float, theta: float,
         thin_steps += systole_values(*frame_base(B)) < delta
         flagged = thin_steps >= theta * r - 1e-12
         fracs.append(float(flagged.mean()))
-    return RecurrenceResult(horizon=horizon, samples=n, fractions=tuple(fracs))
+    return RecurrenceResult(horizon=horizon, fractions=tuple(fracs))

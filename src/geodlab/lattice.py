@@ -270,7 +270,6 @@ def short_curves(z: ModelPoint) -> list:
 
 @dataclass(frozen=True)
 class ChainAudit:
-    tau: float
     counts: tuple
     bounds: tuple
 
@@ -297,7 +296,7 @@ def chain_bound_audit(X: ModelPoint, Y: ModelPoint, tau: float) -> ChainAudit:
     sc = short_curves(X)
     if not sc:
         n = orbit_count(X, Y, tau)
-        return ChainAudit(tau, (n,), (math.exp(2.0 * tau) * gx * gy,))
+        return ChainAudit((n,), (math.exp(2.0 * tau) * gx * gy,))
     curve, l1 = sc[0]
     d1 = min(-math.log(l1), tau)
     d2 = tau - d1
@@ -307,4 +306,4 @@ def chain_bound_audit(X: ModelPoint, Y: ModelPoint, tau: float) -> ChainAudit:
     n2 = orbit_count(X, Y, tau)
     b1 = math.exp(d1) * gx * gy  # rate 1, then rate 2
     b2 = math.exp(d1 + 2 * d2) * gx * gy
-    return ChainAudit(tau, (n1, n2), (b1, b2))
+    return ChainAudit((n1, n2), (b1, b2))

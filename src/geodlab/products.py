@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
+import numpy.random  # cli.worker_stream's generators; numpy loads it lazily
 
 from .halfplane import ModelPoint, sample_ball_arrays
 from .torus import BiasParams, systole, systole_values
@@ -121,7 +122,6 @@ def contraction_ratio_exact(tau: float, s: float = 0.5, counters=None) -> float:
 
 @dataclass(frozen=True)
 class ContractionCheck:
-    tau: float
     samples: int
     exact: float
     estimate: float
@@ -156,7 +156,7 @@ def verify_contraction(j: int, tau: float, n: int, rng,
     exact = contraction_ratio_exact(tau, 0.5, counters) ** j
     est = float(stat.mean())
     sigma = float(stat.std(ddof=1) / math.sqrt(n))
-    return ContractionCheck(tau=tau, samples=n, exact=exact, estimate=est,
+    return ContractionCheck(samples=n, exact=exact, estimate=est,
                             sigma=sigma)
 
 
@@ -185,8 +185,6 @@ class PointCheck:
 
 @dataclass
 class InequalityReport:
-    tau: float
-    samples: int
     checks: list
 
     @property
@@ -251,4 +249,4 @@ def verify_system(params: BiasParams, centers, contraction_bound: float,
             checks.append(PointCheck(X.x, X.y, 1, "u", estu, boundu, sigu))
         else:
             checks.append(PointCheck(X.x, X.y, 0, "u", estu, c, sigu))
-    return InequalityReport(tau=tau, samples=n, checks=checks)
+    return InequalityReport(checks=checks)

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import ResourceError
 from .halfplane import (ModelPoint, ball_points, ball_slice_sq,
                         hyp_dist_arrays, reduce_in_place, sample_ball_arrays)
 from .report import ls_slope
@@ -66,10 +67,6 @@ DP_CHUNK = 16_384
 def _is_thin(systoles, delta: float):
     """Bool mask of systoles at most delta, with a relative slack of 1e-12."""
     return systoles <= delta * (1.0 + 1e-12)
-
-
-class ResourceError(RuntimeError):
-    """A requested computation exceeds its resource envelope."""
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +434,6 @@ class TrajectoryFamily:
 
     net: RowNet
     base: ModelPoint
-    tau: float
     n_steps: int
     per_step: tuple
     node_counts: list
@@ -678,6 +674,6 @@ def count_trajectories(net: RowNet, base: ModelPoint, tau: float,
             snapshots.append(counts)
     if counters is not None:
         counters["walk.window_targets"] += evaluated
-    return TrajectoryFamily(net=net, base=base, tau=tau, n_steps=n_steps,
+    return TrajectoryFamily(net=net, base=base, n_steps=n_steps,
                             per_step=tuple(per_step), node_counts=counts,
                             step_snapshots=snapshots)

@@ -19,7 +19,9 @@ from geodlab.lattice import chain_bound_audit
 from geodlab.products import contraction_ratio_exact, verify_system
 from geodlab.torus import BiasParams
 from geodlab.walk import net_size_slope
-from geodlab.words import canonical, classes_by_entry_search, enumerate_classes
+from geodlab.words import canonical, enumerate_classes
+
+from entry_search import classes_by_entry_search
 
 
 def _line(num: int, ok: bool, detail: str) -> bool:

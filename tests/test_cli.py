@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geodlab import cli, words
 from geodlab.cli import COLUMNS, RUNNERS, main, run, worker_stream
-from geodlab.config import EXPERIMENTS, build_config
+from geodlab.config import EXPERIMENTS, OWNERS, build_config
 from geodlab.report import CountReport, fmt_value, ls_slope
 from geodlab.words import enumerate_classes
 
@@ -18,7 +18,7 @@ def _body(text: str) -> str:
 
 
 def test_registry_complete():
-    assert set(RUNNERS) == set(EXPERIMENTS) == set(COLUMNS)
+    assert set(RUNNERS) == set(EXPERIMENTS) == set(COLUMNS) == set(OWNERS)
 
 
 def test_worker_stream_reproducible_and_disjoint():

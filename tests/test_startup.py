@@ -1,7 +1,9 @@
 """What a fresh interpreter imports and faults in, checked in subprocesses.
 
-Start-up imports numpy and the package; scipy's QUADPACK extension is
-loaded from its file on the first quadrature, without scipy.integrate.
+Start-up imports numpy, the command line, config and report; building a
+config adds the one layer that owns the experiment, so a run imports
+nothing more.  scipy's QUADPACK extension is loaded from its file on the
+first quadrature, without scipy.integrate.
 """
 
 import json
@@ -37,28 +39,66 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_import_holds_numpy_random_and_no_scipy():
+def test_cli_import_loads_no_layer_numpy_random_or_scipy():
     mods = _python("import json, sys; import geodlab.cli; "
                    "print(json.dumps(sorted(sys.modules)))")
-    assert "numpy.random" in mods
+    assert [m for m in mods if m.startswith("geodlab.")] == [
+        "geodlab.cli", "geodlab.config", "geodlab.report"]
+    assert "numpy.random" not in mods
     assert [m for m in mods if m.split(".")[0] == "scipy"] == []
     assert "argparse" not in mods  # only cli.main parses arguments
 
 
-def test_recurrence_run_imports_nothing():
-    assert _python(_RUN, "recurrence", "{}") == []
+# the geodlab modules loaded once build_config(experiment) returns: the
+# module that owns the experiment and what it imports; and whether
+# numpy.random is loaded, which only the seeded runners' modules import
+_WORDS = ["config", "halfplane", "torus", "words"]
+_WALK = ["config", "halfplane", "report", "walk"]
+_FLOW = ["config", "flow", "halfplane", "report", "torus", "words"]
+_CONFIG_LOADS = {
+    "count": (_WORDS, False), "assemble": (_WORDS, False),
+    "veech": (_WORDS, False),
+    "walk": (_WALK, False), "thin": (_WALK, False),
+    "recurrence": (_FLOW, True), "mix": (_FLOW, True),
+    "close": (_FLOW, True),
+    "lattice": (["config", "halfplane", "lattice", "torus"], False),
+    "bias-verify": (["config", "halfplane", "products", "torus"], True),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_CONFIG_LOADS))
+def test_config_loads_only_the_owning_layer(experiment):
+    loaded = _python("""
+import json, sys
+from geodlab.config import build_config
+build_config(sys.argv[1])
+print(json.dumps([sorted(m.split(".")[1] for m in sys.modules
+                         if m.startswith("geodlab.")),
+                  "numpy.random" in sys.modules]))
+""", experiment)
+    assert loaded == list(_CONFIG_LOADS[experiment])
+
+
+@pytest.mark.parametrize("experiment", ["recurrence", "count", "assemble",
+                                        "lattice", "walk", "thin", "veech"])
+def test_run_imports_nothing(experiment):
+    assert _python(_RUN, experiment, "{}") == []
 
 
 def test_bias_verify_run_loads_only_the_quadpack_extension():
     # the extension's callback wrapper imports scipy._lib._ccallback on its
     # first call, and with it the scipy package itself: those modules and
-    # the extension are all the run may add
+    # the extension are all the run may add to what its config loaded
+    overrides = json.dumps({"tau_grid": "2, 3", "samples": "1000"})
     callback = _python("import json, sys; import geodlab.cli; "
+                       "from geodlab.config import build_config; "
+                       "build_config('bias-verify', "
+                       "overrides=json.loads(sys.argv[1])); "
                        "before = set(sys.modules); "
                        "import scipy._lib._ccallback; "
-                       "print(json.dumps(sorted(set(sys.modules) - before)))")
-    added = _python(_RUN, "bias-verify",
-                    json.dumps({"tau_grid": "2, 3", "samples": "1000"}))
+                       "print(json.dumps(sorted(set(sys.modules) - before)))",
+                       overrides)
+    added = _python(_RUN, "bias-verify", overrides)
     assert set(added) == set(callback) | {"scipy.integrate._quadpack"}
     assert not [m for m in added if m.startswith(("scipy.integrate.",
                                                   "scipy.special"))

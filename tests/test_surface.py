@@ -31,6 +31,9 @@ ALLOWED = {
     "words.GeodesicClass.from_exps":
         "class of a word by canonical and word_to_matrix, the reference each "
         "enumerated class is compared against",
+    "words.is_primitive":
+        "primitivity test of criterion 02's entry-search oracle in "
+        "tests/entry_search.py and of the enumeration tests",
     "halfplane.teich_dist":
         "scalar model metric the lattice and ball-sampling tests check against",
     "halfplane.MappingClass.apply":

@@ -14,10 +14,11 @@ from geodlab.words import (MAX_ENUM_LENGTH, MIN_AXIS_STEP, ClassTable,
                            TraceHistogram, _axis_halves, _class_order,
                            _necklace_table,
                            axis_samples, block_apices, canonical,
-                           classes_by_entry_search,
                            enumerate_classes, is_primitive,
                            min_systole_along_axis, min_systole_batch,
                            teich_length_from_trace, word_to_matrix)
+
+from entry_search import classes_by_entry_search
 
 
 def _necklaces_dfs(trace_cap: float, primitive_only: bool) -> tuple:
