@@ -79,18 +79,17 @@ def _echo(config: ExperimentConfig) -> dict:
 
 
 def run_count(config: ExperimentConfig) -> CountReport:
-    from .words import enumerate_classes
+    from .words import enumerate_classes, max_trace
     grid = config.params["r_grid"]
     counters = Counter()
     # one enumeration at the largest radius; radius r keeps the traces up
-    # to 2 cosh r, the cap enumerate_classes(r) would prune at: integers
-    # up to floor(2 cosh r), or all of them past the histogram's own cap
+    # to max_trace(r), the cap enumerate_classes(r) prunes at
     below = np.cumsum(enumerate_classes(max(grid), counters=counters,
                                         by_trace=True).counts)
     rows = []
     ratios = []
     for r in grid:
-        n = int(below[min(math.floor(2.0 * math.cosh(r)), len(below) - 1)])
+        n = int(below[max_trace(r)])
         ratio = n * GROWTH * r / math.exp(GROWTH * r)
         ratios.append(ratio)
         rows.append((r, n, ratio, "0.55..1.45", _ok(0.55 <= ratio <= 1.45)))
@@ -304,12 +303,18 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
 
 
 def run_veech(config: ExperimentConfig) -> CountReport:
-    from .words import enumerate_classes, min_systole_batch
+    from .words import class_levels, max_trace, min_systole_batch
     p = config.params
     counters = Counter()
-    classes = enumerate_classes(p["max_length"], counters=counters)
-    mins = min_systole_batch(classes, step=p["step"], counters=counters)
-    lengths = classes.length
+    # one word length at a time, unpadded and unsorted: a class's minimum
+    # is its own, and the class order moves only the slope fit's
+    # summation order (its last bits at default config, not its digits)
+    lengths, mins = [], []
+    for level in class_levels(max_trace(p["max_length"]), True, counters):
+        lengths.append(level.length)
+        mins.append(min_systole_batch(level, step=p["step"],
+                                      counters=counters))
+    lengths, mins = np.concatenate(lengths), np.concatenate(mins)
     slope = ls_slope(lengths, np.log(mins))[0]
     eps0 = float(np.min(mins * np.exp(GROWTH * lengths)))
     floor = eps0 * np.exp(-GROWTH * lengths) * (1.0 - 1e-9)
@@ -322,7 +327,7 @@ def run_veech(config: ExperimentConfig) -> CountReport:
         rows.append((bin_end, int(sel.sum()), float(mins[sel].min()),
                      "none", "yes"))
     derived = {
-        "classes": len(classes),
+        "classes": len(lengths),
         "slope": slope,
         "slope_ok": _ok(slope >= -(GROWTH + 0.3)),
         "fitted_floor_constant": eps0,
@@ -355,14 +360,14 @@ def run_recurrence(config: ExperimentConfig) -> CountReport:
 
 
 def run_assemble(config: ExperimentConfig) -> CountReport:
-    from .words import enumerate_classes, teich_length_from_trace
+    from .words import enumerate_classes, lengths_by_trace
     p = config.params
     r, nb = p["r"], p["bands"]
     counters = Counter()
     # one length per distinct trace, weighted by its number of classes
     hist = enumerate_classes(r, counters=counters, by_trace=True)
     traces = np.flatnonzero(hist.counts)
-    lengths = np.array([teich_length_from_trace(t) for t in traces.tolist()])
+    lengths = lengths_by_trace(len(hist.counts) - 1)[traces]
     weights = hist.counts[traces]
     edges = [r * k / nb for k in range(nb + 1)]
     counts = []

@@ -5,7 +5,8 @@ lines and `#` comments ignored.  Every experiment declares its keys in a
 registry.  Unknown keys, malformed values, grids that are not strictly
 increasing and positive, and values outside a key's range are rejected
 with the offending key named.  The ranges are the probabilities' open
-interval, minima, and the bounds that the runners' modules enforce.
+interval, minima, the bounds that the runners' modules enforce, and the
+fewest points a slope fit needs.
 Each experiment names the one module that owns it; a config imports
 that module when it is built, so a run loads only its own layer, and
 reads those bounds from it by name.
@@ -30,13 +31,15 @@ class ResourceError(RuntimeError):
 @dataclass(frozen=True)
 class ParamSpec:
     """One config key: value kind, default, optional inclusive minimum
-    and maximum; a grid's maximum bounds each entry.  A bound given as a
-    name is that constant of the experiment's owning module."""
+    and maximum; a grid's maximum bounds each entry, and a grid holds at
+    least `entries` values.  A bound given as a name is that constant of
+    the experiment's owning module."""
 
     kind: str  # int | float | prob | grid | prob_grid
     default: object
     minimum: float | str | None = None
     maximum: float | str | None = None
+    entries: int = 1
 
 
 # Per-experiment key registries.  Grids are strictly increasing tuples;
@@ -57,8 +60,9 @@ EXPERIMENTS: dict = {
     },
     "bias-verify": {
         "factors": ParamSpec("int", 1, minimum=1),
+        # the detrended slope is fitted over the radii
         "tau_grid": ParamSpec("grid", (3.0, 4.0, 5.0, 6.0, 7.0),
-                              maximum="MAX_CONTRACTION_RADIUS"),
+                              maximum="MAX_CONTRACTION_RADIUS", entries=2),
         "samples": ParamSpec("int", 100_000, minimum=1000),
     },
     "walk": {
@@ -84,7 +88,7 @@ EXPERIMENTS: dict = {
                                    maximum="MAX_SPREAD_RADIUS"),
     },
     "veech": {
-        "max_length": ParamSpec("float", 6.0, minimum=1.0,
+        "max_length": ParamSpec("float", 6.0, minimum="MIN_FIT_LENGTH",
                                 maximum="MAX_ENUM_LENGTH"),
         "step": ParamSpec("float", 0.02, minimum="MIN_AXIS_STEP",
                           maximum="MAX_AXIS_STEP"),
@@ -169,6 +173,9 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw, owner):
     if ps.kind in ("grid", "prob_grid"):
         if len(v) < 1:
             raise ConfigError(f"{experiment}.{key}: grid is empty")
+        if len(v) < ps.entries:
+            raise ConfigError(f"{experiment}.{key}: grid needs at least "
+                              f"{ps.entries} entries, got {v}")
         if any(b <= a for a, b in zip(v, v[1:])):
             raise ConfigError(
                 f"{experiment}.{key}: grid must be strictly increasing, got {v}")

@@ -5,13 +5,15 @@ a positive word R^{a1} L^{b1} ... R^{ak} L^{bk} in the elementary twists
 R = [[1,0],[1,1]] and L = [[1,1],[0,1]], all exponents at least 1, unique
 up to rotation by whole (R, L) syllable pairs.  The exponent tuple in its
 lexicographically least pair rotation is the canonical label used
-throughout the package.  enumerate_classes generates these least
-rotations (necklaces over the pair alphabet) directly, one per class,
-one word length at a time in numpy, and returns them as a ClassTable:
-columns of traces, lengths, matrix entries and zero-padded words, from
-which GeodesicClass rows are built only on demand.  Counting needs only
-the traces, so it asks for a TraceHistogram, built from the same word
-lengths with no table.
+throughout the package.  These least rotations (necklaces over the pair
+alphabet) are generated directly, one per class, one word length at a
+time in numpy, up to the trace cap max_trace gives a length.
+class_levels yields each word length's classes, unsorted, as a
+ClassTable of their own: columns of traces, lengths, matrix entries and
+words, all one width.  enumerate_classes gathers the levels into one
+table, words zero-padded and rows sorted, from which GeodesicClass rows
+are built only on demand.  Counting needs only the traces, so it asks
+for a TraceHistogram, built from the same word lengths with no table.
 
 Translation length in the Teichmueller metric is arccosh(trace / 2), half
 the hyperbolic translation length.  Closed-geodesic counts grow like
@@ -32,6 +34,9 @@ from .torus import systole_values
 # Enumeration beyond this radius needs hundreds of thousands of classes
 # and is out of desk-scale budget.
 MAX_ENUM_LENGTH = 7.5
+# The shortest length with two class lengths (traces 3 and 4), the fewest
+# a slope fit over the classes takes: teich_length_from_trace(4).
+MIN_FIT_LENGTH = math.acosh(2.0)
 _EXACT_INT64 = 2 ** 62  # |a|, |d| below this keep a - d exact in int64
 _MAX_TRACE_CAP = 2 ** 31  # entries below this keep products of two in int64
 MAX_AXIS_STEP = 0.1  # the coarsest axis sample step
@@ -221,34 +226,49 @@ def _necklace_levels(trace_cap: float, primitive_only: bool, counters=None):
         counters["enum.prenecklaces"] += expanded
 
 
+def lengths_by_trace(cap: int) -> np.ndarray:
+    """teich_length_from_trace(t) at index t, one call for each integer
+    t <= cap; nan below 3, where no trace is hyperbolic."""
+    return np.array([math.nan] * 3 + [teich_length_from_trace(t)
+                                      for t in range(3, cap + 1)])
+
+
+def class_levels(trace_cap: float, primitive_only: bool, counters=None):
+    """Yields a ClassTable per word length with any class: the classes of
+    _necklace_levels of that length, in generation order, none padded
+    (the words are all one width), lengths gathered from lengths_by_trace."""
+    lengths = None
+    for words, m, emit in _necklace_levels(trace_cap, primitive_only,
+                                           counters):
+        if lengths is None:  # past the generator's check of the cap
+            lengths = lengths_by_trace(math.floor(trace_cap))
+        words, entries = words[emit], np.stack(m, axis=1)[emit]
+        trace = entries[:, 0] + entries[:, 3]
+        yield ClassTable(trace, lengths[trace], entries, words,
+                         np.full(len(words), words.shape[1]))
+
+
 def _necklace_table(trace_cap: float, primitive_only: bool,
                     counters=None) -> ClassTable:
-    """The class of every pair necklace with trace <= trace_cap, as the
-    rows of _necklace_levels sorted by (trace, exps): a zero-padded
-    prefix sorts before its extensions, as a tuple prefix does."""
-    found = [(w[emit], np.stack(m, axis=1)[emit])
-             for w, m, emit in _necklace_levels(trace_cap, primitive_only,
-                                                counters)]
-    n = sum(len(w) for w, _ in found)
-    words = np.zeros((n, max((w.shape[1] for w, _ in found), default=0)),
+    """The classes of class_levels in one table, words zero-padded to
+    the longest and rows sorted by (trace, exps): a zero-padded prefix
+    sorts before its extensions, as a tuple prefix does."""
+    levels = list(class_levels(trace_cap, primitive_only, counters))
+    n = sum(map(len, levels))
+    words = np.zeros((n, max((lv.words.shape[1] for lv in levels), default=0)),
                      dtype=np.int64)
-    sizes = np.empty(n, dtype=np.int64)
-    entries = np.empty((n, 4), dtype=np.int64)
+    trace, sizes = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    length, entries = np.empty(n), np.empty((n, 4), dtype=np.int64)
     lo = 0
-    for w, ent in found:
-        hi = lo + len(w)
-        words[lo:hi, :w.shape[1]] = w
-        sizes[lo:hi] = w.shape[1]
-        entries[lo:hi] = ent
+    for lv in levels:
+        hi = lo + len(lv)
+        words[lo:hi, :lv.words.shape[1]] = lv.words
+        trace[lo:hi], length[lo:hi] = lv.trace, lv.length
+        entries[lo:hi], sizes[lo:hi] = lv.entries, lv.sizes
         lo = hi
-    trace = entries[:, 0] + entries[:, 3]
     order = _class_order(trace, words, math.floor(trace_cap))
-    trace = trace[order]
-    # one length per distinct trace
-    distinct, which = np.unique(trace, return_inverse=True)
-    length = np.array([teich_length_from_trace(v)
-                       for v in distinct.tolist()])[which]
-    return ClassTable(trace, length, entries[order], words[order], sizes[order])
+    return ClassTable(trace[order], length[order], entries[order],
+                      words[order], sizes[order])
 
 
 def _class_order(trace, words, cap: int):
@@ -294,6 +314,21 @@ def _ramp(counts):
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def max_trace(max_length: float) -> int:
+    """The largest integer trace t with teich_length_from_trace(t) <=
+    max_length, or 2, which admits no hyperbolic class.  2 cosh rounds
+    either way (2 cosh acosh 2 is 3.9999999999999996), so the search
+    starts one above its floor.  Above MAX_ENUM_LENGTH raises ValueError."""
+    if max_length > MAX_ENUM_LENGTH:
+        raise ValueError(
+            f"enumeration above length {MAX_ENUM_LENGTH} is out of budget; narrow the window"
+        )
+    t = math.floor(2.0 * math.cosh(max_length)) + 1 if max_length > 0 else 2
+    while t > 2 and teich_length_from_trace(t) > max_length:
+        t -= 1
+    return t
+
+
 def enumerate_classes(max_length: float, primitive_only: bool = True,
                       counters=None, by_trace: bool = False):
     """All conjugacy classes with translation length <= max_length.
@@ -304,14 +339,8 @@ def enumerate_classes(max_length: float, primitive_only: bool = True,
     TraceHistogram, and no table is built.  With a counters mapping,
     adds the prenecklaces expanded to 'enum.prenecklaces'.
     """
-    if max_length > MAX_ENUM_LENGTH:
-        raise ValueError(
-            f"enumeration above length {MAX_ENUM_LENGTH} is out of budget; narrow the window"
-        )
-    # a cap of 2 admits no hyperbolic class
-    trace_cap = 2.0 * math.cosh(max_length) if max_length > 0 else 2.0
     build = TraceHistogram if by_trace else _necklace_table
-    return build(trace_cap, primitive_only, counters)
+    return build(max_trace(max_length), primitive_only, counters)
 
 
 # ---------------------------------------------------------------------------

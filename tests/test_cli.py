@@ -38,9 +38,8 @@ def test_main_count_stdout(capsys):
     assert "trend_ok = yes" in out
 
 
-# radii acosh(t/2) whose cap 2 cosh r rounds below t (t = 4, 9) or above
-# it (t = 6, 12, 403): at t = 4 and 9 a count by length instead of by the
-# trace cap would disagree with enumerate_classes
+# radii acosh(t/2) whose 2 cosh r rounds below t (t = 4, 9) or above it
+# (t = 6, 12, 403): each keeps its trace-t classes, whose length is r
 _TRACE_EDGE_RADII = tuple(math.acosh(t / 2.0) for t in (4, 6, 9, 12, 403))
 
 
@@ -52,6 +51,8 @@ def _counts(grid):
 def test_count_rows_equal_one_enumeration_per_radius():
     for grid in (EXPERIMENTS["count"]["r_grid"].default, _TRACE_EDGE_RADII):
         assert _counts(grid) == [len(enumerate_classes(r)) for r in grid]
+    # traces 3 and 4: (1, 1), then (1, 2) and (2, 1)
+    assert _counts(_TRACE_EDGE_RADII[:1]) == [3]
 
 
 @settings(deadline=None, max_examples=12)
@@ -199,6 +200,9 @@ def test_main_out_keeps_an_existing_report_when_the_run_raises(
     (["bias-verify", "--set", "tau_grid=3,50"], "bias-verify.tau_grid"),
     (["mix", "--set", "time=500"], "mix.time"),
     (["veech", "--set", "step=0.0005"], "veech.step"),
+    # one class, or one radius, leaves the slope fit a single point
+    (["veech", "--set", "max_length=1.3"], "veech.max_length"),
+    (["bias-verify", "--set", "tau_grid=3"], "bias-verify.tau_grid"),
 ])
 def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
                                                  monkeypatch):
@@ -212,6 +216,13 @@ def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert out.read_text() == "an earlier report\n"
+
+
+def test_veech_fits_its_slope_at_the_shortest_length_admitted(capsys):
+    # the classes of traces 3 and 4, the latter of length exactly r
+    assert main(["veech", "--set",
+                 f"max_length={words.MIN_FIT_LENGTH!r}"]) == 0
+    assert "\nclasses = 3\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("experiment", ["walk", "thin"])

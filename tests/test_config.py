@@ -100,6 +100,26 @@ def test_maximum_enforced_from_the_runners_modules():
             ExperimentConfig(experiment, params={key: f"1, {top + 0.5}"})
 
 
+def test_a_slope_fit_gets_two_points_at_config_time():
+    # veech fits its slope over the classes up to max_length, which must
+    # hold two lengths: traces 3 and 4; bias-verify fits over its radii
+    from geodlab.words import MIN_FIT_LENGTH, teich_length_from_trace
+    assert MIN_FIT_LENGTH == teich_length_from_trace(4)
+    cfg = ExperimentConfig("veech", params={"max_length": MIN_FIT_LENGTH})
+    assert cfg.params["max_length"] == MIN_FIT_LENGTH
+    for bad in (1.0, 1.3, MIN_FIT_LENGTH * (1 - 1e-15)):
+        with pytest.raises(ConfigError,
+                           match=f"veech.max_length: must be at least {MIN_FIT_LENGTH}"):
+            ExperimentConfig("veech", params={"max_length": bad})
+    with pytest.raises(ConfigError, match="bias-verify.tau_grid: grid needs "
+                                          "at least 2 entries"):
+        ExperimentConfig("bias-verify", params={"tau_grid": "3"})
+    assert ExperimentConfig("bias-verify",
+                            params={"tau_grid": "3, 4"}).params["tau_grid"] == (3.0, 4.0)
+    # other grids may hold one entry
+    assert ExperimentConfig("count", params={"r_grid": "3"}).params["r_grid"] == (3.0,)
+
+
 def test_grid_entries_must_be_positive():
     for grid in ("0, 1", "-1, 2"):
         with pytest.raises(ConfigError, match="lattice.systole_grid: grid entries must be positive"):

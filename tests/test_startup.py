@@ -130,23 +130,44 @@ def test_both_import_orders_share_one_extension():
     assert direct[0] == scipy_first[0]
 
 
-def test_axis_kernel_allocates_nothing_block_sized():
-    # every block of min_systole_batch reduces in the work area the batch
-    # owns; block-sized temporaries would be handed back to the system and
-    # faulted in again block after block (18,847 faults on the second call
-    # when each block allocated its own).  Forming sigma over every
-    # (class, block) slot of block_apices, not only at the lifts kept,
-    # took 2,780-3,352 faults on that call, against 1,792-1,853 without
+def _faults(setup: str, measured: str) -> int:
+    """The minor page faults that the measured code takes after the setup
+    code, in a fresh interpreter that imports no scipy."""
     pytest.importorskip("resource")
-    faults, scipy = _python("""
+    faults, scipy = _python(f"""
 import json, resource, sys
-from geodlab.words import enumerate_classes, min_systole_batch
-classes = enumerate_classes(6.0)
-min_systole_batch(classes)
+{setup}
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-min_systole_batch(classes)
+{measured}
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(json.dumps([faults, [m for m in sys.modules if m.startswith("scipy")]]))
 """)
     assert scipy == []
-    assert faults < 2500
+    return faults
+
+
+def test_axis_kernel_allocates_nothing_block_sized():
+    # every block of min_systole_batch reduces in the work area the batch
+    # owns; block-sized temporaries would be handed back to the system and
+    # faulted in again block after block (18,847 faults on the second call
+    # of one padded table at R = 6 when each block allocated its own).
+    # veech's calls, one per word length, take 882 on their second round
+    assert _faults("""
+from geodlab.words import class_levels, max_trace, min_systole_batch
+levels = list(class_levels(max_trace(6.0), True))
+for level in levels:
+    min_systole_batch(level)
+""", """
+for level in levels:
+    min_systole_batch(level)
+""") < 1500
+
+
+def test_default_veech_run_faults_in_few_pages():
+    # a whole default veech run, read one word length at a time, takes
+    # 1,834 faults; through one sorted, padded table it took 4,049
+    assert _faults("""
+import geodlab.cli
+from geodlab.config import build_config
+config = build_config("veech")
+""", "geodlab.cli.run(config).to_text()") < 2500

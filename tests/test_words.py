@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from geodlab import words
 from geodlab.halfplane import MappingClass, ModelPoint
-from geodlab.words import (MAX_ENUM_LENGTH, MIN_AXIS_STEP, ClassTable,
-                           GeodesicClass,
+from geodlab.words import (MAX_AXIS_STEP, MAX_ENUM_LENGTH, MIN_AXIS_STEP,
+                           ClassTable, GeodesicClass,
                            TraceHistogram, _axis_halves, _class_order,
                            _necklace_table,
                            axis_samples, block_apices, canonical,
-                           enumerate_classes, is_primitive,
+                           class_levels, enumerate_classes, is_primitive,
+                           max_trace,
                            min_systole_along_axis, min_systole_batch,
                            teich_length_from_trace, word_to_matrix)
 
@@ -114,6 +115,19 @@ def test_enumerate_budget_guard():
         enumerate_classes(MAX_ENUM_LENGTH + 0.1)
     assert len(enumerate_classes(0.0)) == 0
     assert len(enumerate_classes(-1.0)) == 0
+
+
+def test_the_trace_cap_keeps_the_classes_of_length_exactly_r():
+    # 2 cosh acosh(t / 2) can round below t (3.9999999999999996 at t = 4),
+    # so the cap is searched for, not read off 2 cosh r
+    assert math.floor(2.0 * math.cosh(math.acosh(2.0))) == 3
+    for t in range(3, 61):
+        r = teich_length_from_trace(t)
+        assert max_trace(r) == t
+        assert max_trace(np.nextafter(r, 0.0)) == t - 1
+        table = enumerate_classes(r)
+        assert table.trace.max() == t and table.length.max() == r
+    assert max_trace(0.5) == max_trace(0.0) == max_trace(-1.0) == 2
 
 
 def test_enumerate_respects_bound_and_canonical():
@@ -380,6 +394,23 @@ def test_min_systole_batch_matches_loop_at_the_enumeration_limit(data, step):
     loop = np.array([min_systole_along_axis(g.exps, step) for g in classes])
     got = min_systole_batch(_table(classes), step=step)
     assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.floats(1.32, 6.5), st.floats(MIN_AXIS_STEP, MAX_AXIS_STEP))
+def test_word_length_batches_give_the_table_minima(max_length, step):
+    # veech calls the kernel once per word length, on unpadded words in
+    # generation order: the same (length, minimum) pairs, bit for bit, and
+    # the same footers as one call on the sorted, padded table
+    by_table, by_level = Counter(), Counter()
+    table = enumerate_classes(max_length, counters=by_table)
+    mins = min_systole_batch(table, step, by_table)
+    levels = list(class_levels(max_trace(max_length), True, by_level))
+    assert all(lv.words.all() for lv in levels)
+    pairs = [pair for lv in levels for pair in zip(
+        lv.length.tolist(), min_systole_batch(lv, step, by_level).tolist())]
+    assert sorted(pairs) == sorted(zip(table.length.tolist(), mins.tolist()))
+    assert by_level == by_table
 
 
 def _mul(m, n):
