@@ -84,8 +84,7 @@ def run_count(config: ExperimentConfig) -> CountReport:
     counters = Counter()
     # one enumeration at the largest radius; radius r keeps the traces up
     # to max_trace(r), the cap enumerate_classes(r) prunes at
-    below = np.cumsum(enumerate_classes(max(grid), counters=counters,
-                                        by_trace=True).counts)
+    below = np.cumsum(enumerate_classes(max(grid), counters=counters).counts)
     rows = []
     ratios = []
     for r in grid:
@@ -365,7 +364,7 @@ def run_assemble(config: ExperimentConfig) -> CountReport:
     r, nb = p["r"], p["bands"]
     counters = Counter()
     # one length per distinct trace, weighted by its number of classes
-    hist = enumerate_classes(r, counters=counters, by_trace=True)
+    hist = enumerate_classes(r, counters=counters)
     traces = np.flatnonzero(hist.counts)
     lengths = lengths_by_trace(len(hist.counts) - 1)[traces]
     weights = hist.counts[traces]

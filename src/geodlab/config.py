@@ -6,7 +6,7 @@ registry.  Unknown keys, malformed values, grids that are not strictly
 increasing and positive, and values outside a key's range are rejected
 with the offending key named.  The ranges are the probabilities' open
 interval, minima, the bounds that the runners' modules enforce, and the
-fewest points a slope fit needs.
+fewest points a slope fit, or a thin-to-thick ratio, needs.
 Each experiment names the one module that owns it; a config imports
 that module when it is built, so a run loads only its own layer, and
 reads those bounds from it by name.
@@ -81,7 +81,8 @@ EXPERIMENTS: dict = {
         "fraction": ParamSpec("prob", 0.02),
     },
     "lattice": {
-        "systole_grid": ParamSpec("grid", (0.01, 0.1, 1.0)),
+        "systole_grid": ParamSpec("grid", (0.01, 0.1, 1.0),
+                                  maximum="MAX_SYSTOLE", entries=2),
         "tau_grid": ParamSpec("grid", (2.0, 3.0, 4.0, 5.0, 6.0),
                               maximum="MAX_ORBIT_RADIUS"),
         "spread_radius": ParamSpec("float", 0.5, minimum=0.05,

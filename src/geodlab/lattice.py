@@ -6,14 +6,15 @@ integer lattice at fixed height Im = Im X / q, q = (c Re X + d)^2 + (c Im X)^2.
 A ball around the center therefore meets each family in an explicit
 integer window, and the count is the sum of the window lengths.  The
 window edges are float64 integers, exact below 2^53; once an edge
-reaches 2^53 the count raises OverflowError instead of returning an
-inexact number.  Distinct (c, d) rows give distinct point sets unless X
-has a nontrivial stabilizer, which for a reduced X means X is exactly i
-or a corner rho of F.  There two rows give one family exactly when the
-stabilizer, acting on rows from the right, maps one onto the other; the
-rows are tested in exact integers and each family keeps only the first of
-its rows.  Rows and their Bezout partners come from the Stern-Brocot tree,
-with no gcd and no Euclid, as int64/float64 arrays, one block per chunk.
+reaches 2^53, or is nan because Im X^2 overflowed, the count raises
+OverflowError instead of returning an inexact number.  Distinct (c, d)
+rows give distinct point sets unless X has a nontrivial stabilizer,
+which for a reduced X means X is exactly i or a corner rho of F.  There
+two rows give one family exactly when the stabilizer, acting on rows
+from the right, maps one onto the other; the rows are tested in exact
+integers and each family keeps only the first of its rows.  Rows and
+their Bezout partners come from the Stern-Brocot tree, with no gcd and
+no Euclid, as int64/float64 arrays, one block per chunk.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfplane import ModelPoint, ball_slice_sq, reduce_to_fundamental
-from .torus import extremal_length, systole
+# the config reads MAX_SYSTOLE from here by name, as systole_grid's maximum
+from .torus import MAX_SYSTOLE, extremal_length, systole
 
 MAX_ORBIT_RADIUS = 7.0
 MAX_SPREAD_RADIUS = 2.0
@@ -150,7 +152,8 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
     Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi.
     At a cone point of _CONE_POINTS, _bottom_rows yields one row per
     family, each inside the exact window.
-    Raises OverflowError once a window edge reaches EXACT_EDGE_LIMIT.  With
+    Raises OverflowError once a window edge reaches EXACT_EDGE_LIMIT or
+    is nan, as it is once Im X^2 overflows (Im X above about 1.3e154).  With
     a counters mapping, adds the coprime rows scanned and the families kept.
     """
     x0, y0 = X.x, X.y
@@ -189,8 +192,9 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
         re0, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
         lo = np.ceil(xc - w - re0)
         hi = np.floor(xc + w - re0)
-        edge = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
-        if edge >= EXACT_EDGE_LIMIT:
+        edge = np.maximum(np.abs(lo).max(initial=0.0),
+                          np.abs(hi).max(initial=0.0))  # nan if either is
+        if not edge < EXACT_EDGE_LIMIT:
             raise OverflowError(
                 f"orbit window edge past 2^53 at X = {X}, radius {tau}: "
                 "the count would not be exact")

@@ -10,10 +10,9 @@ alphabet) are generated directly, one per class, one word length at a
 time in numpy, up to the trace cap max_trace gives a length.
 class_levels yields each word length's classes, unsorted, as a
 ClassTable of their own: columns of traces, lengths, matrix entries and
-words, all one width.  enumerate_classes gathers the levels into one
-table, words zero-padded and rows sorted, from which GeodesicClass rows
-are built only on demand.  Counting needs only the traces, so it asks
-for a TraceHistogram, built from the same word lengths with no table.
+words, all one width.  Counting needs only the traces, so
+enumerate_classes returns a TraceHistogram, built from the same word
+lengths with no table.
 
 Translation length in the Teichmueller metric is arccosh(trace / 2), half
 the hyperbolic translation length.  Closed-geodesic counts grow like
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +43,7 @@ MAX_AXIS_STEP = 0.1  # the coarsest axis sample step
 # error: the factor is about 1 + 2e-6 here, against errors near 1e-12.
 MIN_AXIS_STEP = 0.001
 # The block walk's integers reach 3 t^2 < 2^53, exact in int64 and
-# float64, for traces below this; enumerate_classes' stay below
+# float64, for traces below this; the enumeration's stay below
 # 2 cosh 7.5 < 1809.
 _WALK_TRACE_CAP = 2 ** 25
 
@@ -102,64 +100,30 @@ def word_to_matrix(exps: Sequence[int]) -> MappingClass:
     return MappingClass(*m)
 
 
-class GeodesicClass(NamedTuple):
-    """A conjugacy class: canonical exponents, trace, Teichmueller length,
-    and the entries (a, b, c, d) of the matrix of the canonical word.
-
-    A named tuple: immutable and compared field by field.  A ClassTable
-    builds one per row only when the row is indexed or iterated.
-    """
-
-    exps: tuple
-    trace: int
-    length: float
-    entries: tuple
-
-    @staticmethod
-    def from_exps(exps: Sequence[int]) -> "GeodesicClass":
-        c = canonical(exps)
-        m = word_to_matrix(c)
-        return GeodesicClass(c, m.trace, teich_length_from_trace(m.trace),
-                             m.entries())
-
-
-class ClassTable(Sequence):
-    """Conjugacy classes as columns, one row per class.
+class ClassTable:
+    """Conjugacy classes as columns, one row per class; class_levels
+    yields one per word length.
 
     - trace: int64 (N,)
     - length: float64 (N,), the Teichmueller length arccosh(trace / 2)
     - entries: int64 (N, 4), the matrix (a, b, c, d) of the canonical word
     - words: int64 (N, W), the canonical exps, zero-padded to the longest
-    - sizes: int64 (N,), the number of exps of each word
+      where the table holds words of several lengths
 
-    Indexing and iteration build a GeodesicClass per row on demand; bulk
-    consumers read the columns and build no per-class objects.  Entries
-    must lie inside +-2^62, where a - d stays exact in int64.
+    Entries must lie inside +-2^62, where a - d stays exact in int64.
     """
 
-    __slots__ = ("trace", "length", "entries", "words", "sizes")
+    __slots__ = ("trace", "length", "entries", "words")
 
-    def __init__(self, trace, length, entries, words, sizes):
+    def __init__(self, trace, length, entries, words):
         if entries.size and not (-_EXACT_INT64 < entries.min()
                                  and entries.max() < _EXACT_INT64):
             raise OverflowError("matrix entries beyond 2^62 would make a - d inexact")
-        self.trace, self.length, self.entries = trace, length, entries
-        self.words, self.sizes = words, sizes
+        self.trace, self.length = trace, length
+        self.entries, self.words = entries, words
 
     def __len__(self) -> int:
         return len(self.trace)
-
-    def __getitem__(self, i) -> GeodesicClass:
-        i = range(len(self))[i]  # IndexError and negative indices as a list's
-        return GeodesicClass(tuple(self.words[i, :self.sizes[i]].tolist()),
-                             int(self.trace[i]), float(self.length[i]),
-                             tuple(self.entries[i].tolist()))
-
-    def __iter__(self):
-        for w, n, t, ln, e in zip(self.words.tolist(), self.sizes.tolist(),
-                                  self.trace.tolist(), self.length.tolist(),
-                                  self.entries.tolist()):
-            yield GeodesicClass(tuple(w[:n]), t, ln, tuple(e))
 
 
 def _necklace_levels(trace_cap: float, primitive_only: bool, counters=None):
@@ -244,58 +208,14 @@ def class_levels(trace_cap: float, primitive_only: bool, counters=None):
             lengths = lengths_by_trace(math.floor(trace_cap))
         words, entries = words[emit], np.stack(m, axis=1)[emit]
         trace = entries[:, 0] + entries[:, 3]
-        yield ClassTable(trace, lengths[trace], entries, words,
-                         np.full(len(words), words.shape[1]))
-
-
-def _necklace_table(trace_cap: float, primitive_only: bool,
-                    counters=None) -> ClassTable:
-    """The classes of class_levels in one table, words zero-padded to
-    the longest and rows sorted by (trace, exps): a zero-padded prefix
-    sorts before its extensions, as a tuple prefix does."""
-    levels = list(class_levels(trace_cap, primitive_only, counters))
-    n = sum(map(len, levels))
-    words = np.zeros((n, max((lv.words.shape[1] for lv in levels), default=0)),
-                     dtype=np.int64)
-    trace, sizes = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    length, entries = np.empty(n), np.empty((n, 4), dtype=np.int64)
-    lo = 0
-    for lv in levels:
-        hi = lo + len(lv)
-        words[lo:hi, :lv.words.shape[1]] = lv.words
-        trace[lo:hi], length[lo:hi] = lv.trace, lv.length
-        entries[lo:hi], sizes[lo:hi] = lv.entries, lv.sizes
-        lo = hi
-    order = _class_order(trace, words, math.floor(trace_cap))
-    return ClassTable(trace[order], length[order], entries[order],
-                      words[order], sizes[order])
-
-
-def _class_order(trace, words, cap: int):
-    """The stable sort by (trace, words row) that
-    np.lexsort((*words.T[::-1], trace)) gives, for words entries in
-    [0, cap], cap >= 1: floor(63 / b) columns, b the bit length of cap,
-    packed into each int64 key.  Each column keeps its own b bits, so
-    keys compare as their column runs do, and a few keys stand in for
-    the columns."""
-    bits = cap.bit_length()
-    per = 63 // bits
-    cols = np.ascontiguousarray(words.T)
-    keys = []
-    for lo in range(0, len(cols), per):
-        key = cols[lo].copy()
-        for col in cols[lo + 1:lo + per]:
-            key <<= bits
-            key |= col
-        keys.append(key)
-    return np.lexsort((*keys[::-1], trace))
+        yield ClassTable(trace, lengths[trace], entries, words)
 
 
 class TraceHistogram:
-    """The classes of _necklace_table counted per trace, by one np.bincount
-    of the levels' traces, with no words kept and no sort: counts[t]
-    classes have trace t, for t up to floor(trace_cap).  Its length, as a
-    ClassTable's, is the number of classes."""
+    """The classes of class_levels counted per trace, by one np.bincount
+    of the levels' traces, with no words kept: counts[t] classes have
+    trace t, for t up to floor(trace_cap).  Its length is the number of
+    classes."""
 
     __slots__ = ("counts",)
 
@@ -330,17 +250,15 @@ def max_trace(max_length: float) -> int:
 
 
 def enumerate_classes(max_length: float, primitive_only: bool = True,
-                      counters=None, by_trace: bool = False):
-    """All conjugacy classes with translation length <= max_length.
+                      counters=None) -> TraceHistogram:
+    """All conjugacy classes with translation length <= max_length,
+    counted per trace.
 
     Each class is generated once, directly in canonical form, so no
-    rotation is ever deduplicated; rows sorted by (trace, exps).  With
-    by_trace, the same classes come back counted per trace, as a
-    TraceHistogram, and no table is built.  With a counters mapping,
-    adds the prenecklaces expanded to 'enum.prenecklaces'.
+    rotation is ever deduplicated.  With a counters mapping, adds the
+    prenecklaces expanded to 'enum.prenecklaces'.
     """
-    build = TraceHistogram if by_trace else _necklace_table
-    return build(max_trace(max_length), primitive_only, counters)
+    return TraceHistogram(max_trace(max_length), primitive_only, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +311,9 @@ def block_apices(entries, words) -> tuple:
     on the axis; root_d is float64 (N,), sqrt(t^2 - 4) per class, rounded
     once from its exact integer.
 
-    entries and words are ClassTable columns; a trace of _WALK_TRACE_CAP
-    or more raises OverflowError.  A lift of the axis A0 of
+    entries and words are ClassTable columns, words of several lengths
+    zero-padded to the longest; a trace of _WALK_TRACE_CAP or more raises
+    OverflowError.  A lift of the axis A0 of
     M = (a, b, c, d) is g^-1 A0, the axis of g^-1 M g, for g in SL(2, Z).
     With (p, r) the first column of g, f(p, r) = c p^2 + (d - a) p r -
     b r^2 is the c entry of g^-1 M g, so the lift's apex height is

@@ -19,7 +19,7 @@ from geodlab.lattice import chain_bound_audit
 from geodlab.products import contraction_ratio_exact, verify_system
 from geodlab.torus import BiasParams
 from geodlab.walk import net_size_slope
-from geodlab.words import canonical, enumerate_classes
+from geodlab.words import canonical, class_levels
 
 from entry_search import classes_by_entry_search
 
@@ -53,9 +53,8 @@ def test_criterion_01_class_counts():
 
 def test_criterion_02_enumeration_oracle():
     t0 = time.monotonic()
-    cap = math.acosh(25.0) + 1e-9  # length of a trace-50 class
-    necklace = {canonical(tuple(c.exps)) for c in enumerate_classes(cap)
-                if c.trace <= 50}
+    necklace = {canonical(w) for lv in class_levels(50, True)
+                for w in lv.words.tolist()}
     brute = classes_by_entry_search(50)
     elapsed = time.monotonic() - t0
     ok = necklace == brute and elapsed <= 60.0

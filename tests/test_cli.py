@@ -10,7 +10,7 @@ from geodlab import cli, words
 from geodlab.cli import COLUMNS, RUNNERS, main, run, worker_stream
 from geodlab.config import EXPERIMENTS, OWNERS, build_config
 from geodlab.report import CountReport, fmt_value, ls_slope
-from geodlab.words import enumerate_classes
+from geodlab.words import class_levels, enumerate_classes, max_trace
 
 
 def _body(text: str) -> str:
@@ -66,7 +66,8 @@ def test_count_rows_equal_enumeration_off_grid(radii):
 @given(st.floats(1.0, 6.5), st.integers(1, 16))
 def test_assemble_rows_equal_the_table_band_counts(r, bands):
     report = run(build_config("assemble", overrides={"r": r, "bands": bands}))
-    lengths = enumerate_classes(r).length
+    lengths = np.concatenate([lv.length for lv
+                              in class_levels(max_trace(r), True)])
     edges = [r * k / bands for k in range(bands + 1)]
     counts = [int(np.count_nonzero((lengths > lo) & (lengths <= hi)))
               for lo, hi in zip(edges, edges[1:])]
@@ -87,7 +88,7 @@ def test_count_and_assemble_build_no_class_table(monkeypatch):
 
     monkeypatch.setattr(words, "ClassTable", refuse)
     with pytest.raises(AssertionError):
-        enumerate_classes(3.0)  # the table path does reach the patch
+        next(class_levels(max_trace(3.0), True))  # which reaches the patch
     for experiment in ("count", "assemble"):
         assert run(build_config(experiment)).counters == {
             "enum.prenecklaces": 15955}
@@ -203,6 +204,9 @@ def test_main_out_keeps_an_existing_report_when_the_run_raises(
     # one class, or one radius, leaves the slope fit a single point
     (["veech", "--set", "max_length=1.3"], "veech.max_length"),
     (["bias-verify", "--set", "tau_grid=3"], "bias-verify.tau_grid"),
+    # one systole leaves no thin-to-thick ratio; none is above MAX_SYSTOLE
+    (["lattice", "--set", "systole_grid=0.1"], "lattice.systole_grid"),
+    (["lattice", "--set", "systole_grid=0.1,1e300"], "lattice.systole_grid"),
 ])
 def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
                                                  monkeypatch):

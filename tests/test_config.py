@@ -79,6 +79,7 @@ def test_maximum_enforced_from_the_runners_modules():
     from geodlab.flow import MAX_CENSUS_TIME, MAX_MIX_TIME
     from geodlab.lattice import MAX_ORBIT_RADIUS, MAX_SPREAD_RADIUS
     from geodlab.products import MAX_CONTRACTION_RADIUS
+    from geodlab.torus import MAX_SYSTOLE
     from geodlab.words import MAX_AXIS_STEP, MAX_ENUM_LENGTH
     for experiment, key, top in (("veech", "max_length", MAX_ENUM_LENGTH),
                                  ("veech", "step", MAX_AXIS_STEP),
@@ -93,7 +94,8 @@ def test_maximum_enforced_from_the_runners_modules():
                                  ("lattice", "tau_grid", MAX_ORBIT_RADIUS),
                                  ("close", "r_grid", MAX_CENSUS_TIME),
                                  ("bias-verify", "tau_grid",
-                                  MAX_CONTRACTION_RADIUS)):
+                                  MAX_CONTRACTION_RADIUS),
+                                 ("lattice", "systole_grid", MAX_SYSTOLE)):
         grid = f"1, {top}"
         assert ExperimentConfig(experiment, params={key: grid}).params[key][-1] == top
         with pytest.raises(ConfigError, match="entries must be at most"):
@@ -116,6 +118,10 @@ def test_a_slope_fit_gets_two_points_at_config_time():
         ExperimentConfig("bias-verify", params={"tau_grid": "3"})
     assert ExperimentConfig("bias-verify",
                             params={"tau_grid": "3, 4"}).params["tau_grid"] == (3.0, 4.0)
+    # lattice divides its thinnest cell by its thickest
+    with pytest.raises(ConfigError, match="lattice.systole_grid: grid needs "
+                                          "at least 2 entries"):
+        ExperimentConfig("lattice", params={"systole_grid": "0.1"})
     # other grids may hold one entry
     assert ExperimentConfig("count", params={"r_grid": "3"}).params["r_grid"] == (3.0,)
 

@@ -222,11 +222,14 @@ def test_deep_cusp_counts_without_int64_overflow():
 
 
 def test_window_edge_past_2_53_raises():
-    for y in (1e14, 1e16):
+    # above Im X of about 1.3e154, Im X^2 is inf and the (0, 1) family's
+    # window edges are nan: refused as an inexact count, not counted as 0
+    for y in (1e14, 1e16, 1e155, 1e200, 1e300):
         with pytest.raises(OverflowError):
             orbit_count(ModelPoint(0.0, y), ModelPoint(0.0, y), 7.0)
-    with pytest.raises(OverflowError):
-        spread_count(ModelPoint(0.0, 1e16), 0.5)
+    for y in (1e16, 1e155, 1e200, 1e300):
+        with pytest.raises(OverflowError):
+            spread_count(ModelPoint(0.0, y), 0.5)
 
 
 def _ext_gcd(a: int, b: int) -> tuple:

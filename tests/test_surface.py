@@ -12,25 +12,24 @@ wherever an attribute of the same name is read; a bare identifier of the
 same name, such as a parameter, does not count.  Docstrings, comments and
 import lines do not count as naming anything.  ALLOWED holds the test oracles and fixtures kept on purpose,
 each with its reason.  perfbench/tracer.py counts because it rebinds and
-reads package members by name in every traced benchmark run.
+reads package members by name in every traced benchmark run, so each of
+its TARGETS must also resolve, as Tracer.install looks it up.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "geodlab"
-CONSUMERS = (ROOT / "tests" / "test_acceptance.py",
-             ROOT / "perfbench" / "tracer.py")
+TRACER = ROOT / "perfbench" / "tracer.py"
+CONSUMERS = (ROOT / "tests" / "test_acceptance.py", TRACER)
 
 ALLOWED = {
     "torus.CurveClass.normalized":
         "builds the curve classes test_systole_is_min_over_curves minimises over",
     "words.min_systole_along_axis":
         "per-class loop reference that min_systole_batch is compared against",
-    "words.GeodesicClass.from_exps":
-        "class of a word by canonical and word_to_matrix, the reference each "
-        "enumerated class is compared against",
     "words.is_primitive":
         "primitivity test of criterion 02's entry-search oracle in "
         "tests/entry_search.py and of the enumeration tests",
@@ -101,3 +100,31 @@ def test_every_definition_is_used_or_allowed():
     assert sorted(set(unused) - set(ALLOWED)) == []
     # an allowlist entry that is gone, or now used, leaves the list
     assert sorted(set(ALLOWED) - set(unused)) == []
+
+
+def _tracer_targets() -> list:
+    """The (layer, attribute path) of each entry of perfbench/tracer.py's
+    TARGETS, read from its source."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TARGETS"]):
+            return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_every_tracer_target_resolves():
+    # Tracer.install rebinds each target in every traced benchmark run: a
+    # module function by getattr, a method from its class's own __dict__
+    targets = _tracer_targets()
+    assert targets
+    missing = []
+    for layer, path in targets:
+        owner = importlib.import_module(f"geodlab.{layer}")
+        *cls, name = path.split(".")
+        for part in cls:
+            owner = getattr(owner, part, None)
+        if not callable(getattr(owner, "__dict__", {}).get(name) if cls
+                        else getattr(owner, name, None)):
+            missing.append(f"{layer}.{path}")
+    assert missing == []

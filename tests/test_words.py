@@ -4,15 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodlab import words
 from geodlab.halfplane import MappingClass, ModelPoint
 from geodlab.words import (MAX_AXIS_STEP, MAX_ENUM_LENGTH, MIN_AXIS_STEP,
-                           ClassTable, GeodesicClass,
-                           TraceHistogram, _axis_halves, _class_order,
-                           _necklace_table,
+                           ClassTable, TraceHistogram, _axis_halves,
                            axis_samples, block_apices, canonical,
                            class_levels, enumerate_classes, is_primitive,
                            max_trace,
@@ -33,8 +31,8 @@ def _necklaces_dfs(trace_cap: float, primitive_only: bool) -> tuple:
     the trace, so pruning at the cap is exact.  Classes come out in
     pre-order of the lexicographic tree, so their exps strictly increase,
     and a stable sort by trace gives the (trace, exps) order.  Returns
-    the classes and the number of prenecklaces expanded, the empty word
-    included.
+    the classes as (trace, exps, length, entries) rows and the number of
+    prenecklaces expanded, the empty word included.
     """
     out = []
     word = []
@@ -63,16 +61,55 @@ def _necklaces_dfs(trace_cap: float, primitive_only: bool) -> tuple:
             n00, n01 = m00 + m01 * a, m00 * b + m01 * e
             n10, n11 = m10 + m11 * a, m10 * b + m11 * e
             if q == t + 1 or (not primitive_only and (t + 1) % q == 0):
-                out.append(GeodesicClass(tuple(word), tr, acosh(tr / 2.0),
-                                         (n00, n01, n10, n11)))
+                out.append((tr, tuple(word), acosh(tr / 2.0),
+                            (n00, n01, n10, n11)))
             rec(n00, n01, n10, n11, t + 1, q)
             del word[-2:]
             b += 1
 
     rec(1, 0, 0, 1, 0, 1)
-    assert all(u.exps < v.exps for u, v in zip(out, out[1:]))
-    out.sort(key=lambda g: g.trace)
+    assert all(u[1] < v[1] for u, v in zip(out, out[1:]))
+    out.sort(key=lambda g: g[0])
     return out, calls[0]
+
+
+def _rows(table, pick=slice(None)):
+    """The (trace, exps, length, entries) rows of a ClassTable, or of the
+    rows picked."""
+    return zip(table.trace[pick].tolist(),
+               map(tuple, table.words[pick].tolist()),
+               table.length[pick].tolist(),
+               map(tuple, table.entries[pick].tolist()))
+
+
+def _classes(trace_cap: float, primitive_only: bool = True,
+             counters=None) -> list:
+    """The classes of class_levels as rows, sorted by trace, then exps."""
+    return sorted(row for lv in class_levels(trace_cap, primitive_only,
+                                             counters)
+                  for row in _rows(lv))
+
+
+def _class_of(exps) -> tuple:
+    """The (trace, exps, length, entries) row of a word's class, by
+    canonical and word_to_matrix."""
+    c = canonical(exps)
+    m = word_to_matrix(c)
+    return m.trace, c, teich_length_from_trace(m.trace), m.entries()
+
+
+def _table(classes) -> ClassTable:
+    """The rows as one ClassTable, in the order given, words zero-padded
+    to the longest."""
+    width = max((len(g[1]) for g in classes), default=0)
+    words = np.zeros((len(classes), width), dtype=np.int64)
+    for row, g in zip(words, classes):
+        row[:len(g[1])] = g[1]
+    return ClassTable(np.array([g[0] for g in classes], dtype=np.int64),
+                      np.array([g[2] for g in classes], dtype=float),
+                      np.array([g[3] for g in classes],
+                               dtype=np.int64).reshape(-1, 4),
+                      words)
 
 
 def test_length_from_trace():
@@ -125,49 +162,49 @@ def test_the_trace_cap_keeps_the_classes_of_length_exactly_r():
         r = teich_length_from_trace(t)
         assert max_trace(r) == t
         assert max_trace(np.nextafter(r, 0.0)) == t - 1
-        table = enumerate_classes(r)
-        assert table.trace.max() == t and table.length.max() == r
+        counts = enumerate_classes(r).counts
+        assert len(counts) == t + 1 and counts[t] > 0
+        trace, _, length, _ = _classes(max_trace(r))[-1]
+        assert trace == t and length == r
     assert max_trace(0.5) == max_trace(0.0) == max_trace(-1.0) == 2
 
 
 def test_enumerate_respects_bound_and_canonical():
-    classes = enumerate_classes(3.0)
+    classes = _classes(max_trace(3.0))
     assert len(classes) == 74
-    for c in classes:
-        assert c.length <= 3.0 + 1e-12
-        assert c.exps == canonical(c.exps)
-        assert c.trace == word_to_matrix(c.exps).trace
+    for trace, exps, length, entries in classes:
+        assert length <= 3.0 + 1e-12
+        assert exps == canonical(exps)
+        assert trace == word_to_matrix(exps).trace
         # the entries carried over from the enumeration are the word's matrix
-        assert MappingClass(*c.entries) == word_to_matrix(c.exps)
-        assert c.length == pytest.approx(teich_length_from_trace(c.trace),
-                                         rel=1e-12)
+        assert MappingClass(*entries) == word_to_matrix(exps)
+        assert length == pytest.approx(teich_length_from_trace(trace),
+                                       rel=1e-12)
         # and the class equals the one built from its word alone
-        assert c == GeodesicClass.from_exps(c.exps)
-    assert len({c.exps for c in classes}) == len(classes)
+        assert (trace, exps, length, entries) == _class_of(exps)
+    assert len({c[1] for c in classes}) == len(classes)
 
 
 def test_enumerate_includes_imprimitive_when_asked():
-    prim = enumerate_classes(2.0, primitive_only=True)
-    full = enumerate_classes(2.0, primitive_only=False)
+    prim = _classes(max_trace(2.0), primitive_only=True)
+    full = _classes(max_trace(2.0), primitive_only=False)
     assert len(full) > len(prim)
-    squares = {c.exps for c in full} - {c.exps for c in prim}
+    squares = {c[1] for c in full} - {c[1] for c in prim}
     assert canonical((1, 1, 1, 1)) in squares
 
 
 def test_entry_search_agrees_small():
-    cap = math.acosh(10.0) + 1e-9
     for primitive_only in (True, False):
         brute = classes_by_entry_search(20, primitive_only=primitive_only)
-        neck = {canonical(tuple(c.exps))
-                for c in enumerate_classes(cap, primitive_only=primitive_only)
-                if c.trace <= 20}
+        neck = {canonical(c[1])
+                for c in _classes(20, primitive_only=primitive_only)}
         assert brute == neck
 
 
 @pytest.mark.parametrize("primitive_only", [True, False])
 def test_enumerate_emits_each_class_once(primitive_only):
-    classes = enumerate_classes(5.0, primitive_only=primitive_only)
-    words = [c.exps for c in classes]
+    classes = _classes(max_trace(5.0), primitive_only=primitive_only)
+    words = [c[1] for c in classes]
     assert len(set(words)) == len(words)
     assert all(w == canonical(w) for w in words)
     assert all(is_primitive(w) or not primitive_only for w in words)
@@ -176,65 +213,26 @@ def test_enumerate_emits_each_class_once(primitive_only):
 @settings(deadline=None, max_examples=40)
 @given(st.floats(3.0, 2.0 * math.cosh(4.5)), st.booleans())
 def test_table_equals_the_recursive_generator(cap, primitive_only):
-    # class by class: exps, trace, entries, and lengths to the bit
+    # class by class: trace, exps, entries, and lengths to the bit
     counters = Counter()
-    table = _necklace_table(cap, primitive_only, counters)
+    classes = _classes(cap, primitive_only, counters)
     ref, calls = _necklaces_dfs(cap, primitive_only)
-    assert list(table) == ref
-    assert [g.length for g in table] == [g.length for g in ref]
+    assert classes == ref
+    assert (np.array([g[2] for g in classes]).view(np.int64).tolist()
+            == np.array([g[2] for g in ref]).view(np.int64).tolist())
     assert counters == {"enum.prenecklaces": calls}
-    keys = [(g.trace, g.exps) for g in table]
+    keys = [g[:2] for g in classes]
     assert all(u < v for u, v in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("primitive_only", [True, False])
 def test_table_equals_the_recursive_generator_at_r6(primitive_only):
     counters = Counter()
-    table = enumerate_classes(6.0, primitive_only, counters=counters)
+    classes = _classes(max_trace(6.0), primitive_only, counters)
     ref, calls = _necklaces_dfs(2.0 * math.cosh(6.0), primitive_only)
-    assert len(table) == len(ref) == (14904 if primitive_only else 14993)
-    assert list(table) == ref
-    assert table.length.tolist() == [g.length for g in ref]
-    assert table.entries.tolist() == [list(g.entries) for g in ref]
+    assert len(classes) == len(ref) == (14904 if primitive_only else 14993)
+    assert classes == ref
     assert counters == {"enum.prenecklaces": calls} == {"enum.prenecklaces": 15955}
-
-
-@st.composite
-def _padded_rows(draw):
-    """(trace, words, cap): zero-padded rows of entries in [1, cap], with
-    few distinct traces and words, so that ties are common."""
-    cap = draw(st.one_of(st.integers(1, 2 ** 31 - 1),
-                         st.sampled_from([2, 403, 2 ** 21 - 1, 2 ** 31 - 1])))
-    width = draw(st.integers(0, 16))
-    n = draw(st.integers(0, 40))
-    entry = st.one_of(st.sampled_from([1, cap]), st.integers(1, cap))
-    rows = draw(st.lists(st.lists(entry, max_size=width), min_size=n,
-                         max_size=n))
-    words = np.zeros((n, width), dtype=np.int64)
-    for row, w in zip(words, rows):
-        row[:len(w)] = w
-    trace = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
-                                   max_size=n)), dtype=np.int64)
-    return trace, words, cap
-
-
-@settings(deadline=None, max_examples=100)
-@given(_padded_rows())
-# caps whose keys hold exactly floor(63 / b) columns, every key full:
-# b = 31 (2 a key), 21 (3 a key, all 63 bits) and 9 (7 a key, R = 6's)
-@example((np.zeros(2, np.int64), np.array([[2 ** 31 - 1] * 4, [2 ** 31 - 1] * 3
-                                           + [1]]), 2 ** 31 - 1))
-@example((np.zeros(2, np.int64), np.array([[2 ** 21 - 1] * 6, [1] * 6]),
-          2 ** 21 - 1))
-@example((np.zeros(3, np.int64), np.array([[403] * 14, [403] * 7 + [0] * 7,
-                                           [1] * 14]), 403))
-# b = 16: four columns would fill the sign bit, so a key holds three
-@example((np.zeros(2, np.int64), np.array([[2 ** 16 - 1, 1, 1, 1], [1] * 4]),
-          2 ** 16 - 1))
-def test_packed_keys_sort_as_the_column_lexsort(rows):
-    trace, words, cap = rows
-    assert np.array_equal(_class_order(trace, words, cap),
-                          np.lexsort((*words.T[::-1], trace)))
 
 
 def test_generator_refuses_caps_past_2_31_before_building_anything(monkeypatch):
@@ -243,7 +241,7 @@ def test_generator_refuses_caps_past_2_31_before_building_anything(monkeypatch):
     monkeypatch.setattr(words, "np", None)
     for cap in (2.0 ** 31, 2.0 ** 31 + 0.5, 1e30):
         with pytest.raises(OverflowError):
-            _necklace_table(cap, True)
+            next(class_levels(cap, True))
         with pytest.raises(OverflowError):
             TraceHistogram(cap, True)
 
@@ -251,15 +249,15 @@ def test_generator_refuses_caps_past_2_31_before_building_anything(monkeypatch):
 @pytest.mark.parametrize("primitive_only", [True, False])
 @pytest.mark.parametrize("r", [2.3, 3.0, 6.0, 7.5])
 def test_trace_histogram_equals_the_table_trace_by_trace(r, primitive_only):
-    by_table, by_trace = Counter(), Counter()
-    table = enumerate_classes(r, primitive_only, counters=by_table)
-    hist = enumerate_classes(r, primitive_only, counters=by_trace,
-                             by_trace=True)
-    cap = math.floor(2.0 * math.cosh(r))
-    assert hist.counts.tolist() == np.bincount(table.trace,
+    by_level, by_hist = Counter(), Counter()
+    cap = max_trace(r)
+    trace = np.concatenate([lv.trace for lv
+                            in class_levels(cap, primitive_only, by_level)])
+    hist = enumerate_classes(r, primitive_only, counters=by_hist)
+    assert hist.counts.tolist() == np.bincount(trace,
                                                minlength=cap + 1).tolist()
-    assert len(hist) == len(table)
-    assert by_trace == by_table
+    assert len(hist) == len(trace)
+    assert by_hist == by_level
 
 
 @settings(deadline=None, max_examples=25)
@@ -269,44 +267,11 @@ def test_trace_histogram_equals_the_recursive_generator(cap, primitive_only):
     hist = TraceHistogram(cap, primitive_only, counters)
     ref, calls = _necklaces_dfs(cap, primitive_only)
     assert hist.counts.tolist() == np.bincount(
-        [g.trace for g in ref], minlength=math.floor(cap) + 1).tolist()
+        [g[0] for g in ref], minlength=math.floor(cap) + 1).tolist()
     assert counters == {"enum.prenecklaces": calls}
 
 
-def test_class_table_rows():
-    table = enumerate_classes(3.0)
-    rows = list(table)
-    assert table[0] == rows[0] and table[-1] == rows[-1]
-    assert table[np.int64(5)] == rows[5]
-    with pytest.raises(IndexError):
-        table[len(table)]
-    # GeodesicClass rows in any order go into a table in that order
-    rng = np.random.default_rng(3)
-    shuffled = [rows[i] for i in rng.permutation(len(rows))]
-    assert list(_table(shuffled)) == shuffled
-
-
-def test_geodesic_class_from_exps():
-    g = GeodesicClass.from_exps((2, 1, 1, 3))
-    assert g.exps == canonical((2, 1, 1, 3))
-    assert MappingClass(*g.entries).trace == g.trace
-
-
-_CLASSES_4 = enumerate_classes(4.0)
-
-
-def _table(classes) -> ClassTable:
-    """The GeodesicClass rows as a ClassTable, in the order given."""
-    width = max((len(g.exps) for g in classes), default=0)
-    words = np.zeros((len(classes), width), dtype=np.int64)
-    for row, g in zip(words, classes):
-        row[:len(g.exps)] = g.exps
-    return ClassTable(np.array([g.trace for g in classes], dtype=np.int64),
-                      np.array([g.length for g in classes], dtype=float),
-                      np.array([g.entries for g in classes],
-                               dtype=np.int64).reshape(-1, 4),
-                      words,
-                      np.array([len(g.exps) for g in classes], dtype=np.int64))
+_CLASSES_4 = _classes(max_trace(4.0))
 
 
 def test_axis_samples_lie_on_axis_and_hit_apex():
@@ -332,16 +297,17 @@ def test_min_systole_batch_matches_loop():
     # the batch forms each class's samples with the per-class kernel's
     # operations and takes 1 / max height, so it must agree exactly, with
     # the table's rows in any order
-    classes = enumerate_classes(4.0)
-    loop = np.array([min_systole_along_axis(g.exps) for g in classes])
+    classes = _CLASSES_4
+    loop = np.array([min_systole_along_axis(g[1]) for g in classes])
     counters = Counter()
-    assert np.array_equal(min_systole_batch(classes, counters=counters), loop)
-    assert np.array_equal(min_systole_batch(_table(list(classes)[::-1])),
+    assert np.array_equal(min_systole_batch(_table(classes),
+                                            counters=counters), loop)
+    assert np.array_equal(min_systole_batch(_table(classes[::-1])),
                           loop[::-1])
     # three samples beside each kept apex, and the period's last sample
     # where its first is one of them: 1,410 of the 71,018 grid samples
     assert counters == {"veech.axis_points":
-                        sum(axis_samples(g.exps)[0].size for g in classes),
+                        sum(axis_samples(g[1])[0].size for g in classes),
                         "veech.reduced_points": 1410}
     assert min_systole_batch(_table([])).size == 0
 
@@ -353,14 +319,14 @@ def test_min_systole_batch_refuses_traces_past_the_block_walk():
     for exps in ((2 ** 25, 1), (2 ** 30 + 1, 2 ** 29 + 3),
                  (2 ** 27 + 5, 7, 3, 2 ** 26)):
         with pytest.raises(OverflowError):
-            min_systole_batch(_table([GeodesicClass.from_exps(exps)]))
-    past = GeodesicClass.from_exps((2 ** 31, 2 ** 31))
+            min_systole_batch(_table([_class_of(exps)]))
+    past = _class_of((2 ** 31, 2 ** 31))
     with pytest.raises(OverflowError):
         min_systole_batch(_table([past]))
 
 
 def test_min_systole_batch_refuses_a_step_below_its_resolution():
-    classes = _table([GeodesicClass.from_exps((1, 1))])
+    classes = _table([_class_of((1, 1))])
     with pytest.raises(ValueError, match="at least"):
         min_systole_batch(classes, step=np.nextafter(MIN_AXIS_STEP, 0.0))
     assert min_systole_batch(classes, step=MIN_AXIS_STEP).size == 1
@@ -371,27 +337,36 @@ def test_min_systole_batch_refuses_a_step_below_its_resolution():
 def test_min_systole_batch_matches_loop_on_shuffled_subsets(picks):
     # any subset in any order gives the per-class minima bit for bit
     classes = [_CLASSES_4[i] for i in picks]
-    loop = np.array([min_systole_along_axis(g.exps) for g in classes])
+    loop = np.array([min_systole_along_axis(g[1]) for g in classes])
     got = min_systole_batch(_table(classes))
     assert np.array_equal(got.view(np.int64), loop.view(np.int64))
 
 
 @functools.lru_cache(maxsize=1)
-def _classes_at_the_enumeration_limit():
-    return enumerate_classes(MAX_ENUM_LENGTH)
+def _levels_at_the_enumeration_limit():
+    return list(class_levels(max_trace(MAX_ENUM_LENGTH), True))
+
+
+def _pick(levels, i) -> tuple:
+    """Class i of the levels, counted in level order, as a row."""
+    for lv in levels:
+        if i < len(lv):
+            return next(_rows(lv, [i]))
+        i -= len(lv)
+    raise IndexError(i)
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.data(), st.floats(0.001, 0.1))
 def test_min_systole_batch_matches_loop_at_the_enumeration_limit(data, step):
-    # any subset of the R = 7.5 table, in any order, at any step of the
+    # any subset of the R = 7.5 classes, in any order, at any step of the
     # config's range: the few samples beside the highest apexes give the
     # whole grid's minimum bit for bit
-    table = _classes_at_the_enumeration_limit()
-    picks = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1,
-                               max_size=12, unique=True))
-    classes = [table[i] for i in picks]
-    loop = np.array([min_systole_along_axis(g.exps, step) for g in classes])
+    levels = _levels_at_the_enumeration_limit()
+    picks = data.draw(st.lists(st.integers(0, sum(map(len, levels)) - 1),
+                               min_size=1, max_size=12, unique=True))
+    classes = [_pick(levels, i) for i in picks]
+    loop = np.array([min_systole_along_axis(g[1], step) for g in classes])
     got = min_systole_batch(_table(classes), step=step)
     assert np.array_equal(got.view(np.int64), loop.view(np.int64))
 
@@ -403,7 +378,7 @@ def test_word_length_batches_give_the_table_minima(max_length, step):
     # generation order: the same (length, minimum) pairs, bit for bit, and
     # the same footers as one call on the sorted, padded table
     by_table, by_level = Counter(), Counter()
-    table = enumerate_classes(max_length, counters=by_table)
+    table = _table(_classes(max_trace(max_length), True, by_table))
     mins = min_systole_batch(table, step, by_table)
     levels = list(class_levels(max_trace(max_length), True, by_level))
     assert all(lv.words.all() for lv in levels)
@@ -447,30 +422,32 @@ def _sigma_grid(sigma, words):
 
 
 def _apices(exps):
-    g = GeodesicClass.from_exps(exps)
-    words = np.array([g.exps])
-    rho, sigma, _ = block_apices(np.array([g.entries]), words)
-    return g, rho[0], _sigma_grid(sigma, words)[0]
+    """(length, rho, sigma) of the class of a canonical word."""
+    _, _, length, entries = _class_of(exps)
+    words = np.array([exps])
+    rho, sigma, _ = block_apices(np.array([entries]), words)
+    return length, rho[0], _sigma_grid(sigma, words)[0]
 
 
 def test_block_apices_match_the_rotations_and_pull_back_onto_the_axis():
-    table = enumerate_classes(4.0)
+    table = _table(_CLASSES_4)
     rho, sigma, root_ds = block_apices(table.entries, table.words)
     sigma = _sigma_grid(sigma, table.words)
     assert rho.shape == sigma.shape == table.words.shape
-    for g, n, rho_g, sigma_g, root_d_g in zip(table, table.sizes, rho, sigma,
-                                              root_ds):
+    for (trace, exps, _, entries), rho_g, sigma_g, root_d_g in zip(
+            _CLASSES_4, rho, sigma, root_ds):
+        n = len(exps)
         assert not rho_g[n:].any() and not sigma_g[n:].any()
-        root_d = math.sqrt(g.trace ** 2 - 4)
+        root_d = math.sqrt(trace ** 2 - 4)
         assert root_d_g == root_d
         assert rho_g[:n].tolist() == [root_d / (2.0 * e)
-                                      for e in _rotation_entries(g.exps)]
+                                      for e in _rotation_entries(exps)]
         # g^-1 maps the point of the axis at arc length sigma onto its
         # lift, at height rho: that lift's apex
-        a, b, c, d = g.entries
+        a, b, c, d = entries
         c0, r0 = (a - d) / (2.0 * c), root_d / (2.0 * c)
         prefix = (1, 0, 0, 1)
-        for k, blk in enumerate(_blocks(g.exps)):
+        for k, blk in enumerate(_blocks(exps)):
             p, q, r, s = prefix
             # an R block's lift is P S^-1, an L block's P
             lift = (-q, p, -s, r) if k % 2 == 0 else prefix
@@ -487,7 +464,7 @@ def test_block_apices_sigma_at_the_kept_slots_is_the_full_grid_formula():
     # lift column, here from the conjugated rotations M_k = P^-1 M P and
     # the prefixes P, against sigma at just the slots min_systole_batch
     # keeps at R = 6, bit for bit
-    table = enumerate_classes(6.0)
+    table = _table(_classes(max_trace(6.0)))
     a, b, c, d = table.entries.T
     t = a + d
     p, q, r, s = (np.full(len(table), v, dtype=np.int64) for v in (1, 0, 0, 1))
@@ -523,33 +500,34 @@ def test_block_apices_sigma_at_the_kept_slots_is_the_full_grid_formula():
 def test_walk_cases_ties_and_the_period_wrap():
     # (1, 1): two lifts of apex sqrt(5)/2, one pulled back to sigma = l,
     # where the period wraps, the other to 2 l, one period past A0's apex
-    g, rho, sigma = _apices((1, 1))
+    length, rho, sigma = _apices((1, 1))
     assert rho.tolist() == [math.sqrt(5.0) / 2.0] * 2
-    assert sigma == pytest.approx([g.length, 2.0 * g.length], rel=1e-12)
+    assert sigma == pytest.approx([length, 2.0 * length], rel=1e-12)
     # a palindrome: its top apex is reached from two blocks, at two places
-    g, rho, sigma = _apices((1, 2, 2, 1))
+    length, rho, sigma = _apices((1, 2, 2, 1))
     tops = np.flatnonzero(rho == rho.max())
     assert len(tops) == 2
-    gap = abs(sigma[tops[0]] - sigma[tops[1]]) % (2.0 * g.length)
-    assert 0.1 < gap < 2.0 * g.length - 0.1
+    gap = abs(sigma[tops[0]] - sigma[tops[1]]) % (2.0 * length)
+    assert 0.1 < gap < 2.0 * length - 0.1
     # (3, 1): the only top apex pulls back to sigma = l
-    g, rho, sigma = _apices((3, 1))
+    length, rho, sigma = _apices((3, 1))
     assert np.flatnonzero(rho == rho.max()).tolist() == [0]
-    assert sigma[0] == pytest.approx(g.length, rel=1e-12)
+    assert sigma[0] == pytest.approx(length, rel=1e-12)
     # (2, 3, 4, 4, 3, 3): at step 0.1 the grid's highest sample lies beside
     # the second apex, 0.3% below the top one, and above any the top gives
-    g, rho, sigma = _apices((2, 3, 4, 4, 3, 3))
+    exps = (2, 3, 4, 4, 3, 3)
+    length, rho, sigma = _apices(exps)
     top, second = np.argsort(rho)[::-1][:2]
-    grid = axis_samples(g.exps, 0.1)[0]
-    gap = np.abs((grid - sigma[top] + g.length) % (2.0 * g.length) - g.length)
+    grid = axis_samples(exps, 0.1)[0]
+    gap = np.abs((grid - sigma[top] + length) % (2.0 * length) - length)
     from_top = rho[top] / np.cosh(gap).min()
     assert rho[second] > rho[top] / math.cosh(0.1)
-    assert 1.0 / min_systole_along_axis(g.exps, 0.1) > from_top * (1.0 + 1e-9)
+    assert 1.0 / min_systole_along_axis(exps, 0.1) > from_top * (1.0 + 1e-9)
     words = [(1, 1), (1, 2, 2, 1), (3, 1), (2, 3, 4, 4, 3, 3)]
     for step in (0.001, 0.0137, 0.02, 0.1):
         loop = np.array([min_systole_along_axis(e, step) for e in words])
         got = min_systole_batch(
-            _table([GeodesicClass.from_exps(e) for e in words]), step=step)
+            _table([_class_of(e) for e in words]), step=step)
         assert np.array_equal(got.view(np.int64), loop.view(np.int64))
     assert min_systole_along_axis((1, 1), 0.001) == pytest.approx(
         2.0 / math.sqrt(5.0), rel=1e-6)
@@ -561,10 +539,11 @@ def test_sampled_minimum_is_bracketed_by_the_markov_minimum(step):
     # the exact minimum over the axis; the grid comes within half a step
     # Delta <= 2 step of the highest apex, so its minimum is at most
     # cosh(step) above it
-    classes = enumerate_classes(5.0)
-    mins = min_systole_batch(classes, step=step)
-    exact = np.array([2.0 * min(_rotation_entries(g.exps))
-                      / math.sqrt(g.trace ** 2 - 4) for g in classes])
+    classes = _classes(max_trace(5.0))
+    mins = min_systole_batch(_table(classes), step=step)
+    exact = np.array([2.0 * min(_rotation_entries(exps))
+                      / math.sqrt(trace ** 2 - 4)
+                      for trace, exps, _, _ in classes])
     assert np.all(mins >= exact * (1.0 - 1e-12))
     assert np.all(mins <= exact * math.cosh(step) * (1.0 + 1e-12))
     assert mins[0] == pytest.approx(2.0 / math.sqrt(5.0), rel=step * step)
