@@ -50,8 +50,9 @@ def _ok(flag: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each returns a CountReport whose table has the
-# columns declared here; --help prints them too.
+# Experiment runners.  Each returns (title, rows, derived, counters), and
+# run builds the CountReport from them; the table has the columns
+# declared here, which --help prints too.
 
 COLUMNS = {
     "count": ("radius", "classes", "ratio", "bound", "ok"),
@@ -78,7 +79,7 @@ def _echo(config: ExperimentConfig) -> dict:
     return out
 
 
-def run_count(config: ExperimentConfig) -> CountReport:
+def run_count(config: ExperimentConfig) -> tuple:
     from .words import enumerate_classes, max_trace
     grid = config.params["r_grid"]
     counters = Counter()
@@ -97,14 +98,10 @@ def run_count(config: ExperimentConfig) -> CountReport:
         "gap_last": abs(ratios[-1] - 1.0),
         "trend_ok": _ok(abs(ratios[-1] - 1.0) <= abs(ratios[0] - 1.0)),
     }
-    return CountReport(
-        title="closed-class counts against e^{2R}/(2R)",
-        params=_echo(config),
-        columns=COLUMNS["count"],
-        rows=rows, derived=derived, counters=dict(counters))
+    return "closed-class counts against e^{2R}/(2R)", rows, derived, counters
 
 
-def run_thin(config: ExperimentConfig) -> CountReport:
+def run_thin(config: ExperimentConfig) -> tuple:
     from .halfplane import ModelPoint
     from .walk import build_row_net, count_trajectories
     p = config.params
@@ -144,14 +141,10 @@ def run_thin(config: ExperimentConfig) -> CountReport:
     mono = all(a >= b - 1e-12 for a, b in zip(slopes, slopes[1:]))
     derived["slopes_nonincreasing_listed_order"] = _ok(mono)
     derived["smallest_delta_slope_in_0.7..1.6"] = _ok(0.7 <= slopes[-1] <= 1.6)
-    return CountReport(
-        title="thin almost-closed trajectory counts",
-        params=_echo(config),
-        columns=COLUMNS["thin"],
-        rows=rows, derived=derived, counters=dict(counters))
+    return "thin almost-closed trajectory counts", rows, derived, counters
 
 
-def run_bias_verify(config: ExperimentConfig) -> CountReport:
+def run_bias_verify(config: ExperimentConfig) -> tuple:
     from .products import verify_contraction
     p = config.params
     j, taus, n = p["factors"], p["tau_grid"], p["samples"]
@@ -174,14 +167,10 @@ def run_bias_verify(config: ExperimentConfig) -> CountReport:
         "target": -float(j),
         "slope_ok": _ok(abs(slope + j) <= 0.35),
     }
-    return CountReport(
-        title=f"ball-average contraction, {j} factor(s)",
-        params=_echo(config),
-        columns=COLUMNS["bias-verify"],
-        rows=rows, derived=derived, counters=dict(counters))
+    return f"ball-average contraction, {j} factor(s)", rows, derived, counters
 
 
-def run_walk(config: ExperimentConfig) -> CountReport:
+def run_walk(config: ExperimentConfig) -> tuple:
     from .halfplane import ModelPoint
     from .walk import build_row_net, count_trajectories
     p = config.params
@@ -208,14 +197,10 @@ def run_walk(config: ExperimentConfig) -> CountReport:
         exp_thin = ls_slope(radii, np.log(per_thin))[0]
         derived["exponent_thin"] = exp_thin
         derived["exponent_thin_ok"] = _ok(exp_thin <= GROWTH - 1.0 + 0.5)
-    return CountReport(
-        title="step-bounded trajectory growth",
-        params=_echo(config),
-        columns=COLUMNS["walk"],
-        rows=rows, derived=derived, counters=dict(counters))
+    return "step-bounded trajectory growth", rows, derived, counters
 
 
-def run_mix(config: ExperimentConfig) -> CountReport:
+def run_mix(config: ExperimentConfig) -> tuple:
     from .flow import measure_box, mixing_correlation
     p = config.params
     box = measure_box(p["fraction"])
@@ -225,30 +210,35 @@ def run_mix(config: ExperimentConfig) -> CountReport:
              "|estimate-target| <= 3 stderr",
              _ok(abs(est.diff) <= 3.0 * est.std_error))]
     derived = {"z_score": est.z_score}
-    return CountReport(
-        title="flow correlation against the product of measures",
-        params=_echo(config),
-        columns=COLUMNS["mix"],
-        rows=rows, derived=derived)
+    return ("flow correlation against the product of measures", rows,
+            derived, {})
 
 
-def run_close(config: ExperimentConfig) -> CountReport:
-    from .flow import closing_constants, margulis_count, measure_box
+def run_close(config: ExperimentConfig) -> tuple:
+    from .flow import (MAX_CENSUS_FRAMES, closing_constants, margulis_count,
+                       measure_box)
     p = config.params
     box = measure_box(p["fraction"])
     grid = p["r_grid"]
+    # every frame count is known before the first census; the grid
+    # increases, so its last radius draws the most frames
+    frames = [int(round(p["samples"] * math.exp(GROWTH * (r - grid[0]))))
+              for r in grid]
+    if frames[-1] > MAX_CENSUS_FRAMES:
+        raise ResourceError(
+            f"the census at r = {grid[-1]:g} draws {frames[-1]} frames, "
+            f"more than MAX_CENSUS_FRAMES = {MAX_CENSUS_FRAMES}")
     rows = []
     ratios = []
     frac3s = []
-    for i, r in enumerate(grid):
-        n = int(round(p["samples"] * math.exp(GROWTH * (r - grid[0]))))
+    for i, (r, n) in enumerate(zip(grid, frames)):
         census = margulis_count(box, r, n, worker_stream(config.seed, i))
         c1, eps = closing_constants(box, r)
         len_ok = census.worst_length_gap <= 2.0 * c1
         axis_ok = 2.0 * census.worst_axis_dist <= eps
         ratio = census.count_ratio
         ratios.append(ratio)
-        frac3s.append(census.frac_within(3.0))
+        frac3s.append(census.frac_within_3x)
         rows.append((r, census.events, census.component_count, ratio,
                      census.worst_length_gap, 2.0 * c1,
                      census.worst_axis_dist, 0.5 * eps,
@@ -259,14 +249,10 @@ def run_close(config: ExperimentConfig) -> CountReport:
         "min_measure_within_3x": min(frac3s),
         "measure_within_3x_ok": _ok(min(frac3s) >= 0.8),
     }
-    return CountReport(
-        title="closed-orbit census from flow recurrence",
-        params=_echo(config),
-        columns=COLUMNS["close"],
-        rows=rows, derived=derived)
+    return "closed-orbit census from flow recurrence", rows, derived, {}
 
 
-def run_lattice(config: ExperimentConfig) -> CountReport:
+def run_lattice(config: ExperimentConfig) -> tuple:
     from .halfplane import ModelPoint
     from .lattice import orbit_count, spread_count
     p = config.params
@@ -294,14 +280,10 @@ def run_lattice(config: ExperimentConfig) -> CountReport:
         ratio = sc * sy  # count / G^2
         rows.append(("spread_ratio", sy, p["spread_radius"], ratio,
                      ">= 0.25", _ok(ratio >= 0.25)))
-    return CountReport(
-        title="orbit points in balls around thin centers",
-        params=_echo(config),
-        columns=COLUMNS["lattice"],
-        rows=rows, derived={}, counters=dict(counters))
+    return "orbit points in balls around thin centers", rows, {}, counters
 
 
-def run_veech(config: ExperimentConfig) -> CountReport:
+def run_veech(config: ExperimentConfig) -> tuple:
     from .words import class_levels, max_trace, min_systole_batch
     p = config.params
     counters = Counter()
@@ -333,14 +315,11 @@ def run_veech(config: ExperimentConfig) -> CountReport:
         "floor_violations": violations,
         "floor_ok": _ok(violations == 0),
     }
-    return CountReport(
-        title="smallest axis systole against class length",
-        params=_echo(config),
-        columns=COLUMNS["veech"],
-        rows=rows, derived=derived, counters=dict(counters))
+    return ("smallest axis systole against class length", rows,
+            derived, counters)
 
 
-def run_recurrence(config: ExperimentConfig) -> CountReport:
+def run_recurrence(config: ExperimentConfig) -> tuple:
     from .flow import recurrence_fraction
     p = config.params
     res = recurrence_fraction(p["samples"], p["horizon"], p["delta"],
@@ -351,14 +330,11 @@ def run_recurrence(config: ExperimentConfig) -> CountReport:
         "decay_exponent": expo,
         "below_growth_rate_ok": _ok(not math.isnan(expo) and expo < GROWTH),
     }
-    return CountReport(
-        title="fraction of flow segments mostly in the thin part",
-        params=_echo(config),
-        columns=COLUMNS["recurrence"],
-        rows=rows, derived=derived)
+    return ("fraction of flow segments mostly in the thin part", rows,
+            derived, {})
 
 
-def run_assemble(config: ExperimentConfig) -> CountReport:
+def run_assemble(config: ExperimentConfig) -> tuple:
     from .words import enumerate_classes, lengths_by_trace
     p = config.params
     r, nb = p["r"], p["bands"]
@@ -385,11 +361,8 @@ def run_assemble(config: ExperimentConfig) -> CountReport:
         "ratio": ratio,
         "ratio_ok": _ok(0.55 <= ratio <= 1.45),
     }
-    return CountReport(
-        title="band counts reassembled into the full total",
-        params=_echo(config),
-        columns=COLUMNS["assemble"],
-        rows=rows, derived=derived, counters=dict(counters))
+    return ("band counts reassembled into the full total", rows,
+            derived, counters)
 
 
 RUNNERS = {
@@ -406,11 +379,13 @@ RUNNERS = {
 }
 
 def run(config: ExperimentConfig) -> CountReport:
-    """Dispatch a validated config to its experiment runner."""
+    """Run a validated config's experiment and build its report."""
     t0 = time.time()
-    report = RUNNERS[config.experiment](config)
-    report.wall_time = time.time() - t0
-    return report
+    title, rows, derived, counters = RUNNERS[config.experiment](config)
+    return CountReport(title=title, params=_echo(config),
+                       columns=COLUMNS[config.experiment], rows=rows,
+                       derived=derived, counters=dict(counters),
+                       wall_time=time.time() - t0)
 
 
 def main(argv=None) -> int:

@@ -31,9 +31,9 @@ class ResourceError(RuntimeError):
 @dataclass(frozen=True)
 class ParamSpec:
     """One config key: value kind, default, optional inclusive minimum
-    and maximum; a grid's maximum bounds each entry, and a grid holds at
-    least `entries` values.  A bound given as a name is that constant of
-    the experiment's owning module."""
+    and maximum; a grid's minimum and maximum bound each entry, and a
+    grid holds at least `entries` values.  A bound given as a name is
+    that constant of the experiment's owning module."""
 
     kind: str  # int | float | prob | grid | prob_grid
     default: object
@@ -73,15 +73,17 @@ EXPERIMENTS: dict = {
     "mix": {
         "time": ParamSpec("float", 6.0, minimum=1.0, maximum="MAX_MIX_TIME"),
         "samples": ParamSpec("int", 1_000_000, minimum=10_000),
-        "fraction": ParamSpec("prob", 0.02),
+        "fraction": ParamSpec("prob", 0.02, maximum="MAX_BOX_FRACTION"),
     },
     "close": {
-        "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0), maximum="MAX_CENSUS_TIME"),
+        "r_grid": ParamSpec("grid", (3.0, 4.0, 5.0), minimum="MIN_CENSUS_TIME",
+                            maximum="MAX_CENSUS_TIME"),
         "samples": ParamSpec("int", 32_000, minimum=1000),
-        "fraction": ParamSpec("prob", 0.02),
+        "fraction": ParamSpec("prob", 0.02, maximum="MAX_BOX_FRACTION"),
     },
     "lattice": {
         "systole_grid": ParamSpec("grid", (0.01, 0.1, 1.0),
+                                  minimum="MIN_SYSTOLE",
                                   maximum="MAX_SYSTOLE", entries=2),
         "tau_grid": ParamSpec("grid", (2.0, 3.0, 4.0, 5.0, 6.0),
                               maximum="MAX_ORBIT_RADIUS"),
@@ -185,23 +187,22 @@ def _coerce(experiment: str, key: str, ps: ParamSpec, raw, owner):
         if v[0] <= 0.0:
             raise ConfigError(
                 f"{experiment}.{key}: grid entries must be positive, got {v}")
-        if hi is not None and v[-1] > hi:
-            raise ConfigError(
-                f"{experiment}.{key}: entries must be at most {hi}, got {v}")
         if ps.kind == "prob_grid" and not v[-1] < 1.0:
             raise ConfigError(
                 f"{experiment}.{key}: entries must lie in (0, 1), got {v}")
-        return v
-    if ps.kind == "prob" and not 0.0 < v < 1.0:
-        raise ConfigError(f"{experiment}.{key}: must lie in (0, 1), got {v}")
-    if ps.kind in ("float", "int") and not math.isfinite(float(v)):
-        raise ConfigError(f"{experiment}.{key}: must be finite")
-    if lo is not None and v < lo:
-        raise ConfigError(
-            f"{experiment}.{key}: must be at least {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(
-            f"{experiment}.{key}: must be at most {hi}, got {v}")
+        # the grid is increasing, so its ends bound every entry
+        least, most, must = v[0], v[-1], f"{experiment}.{key}: entries must"
+    else:
+        if ps.kind == "prob" and not 0.0 < v < 1.0:
+            raise ConfigError(
+                f"{experiment}.{key}: must lie in (0, 1), got {v}")
+        if ps.kind in ("float", "int") and not math.isfinite(float(v)):
+            raise ConfigError(f"{experiment}.{key}: must be finite")
+        least, most, must = v, v, f"{experiment}.{key}: must"
+    if lo is not None and least < lo:
+        raise ConfigError(f"{must} be at least {lo}, got {v}")
+    if hi is not None and most > hi:
+        raise ConfigError(f"{must} be at most {hi}, got {v}")
     return v
 
 

@@ -28,7 +28,12 @@ from .torus import systole_values
 from .words import teich_length_from_trace
 
 YMAX = 1e3
+# close's census flow times, above the box diameter 2 * BOX_RADIUS that
+# closing_constants needs, and the most frames one census draws: a
+# 4M-frame census peaks near 320 MB of RSS
+MIN_CENSUS_TIME = 0.5
 MAX_CENSUS_TIME = 5.0
+MAX_CENSUS_FRAMES = 4_000_000
 # The longest flow time mixing_correlation takes.  A reduced frame
 # g . flow(A, t) comes from products of size e^{2t} that cancel to O(1),
 # so its float error grows like e^{2t} 2^-53: its determinant is off by
@@ -130,27 +135,29 @@ class Box:
     theta0: float
     dtheta: float
 
-    @staticmethod
-    def with_measure(center: ModelPoint, radius: float, theta0: float,
-                     fraction: float) -> "Box":
-        """Choose the angle width so the box occupies the given fraction
-        of the total frame measure."""
-        if not (0.0 < radius and 0.0 < fraction < 1.0):
-            raise ValueError("need radius > 0 and fraction in (0, 1)")
-        dtheta = fraction * TOTAL_FRAME_MEASURE / hyp_ball_area(2.0 * radius)
-        if dtheta > 2.0 * math.pi:
-            raise ValueError("fraction too large for this radius")
-        return Box(center, radius, theta0, dtheta)
-
     @property
     def fraction(self) -> float:
         return hyp_ball_area(2.0 * self.radius) * self.dtheta / TOTAL_FRAME_MEASURE
 
 
+BOX_RADIUS = 0.15
+# The largest fraction measure_box holds: every angle over its disc.
+MAX_BOX_FRACTION = (hyp_ball_area(2.0 * BOX_RADIUS) * 2.0 * math.pi
+                    / TOTAL_FRAME_MEASURE)
+
+
 def measure_box(fraction: float) -> Box:
-    """The box of radius 0.15 around 1.5i, pointing up, holding the given
-    fraction of the frame measure: the box of mix and close."""
-    return Box.with_measure(ModelPoint(0.0, 1.5), 0.15, math.pi / 2, fraction)
+    """The box of radius BOX_RADIUS around 1.5i, pointing up, whose angle
+    width makes it hold the given fraction of the frame measure: the box
+    of mix and close.  A fraction above MAX_BOX_FRACTION needs a width
+    past 2 pi and raises ValueError."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("need fraction in (0, 1)")
+    area = hyp_ball_area(2.0 * BOX_RADIUS)
+    dtheta = fraction * TOTAL_FRAME_MEASURE / area
+    if dtheta > 2.0 * math.pi:
+        raise ValueError("fraction too large for this radius")
+    return Box(ModelPoint(0.0, 1.5), BOX_RADIUS, math.pi / 2, dtheta)
 
 
 def in_box_coords(box: Box, x, y, th):
@@ -247,7 +254,6 @@ def closing_constants(box: Box, t: float):
 
 @dataclass(frozen=True)
 class CensusComponent:
-    trace: int
     length: float
     events: int
     axis_dist: float
@@ -271,12 +277,13 @@ class FlowCensus:
         """Components seen over the fraction * e^{2t} growth prediction."""
         return self.component_count / (self.box.fraction * math.exp(2.0 * self.time))
 
-    def frac_within(self, factor: float = 3.0) -> float:
-        """Share of components whose event rate sits within the given
-        factor of the equidistribution prediction fraction * e^{-2t}."""
+    @property
+    def frac_within_3x(self) -> float:
+        """Share of components whose event rate sits within a factor 3
+        of the equidistribution prediction fraction * e^{-2t}."""
         target = self.box.fraction * math.exp(-2.0 * self.time)
         ok = sum(1 for c in self.components
-                 if target / factor <= c.events / self.samples <= target * factor)
+                 if target / 3.0 <= c.events / self.samples <= target * 3.0)
         return ok / self.component_count if self.components else float("nan")
 
     @property
@@ -323,7 +330,6 @@ def margulis_count(box: Box, t: float, n: int, rng) -> FlowCensus:
             continue
         length = teich_length_from_trace(float(tr))
         comps.append(CensusComponent(
-            trace=tr,
             length=length,
             events=cnt,
             axis_dist=axis_distance(key, box.center),

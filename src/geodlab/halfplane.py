@@ -27,6 +27,7 @@ TOTAL_FRAME_MEASURE = FUND_AREA * 2.0 * math.pi
 # |z|^2 < 1 - BOUNDARY_TOL; the scalar and vector reductions share it.
 BOUNDARY_TOL = 1e-12
 REDUCE_CHUNK = 65_536  # reduce_in_place works through its input in chunks this long
+MAX_INVERSIONS = 300  # reduce_in_place raises past this many inversions
 _DECK_LIMIT = 2.0 ** 62  # float bound on deck entries, with margin below 2^63
 
 
@@ -66,10 +67,6 @@ class MappingClass:
     @staticmethod
     def identity() -> "MappingClass":
         return MappingClass(1, 0, 0, 1)
-
-    @property
-    def trace(self) -> int:
-        return self.a + self.d
 
     def inverse(self) -> "MappingClass":
         return MappingClass(self.d, -self.b, -self.c, self.a)
@@ -148,23 +145,6 @@ def reduce_to_fundamental(z: ModelPoint) -> tuple[ModelPoint, MappingClass]:
     return ModelPoint(x, y), MappingClass(ga, gb, gc, gd)
 
 
-class ReductionWork:
-    """Scratch arrays for reduce_in_place, for chunks of up to n points.
-
-    Every float and mask temporary of the point reduction is a view into
-    these; only the indices of the points still inside the unit circle
-    are allocated, one array per inversion step.  So the chunks of one
-    call allocate no chunk-sized float arrays, which glibc would hand
-    back to the system and fault in again on the next chunk.
-    """
-
-    def __init__(self, n: int):
-        n = max(1, min(n, REDUCE_CHUNK))
-        self.size = n
-        self.f = np.empty((4, n))  # float temporaries
-        self.inside = np.empty(n, dtype=bool)
-
-
 def _translate(x, g, m):
     """z -> z - round(x) in place, round(x) going to m; with a deck g, also
     g <- T^{-m} g."""
@@ -183,18 +163,18 @@ def _translate(x, g, m):
         g[:, 0, 1] -= mi * g[:, 1, 1]
 
 
-def _inside(x, y, work):
-    """Indices of the points (x, y) inside the unit circle; work.f[2:] is
-    scratch."""
+def _inside(x, y, f, mask):
+    """Indices of the points (x, y) inside the unit circle; f[2:] and
+    mask are scratch."""
     k = x.size
-    sq, ysq, inside = work.f[2, :k], work.f[3, :k], work.inside[:k]
+    sq, ysq, inside = f[2, :k], f[3, :k], mask[:k]
     np.multiply(x, x, out=sq)
     sq += np.multiply(y, y, out=ysq)
     np.less(sq, 1.0 - BOUNDARY_TOL, out=inside)
     return np.flatnonzero(inside)
 
 
-def reduce_in_place(x, y, g=None, max_iter: int = 300) -> None:
+def reduce_in_place(x, y, g=None) -> None:
     """Reduce 1-D float64 coordinate arrays into F, overwriting them.
 
     The vectorised reduction loop: translate once, then
@@ -203,29 +183,34 @@ def reduce_in_place(x, y, g=None, max_iter: int = 300) -> None:
     g, an int64 array of shape (n, 2, 2), the deck matrices are updated
     in place too, so that g.z = z' for the z that g held on entry.  Every
     step is elementwise, so a point's result does not depend on the
-    points reduced with it.  The temporaries live in one ReductionWork
-    for all the chunks.  Raises ReductionError when a point needs more
-    than max_iter inversions or a deck entry would leave int64.
+    points reduced with it.  Raises ReductionError when a point needs
+    more than MAX_INVERSIONS inversions or a deck entry would leave int64.
     """
-    work = ReductionWork(x.size)
+    # Every float and mask temporary is a view into these two arrays;
+    # only the indices of the points still inside the unit circle are
+    # allocated, one array per inversion step.  So no chunk allocates a
+    # chunk-sized float array, which glibc would hand back to the system
+    # and fault in again on the next chunk.
+    n = max(1, min(x.size, REDUCE_CHUNK))
+    f = np.empty((4, n))
+    inside = np.empty(n, dtype=bool)
     deck = g is not None
     for lo in range(0, x.size, REDUCE_CHUNK):
         part = slice(lo, lo + REDUCE_CHUNK)
         cx, cy = x[part], y[part]
         cg = g[part] if deck else None
-        n = cx.size
-        _translate(cx, cg, work.f[0, :n])
-        idx = _inside(cx, cy, work)
-        for _ in range(max_iter):
+        _translate(cx, cg, f[0, :cx.size])
+        idx = _inside(cx, cy, f, inside)
+        for _ in range(MAX_INVERSIONS):
             if idx.size == 0:
                 break
             k = idx.size
             # mode="clip" only skips take's bounds check, which makes it
             # buffer out; every index is in range
-            ax = cx.take(idx, out=work.f[0, :k], mode="clip")
-            ay = cy.take(idx, out=work.f[1, :k], mode="clip")
-            r2 = np.multiply(ax, ax, out=work.f[2, :k])
-            r2 += np.multiply(ay, ay, out=work.f[3, :k])
+            ax = cx.take(idx, out=f[0, :k], mode="clip")
+            ay = cy.take(idx, out=f[1, :k], mode="clip")
+            r2 = np.multiply(ax, ax, out=f[2, :k])
+            r2 += np.multiply(ay, ay, out=f[3, :k])
             # z -> -1/z: (-x / r2, y / r2)
             np.negative(ax, out=ax)
             ax /= r2
@@ -236,31 +221,31 @@ def reduce_in_place(x, y, g=None, max_iter: int = 300) -> None:
             if deck:
                 ag = cg[idx][:, ::-1]
                 np.negative(ag[:, 0], out=ag[:, 0])
-            _translate(ax, ag, work.f[2, :k])
+            _translate(ax, ag, f[2, :k])
             cx[idx], cy[idx] = ax, ay
             if deck:
                 cg[idx] = ag
-            idx = idx[_inside(ax, ay, work)]
+            idx = idx[_inside(ax, ay, f, inside)]
         if idx.size:
             raise ReductionError(f"{idx.size} points still inside the unit circle "
-                                 f"after {max_iter} inversions")
+                                 f"after {MAX_INVERSIONS} inversions")
 
 
-def reduce_points(x, y, max_iter: int = 300, deck: bool = False):
+def reduce_points(x, y, deck: bool = False):
     """Vectorized reduction of coordinate arrays into F.
 
     Copies its inputs and reduces the copies with reduce_in_place, so x
     and y are left as they were.  Returns (x', y'), or (x', y', g) with
     deck=True, where g holds int64 matrices with g.z = z'.  Raises
-    ReductionError when a point needs more than max_iter inversions or a
-    deck entry would leave int64.
+    ReductionError when a point needs more than MAX_INVERSIONS inversions
+    or a deck entry would leave int64.
     """
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     shape = x.shape
     x, y = x.reshape(-1), y.reshape(-1)
     g = np.tile(np.eye(2, dtype=np.int64), (x.size, 1, 1)) if deck else None
-    reduce_in_place(x, y, g, max_iter)
+    reduce_in_place(x, y, g)
     if deck:
         return x.reshape(shape), y.reshape(shape), g.reshape(shape + (2, 2))
     return x.reshape(shape), y.reshape(shape)

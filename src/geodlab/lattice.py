@@ -31,6 +31,10 @@ from .halfplane import ModelPoint, ball_slice_sq, reduce_to_fundamental
 # the config reads MAX_SYSTOLE from here by name, as systole_grid's maximum
 from .torus import MAX_SYSTOLE, extremal_length, systole
 
+# systole_grid's minimum: at systole sy the depth point i/sy has window
+# edges up to about 2 sinh(tau) / sy, which reach 2^53 near sy = 1.2e-13
+# at MAX_ORBIT_RADIUS
+MIN_SYSTOLE = 1e-12
 MAX_ORBIT_RADIUS = 7.0
 MAX_SPREAD_RADIUS = 2.0
 # Tree words per block of _family_windows: bounds its row arrays.
@@ -52,8 +56,6 @@ _CONE_POINTS = {(0.0, 1.0): (0, 4, ((0, 1, -1, 0),)),
 
 @dataclass
 class OrbitPointSet:
-    center: ModelPoint
-    radius: float
     x: np.ndarray
     y: np.ndarray
 
@@ -238,7 +240,7 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
         z = x + 1j * y
         z = (inv.a * z + inv.b) / (inv.c * z + inv.d)
         x, y = z.real, z.imag
-    return OrbitPointSet(center=center, radius=tau, x=x, y=y)
+    return OrbitPointSet(x=x, y=y)
 
 
 def orbit_count(X: ModelPoint, center: ModelPoint, tau: float,

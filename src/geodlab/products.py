@@ -2,12 +2,13 @@
 
 A product of m once-punctured tori carries the sup metric, and deep in
 a cusp each factor's systole is exactly 1/Im, so the average of the
-contraction ratio (l(X)/l(z))^s over a ball is an explicit
-two-dimensional integral, raised to the m-th power for m factors; the
-Monte Carlo checks are compared against that quadrature.  The ladder
-inequalities are verified pointwise for one factor (m = 1), where the
-bias functions are f_1 = (eps_1 / l)^s and u = 1 + f_1, with normalized
-statistics whose ratios never leave float range.
+contraction ratio (l(X)/l(z))^s, s = BIAS_EXPONENT = 1/2, over a ball is
+an explicit two-dimensional integral, raised to the m-th power for m
+factors; the Monte Carlo checks are compared against that quadrature.
+The ladder inequalities are verified pointwise for one factor (m = 1)
+at centres deep in the cusp, where the bias functions are
+f_1 = (eps_1 / l)^s and u = 1 + f_1, with normalized statistics whose
+ratios never leave float range.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import numpy.random  # cli.worker_stream's generators; numpy loads it lazily
 
 from .halfplane import ModelPoint, sample_ball_arrays
-from .torus import BiasParams, systole, systole_values
+from .torus import BIAS_EXPONENT, BiasParams, systole, systole_values
 
 # The largest radius contraction_ratio_exact integrates over.  Its
 # integrand (cosh rho - sinh rho cos t)^-s peaks where the base is
@@ -89,10 +90,10 @@ def _quad(f, a: float, b: float, limit: int, counters) -> tuple:
     return out[0], out[2]["neval"]
 
 
-def _ring_average(rho: float, s: float, counters=None) -> float:
+def _ring_average(rho: float, counters=None) -> float:
     # cosh, sinh and the exponent are fixed for one ring; hoisting them
     # leaves every integrand value, and so quad's subdivision, unchanged
-    ch, sh, e, cos = math.cosh(rho), math.sinh(rho), -s, math.cos
+    ch, sh, e, cos = math.cosh(rho), math.sinh(rho), -BIAS_EXPONENT, math.cos
     val, neval = _quad(lambda t: (ch - sh * cos(t)) ** e,
                        0.0, 2.0 * math.pi, 200, counters)
     if counters is not None:
@@ -101,8 +102,9 @@ def _ring_average(rho: float, s: float, counters=None) -> float:
     return val
 
 
-def contraction_ratio_exact(tau: float, s: float = 0.5, counters=None) -> float:
-    """Ball average of (l(X)/l(z))^s over the radius-tau ball, deep in a cusp.
+def contraction_ratio_exact(tau: float, counters=None) -> float:
+    """Ball average of (l(X)/l(z))^s, s = BIAS_EXPONENT, over the
+    radius-tau ball, deep in a cusp.
 
     Depth makes the systole exactly 1/Im, so the ratio depends only on the
     hyperbolic polar coordinates and the average is a plain double integral
@@ -112,10 +114,8 @@ def contraction_ratio_exact(tau: float, s: float = 0.5, counters=None) -> float:
     """
     if not 0.0 < tau <= MAX_CONTRACTION_RADIUS:
         raise ValueError(f"radius must lie in (0, {MAX_CONTRACTION_RADIUS}]")
-    if not (0.0 < s < 1.0):
-        raise ValueError("exponent must lie in (0, 1)")
     area = 2.0 * math.pi * (math.cosh(2.0 * tau) - 1.0)
-    val, _ = _quad(lambda p: _ring_average(p, s, counters) * math.sinh(p),
+    val, _ = _quad(lambda p: _ring_average(p, counters) * math.sinh(p),
                    0.0, 2.0 * tau, 400, counters)
     return val / area
 
@@ -127,18 +127,15 @@ class ContractionCheck:
     estimate: float
     sigma: float
 
-    @property
-    def ok(self) -> bool:
-        return abs(self.estimate - self.exact) <= 3.0 * self.sigma + 1e-12
-
 
 def verify_contraction(j: int, tau: float, n: int, rng,
                        counters=None) -> ContractionCheck:
     """Monte Carlo ball average of the j-factor ratio against the quadrature.
 
     All j factors sit at the same representable depth; the ratio statistic
-    is a product of per-factor (Im z / Im X)^(1/2) terms, each bounded by
-    e^tau, so no bias thresholds enter the estimate at all.
+    is a product of per-factor (Im z / Im X)^s terms, s = BIAS_EXPONENT,
+    each bounded by e^(2 s tau), so no bias thresholds enter the estimate
+    at all.
     """
     if n < 1000:
         raise ValueError("fewer than 1000 samples is rejected as meaningless")
@@ -152,8 +149,8 @@ def verify_contraction(j: int, tau: float, n: int, rng,
     center = ModelPoint(0.0, y0)
     for _ in range(j):
         _, y = sample_ball_arrays(center, tau, n, rng)
-        stat *= (y / y0) ** 0.5
-    exact = contraction_ratio_exact(tau, 0.5, counters) ** j
+        stat *= (y / y0) ** BIAS_EXPONENT
+    exact = contraction_ratio_exact(tau, counters) ** j
     est = float(stat.mean())
     sigma = float(stat.std(ddof=1) / math.sqrt(n))
     return ContractionCheck(samples=n, exact=exact, estimate=est,
@@ -166,9 +163,6 @@ def verify_contraction(j: int, tau: float, n: int, rng,
 
 @dataclass(frozen=True)
 class PointCheck:
-    x: float
-    y: float
-    region: int
     reading: str
     estimate: float
     bound: float
@@ -188,12 +182,8 @@ class InequalityReport:
     checks: list
 
     @property
-    def thin_checks(self) -> list:
-        return [c for c in self.checks if c.region >= 1]
-
-    @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.thin_checks)
+        return all(c.ok for c in self.checks)
 
 
 def classify_region(z: ModelPoint, params: BiasParams) -> int:
@@ -208,14 +198,15 @@ def classify_region(z: ModelPoint, params: BiasParams) -> int:
 
 
 def verify_system(params: BiasParams, centers, contraction_bound: float,
-                  tau: float, n: int, rng, declared_region: int | None = None) -> InequalityReport:
+                  tau: float, n: int, rng) -> InequalityReport:
     """Check E[u_j(z)] <= c u_j(X) + u_{j-1}(X)/(2K) over balls around centers.
 
-    Statistics are normalized by their center value so every sampled ratio
-    is bounded by e^(2 s tau).  Both the tail reading (u_j) and the full
-    reading (u) are recorded for cusp points; for points outside every cusp
-    region the full reading's additive excess is recorded instead of a
-    pass/fail, since u contains the non-contracting constant term.
+    Every center must lie in the cusp region (classify_region 1), else
+    ValueError: outside it u's non-contracting constant term dominates
+    and the inequality has nothing to check.  Statistics are normalized
+    by their center value so every sampled ratio is bounded by
+    e^(2 s tau).  Each center gets the tail reading (u_j) and the full
+    reading (u).
     """
     if n < 1000:
         raise ValueError("fewer than 1000 samples is rejected as meaningless")
@@ -225,28 +216,20 @@ def verify_system(params: BiasParams, centers, contraction_bound: float,
     inv2K = 0.5 * math.exp(-params.log_K)
     checks = []
     for X in centers:
-        j = classify_region(X, params)
-        if declared_region is not None and j != declared_region:
-            raise ValueError(
-                f"point {X.z} lies in region {j}, not declared region {declared_region}"
-            )
+        if classify_region(X, params) != 1:
+            raise ValueError(f"point {X.z} lies outside the cusp region")
         lX = systole(X)[1]
-        f1 = float(np.exp(params.s * (params.log_eps - np.log(lX))))
+        f1 = float(np.exp(BIAS_EXPONENT * (params.log_eps - np.log(lX))))
         u = f1 + 1.0
         xs, ys = sample_ball_arrays(X, tau, n, rng)
         lz = systole_values(xs, ys)
         # ratio f1(z)/f1(X) without leaving float range
-        r1 = np.exp(params.s * (math.log(lX) - np.log(lz)))
+        r1 = np.exp(BIAS_EXPONENT * (math.log(lX) - np.log(lz)))
         ru = (1.0 + f1 * r1) / u
         estu = float(ru.mean())
         sigu = float(ru.std(ddof=1) / math.sqrt(n))
-        if j == 1:
-            est = float(r1.mean())
-            sig = float(r1.std(ddof=1) / math.sqrt(n))
-            bound = c + (u / f1) * inv2K
-            checks.append(PointCheck(X.x, X.y, 1, "u_tail", est, bound, sig))
-            boundu = c + inv2K + 1.0 / u
-            checks.append(PointCheck(X.x, X.y, 1, "u", estu, boundu, sigu))
-        else:
-            checks.append(PointCheck(X.x, X.y, 0, "u", estu, c, sigu))
+        est = float(r1.mean())
+        sig = float(r1.std(ddof=1) / math.sqrt(n))
+        checks.append(PointCheck("u_tail", est, c + (u / f1) * inv2K, sig))
+        checks.append(PointCheck("u", estu, c + inv2K + 1.0 / u, sigu))
     return InequalityReport(checks=checks)

@@ -4,13 +4,14 @@ Extremal length is the single length functional: for a curve class (p,q)
 on the torus of modulus z it is |p + qz|^2 / Im z, the squared flat
 length over the area.  The systole is its minimum over primitive classes.
 
-BiasParams is the parameter pack (s, tau, K, top eps rung) of the bias
+BiasParams is the parameter pack (tau, K, top eps rung) of the bias
 functions f_j = prod (eps_i / l_i)^s and u = sum f_j on a product of m
-tori.  products reads the depth of the top rung eps_m for the m-factor
-contraction check, and evaluates f_1 and u for one factor, where eps_1
-is that top rung.  Eps values decay so fast that they are stored as
-logarithms; everything that consumes them works in log space and only
-exponentiates quantities that are representable.
+tori.  The exponent s is the constant BIAS_EXPONENT = 1/2, the one
+value the checks use.  products reads the depth of the top rung eps_m
+for the m-factor contraction check, and evaluates f_1 and u for one
+factor, where eps_1 is that top rung.  Eps values decay so fast that
+they are stored as logarithms; everything that consumes them works in
+log space and only exponentiates quantities that are representable.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .halfplane import ModelPoint, reduce_points, reduce_to_fundamental
 
 # Largest possible systole, attained at the hexagonal point.
 MAX_SYSTOLE = 2.0 / math.sqrt(3.0)
+# The exponent s of the bias functions and of the contraction ratio.
+BIAS_EXPONENT = 0.5
 
 # On F the systole is attained among these classes: any |q| >= 2 gives
 # Ext >= q^2 y >= 4*(sqrt(3)/2) > MAX_SYSTOLE, and |p| >= 2 with |q| <= 1
@@ -102,25 +105,22 @@ class BiasParams:
     """
 
     m: int
-    s: float
     tau: float
     log_K: float
     log_eps: float
     log_eps_prime: float
 
     @staticmethod
-    def default(m: int = 1, tau: float = 3.0, s: float = 0.5) -> "BiasParams":
+    def default(m: int = 1, tau: float = 3.0) -> "BiasParams":
         """Canonical top rung: eps_m = K^{-3}/2, with 2x slack."""
         log_K = 2.0 * m * tau + math.log1p(1e-3)
         log_eps = -3.0 * log_K - math.log(2.0)
         log_eps_prime = log_eps - math.log(m) - 2.0 * log_K
-        p = BiasParams(m, s, tau, log_K, log_eps, log_eps_prime)
+        p = BiasParams(m, tau, log_K, log_eps, log_eps_prime)
         p.validate()
         return p
 
     def validate(self):
-        if not (0.0 < self.s < 1.0):
-            raise ValueError("exponent s must lie in (0, 1)")
         if self.log_K <= 2.0 * self.m * self.tau:
             raise ValueError("K must exceed e^{2 m tau}")
         if self.log_eps >= -3.0 * self.log_K:

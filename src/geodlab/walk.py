@@ -35,8 +35,9 @@ mask keeps.
 Every skipped node would add exactly zero, so counts, snapshots and
 per-step totals are those of the full-row DP.
 
-Public distances (tau, c1, c2, radii) are in the model metric, half the
-hyperbolic one.  Row algebra runs in hyperbolic units internally.
+Public distances (tau, radii, NET_SEPARATION, NET_COVERING) are in the
+model metric, half the hyperbolic one.  Row algebra runs in hyperbolic
+units internally.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ XSTEP = 2.4  # row-net x spacing in units of the row height
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 MAX_NET_RADIUS = 8.0
 MAX_STREAM = 2_000_000
+# The greedy net's points are NET_SEPARATION apart, and every point of
+# its ball lies within NET_COVERING of one of them.
+NET_SEPARATION = 1.0
+NET_COVERING = 2.0
 NODE_BUDGET = 10_000_000
 # Integers below 2^53 are exact in float64.  Every DP entry and prefix sum
 # is at most its step's total, so a total below this keeps them all exact.
@@ -70,15 +75,13 @@ def _is_thin(systoles, delta: float):
 
 
 # ---------------------------------------------------------------------------
-# Greedy metric net: c1-separated, c2-covering inside one ball.
+# Greedy metric net: separated and covering inside one ball.
 
 
 @dataclass(frozen=True)
 class GreedyNet:
     """Separated covering subset of a ball, with coordinate arrays."""
 
-    center: ModelPoint
-    radius: float
     x: np.ndarray
     y: np.ndarray
 
@@ -98,9 +101,9 @@ def _sector_count(k: int) -> int:
     return max(8, math.ceil(math.pi * math.sinh(k + 1)))
 
 
-def build_net(center: ModelPoint, radius: float, rng,
-              c1: float = 1.0, c2: float = 2.0) -> GreedyNet:
-    """Greedy c1-separated net covering the radius-r ball to scale c2.
+def build_net(center: ModelPoint, radius: float, rng) -> GreedyNet:
+    """Greedy NET_SEPARATION-separated net covering the radius-r ball to
+    scale NET_COVERING.
 
     The candidate stream is deterministic, so the accepted point set only
     depends on the stream length; rng drives the coverage probes.  If the
@@ -109,15 +112,12 @@ def build_net(center: ModelPoint, radius: float, rng,
     """
     if not 0.0 <= radius <= MAX_NET_RADIUS:
         raise ValueError(f"net radius must lie in [0, {MAX_NET_RADIUS}]")
-    if not 0.0 < c1 <= c2:
-        raise ValueError("need 0 < c1 <= c2")
     if radius == 0.0:
-        return GreedyNet(center, 0.0, np.array([center.x]),
-                         np.array([center.y]))
-    sep = 2.0 * c1  # hyp units
+        return GreedyNet(np.array([center.x]), np.array([center.y]))
+    sep = 2.0 * NET_SEPARATION  # hyp units
     span = math.ceil(sep)
     stream_n = min(int(10.0 * (math.cosh(2.0 * radius) - 1.0)
-                       / (math.cosh(c1) - 1.0)) + 64, MAX_STREAM)
+                       / (math.cosh(NET_SEPARATION) - 1.0)) + 64, MAX_STREAM)
     while True:
         sx, sy, srho, sphi = _stream_points(center, radius, stream_n)
         acc_x: list = []
@@ -169,8 +169,8 @@ def build_net(center: ModelPoint, radius: float, rng,
         px, py = sample_ball_arrays(center, radius, 1000, rng)
         dmin = hyp_dist_arrays(px[:, None], py[:, None],
                                ax[None, :], ay[None, :]).min(axis=1)
-        if float(dmin.max()) <= 2.0 * c2:
-            return GreedyNet(center, radius, ax, ay)
+        if float(dmin.max()) <= 2.0 * NET_COVERING:
+            return GreedyNet(ax, ay)
         if stream_n >= MAX_STREAM:
             raise ResourceError(
                 f"coverage not reached with {stream_n} stream points; "
@@ -178,13 +178,12 @@ def build_net(center: ModelPoint, radius: float, rng,
         stream_n = min(2 * stream_n, MAX_STREAM)
 
 
-def net_size_slope(center: ModelPoint, radii, rng,
-                   c1: float = 1.0, c2: float = 2.0):
+def net_size_slope(center: ModelPoint, radii, rng):
     """Net sizes over a radius grid and the fitted log-size growth rate."""
     radii = [float(r) for r in radii]
     if len(radii) < 2:
         raise ValueError("need at least two radii to fit a growth rate")
-    sizes = [build_net(center, r, rng, c1, c2).size for r in radii]
+    sizes = [build_net(center, r, rng).size for r in radii]
     slope, _ = ls_slope(radii, np.log(sizes))
     return sizes, slope
 
@@ -228,8 +227,6 @@ class RowNet:
     points it reduced to 'walk.swept_points'.
     """
 
-    center: ModelPoint
-    radius: float
     rows: tuple
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -408,7 +405,7 @@ def build_row_net(anchor: float, center: ModelPoint, radius: float) -> RowNet:
         if nodes > NODE_BUDGET:
             raise ResourceError(over)
         rows.append(NetRow(y=y, s=s, j_lo=j_lo, j_hi=j_hi))
-    return RowNet(center=center, radius=radius, rows=tuple(rows))
+    return RowNet(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,8 @@ def test_criterion_05_inequality_system():
     lys = rng.uniform(36.0, 44.0, 100)
     centers = [ModelPoint(float(x), float(math.exp(ly)))
                for x, ly in zip(xs, lys)]
-    c = contraction_ratio_exact(3.0, 0.5)
-    report = verify_system(params, centers, c, 3.0, 200_000, rng,
-                           declared_region=1)
+    c = contraction_ratio_exact(3.0)
+    report = verify_system(params, centers, c, 3.0, 200_000, rng)
     inv2k = 0.5 * math.exp(-params.log_K)
     # the homogeneous bound: averaged u against (c + 1/(2K)) u, with no
     # additive allowance, valid because every center is deep in the cusp

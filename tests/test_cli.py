@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodlab import cli, words
+from geodlab import cli, flow, lattice, words
 from geodlab.cli import COLUMNS, RUNNERS, main, run, worker_stream
 from geodlab.config import EXPERIMENTS, OWNERS, build_config
 from geodlab.report import CountReport, fmt_value, ls_slope
@@ -207,6 +207,15 @@ def test_main_out_keeps_an_existing_report_when_the_run_raises(
     # one systole leaves no thin-to-thick ratio; none is above MAX_SYSTOLE
     (["lattice", "--set", "systole_grid=0.1"], "lattice.systole_grid"),
     (["lattice", "--set", "systole_grid=0.1,1e300"], "lattice.systole_grid"),
+    # a lattice window edge past 2^53 at tau = 6, and a census time
+    # below the box diameter 0.3 that closing_constants needs t above
+    (["lattice", "--set", "systole_grid=1e-14,0.1"], "lattice.systole_grid"),
+    (["close", "--set", "r_grid=0.2,1"], "close.r_grid"),
+    # a box of radius 0.15 holds at most MAX_BOX_FRACTION of the frames
+    (["mix", "--set",
+      f"fraction={float(np.nextafter(flow.MAX_BOX_FRACTION, 1.0))!r}"],
+     "mix.fraction"),
+    (["close", "--set", "fraction=0.3"], "close.fraction"),
 ])
 def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
                                                  monkeypatch):
@@ -245,6 +254,28 @@ def test_main_refuses_a_row_net_past_its_node_budget(experiment, tmp_path,
         assert "Traceback" not in err
     assert out.read_text() == "an earlier report\n"
     assert not fresh.exists()
+
+
+def test_main_refuses_a_census_past_its_frame_budget(tmp_path, capsys,
+                                                     monkeypatch):
+    # r = 5 over r_grid[0] = 0.5 asks for 32,000 e^9 = 259,298,686 frames
+    def no_sampling(n, rng):
+        raise AssertionError("a census started")
+
+    monkeypatch.setattr(flow, "sample_fund", no_sampling)
+    out = tmp_path / "r.txt"
+    out.write_text("an earlier report\n")
+    assert main(["close", "--set", "r_grid=0.5,5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and "MAX_CENSUS_FRAMES" in err
+    assert "259298686" in err and "Traceback" not in err
+    assert out.read_text() == "an earlier report\n"
+
+
+def test_lattice_runs_at_its_smallest_systole(capsys):
+    grid = f"systole_grid={lattice.MIN_SYSTOLE!r},0.1"
+    assert main(["lattice", "--set", grid, "--set", "tau_grid=2,7"]) == 0
+    assert "orbit_cell_ratio;1e-12;7;" in capsys.readouterr().out
 
 
 def test_main_seed_controls_body(tmp_path):

@@ -73,10 +73,20 @@ def test_minimum_enforced():
     from geodlab.words import MIN_AXIS_STEP
     with pytest.raises(ConfigError, match=f"must be at least {MIN_AXIS_STEP}"):
         ExperimentConfig("veech", params={"step": MIN_AXIS_STEP * 0.99})
+    # a grid's minimum bounds each entry
+    from geodlab.flow import MIN_CENSUS_TIME
+    from geodlab.lattice import MIN_SYSTOLE
+    for experiment, key, bottom in (("close", "r_grid", MIN_CENSUS_TIME),
+                                    ("lattice", "systole_grid", MIN_SYSTOLE)):
+        grid = f"{bottom!r}, 1"
+        assert ExperimentConfig(experiment, params={key: grid}).params[key][0] == bottom
+        with pytest.raises(ConfigError, match=f"{experiment}.{key}: entries "
+                                              f"must be at least {bottom}"):
+            ExperimentConfig(experiment, params={key: f"{bottom * 0.99!r}, 1"})
 
 
 def test_maximum_enforced_from_the_runners_modules():
-    from geodlab.flow import MAX_CENSUS_TIME, MAX_MIX_TIME
+    from geodlab.flow import MAX_BOX_FRACTION, MAX_CENSUS_TIME, MAX_MIX_TIME
     from geodlab.lattice import MAX_ORBIT_RADIUS, MAX_SPREAD_RADIUS
     from geodlab.products import MAX_CONTRACTION_RADIUS
     from geodlab.torus import MAX_SYSTOLE
@@ -85,7 +95,9 @@ def test_maximum_enforced_from_the_runners_modules():
                                  ("veech", "step", MAX_AXIS_STEP),
                                  ("assemble", "r", MAX_ENUM_LENGTH),
                                  ("lattice", "spread_radius", MAX_SPREAD_RADIUS),
-                                 ("mix", "time", MAX_MIX_TIME)):
+                                 ("mix", "time", MAX_MIX_TIME),
+                                 ("mix", "fraction", MAX_BOX_FRACTION),
+                                 ("close", "fraction", MAX_BOX_FRACTION)):
         assert ExperimentConfig(experiment, params={key: top}).params[key] == top
         with pytest.raises(ConfigError, match=f"{experiment}.{key}: must be at most"):
             ExperimentConfig(experiment, params={key: top * 1.01})

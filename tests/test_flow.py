@@ -5,7 +5,7 @@ import pytest
 
 from geodlab import flow as flow_module
 from geodlab.halfplane import ModelPoint, ReductionError
-from geodlab.flow import (MAX_MIX_TIME, Box, axis_distance,
+from geodlab.flow import (MAX_BOX_FRACTION, MAX_MIX_TIME, axis_distance,
                           closing_constants, flow,
                           frame_base_dir, frames_from_points, in_box,
                           margulis_count, measure_box, mixing_correlation,
@@ -80,9 +80,14 @@ def test_box_measure_fraction():
     assert box.fraction == pytest.approx(0.02, rel=1e-12)
     assert box.dtheta == pytest.approx(0.461946127, abs=1e-8)
     with pytest.raises(ValueError):
-        Box.with_measure(ModelPoint(0.0, 1.5), 0.01, 0.0, 0.5)  # angle > 2pi
+        measure_box(0.5)  # angle > 2pi
     with pytest.raises(ValueError):
-        Box.with_measure(ModelPoint(0.0, 1.5), 0.15, 0.0, 0.0)
+        measure_box(0.0)
+    # the largest fraction takes every angle, and the next float up
+    # would need more
+    assert measure_box(MAX_BOX_FRACTION).dtheta == 2.0 * math.pi
+    with pytest.raises(ValueError, match="fraction too large"):
+        measure_box(np.nextafter(MAX_BOX_FRACTION, 1.0))
 
 
 def test_sample_box_membership():
@@ -137,7 +142,7 @@ def test_census_ladder_frozen():
         c1, eps = closing_constants(box, t)
         assert census.worst_length_gap <= 2.0 * c1
         assert 2.0 * census.worst_axis_dist <= eps
-        assert census.frac_within(3.0) >= 0.8
+        assert census.frac_within_3x >= 0.8
 
 
 def test_census_refuses_a_deck_without_determinant_1(monkeypatch):
@@ -152,7 +157,7 @@ def test_census_refuses_a_deck_without_determinant_1(monkeypatch):
 
 def test_axis_distance_on_and_off_axis():
     m = word_to_matrix((1, 1))
-    tr = m.trace
+    tr = m.a + m.d
     disc = math.sqrt(tr * tr - 4.0)
     c0 = (m.a - m.d) / (2.0 * m.c)
     r0 = disc / (2.0 * m.c)

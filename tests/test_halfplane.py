@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodlab import halfplane
 from geodlab.halfplane import (BOUNDARY_TOL, FUND_AREA, TOTAL_FRAME_MEASURE,
                                MappingClass, ModelPoint,
                                ReductionError, ball_slice_sq, hyp_ball_area,
@@ -82,7 +83,7 @@ def test_mapping_class_algebra():
     with pytest.raises(ValueError):
         MappingClass(1, 1, 1, 1)
     m = MappingClass(2, 1, 1, 1)
-    assert m.trace == 3
+    assert m.a + m.d == 3
     assert (m * m.inverse()) == MappingClass.identity()
     assert hash(m) == hash(MappingClass(2, 1, 1, 1))
 
@@ -149,8 +150,9 @@ def test_reduce_points_deck_matches_scalar(pts):
 @given(st.floats(0.01, 0.5), st.booleans())
 def test_reduce_points_raises_at_cap(x, negate):
     # one inversion lifts 1e-14 to at most 1e-10: far short of F
-    with pytest.raises(ReductionError):
-        reduce_points([-x if negate else x], [1e-14], max_iter=1)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ReductionError):
+        mp.setattr(halfplane, "MAX_INVERSIONS", 1)
+        reduce_points([-x if negate else x], [1e-14])
 
 
 def _bits(a):
@@ -173,21 +175,23 @@ def test_reduce_points_copies_then_runs_the_in_place_core(pts, deck):
         assert np.array_equal(out[2], g)
 
 
-def test_reduce_in_place_raises_at_cap_and_on_deck_overflow():
-    with pytest.raises(ReductionError):
-        reduce_in_place(np.array([0.3]), np.array([1e-14]), max_iter=1)
+def test_reduce_in_place_raises_at_cap_and_on_deck_overflow(monkeypatch):
+    with monkeypatch.context() as mp, pytest.raises(ReductionError):
+        mp.setattr(halfplane, "MAX_INVERSIONS", 1)
+        reduce_in_place(np.array([0.3]), np.array([1e-14]))
     # the translation 3e19 does not fit in an int64 deck entry
     g = np.eye(2, dtype=np.int64)[None]
     with pytest.raises(ReductionError):
         reduce_in_place(np.array([3e19]), np.array([1.0]), g)
 
 
-def test_reduce_points_deep_cusp_batch():
+def test_reduce_points_deep_cusp_batch(monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.uniform(-0.5, 0.5, 1000)
     y = np.full(1000, 1e-14)
-    with pytest.raises(ReductionError):
-        reduce_points(x, y, max_iter=5)
+    with monkeypatch.context() as mp, pytest.raises(ReductionError):
+        mp.setattr(halfplane, "MAX_INVERSIONS", 5)
+        reduce_points(x, y)
     rx, ry = reduce_points(x, y)
     assert np.all(rx * rx + ry * ry >= 1.0 - BOUNDARY_TOL)
 

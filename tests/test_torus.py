@@ -131,11 +131,8 @@ def test_bias_params_default_ladder():
 def test_bias_params_validation_errors():
     good = BiasParams.default(m=1, tau=3.0)
     with pytest.raises(ValueError, match="top eps"):  # eps too big
-        BiasParams(1, 0.5, 3.0, 6.001, math.log(0.5),
+        BiasParams(1, 3.0, 6.001, math.log(0.5),
                    good.log_eps_prime).validate()
     with pytest.raises(ValueError, match="K must exceed"):  # K too small
-        BiasParams(1, 0.5, 3.0, 0.0, math.log(1e-9),
-                   good.log_eps_prime).validate()
-    with pytest.raises(ValueError):
-        BiasParams(1, 1.5, good.tau, good.log_K, good.log_eps,
+        BiasParams(1, 3.0, 0.0, math.log(1e-9),
                    good.log_eps_prime).validate()

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from geodlab import walk
 from geodlab.halfplane import ModelPoint, hyp_dist_arrays, sample_ball_arrays
 from geodlab.torus import systole_values
-from geodlab.walk import (NetRow, ResourceError, _is_thin, _reach, _windows,
-                          build_net, build_row_net, count_trajectories,
-                          net_size_slope)
+from geodlab.walk import (NET_COVERING, NET_SEPARATION, NetRow, ResourceError,
+                          _is_thin, _reach, _windows, build_net, build_row_net,
+                          count_trajectories, net_size_slope)
 
 
 def test_greedy_net_sizes_frozen():
@@ -29,13 +29,13 @@ def test_greedy_net_separation_and_coverage():
     d = 0.5 * hyp_dist_arrays(net.x[:, None], net.y[:, None],
                               net.x[None, :], net.y[None, :])
     sep = d[~np.eye(net.size, dtype=bool)].min()
-    assert sep >= 1.0  # build_net's default c1
+    assert sep >= NET_SEPARATION
     assert sep == pytest.approx(1.004436, abs=1e-5)
     px, py = sample_ball_arrays(ModelPoint(0, 1), 2.0, 2000,
                                 np.random.default_rng(2))
     gap = 0.5 * hyp_dist_arrays(px[:, None], py[:, None],
                                 net.x[None, :], net.y[None, :]).min(axis=1).max()
-    assert gap <= 2.0  # and c2
+    assert gap <= NET_COVERING
     assert gap == pytest.approx(1.061005, abs=1e-5)
 
 
@@ -49,8 +49,6 @@ def test_greedy_net_guards():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         build_net(ModelPoint(0, 1), 9.0, rng)
-    with pytest.raises(ValueError):
-        build_net(ModelPoint(0, 1), 2.0, rng, c1=2.0, c2=1.0)
     net0 = build_net(ModelPoint(0.3, 1.7), 0.0, rng)
     assert net0.size == 1 and net0.x[0] == 0.3 and net0.y[0] == 1.7
     with pytest.raises(ValueError):

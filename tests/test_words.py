@@ -95,7 +95,7 @@ def _class_of(exps) -> tuple:
     canonical and word_to_matrix."""
     c = canonical(exps)
     m = word_to_matrix(c)
-    return m.trace, c, teich_length_from_trace(m.trace), m.entries()
+    return m.a + m.d, c, teich_length_from_trace(m.a + m.d), m.entries()
 
 
 def _table(classes) -> ClassTable:
@@ -122,9 +122,9 @@ def test_length_from_trace():
 def test_word_to_matrix_simplest():
     m = word_to_matrix((1, 1))
     assert m.entries() == (1, 1, 1, 2)
-    assert m.trace == 3
+    assert m.a + m.d == 3
     m2 = word_to_matrix((2, 1))
-    assert m2.trace == 4
+    assert m2.a + m2.d == 4
 
 
 def test_canonical_rotation_invariance():
@@ -175,9 +175,10 @@ def test_enumerate_respects_bound_and_canonical():
     for trace, exps, length, entries in classes:
         assert length <= 3.0 + 1e-12
         assert exps == canonical(exps)
-        assert trace == word_to_matrix(exps).trace
+        m = word_to_matrix(exps)
+        assert trace == m.a + m.d
         # the entries carried over from the enumeration are the word's matrix
-        assert MappingClass(*entries) == word_to_matrix(exps)
+        assert MappingClass(*entries) == m
         assert length == pytest.approx(teich_length_from_trace(trace),
                                        rel=1e-12)
         # and the class equals the one built from its word alone
@@ -280,7 +281,7 @@ def test_axis_samples_lie_on_axis_and_hit_apex():
     sig, x, y = axis_samples(exps, step=0.02)
     # the axis is the semicircle through the two fixed points of m
     c0 = (m.a - m.d) / (2.0 * m.c)
-    r0 = math.sqrt(float(m.trace ** 2 - 4)) / (2.0 * m.c)
+    r0 = math.sqrt(float((m.a + m.d) ** 2 - 4)) / (2.0 * m.c)
     assert np.allclose((x - c0) ** 2 + y ** 2, r0 * r0, rtol=1e-9)
     assert y.max() == pytest.approx(r0, rel=1e-12)  # apex present
     with pytest.raises(ValueError):
