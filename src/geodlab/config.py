@@ -72,7 +72,8 @@ EXPERIMENTS: dict = {
     },
     "mix": {
         "time": ParamSpec("float", 6.0, minimum=1.0, maximum="MAX_MIX_TIME"),
-        "samples": ParamSpec("int", 1_000_000, minimum=10_000),
+        "samples": ParamSpec("int", 1_000_000, minimum="MIN_MIXING_SAMPLES",
+                             maximum="MAX_MIX_SAMPLES"),
         "fraction": ParamSpec("prob", 0.02, maximum="MAX_BOX_FRACTION"),
     },
     "close": {

@@ -42,6 +42,8 @@ MAX_CENSUS_FRAMES = 4_000_000
 # int64.
 MAX_MIX_TIME = 10.0
 MIN_MIXING_SAMPLES = 10_000
+# mixing_correlation holds every frame at once: 410 MB of peak RSS at 2M
+MAX_MIX_SAMPLES = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,8 @@ def mixing_correlation(box: Box, t: float, n: int, rng) -> MixingEstimate:
     i.i.d. Bernoulli, so the std error is fraction * sqrt(p (1 - p) / n)
     at hit rate p.
     """
-    if n < MIN_MIXING_SAMPLES:
-        raise ValueError(f"need at least {MIN_MIXING_SAMPLES} samples")
+    if not MIN_MIXING_SAMPLES <= n <= MAX_MIX_SAMPLES:
+        raise ValueError(f"n must be {MIN_MIXING_SAMPLES}..{MAX_MIX_SAMPLES}")
     if not abs(t) <= MAX_MIX_TIME:
         raise ValueError(
             f"flow time must lie in [-{MAX_MIX_TIME}, {MAX_MIX_TIME}]")

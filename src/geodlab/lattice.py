@@ -14,7 +14,7 @@ two rows give one family exactly when the stabilizer, acting on rows
 from the right, maps one onto the other; the rows are tested in exact
 integers and each family keeps only the first of its rows.  Rows and
 their Bezout partners come from the Stern-Brocot tree, with no gcd and
-no Euclid, as int64/float64 arrays, one block per chunk.
+no Euclid, as int64/float64 arrays: one walk serves all of a centre's radii.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -64,49 +64,69 @@ class OrbitPointSet:
         return int(self.x.size)
 
 
-def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int,
-                 cone=None):
-    """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, in blocks.
+def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
+    """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, per radius.
 
     (0, 1) comes first, then (1, 0), then the Stern-Brocot tree: each word
     [[a, b], [c, e]] in L = [[1, 1], [0, 1]] and R = [[1, 0], [1, 1]] that
     starts with R is one coprime (c, e >= 1), giving the rows (c, +-e) with
     top rows (+-a, b).  Descendants have larger c and e, so each step
     appends a whole run, L^j after an R and R^j after an L, while e stays
-    within the window of some c' >= c.  The tree is walked depth first in
-    chunks of at most ROW_BLOCK words, one block each, with the number of
-    coprime rows scanned: those in the float window (c x0 + d)^2 + c^2 y0^2
-    <= q_max.  Kept partners move to Euclid's, -(c // 2) <= a0 < c - c // 2.
+    within the window of some c' >= c, and builds (c, +-e) while +-e does.
+    The tree is walked depth first in chunks of at most ROW_BLOCK words,
+    one block each, with the number of coprime rows scanned: those in the
+    float window (c x0 + d)^2 + c^2 y0^2 <= q_max.  Kept partners move to
+    Euclid's, -(c // 2) <= a0 < c - c // 2.
 
     At a cone point, cone = (n, m, images) from _CONE_POINTS, the window
     is the exact 4q = (c n + 2d)^2 + c^2 m <= 4 q_max: the float window is
     widened by one on each side and cut back by that test, so a row and
     its stabilizer images are scanned together.  A row is kept when it
     precedes each image (up to sign) in (c, d) order: its family's first row.
+
+    Blocks come as (k, c, d, a0, b0, scanned), k indexing the increasing
+    q_maxes.  The walk, for the last, gathers the rows kept in the window
+    before; each smaller radius, largest first, cuts them to its own nested
+    window in one block, scanning order times the rows kept there.
     """
-    # (0, 1), with q = 1, comes first; an exact window may leave it out
-    one = np.ones(1 if cone is None or q_max >= 1.0 else 0, np.int64)
-    yield 0 * one, one, one, 0 * one, one.size
-    # At a cone point y0sq <= m / 4, so c_max and the c filter, with
-    # rounding monotone, never drop a c the exact window holds.
     widen, images = (1, cone[2]) if cone else (0, ())
-    dw = q_max - np.arange(1, c_max + 1, dtype=np.int64) ** 2 * y0sq
-    w = np.sqrt(dw[dw >= 0.0])  # dw falls with c: c = 1 .. w.size
-    cx = -np.arange(1, w.size + 1, dtype=np.int64) * x0
-    d_lo = np.ceil(cx - w).astype(np.int64) - widen
-    d_hi = np.floor(cx + w).astype(np.int64) + widen
-    # dmax[c - 1]: the largest |d| in the window of any c' >= c
-    dmax = np.maximum.accumulate(np.maximum(-d_lo, d_hi)[::-1])[::-1]
+    last, order = len(q_maxes) - 1, len(images) + 1
+    # (0, 1), with q = 1, comes first; an exact window may leave it out
+    one = np.ones(1 if cone is None or q_maxes[-1] >= 1.0 else 0, np.int64)
+    yield last, 0 * one, one, one, 0 * one, one.size
+    # At a cone point y0sq <= m / 4, so c_max and the c filter, with
+    # rounding monotone, never drop a c the exact window holds.  Each
+    # radius's window is empty past its own c range.
+    lo, hi = [], []
+    for q_max in q_maxes[::-1]:
+        c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
+        dw = q_max - np.arange(1, c_max + 1, dtype=np.int64) ** 2 * y0sq
+        w = np.sqrt(dw[dw >= 0.0])  # dw falls with c: c = 1 .. w.size
+        cx = -np.arange(1, w.size + 1, dtype=np.int64) * x0
+        pad = np.zeros(lo[0].size - w.size if lo else 0, np.int64)
+        lo.insert(0, np.append(np.ceil(cx - w).astype(np.int64) - widen,
+                               pad + 1))
+        hi.insert(0, np.append(np.floor(cx + w).astype(np.int64) + widen, pad))
+    d_lo, d_hi = lo[-1], hi[-1]
+    # reach[s][c - 1]: the largest d (s = 0) or -d (s = 1) in the window of
+    # any c' >= c; a side as long as dmax at every c, both at x0 = 0, is whole
+    reach = [np.maximum.accumulate(v[::-1])[::-1] for v in (d_hi, -d_lo)]
+    dmax = np.maximum(*reach)
+    reach = [slice(None) if np.array_equal(r, dmax) else r for r in reach]
     # c_top[e]: the last c whose window, or a later one, reaches e; the
-    # table stops at e = w.size, as no R-run reaches c + e > w.size
-    c_top = np.searchsorted(-dmax, -np.arange(w.size + 1), side="right")
+    # table stops at e = d_lo.size, as no R-run reaches c + e > d_lo.size
+    c_top = np.searchsorted(-dmax, -np.arange(d_lo.size + 1), side="right")
+    inner = [(np.zeros(0, np.int64),) * 4]
+
+    def window(k, c, d):
+        keep = (d >= lo[k][c - 1]) & (d <= hi[k][c - 1])
+        if cone:  # (n, m) = cone[:2]
+            cn = c * cone[0] + 2 * d
+            keep &= cn * cn + c * c * cone[1] <= 4.0 * q_maxes[k]
+        return keep
 
     def block(a, b, c, d):
-        keep = (d >= d_lo[c - 1]) & (d <= d_hi[c - 1])
-        if cone:
-            n, m, _ = cone
-            cn = c * n + 2 * d
-            keep &= cn * cn + c * c * m <= 4.0 * q_max
+        keep = window(last, c, d)
         scanned = int(np.count_nonzero(keep))
         # c >= 1 here, so an image with first entry 0 is +-(0, 1), which
         # comes first
@@ -117,16 +137,20 @@ def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int,
             keep &= (c < e) | ((c == e) & (d < f))
         a, b, c, d = a[keep], b[keep], c[keep], d[keep]
         k = (a + c // 2) // c
-        return c, d, a - k * c, b - k * d, scanned
+        rows = c, d, a - k * c, b - k * d
+        if last:
+            sub = (d >= lo[-2][c - 1]) & (d <= hi[-2][c - 1])
+            inner.append(tuple(v[sub] for v in rows))
+        return (last, *rows, scanned)
 
-    if w.size:
+    if d_lo.size:
         yield block(*(np.array([v]) for v in (0, -1, 1, 0)))
     # Entries: words (a, b, c, e), whether their runs are of R, and their
     # first child not yet taken.  The identity's R-runs are the roots.
     stack = [(*np.eye(2, dtype=np.int64).reshape(4, 1), True, 0)]
     while stack:
         a, b, c, e, r_run, i0 = stack.pop()
-        n = ((c_top[np.minimum(e, w.size)] - c) // e if r_run
+        n = ((c_top[np.minimum(e, d_lo.size)] - c) // e if r_run
              else (dmax[c - 1] - e) // c)
         # the children are numbered flat, run after run
         edges = np.concatenate(([0], np.cumsum(n)))
@@ -143,29 +167,38 @@ def _bottom_rows(x0: float, y0sq: float, q_max: float, c_max: int,
         else:
             b, e = b + j * a, e + j * c
         stack.append((a, b, c, e, not r_run, 0))
-        yield block(np.concatenate((a, -a)), np.concatenate((b, b)),
-                    np.concatenate((c, c)), np.concatenate((e, -e)))
+        p, m = (r if isinstance(r, slice) else e <= r[c - 1] for r in reach)
+        yield block(np.append(a[p], -a[m]), np.append(b[p], b[m]),
+                    np.append(c[p], c[m]), np.append(e[p], -e[m]))
+
+    rows = [np.concatenate(v) for v in zip(*inner)]
+    for k in range(last - 1, -1, -1):
+        keep = window(k, *rows[:2])
+        rows = [v[keep] for v in rows]
+        one = np.ones(1 if cone is None or q_maxes[k] >= 1.0 else 0, np.int64)
+        yield (k, *map(np.append, (0 * one, one, one, 0 * one), rows),
+               order * (one.size + rows[0].size))
 
 
-def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
-                    counters=None):
-    """Families as arrays (re0, y_pt, lo, hi) for a reduced X.
+@np.errstate(over="ignore", invalid="ignore")  # overflows reach the edge test
+def _family_windows(X: ModelPoint, center: ModelPoint, taus,
+                    counters=None) -> list:
+    """Families (re0, y_pt, lo, hi) of a reduced X, per increasing tau.
 
     Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi.
     At a cone point of _CONE_POINTS, _bottom_rows yields one row per
     family, each inside the exact window.
     Raises OverflowError once a window edge reaches EXACT_EDGE_LIMIT or
-    is nan, as it is once Im X^2 overflows (Im X above about 1.3e154).  With
-    a counters mapping, adds the coprime rows scanned and the families kept.
+    is nan, as it is once Im X^2 overflows (Im X above about 1.3e154) or
+    the ball's slice does.  With a counters mapping, adds the coprime rows
+    scanned and the families kept.
     """
     x0, y0 = X.x, X.y
     xc, yc = center.x, center.y
-    ch = math.cosh(2.0 * tau) - 1.0
     y0sq = y0 * y0
     cone = _CONE_POINTS.get((x0, y0))
 
-    q_max = (y0 / yc) * math.exp(2.0 * tau) * (1.0 + 1e-12)
-    c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
+    q_maxes = [(y0 / yc) * math.exp(2.0 * tau) * (1.0 + 1e-12) for tau in taus]
 
     # At a cone point, with n = 2 Re X and m = 4 Im^2 X, the integers
     # 4q = (c n + 2d)^2 + c^2 m and 4 q re0 are exact.  The int64
@@ -173,8 +206,8 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
     # word that starts with R is bounded by its bottom row, and every
     # integer is a small multiple of q_max, which a reduced center and
     # tau <= MAX_ORBIT_RADIUS keep below 2e6 at a cone point.
-    out, rows = [], 0
-    for c, d, a0, b0, scanned in _bottom_rows(x0, y0sq, q_max, c_max, cone):
+    out, rows = [[] for _ in taus], 0
+    for k, c, d, a0, b0, scanned in _bottom_rows(x0, y0sq, q_maxes, cone):
         rows += scanned
         if cone:
             n, m, _ = cone
@@ -184,13 +217,13 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
         else:
             cxd = c * x0 + d
             q = cxd ** 2 + (c * y0) ** 2
-            ok = q <= q_max
+            ok = q <= q_maxes[k]
             q = q[ok]
             re0 = ((a0 * x0 + b0) * cxd + a0 * c * y0sq)[ok] / q
 
         y_pt = y0 / q
-        s = ball_slice_sq(y_pt, yc, ch)
-        live = s >= 0.0
+        s = ball_slice_sq(y_pt, yc, math.cosh(2.0 * taus[k]) - 1.0)
+        live = ~(s < 0.0)  # a nan slice is live, and its edges nan
         re0, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
         lo = np.ceil(xc - w - re0)
         hi = np.floor(xc + w - re0)
@@ -198,30 +231,31 @@ def _family_windows(X: ModelPoint, center: ModelPoint, tau: float,
                           np.abs(hi).max(initial=0.0))  # nan if either is
         if not edge < EXACT_EDGE_LIMIT:
             raise OverflowError(
-                f"orbit window edge past 2^53 at X = {X}, radius {tau}: "
-                "the count would not be exact")
+                f"orbit window edge past 2^53 at X = {X}, radius "
+                f"{taus[k]}: the count would not be exact")
         keep = hi >= lo
-        out.append((re0[keep], y_pt[keep], lo[keep].astype(np.int64),
-                    hi[keep].astype(np.int64)))
-    fams = tuple(np.concatenate(parts) for parts in zip(*out))
+        out[k].append((re0[keep], y_pt[keep], lo[keep].astype(np.int64),
+                       hi[keep].astype(np.int64)))
+    fams = [tuple(np.concatenate(parts) for parts in zip(*o)) for o in out]
     if counters is not None:
         counters["lattice.coprime_rows"] += rows
-        counters["lattice.families"] += fams[0].size
+        counters["lattice.families"] += sum(f[0].size for f in fams)
     return fams
 
 
-def _reduced_windows(X: ModelPoint, center: ModelPoint, tau: float,
+def _reduced_windows(X: ModelPoint, center: ModelPoint, taus,
                      counters=None):
     """Family windows around the reduced center, and the center's deck.
 
     The count is invariant under reducing the center, and the windows
     stay small around a point of F.
     """
-    if not (0.0 < tau <= MAX_ORBIT_RADIUS):
-        raise ValueError(f"orbit radius must lie in (0, {MAX_ORBIT_RADIUS}]")
+    if not (taus and 0.0 < taus[0] and taus[-1] <= MAX_ORBIT_RADIUS
+            and all(a < b for a, b in zip(taus, taus[1:]))):
+        raise ValueError(f"orbit radii must rise within (0, {MAX_ORBIT_RADIUS}]")
     x_red, _ = reduce_to_fundamental(X)
     c_red, deck = reduce_to_fundamental(center)
-    return _family_windows(x_red, c_red, tau, counters), deck
+    return _family_windows(x_red, c_red, taus, counters), deck
 
 
 def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet:
@@ -230,7 +264,7 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
     The windows are laid out around the reduced center and the points
     are mapped back through its deck afterwards.
     """
-    (re0, y_pt, lo, hi), deck = _reduced_windows(X, center, tau)
+    [(re0, y_pt, lo, hi)], deck = _reduced_windows(X, center, (tau,))
     n = hi - lo + 1
     t = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
     x = np.repeat(re0, n) + t
@@ -243,15 +277,19 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
     return OrbitPointSet(x=x, y=y)
 
 
+def orbit_counts(X: ModelPoint, center: ModelPoint, taus,
+                 counters=None) -> list:
+    """orbit_points counts at each of the strictly increasing taus, from
+    one walk; counters, a Counter, gains the rows scanned and families kept.
+    """
+    fams, _ = _reduced_windows(X, center, tuple(taus), counters)
+    return [int((hi - lo + 1).sum()) for _, _, lo, hi in fams]
+
+
 def orbit_count(X: ModelPoint, center: ModelPoint, tau: float,
                 counters=None) -> int:
-    """Number of orbit_points(X, center, tau), summed over the windows.
-
-    counters, a collections.Counter, gains the coprime rows scanned and
-    the families kept.
-    """
-    (_, _, lo, hi), _ = _reduced_windows(X, center, tau, counters)
-    return int((hi - lo + 1).sum())
+    """Number of orbit_points(X, center, tau): orbit_counts at one radius."""
+    return orbit_counts(X, center, (tau,), counters)[0]
 
 
 def spread_count(X: ModelPoint, c2: float, counters=None) -> int:

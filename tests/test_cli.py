@@ -216,6 +216,8 @@ def test_main_out_keeps_an_existing_report_when_the_run_raises(
       f"fraction={float(np.nextafter(flow.MAX_BOX_FRACTION, 1.0))!r}"],
      "mix.fraction"),
     (["close", "--set", "fraction=0.3"], "close.fraction"),
+    # mix holds every sampled frame at once
+    (["mix", "--set", f"samples={flow.MAX_MIX_SAMPLES + 1}"], "mix.samples"),
 ])
 def test_main_rejects_what_a_runner_would_refuse(argv, key, tmp_path, capsys,
                                                  monkeypatch):
@@ -315,6 +317,15 @@ def test_lattice_footer_counts_rows_and_families():
     assert "# count.lattice.families = 253" in footer
     assert footer[-1].startswith("# wall_time")
     assert "#" not in report.to_text(deterministic_only=True)
+
+
+def test_lattice_default_footer_is_pinned():
+    # one walk per centre serves the whole tau grid; the rows scanned and
+    # the families kept are summed over the radii as one walk each gave
+    report = run(build_config("lattice"))
+    footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
+    assert "# count.lattice.coprime_rows = 199492" in footer
+    assert "# count.lattice.families = 102964" in footer
 
 
 def test_thin_footer_counts_one_sweep_per_net():

@@ -5,7 +5,8 @@ import pytest
 
 from geodlab import flow as flow_module
 from geodlab.halfplane import ModelPoint, ReductionError
-from geodlab.flow import (MAX_BOX_FRACTION, MAX_MIX_TIME, axis_distance,
+from geodlab.flow import (MAX_BOX_FRACTION, MAX_MIX_SAMPLES, MAX_MIX_TIME,
+                          MIN_MIXING_SAMPLES, axis_distance,
                           closing_constants, flow,
                           frame_base_dir, frames_from_points, in_box,
                           margulis_count, measure_box, mixing_correlation,
@@ -196,3 +197,11 @@ def test_mixing_refuses_flow_times_past_its_maximum():
               -MAX_MIX_TIME * 1.01):
         with pytest.raises(ValueError, match="flow time must lie in"):
             mixing_correlation(box, t, 20000, np.random.default_rng(13))
+
+
+def test_mixing_refuses_sample_counts_past_its_bounds():
+    # refused before any frame is drawn
+    box = measure_box(0.02)
+    for n in (MIN_MIXING_SAMPLES - 1, MAX_MIX_SAMPLES + 1):
+        with pytest.raises(ValueError, match="n must be"):
+            mixing_correlation(box, 1.0, n, np.random.default_rng(13))

@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist_arrays,
 from geodlab import lattice
 from geodlab.lattice import (_CONE_POINTS, MAX_ORBIT_RADIUS, _bottom_rows,
                              _family_windows, chain_bound_audit, orbit_count,
-                             orbit_points, spread_count)
+                             orbit_counts, orbit_points, spread_count)
 
 
 def _orbit_by_bfs(X: ModelPoint, center: ModelPoint, tau: float,
@@ -200,6 +201,10 @@ def test_orbit_radius_guard():
         orbit_count(X, X, 0.0)
     with pytest.raises(ValueError):
         orbit_count(X, X, MAX_ORBIT_RADIUS + 0.1)
+    # one walk serves strictly increasing radii only
+    for taus in ((), (3.0, 2.0), (2.0, 2.0), (2.0, MAX_ORBIT_RADIUS + 0.1)):
+        with pytest.raises(ValueError):
+            orbit_counts(X, X, taus)
 
 
 def test_spread_count_center_included():
@@ -223,13 +228,23 @@ def test_deep_cusp_counts_without_int64_overflow():
 
 def test_window_edge_past_2_53_raises():
     # above Im X of about 1.3e154, Im X^2 is inf and the (0, 1) family's
-    # window edges are nan: refused as an inexact count, not counted as 0
-    for y in (1e14, 1e16, 1e155, 1e200, 1e300):
+    # window edges are nan: refused as an inexact count, not counted as 0,
+    # and with no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (1e14, 1e16, 1e155, 1e200, 1e300):
+            with pytest.raises(OverflowError):
+                orbit_count(ModelPoint(0.0, y), ModelPoint(0.0, y), 7.0)
+        for y in (1e16, 1e155, 1e200, 1e300):
+            with pytest.raises(OverflowError):
+                spread_count(ModelPoint(0.0, y), 0.5)
+        # the ball about 1e155 i reaches height 1e160 at radius 7, where
+        # its slice is inf - inf: a nan slice refuses the count too
         with pytest.raises(OverflowError):
-            orbit_count(ModelPoint(0.0, y), ModelPoint(0.0, y), 7.0)
-    for y in (1e16, 1e155, 1e200, 1e300):
-        with pytest.raises(OverflowError):
-            spread_count(ModelPoint(0.0, y), 0.5)
+            orbit_count(ModelPoint(0.0, 1e160), ModelPoint(0.0, 1e155), 7.0)
+        # the ball about i does not reach it, whose slice is -inf
+        assert orbit_count(ModelPoint(0.0, 1e160), ModelPoint(0.0, 1.0),
+                           1.0) == 0
 
 
 def _ext_gcd(a: int, b: int) -> tuple:
@@ -384,7 +399,7 @@ def test_stabilizer_fold_matches_key_dedupe(X, center, tau):
     # the same families, as a set: keeping another row of a family would
     # shift its re0, lo and hi by an integer
     center, _ = reduce_to_fundamental(center)
-    got = _family_windows(X, center, tau)
+    [got] = _family_windows(X, center, (tau,))
     want = _family_windows_by_keys(X, center, tau)
     assert [a.dtype for a in got] == [a.dtype for a in want]
     got, want = ([a[np.lexsort(fams[::-1])] for a in fams]
@@ -430,7 +445,7 @@ def test_coprime_rows_are_order_times_rows_kept(monkeypatch, X, order):
 
     def bottom_rows(*args):
         for block in _bottom_rows(*args):
-            sizes.append(block[0].size)
+            sizes.append(block[1].size)
             yield block
 
     monkeypatch.setattr(lattice, "_bottom_rows", bottom_rows)
@@ -440,12 +455,12 @@ def test_coprime_rows_are_order_times_rows_kept(monkeypatch, X, order):
     assert counters["lattice.coprime_rows"] == order * sum(sizes)
 
 
-def _window_args(X: ModelPoint, center: ModelPoint, tau: float) -> tuple:
+def _window_args(X: ModelPoint, center: ModelPoint, taus) -> tuple:
     """The arguments _family_windows passes to _bottom_rows."""
     y0sq = X.y * X.y
-    q_max = (X.y / center.y) * math.exp(2.0 * tau) * (1.0 + 1e-12)
-    c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
-    return X.x, y0sq, q_max, c_max, _CONE_POINTS.get((X.x, X.y))
+    q_maxes = [(X.y / center.y) * math.exp(2.0 * tau) * (1.0 + 1e-12)
+               for tau in taus]
+    return X.x, y0sq, q_maxes, _CONE_POINTS.get((X.x, X.y))
 
 
 def _bottom_rows_by_scan(x0, y0sq, q_max, c_max, cone) -> tuple:
@@ -486,28 +501,90 @@ REDUCED = POINT.map(lambda z: reduce_to_fundamental(z)[0])
 # the largest radius drawn with each ROW_BLOCK: with blocks of one word,
 # a ball of radius 6 takes some 75,000 blocks and 10 s
 BLOCK_TAU = {1: 3.5, 7: 4.5, 100: 6.0, 65_536: 6.0}
+# a ROW_BLOCK and one to four strictly increasing radii within its bound
+BLOCK_TAUS = st.sampled_from(sorted(BLOCK_TAU)).flatmap(
+    lambda block: st.tuples(st.just(block), st.lists(
+        st.floats(0.05, BLOCK_TAU[block]), min_size=1, max_size=4,
+        unique=True).map(sorted)))
+DEFAULT_TAUS = [2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 @settings(deadline=None, max_examples=40)
-@given(REDUCED, REDUCED,
-       st.sampled_from(sorted(BLOCK_TAU)).flatmap(
-           lambda block: st.tuples(st.just(block),
-                                   st.floats(0.05, BLOCK_TAU[block]))))
-@example(CONES[0], CONES[0], (65_536, 6.0))
-@example(CONES[1], CONES[1], (100, 6.0))
-@example(CONES[2], ModelPoint(0.17, 1.1), (7, 4.0))
-@example(CONES[0], ModelPoint(0.0, 100.0), (1, 1.0))  # no row at all
-@example(ModelPoint(0.3, 1.2), ModelPoint(0.1, 1.0), (100, 6.0))
-def test_bottom_rows_match_the_window_scan(X, center, block_tau):
-    block, tau = block_tau
-    args = _window_args(X, center, tau)
-    got, scanned = [], 0
+@given(REDUCED, REDUCED, BLOCK_TAUS)
+@example(CONES[0], CONES[0], (65_536, [6.0]))
+@example(CONES[1], CONES[1], (100, [6.0]))
+@example(CONES[2], ModelPoint(0.17, 1.1), (7, [4.0]))
+@example(CONES[0], ModelPoint(0.0, 100.0), (1, [1.0]))  # no row at all
+@example(ModelPoint(0.3, 1.2), ModelPoint(0.1, 1.0), (100, [6.0]))
+# the default lattice grid, about each cone point and off them
+@example(CONES[0], CONES[0], (65_536, DEFAULT_TAUS))
+@example(CONES[1], CONES[1], (100, DEFAULT_TAUS))
+@example(CONES[2], CONES[2], (7, [1.0, 2.0, 3.0, 4.0]))
+@example(ModelPoint(0.0, 10.0), ModelPoint(0.0, 10.0), (100, DEFAULT_TAUS))
+@example(ModelPoint(0.3, 1.2), ModelPoint(0.1, 1.0), (100, [0.5, 6.0]))
+# only the last radius holds a row
+@example(CONES[0], ModelPoint(0.0, 100.0), (1, [0.5, 1.0, 3.0]))
+def test_bottom_rows_match_the_window_scan(X, center, block_taus):
+    block, taus = block_taus
+    args = _window_args(X, center, taus)
+    got, scanned = [[] for _ in taus], [0] * len(taus)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "ROW_BLOCK", block)
-        for c, d, a0, b0, n in _bottom_rows(*args):
-            assert c.size <= 2 * block
-            got += zip(c.tolist(), d.tolist(), a0.tolist(), b0.tolist())
-            scanned += n
-    want, rows = _bottom_rows_by_scan(*args)
-    assert sorted(got) == want
-    assert scanned == rows
+        for k, c, d, a0, b0, n in _bottom_rows(*args):
+            # the walk's blocks are bounded; a smaller radius comes whole
+            assert k < len(taus) - 1 or c.size <= 2 * block
+            got[k] += zip(c.tolist(), d.tolist(), a0.tolist(), b0.tolist())
+            scanned[k] += n
+    x0, y0sq, q_maxes, cone = args
+    for k, q_max in enumerate(q_maxes):
+        c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
+        want, rows = _bottom_rows_by_scan(x0, y0sq, q_max, c_max, cone)
+        assert sorted(got[k]) == want
+        assert scanned[k] == rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(POINT, POINT, BLOCK_TAUS)
+@example(CONES[0], CONES[0], (65_536, DEFAULT_TAUS))
+@example(CONES[1], CONES[1], (1, [1.0, 2.0, 3.0, 3.5]))
+@example(CONES[2], ModelPoint(0.17, 1.1), (7, [0.5, 4.0]))
+@example(ModelPoint(0.3, 1.2), ModelPoint(0.1, 1.0), (100, [4.0, 5.0, 6.0]))
+@example(ModelPoint(0.0, 10.0), ModelPoint(0.0, 10.0), (100, DEFAULT_TAUS))
+def test_orbit_counts_equal_the_one_radius_calls(X, center, block_taus):
+    # one walk for all the radii gives each radius's count, and the sums
+    # of its rows scanned and families kept, as its own walk does
+    block, taus = block_taus
+    got, want = collections.Counter(), collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "ROW_BLOCK", block)
+        counts = orbit_counts(X, center, taus, got)
+        assert counts == [orbit_count(X, center, t, want) for t in taus]
+    assert got == want
+
+
+def test_rows_built_at_rho_reach_their_side_of_the_windows(monkeypatch):
+    # Re rho = -1/2 leans every window towards d > 0, so most (c, -e) rows
+    # of the walk land in no window: each is built only while some
+    # c' >= c reaches -e.  Each block counts its rows once, with
+    # np.count_nonzero; at tau = 6 the walk built 251,883 rows before.
+    sizes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def count_nonzero(self, keep):
+            sizes.append(keep.size)
+            return np.count_nonzero(keep)
+
+    monkeypatch.setattr(lattice, "np", CountingNumpy())
+    for X in (CONES[1], CONES[2]):
+        sizes.clear()
+        counters = collections.Counter()
+        orbit_count(X, X, 6.0, counters)
+        assert counters["lattice.coprime_rows"] == 179_454
+        assert sum(sizes) == 185_993
+    # at Re X = 0 both sides reach as far, and no row is cut
+    sizes.clear()
+    orbit_count(CONES[0], CONES[0], 6.0)
+    assert sum(sizes) == 155_911

@@ -17,8 +17,9 @@ import math
 import numpy as np
 import pytest
 
+from geodlab.config import EXPERIMENTS
 from geodlab.halfplane import ModelPoint
-from geodlab.lattice import MAX_ORBIT_RADIUS, orbit_count
+from geodlab.lattice import MAX_ORBIT_RADIUS, orbit_count, orbit_counts
 
 
 def _orbit_count_at_i(tau: float) -> int:
@@ -52,3 +53,10 @@ def test_orbit_count_at_i_at_the_largest_radius():
     want = _orbit_count_at_i(tau)
     assert want == 1_804_185
     assert orbit_count(ModelPoint(0.0, 1.0), ModelPoint(0.0, 1.0), tau) == want
+
+
+def test_orbit_counts_at_i_over_the_default_grid_in_one_walk():
+    # the lattice run's radii, all from the walk at the largest
+    taus = EXPERIMENTS["lattice"]["tau_grid"].default
+    i = ModelPoint(0.0, 1.0)
+    assert orbit_counts(i, i, taus) == [_orbit_count_at_i(t) for t in taus]
