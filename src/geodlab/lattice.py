@@ -37,7 +37,9 @@ from .torus import MAX_SYSTOLE, extremal_length, systole
 MIN_SYSTOLE = 1e-12
 MAX_ORBIT_RADIUS = 7.0
 MAX_SPREAD_RADIUS = 2.0
-# Tree words per block of _family_windows: bounds its row arrays.
+# Tree words per block of the walk, and rows per block of each smaller
+# radius after it: bounds the row arrays of a block.  The rows the walk
+# keeps in the second-largest radius's window are held until it ends.
 ROW_BLOCK = 8_192
 # Integers below 2^53 are exact in float64; window edges at or past it
 # are no longer exact integers, and neither is the count.
@@ -72,11 +74,10 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
     starts with R is one coprime (c, e >= 1), giving the rows (c, +-e) with
     top rows (+-a, b).  Descendants have larger c and e, so each step
     appends a whole run, L^j after an R and R^j after an L, while e stays
-    within the window of some c' >= c, and builds (c, +-e) while +-e does.
-    The tree is walked depth first in chunks of at most ROW_BLOCK words,
-    one block each, with the number of coprime rows scanned: those in the
-    float window (c x0 + d)^2 + c^2 y0^2 <= q_max.  Kept partners move to
-    Euclid's, -(c // 2) <= a0 < c - c // 2.
+    within the window of some c' >= c.  The tree is walked depth first in
+    chunks of at most ROW_BLOCK words, one block each, with the number of
+    coprime rows scanned: those in the float window (c x0 + d)^2 + c^2 y0^2
+    <= q_max.  Kept partners move to Euclid's, -(c // 2) <= a0 < c - c // 2.
 
     At a cone point, cone = (n, m, images) from _CONE_POINTS, the window
     is the exact 4q = (c n + 2d)^2 + c^2 m <= 4 q_max: the float window is
@@ -87,7 +88,8 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
     Blocks come as (k, c, d, a0, b0, scanned), k indexing the increasing
     q_maxes.  The walk, for the last, gathers the rows kept in the window
     before; each smaller radius, largest first, cuts them to its own nested
-    window in one block, scanning order times the rows kept there.
+    window and yields them in blocks of at most ROW_BLOCK rows after (0, 1),
+    scanning order times the rows kept there.
     """
     widen, images = (1, cone[2]) if cone else (0, ())
     last, order = len(q_maxes) - 1, len(images) + 1
@@ -108,11 +110,8 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
                                pad + 1))
         hi.insert(0, np.append(np.floor(cx + w).astype(np.int64) + widen, pad))
     d_lo, d_hi = lo[-1], hi[-1]
-    # reach[s][c - 1]: the largest d (s = 0) or -d (s = 1) in the window of
-    # any c' >= c; a side as long as dmax at every c, both at x0 = 0, is whole
-    reach = [np.maximum.accumulate(v[::-1])[::-1] for v in (d_hi, -d_lo)]
-    dmax = np.maximum(*reach)
-    reach = [slice(None) if np.array_equal(r, dmax) else r for r in reach]
+    # dmax[c - 1]: the largest |d| in the window of any c' >= c
+    dmax = np.maximum.accumulate(np.maximum(-d_lo, d_hi)[::-1])[::-1]
     # c_top[e]: the last c whose window, or a later one, reaches e; the
     # table stops at e = d_lo.size, as no R-run reaches c + e > d_lo.size
     c_top = np.searchsorted(-dmax, -np.arange(d_lo.size + 1), side="right")
@@ -139,7 +138,7 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
         k = (a + c // 2) // c
         rows = c, d, a - k * c, b - k * d
         if last:
-            sub = (d >= lo[-2][c - 1]) & (d <= hi[-2][c - 1])
+            sub = window(last - 1, c, d)
             inner.append(tuple(v[sub] for v in rows))
         return (last, *rows, scanned)
 
@@ -167,17 +166,18 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
         else:
             b, e = b + j * a, e + j * c
         stack.append((a, b, c, e, not r_run, 0))
-        p, m = (r if isinstance(r, slice) else e <= r[c - 1] for r in reach)
-        yield block(np.append(a[p], -a[m]), np.append(b[p], b[m]),
-                    np.append(c[p], c[m]), np.append(e[p], -e[m]))
+        yield block(np.concatenate((a, -a)), np.concatenate((b, b)),
+                    np.concatenate((c, c)), np.concatenate((e, -e)))
 
     rows = [np.concatenate(v) for v in zip(*inner)]
     for k in range(last - 1, -1, -1):
         keep = window(k, *rows[:2])
         rows = [v[keep] for v in rows]
         one = np.ones(1 if cone is None or q_maxes[k] >= 1.0 else 0, np.int64)
-        yield (k, *map(np.append, (0 * one, one, one, 0 * one), rows),
-               order * (one.size + rows[0].size))
+        yield k, 0 * one, one, one, 0 * one, order * one.size
+        for i in range(0, rows[0].size, ROW_BLOCK):
+            part = [v[i:i + ROW_BLOCK] for v in rows]
+            yield (k, *part, order * part[0].size)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflows reach the edge test

@@ -531,8 +531,8 @@ def test_bottom_rows_match_the_window_scan(X, center, block_taus):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "ROW_BLOCK", block)
         for k, c, d, a0, b0, n in _bottom_rows(*args):
-            # the walk's blocks are bounded; a smaller radius comes whole
-            assert k < len(taus) - 1 or c.size <= 2 * block
+            # every block is bounded: a walk block holds (c, +-e) rows
+            assert c.size <= 2 * block
             got[k] += zip(c.tolist(), d.tolist(), a0.tolist(), b0.tolist())
             scanned[k] += n
     x0, y0sq, q_maxes, cone = args
@@ -560,31 +560,3 @@ def test_orbit_counts_equal_the_one_radius_calls(X, center, block_taus):
         counts = orbit_counts(X, center, taus, got)
         assert counts == [orbit_count(X, center, t, want) for t in taus]
     assert got == want
-
-
-def test_rows_built_at_rho_reach_their_side_of_the_windows(monkeypatch):
-    # Re rho = -1/2 leans every window towards d > 0, so most (c, -e) rows
-    # of the walk land in no window: each is built only while some
-    # c' >= c reaches -e.  Each block counts its rows once, with
-    # np.count_nonzero; at tau = 6 the walk built 251,883 rows before.
-    sizes = []
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def count_nonzero(self, keep):
-            sizes.append(keep.size)
-            return np.count_nonzero(keep)
-
-    monkeypatch.setattr(lattice, "np", CountingNumpy())
-    for X in (CONES[1], CONES[2]):
-        sizes.clear()
-        counters = collections.Counter()
-        orbit_count(X, X, 6.0, counters)
-        assert counters["lattice.coprime_rows"] == 179_454
-        assert sum(sizes) == 185_993
-    # at Re X = 0 both sides reach as far, and no row is cut
-    sizes.clear()
-    orbit_count(CONES[0], CONES[0], 6.0)
-    assert sum(sizes) == 155_911
