@@ -12,9 +12,11 @@ rows give distinct point sets unless X has a nontrivial stabilizer,
 which for a reduced X means X is exactly i or a corner rho of F.  There
 two rows give one family exactly when the stabilizer, acting on rows
 from the right, maps one onto the other; the rows are tested in exact
-integers and each family keeps only the first of its rows.  Rows and
-their Bezout partners come from the Stern-Brocot tree, with no gcd and
-no Euclid, as int64/float64 arrays: one walk serves all of a centre's radii.
+integers and each family keeps only the first of its rows; at i the
+walk builds no row that the fold drops.  Rows and their Bezout partners
+come from the Stern-Brocot tree, with no gcd and no Euclid, as
+int64/float64 arrays: one walk serves all of a centre's radii, and each
+radius's count is summed block by block, with no block held past its sum.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -38,8 +40,9 @@ MIN_SYSTOLE = 1e-12
 MAX_ORBIT_RADIUS = 7.0
 MAX_SPREAD_RADIUS = 2.0
 # Tree words per block of the walk, and rows per block of each smaller
-# radius after it: bounds the row arrays of a block.  The rows the walk
-# keeps in the second-largest radius's window are held until it ends.
+# radius after it: bounds the row and family arrays of a block, which
+# are counted and dropped.  The rows the walk keeps in the second-largest
+# radius's window are all that is held until it ends.
 ROW_BLOCK = 8_192
 # Integers below 2^53 are exact in float64; window edges at or past it
 # are no longer exact integers, and neither is the count.
@@ -66,7 +69,8 @@ class OrbitPointSet:
         return int(self.x.size)
 
 
-def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
+def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
+                 counters=None):
     """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, per radius.
 
     (0, 1) comes first, then (1, 0), then the Stern-Brocot tree: each word
@@ -84,18 +88,26 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
     widened by one on each side and cut back by that test, so a row and
     its stabilizer images are scanned together.  A row is kept when it
     precedes each image (up to sign) in (c, d) order: its family's first row.
+    At i that is c < |d| or (1, -1), and R-run rows have c >= e, so the walk
+    builds no R-run row and not (1, 0), the image of (0, 1), but builds
+    (1, -1), from R with top row (-1, 0), in place of (1, 0); it tests no
+    fold there, and scans order times the rows it keeps.
 
     Blocks come as (k, c, d, a0, b0, scanned), k indexing the increasing
     q_maxes.  The walk, for the last, gathers the rows kept in the window
     before; each smaller radius, largest first, cuts them to its own nested
     window and yields them in blocks of at most ROW_BLOCK rows after (0, 1),
-    scanning order times the rows kept there.
+    scanning order times the rows kept there.  counters, if given, keeps in
+    lattice.rows_built the most rows a walk built and tested.
     """
     widen, images = (1, cone[2]) if cone else (0, ())
     last, order = len(q_maxes) - 1, len(images) + 1
+    at_i = cone == _CONE_POINTS[0.0, 1.0]
+    # rows scanned per row kept by a walk block
+    images, per_row = ((), order) if at_i else (images, 1)
     # (0, 1), with q = 1, comes first; an exact window may leave it out
     one = np.ones(1 if cone is None or q_maxes[-1] >= 1.0 else 0, np.int64)
-    yield last, 0 * one, one, one, 0 * one, one.size
+    yield last, 0 * one, one, one, 0 * one, per_row * one.size
     # At a cone point y0sq <= m / 4, so c_max and the c filter, with
     # rounding monotone, never drop a c the exact window holds.  Each
     # radius's window is empty past its own c range.
@@ -115,7 +127,7 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
     # c_top[e]: the last c whose window, or a later one, reaches e; the
     # table stops at e = d_lo.size, as no R-run reaches c + e > d_lo.size
     c_top = np.searchsorted(-dmax, -np.arange(d_lo.size + 1), side="right")
-    inner = [(np.zeros(0, np.int64),) * 4]
+    inner, built = [(np.zeros(0, np.int64),) * 4], []
 
     def window(k, c, d):
         keep = (d >= lo[k][c - 1]) & (d <= hi[k][c - 1])
@@ -125,8 +137,9 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
         return keep
 
     def block(a, b, c, d):
+        built.append(c.size)
         keep = window(last, c, d)
-        scanned = int(np.count_nonzero(keep))
+        scanned = per_row * int(np.count_nonzero(keep))
         # c >= 1 here, so an image with first entry 0 is +-(0, 1), which
         # comes first
         for al, be, ga, de in images:
@@ -143,7 +156,8 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
         return (last, *rows, scanned)
 
     if d_lo.size:
-        yield block(*(np.array([v]) for v in (0, -1, 1, 0)))
+        yield block(*(np.array([v]) for v in ((-1, 0, 1, -1) if at_i
+                                              else (0, -1, 1, 0))))
     # Entries: words (a, b, c, e), whether their runs are of R, and their
     # first child not yet taken.  The identity's R-runs are the roots.
     stack = [(*np.eye(2, dtype=np.int64).reshape(4, 1), True, 0)]
@@ -166,8 +180,12 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
         else:
             b, e = b + j * a, e + j * c
         stack.append((a, b, c, e, not r_run, 0))
-        yield block(np.concatenate((a, -a)), np.concatenate((b, b)),
-                    np.concatenate((c, c)), np.concatenate((e, -e)))
+        if not (at_i and r_run):
+            yield block(np.concatenate((a, -a)), np.concatenate((b, b)),
+                        np.concatenate((c, c)), np.concatenate((e, -e)))
+    if counters is not None:
+        counters["lattice.rows_built"] = max(
+            counters["lattice.rows_built"], sum(built))
 
     rows = [np.concatenate(v) for v in zip(*inner)]
     for k in range(last - 1, -1, -1):
@@ -180,18 +198,16 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None):
             yield (k, *part, order * part[0].size)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflows reach the edge test
-def _family_windows(X: ModelPoint, center: ModelPoint, taus,
-                    counters=None) -> list:
-    """Families (re0, y_pt, lo, hi) of a reduced X, per increasing tau.
+def _family_windows(X: ModelPoint, center: ModelPoint, taus, counters=None):
+    """Families (k, re0, y_pt, lo, hi) of a reduced X, per block of rows.
 
-    Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi.
-    At a cone point of _CONE_POINTS, _bottom_rows yields one row per
-    family, each inside the exact window.
-    Raises OverflowError once a window edge reaches EXACT_EDGE_LIMIT or
-    is nan, as it is once Im X^2 overflows (Im X above about 1.3e154) or
-    the ball's slice does.  With a counters mapping, adds the coprime rows
-    scanned and the families kept.
+    Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi,
+    in the ball of radius taus[k], k indexing the increasing taus.  At a
+    cone point of _CONE_POINTS, _bottom_rows yields one row per family.
+    Raises OverflowError, with no numpy warning first, once a window edge
+    reaches EXACT_EDGE_LIMIT or is nan, as it is once Im X^2 overflows
+    (Im X above about 1.3e154) or the ball's slice does.  counters, if
+    given, gains the coprime rows scanned and the families kept.
     """
     x0, y0 = X.x, X.y
     xc, yc = center.x, center.y
@@ -206,41 +222,43 @@ def _family_windows(X: ModelPoint, center: ModelPoint, taus,
     # word that starts with R is bounded by its bottom row, and every
     # integer is a small multiple of q_max, which a reduced center and
     # tau <= MAX_ORBIT_RADIUS keep below 2e6 at a cone point.
-    out, rows = [[] for _ in taus], 0
-    for k, c, d, a0, b0, scanned in _bottom_rows(x0, y0sq, q_maxes, cone):
+    rows = fams = 0
+    for k, c, d, a0, b0, scanned in _bottom_rows(x0, y0sq, q_maxes, cone,
+                                                 counters):
         rows += scanned
-        if cone:
-            n, m, _ = cone
-            cn = c * n + 2 * d
-            q4 = cn * cn + c * c * m
-            q, re0 = q4 / 4.0, ((a0 * n + 2 * b0) * cn + a0 * c * m) / q4
-        else:
-            cxd = c * x0 + d
-            q = cxd ** 2 + (c * y0) ** 2
-            ok = q <= q_maxes[k]
-            q = q[ok]
-            re0 = ((a0 * x0 + b0) * cxd + a0 * c * y0sq)[ok] / q
+        # overflows reach the edge test (a decorator misses a generator)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cone:
+                n, m, _ = cone
+                cn = c * n + 2 * d
+                q4 = cn * cn + c * c * m
+                q, re0 = q4 / 4.0, ((a0 * n + 2 * b0) * cn + a0 * c * m) / q4
+            else:
+                cxd = c * x0 + d
+                q = cxd ** 2 + (c * y0) ** 2
+                ok = q <= q_maxes[k]
+                q = q[ok]
+                re0 = ((a0 * x0 + b0) * cxd + a0 * c * y0sq)[ok] / q
 
-        y_pt = y0 / q
-        s = ball_slice_sq(y_pt, yc, math.cosh(2.0 * taus[k]) - 1.0)
-        live = ~(s < 0.0)  # a nan slice is live, and its edges nan
-        re0, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
-        lo = np.ceil(xc - w - re0)
-        hi = np.floor(xc + w - re0)
-        edge = np.maximum(np.abs(lo).max(initial=0.0),
-                          np.abs(hi).max(initial=0.0))  # nan if either is
+            y_pt = y0 / q
+            s = ball_slice_sq(y_pt, yc, math.cosh(2.0 * taus[k]) - 1.0)
+            live = ~(s < 0.0)  # a nan slice is live, and its edges nan
+            re0, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
+            lo = np.ceil(xc - w - re0)
+            hi = np.floor(xc + w - re0)
+            edge = np.maximum(np.abs(lo).max(initial=0.0),
+                              np.abs(hi).max(initial=0.0))  # nan if either is
         if not edge < EXACT_EDGE_LIMIT:
             raise OverflowError(
                 f"orbit window edge past 2^53 at X = {X}, radius "
                 f"{taus[k]}: the count would not be exact")
         keep = hi >= lo
-        out[k].append((re0[keep], y_pt[keep], lo[keep].astype(np.int64),
-                       hi[keep].astype(np.int64)))
-    fams = [tuple(np.concatenate(parts) for parts in zip(*o)) for o in out]
+        fams += int(np.count_nonzero(keep))
+        yield (k, re0[keep], y_pt[keep], lo[keep].astype(np.int64),
+               hi[keep].astype(np.int64))
     if counters is not None:
         counters["lattice.coprime_rows"] += rows
-        counters["lattice.families"] += sum(f[0].size for f in fams)
-    return fams
+        counters["lattice.families"] += fams
 
 
 def _reduced_windows(X: ModelPoint, center: ModelPoint, taus,
@@ -264,7 +282,9 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
     The windows are laid out around the reduced center and the points
     are mapped back through its deck afterwards.
     """
-    [(re0, y_pt, lo, hi)], deck = _reduced_windows(X, center, (tau,))
+    blocks, deck = _reduced_windows(X, center, (tau,))
+    re0, y_pt, lo, hi = (np.concatenate(v)
+                         for v in zip(*(b[1:] for b in blocks)))
     n = hi - lo + 1
     t = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
     x = np.repeat(re0, n) + t
@@ -279,11 +299,14 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
 
 def orbit_counts(X: ModelPoint, center: ModelPoint, taus,
                  counters=None) -> list:
-    """orbit_points counts at each of the strictly increasing taus, from
-    one walk; counters, a Counter, gains the rows scanned and families kept.
+    """orbit_points counts at each of the strictly increasing taus, summed
+    block by block from one walk; counters, a Counter, gains its footers.
     """
-    fams, _ = _reduced_windows(X, center, tuple(taus), counters)
-    return [int((hi - lo + 1).sum()) for _, _, lo, hi in fams]
+    blocks, _ = _reduced_windows(X, center, tuple(taus), counters)
+    counts = [0] * len(taus)
+    for k, _, _, lo, hi in blocks:
+        counts[k] += int((hi - lo + 1).sum())
+    return counts
 
 
 def orbit_count(X: ModelPoint, center: ModelPoint, tau: float,

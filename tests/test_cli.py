@@ -310,22 +310,28 @@ def test_close_body_is_pinned():
 
 def test_lattice_footer_counts_rows_and_families():
     report = run(build_config("lattice", overrides={"tau_grid": "2, 3"}))
+    # rows_built is the largest walk's: the one about i at tau = 3
     assert report.counters == {"lattice.coprime_rows": 487,
-                               "lattice.families": 253}
+                               "lattice.families": 253,
+                               "lattice.rows_built": 209}
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
-    assert "# count.lattice.coprime_rows = 487" in footer
-    assert "# count.lattice.families = 253" in footer
+    assert footer[1:4] == ["# count.lattice.coprime_rows = 487",
+                           "# count.lattice.families = 253",
+                           "# count.lattice.rows_built = 209"]
     assert footer[-1].startswith("# wall_time")
     assert "#" not in report.to_text(deterministic_only=True)
 
 
 def test_lattice_default_footer_is_pinned():
     # one walk per centre serves the whole tau grid; the rows scanned and
-    # the families kept are summed over the radii as one walk each gave
+    # the families kept are summed over the radii as one walk each gave.
+    # The walk about i at tau = 6 builds the most rows: its L-run rows and
+    # (1, -1), of the 155,911 it built before it left the R-runs out
     report = run(build_config("lattice"))
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
-    assert "# count.lattice.coprime_rows = 199492" in footer
-    assert "# count.lattice.families = 102964" in footer
+    assert footer[1:4] == ["# count.lattice.coprime_rows = 199492",
+                           "# count.lattice.families = 102964",
+                           "# count.lattice.rows_built = 78059"]
 
 
 def test_thin_footer_counts_one_sweep_per_net():

@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -379,6 +380,13 @@ def _family_windows_by_keys(X: ModelPoint, center: ModelPoint, tau: float,
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
+def _families(X: ModelPoint, center: ModelPoint, tau: float) -> tuple:
+    """_family_windows at one radius: its blocks' (re0, y_pt, lo, hi),
+    concatenated."""
+    blocks = [b[1:] for b in _family_windows(X, center, (tau,))]
+    return tuple(np.concatenate(v) for v in zip(*blocks))
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(CONES), POINT, st.floats(0.05, 6.0))
 # the radii of the default lattice run, about the cone point itself
@@ -399,7 +407,7 @@ def test_stabilizer_fold_matches_key_dedupe(X, center, tau):
     # the same families, as a set: keeping another row of a family would
     # shift its re0, lo and hi by an integer
     center, _ = reduce_to_fundamental(center)
-    [got] = _family_windows(X, center, (tau,))
+    got = _families(X, center, tau)
     want = _family_windows_by_keys(X, center, tau)
     assert [a.dtype for a in got] == [a.dtype for a in want]
     got, want = ([a[np.lexsort(fams[::-1])] for a in fams]
@@ -560,3 +568,17 @@ def test_orbit_counts_equal_the_one_radius_calls(X, center, block_taus):
         counts = orbit_counts(X, center, taus, got)
         assert counts == [orbit_count(X, center, t, want) for t in taus]
     assert got == want
+
+
+def test_orbit_counts_near_the_largest_radius_hold_no_families():
+    # each radius's count is summed as its blocks come, so only the rows
+    # gathered for tau = 6.5 outlive a block: 54 MB were traced while
+    # every family of both radii was held to the end
+    i = ModelPoint(0.0, 1.0)
+    tracemalloc.start()
+    try:
+        assert orbit_counts(i, i, (6.5, 7.0)) == [664_261, 1_804_185]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
