@@ -326,7 +326,7 @@ def test_lattice_default_footer_is_pinned():
     # one walk per centre serves the whole tau grid; the rows scanned and
     # the families kept are summed over the radii as one walk each gave.
     # The walk about i at tau = 6 builds the most rows: its L-run rows and
-    # (1, -1), of the 155,911 it built before it left the R-runs out
+    # (1, -1); with its R-run rows and (1, 0) it would build 155,911
     report = run(build_config("lattice"))
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
     assert footer[1:4] == ["# count.lattice.coprime_rows = 199492",

@@ -572,8 +572,8 @@ def test_orbit_counts_equal_the_one_radius_calls(X, center, block_taus):
 
 def test_orbit_counts_near_the_largest_radius_hold_no_families():
     # each radius's count is summed as its blocks come, so only the rows
-    # gathered for tau = 6.5 outlive a block: 54 MB were traced while
-    # every family of both radii was held to the end
+    # gathered for tau = 6.5 outlive a block: about 21 MB are traced, and
+    # holding every family of both radii to the end takes about 54 MB
     i = ModelPoint(0.0, 1.0)
     tracemalloc.start()
     try:
