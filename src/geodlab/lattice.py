@@ -13,10 +13,15 @@ which for a reduced X means X is exactly i or a corner rho of F.  There
 two rows give one family exactly when the stabilizer, acting on rows
 from the right, maps one onto the other; the rows are tested in exact
 integers and each family keeps only the first of its rows; at i the
-walk builds no row that the fold drops.  Rows and their Bezout partners
-come from the Stern-Brocot tree, with no gcd and no Euclid, as
-int64/float64 arrays: one walk serves all of a centre's radii, and each
-radius's count is summed block by block, with no block held past its sum.
+walk builds no row that the fold drops.  When X and the center both lie
+on the imaginary axis, as every centre of the lattice run and its spread
+counts does, the reflection z -> -conj(z) fixes both and maps the family
+of each row (c, d) onto that of (c, -d) with as many points in the ball:
+the walk builds one row of each such pair and counts it twice.  Rows
+and their Bezout partners come from the Stern-Brocot tree, with no gcd
+and no Euclid, as int64/float64 arrays: one walk serves all of a
+centre's radii, and each radius's count is summed block by block, with
+no block held past its sum.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -70,7 +75,7 @@ class OrbitPointSet:
 
 
 def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
-                 counters=None):
+                 mirror=False, counters=None):
     """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, per radius.
 
     (0, 1) comes first, then (1, 0), then the Stern-Brocot tree: each word
@@ -93,12 +98,29 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
     (1, -1), from R with top row (-1, 0), in place of (1, 0); it tests no
     fold there, and scans order times the rows it keeps.
 
-    Blocks come as (k, c, d, a0, b0, scanned), k indexing the increasing
-    q_maxes.  The walk, for the last, gathers the rows kept in the window
-    before; each smaller radius, largest first, cuts them to its own nested
-    window and yields them in blocks of at most ROW_BLOCK rows after (0, 1),
-    scanning order times the rows kept there.  counters, if given, keeps in
-    lattice.rows_built the most rows a walk built and tested.
+    With mirror, X and the center both on the imaginary axis, the walk
+    builds only the rows (c, e) of its words, each of multiplicity 2: the
+    reflection z -> -conj(z) normalizes PSL(2,Z) and fixes both points, so
+    it maps the family of (c, e) onto that of (c, -e), and the ball's
+    points of one onto the other's.  (c, -e) has the partner (-a0, b0), and
+    with x0 = xc = 0 its re0 and window come out as exactly -re0 and
+    (-hi, -lo) in float64, as rounding is symmetric, whenever -a0 is
+    Euclid's partner too.  That fails only at c = 2, where a0 = -1 and
+    Euclid's partner of (2, -e) is one period on: its re0 and window then
+    differ by one beyond rounding, and its count can differ only for a
+    point within rounding of the ball's boundary, where the count is
+    rounding's choice already.  (0, 1) and (1, 0), and at i (1, -1), whose
+    mirror (1, 1) lies in its family, are their own mirrors and keep
+    multiplicity 1.
+
+    Blocks come as (k, c, d, a0, b0, scanned, mult), k indexing the
+    increasing q_maxes and mult the multiplicity of its rows; scanned
+    counts the mirrors.  The walk, for the last, gathers the rows kept in
+    the window before; each smaller radius, largest first, cuts them to its
+    own nested window and yields them in blocks of at most ROW_BLOCK rows
+    after (0, 1), scanning order times mult times the rows kept there.
+    counters, if given, keeps in lattice.rows_built the most rows a walk
+    built and tested.
     """
     widen, images = (1, cone[2]) if cone else (0, ())
     last, order = len(q_maxes) - 1, len(images) + 1
@@ -107,7 +129,7 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
     images, per_row = ((), order) if at_i else (images, 1)
     # (0, 1), with q = 1, comes first; an exact window may leave it out
     one = np.ones(1 if cone is None or q_maxes[-1] >= 1.0 else 0, np.int64)
-    yield last, 0 * one, one, one, 0 * one, per_row * one.size
+    yield last, 0 * one, one, one, 0 * one, per_row * one.size, 1
     # At a cone point y0sq <= m / 4, so c_max and the c filter, with
     # rounding monotone, never drop a c the exact window holds.  Each
     # radius's window is empty past its own c range.
@@ -127,7 +149,11 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
     # c_top[e]: the last c whose window, or a later one, reaches e; the
     # table stops at e = d_lo.size, as no R-run reaches c + e > d_lo.size
     c_top = np.searchsorted(-dmax, -np.arange(d_lo.size + 1), side="right")
-    inner, built = [(np.zeros(0, np.int64),) * 4], []
+    # the rows kept for the smaller radii, by multiplicity: a walk block's
+    # rows stand for their mirrors too, the rows before the walk do not
+    walk_mult = 2 if mirror else 1
+    empty = (np.zeros(0, np.int64),) * 4
+    inner, built = {1: [empty], walk_mult: [empty]}, []
 
     def window(k, c, d):
         keep = (d >= lo[k][c - 1]) & (d <= hi[k][c - 1])
@@ -136,10 +162,10 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
             keep &= cn * cn + c * c * cone[1] <= 4.0 * q_maxes[k]
         return keep
 
-    def block(a, b, c, d):
+    def block(a, b, c, d, mult):
         built.append(c.size)
         keep = window(last, c, d)
-        scanned = per_row * int(np.count_nonzero(keep))
+        scanned = mult * per_row * int(np.count_nonzero(keep))
         # c >= 1 here, so an image with first entry 0 is +-(0, 1), which
         # comes first
         for al, be, ga, de in images:
@@ -152,12 +178,12 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
         rows = c, d, a - k * c, b - k * d
         if last:
             sub = window(last - 1, c, d)
-            inner.append(tuple(v[sub] for v in rows))
-        return (last, *rows, scanned)
+            inner[mult].append(tuple(v[sub] for v in rows))
+        return (last, *rows, scanned, mult)
 
     if d_lo.size:
         yield block(*(np.array([v]) for v in ((-1, 0, 1, -1) if at_i
-                                              else (0, -1, 1, 0))))
+                                              else (0, -1, 1, 0))), 1)
     # Entries: words (a, b, c, e), whether their runs are of R, and their
     # first child not yet taken.  The identity's R-runs are the roots.
     stack = [(*np.eye(2, dtype=np.int64).reshape(4, 1), True, 0)]
@@ -180,39 +206,49 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
         else:
             b, e = b + j * a, e + j * c
         stack.append((a, b, c, e, not r_run, 0))
-        if not (at_i and r_run):
-            yield block(np.concatenate((a, -a)), np.concatenate((b, b)),
-                        np.concatenate((c, c)), np.concatenate((e, -e)))
+        if at_i and r_run:
+            continue
+        if not mirror:
+            a, b, c, e = (np.concatenate((v, s * v)) for v, s in
+                          ((a, -1), (b, 1), (c, 1), (e, -1)))
+        yield block(a, b, c, e, walk_mult)
     if counters is not None:
         counters["lattice.rows_built"] = max(
             counters["lattice.rows_built"], sum(built))
 
-    rows = [np.concatenate(v) for v in zip(*inner)]
+    groups = [(mult, [np.concatenate(v) for v in zip(*rows)])
+              for mult, rows in inner.items()]
     for k in range(last - 1, -1, -1):
-        keep = window(k, *rows[:2])
-        rows = [v[keep] for v in rows]
         one = np.ones(1 if cone is None or q_maxes[k] >= 1.0 else 0, np.int64)
-        yield k, 0 * one, one, one, 0 * one, order * one.size
-        for i in range(0, rows[0].size, ROW_BLOCK):
-            part = [v[i:i + ROW_BLOCK] for v in rows]
-            yield (k, *part, order * part[0].size)
+        yield k, 0 * one, one, one, 0 * one, order * one.size, 1
+        for mult, rows in groups:
+            keep = window(k, *rows[:2])
+            rows[:] = [v[keep] for v in rows]
+            for i in range(0, rows[0].size, ROW_BLOCK):
+                part = [v[i:i + ROW_BLOCK] for v in rows]
+                yield (k, *part, mult * order * part[0].size, mult)
 
 
 def _family_windows(X: ModelPoint, center: ModelPoint, taus, counters=None):
-    """Families (k, re0, y_pt, lo, hi) of a reduced X, per block of rows.
+    """Families (k, re0, y_pt, lo, hi, mult) of a reduced X, per block of
+    rows.
 
     Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi,
     in the ball of radius taus[k], k indexing the increasing taus.  At a
     cone point of _CONE_POINTS, _bottom_rows yields one row per family.
-    Raises OverflowError, with no numpy warning first, once a window edge
-    reaches EXACT_EDGE_LIMIT or is nan, as it is once Im X^2 overflows
-    (Im X above about 1.3e154) or the ball's slice does.  counters, if
-    given, gains the coprime rows scanned and the families kept.
+    When X and the center both lie on the imaginary axis, the families of
+    a block with mult = 2 stand for their mirrors (-re0, y_pt, -hi, -lo)
+    too, which hold as many points.  Raises OverflowError, with no numpy
+    warning first, once a window edge reaches EXACT_EDGE_LIMIT or is nan,
+    as it is once Im X^2 overflows (Im X above about 1.3e154) or the
+    ball's slice does.  counters, if given, gains the coprime rows scanned
+    and the families kept, each mirror counted.
     """
     x0, y0 = X.x, X.y
     xc, yc = center.x, center.y
     y0sq = y0 * y0
     cone = _CONE_POINTS.get((x0, y0))
+    mirror = x0 == 0.0 and xc == 0.0
 
     q_maxes = [(y0 / yc) * math.exp(2.0 * tau) * (1.0 + 1e-12) for tau in taus]
 
@@ -223,8 +259,8 @@ def _family_windows(X: ModelPoint, center: ModelPoint, taus, counters=None):
     # integer is a small multiple of q_max, which a reduced center and
     # tau <= MAX_ORBIT_RADIUS keep below 2e6 at a cone point.
     rows = fams = 0
-    for k, c, d, a0, b0, scanned in _bottom_rows(x0, y0sq, q_maxes, cone,
-                                                 counters):
+    for k, c, d, a0, b0, scanned, mult in _bottom_rows(
+            x0, y0sq, q_maxes, cone, mirror, counters):
         rows += scanned
         # overflows reach the edge test (a decorator misses a generator)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -253,9 +289,9 @@ def _family_windows(X: ModelPoint, center: ModelPoint, taus, counters=None):
                 f"orbit window edge past 2^53 at X = {X}, radius "
                 f"{taus[k]}: the count would not be exact")
         keep = hi >= lo
-        fams += int(np.count_nonzero(keep))
+        fams += mult * int(np.count_nonzero(keep))
         yield (k, re0[keep], y_pt[keep], lo[keep].astype(np.int64),
-               hi[keep].astype(np.int64))
+               hi[keep].astype(np.int64), mult)
     if counters is not None:
         counters["lattice.coprime_rows"] += rows
         counters["lattice.families"] += fams
@@ -283,8 +319,12 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
     are mapped back through its deck afterwards.
     """
     blocks, deck = _reduced_windows(X, center, (tau,))
-    re0, y_pt, lo, hi = (np.concatenate(v)
-                         for v in zip(*(b[1:] for b in blocks)))
+    fams = []
+    for _, re0, y_pt, lo, hi, mult in blocks:
+        fams.append((re0, y_pt, lo, hi))
+        if mult == 2:  # the mirror family
+            fams.append((-re0, y_pt, -hi, -lo))
+    re0, y_pt, lo, hi = (np.concatenate(v) for v in zip(*fams))
     n = hi - lo + 1
     t = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
     x = np.repeat(re0, n) + t
@@ -304,8 +344,8 @@ def orbit_counts(X: ModelPoint, center: ModelPoint, taus,
     """
     blocks, _ = _reduced_windows(X, center, tuple(taus), counters)
     counts = [0] * len(taus)
-    for k, _, _, lo, hi in blocks:
-        counts[k] += int((hi - lo + 1).sum())
+    for k, _, _, lo, hi, mult in blocks:
+        counts[k] += mult * int((hi - lo + 1).sum())
     return counts
 
 

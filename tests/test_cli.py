@@ -313,11 +313,11 @@ def test_lattice_footer_counts_rows_and_families():
     # rows_built is the largest walk's: the one about i at tau = 3
     assert report.counters == {"lattice.coprime_rows": 487,
                                "lattice.families": 253,
-                               "lattice.rows_built": 209}
+                               "lattice.rows_built": 105}
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
     assert footer[1:4] == ["# count.lattice.coprime_rows = 487",
                            "# count.lattice.families = 253",
-                           "# count.lattice.rows_built = 209"]
+                           "# count.lattice.rows_built = 105"]
     assert footer[-1].startswith("# wall_time")
     assert "#" not in report.to_text(deterministic_only=True)
 
@@ -325,13 +325,15 @@ def test_lattice_footer_counts_rows_and_families():
 def test_lattice_default_footer_is_pinned():
     # one walk per centre serves the whole tau grid; the rows scanned and
     # the families kept are summed over the radii as one walk each gave.
-    # The walk about i at tau = 6 builds the most rows: its L-run rows and
-    # (1, -1); with its R-run rows and (1, 0) it would build 155,911
+    # The walk about i at tau = 6 builds the most rows: (1, -1) and its
+    # L-run rows (c, e), each standing for its mirror (c, -e) too; with the
+    # mirrors it would build 78,059, and with its R-run rows and (1, 0)
+    # as well 155,911
     report = run(build_config("lattice"))
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
     assert footer[1:4] == ["# count.lattice.coprime_rows = 199492",
                            "# count.lattice.families = 102964",
-                           "# count.lattice.rows_built = 78059"]
+                           "# count.lattice.rows_built = 39030"]
 
 
 def test_thin_footer_counts_one_sweep_per_net():

@@ -59,12 +59,32 @@ def test_orbit_count_matches_group_bfs(tau):
 
 
 POINT = st.builds(ModelPoint, st.floats(-3.0, 3.0), st.floats(0.2, 30.0))
+# reduced points i y, y log-uniform: X and a center both drawn here take
+# the walk's mirror path
+AXIS = st.floats(-math.log(30.0), math.log(30.0)).map(
+    lambda t: reduce_to_fundamental(ModelPoint(0.0, math.exp(t)))[0])
+
+
+@pytest.mark.parametrize("X, center", [
+    (ModelPoint(0.0, 1.0), ModelPoint(0.0, 1.4)),
+    (ModelPoint(0.0, 1.3), ModelPoint(0.0, 0.8)),
+], ids=["at_i", "off_i"])
+def test_orbit_points_on_the_imaginary_axis_match_group_bfs(X, center):
+    # both points on the axis: half the families come as the mirrors of
+    # the others, and the second center is reduced through a deck
+    pts = orbit_points(X, center, 1.3)
+    brute = _orbit_by_bfs(X, center, 1.3, depth=9)
+    got = {(round(float(a), 7), round(float(b), 7))
+           for a, b in zip(pts.x, pts.y)}
+    assert got == brute
+    assert pts.count == len(brute)
 
 
 @settings(deadline=None)
-@given(POINT, POINT, st.floats(0.05, 3.0))
+@given(st.one_of(POINT, AXIS), st.one_of(POINT, AXIS), st.floats(0.05, 3.0))
 @example(ModelPoint(0.0, 1.0), ModelPoint(0.1, 1.4), 3.0)  # exact keys
 @example(ModelPoint(0.3, 1.1), ModelPoint(-0.2, 0.9), 3.0)  # float keys
+@example(ModelPoint(0.0, 3.0), ModelPoint(0.0, 0.4), 3.0)  # mirrors
 def test_orbit_count_matches_orbit_points(X, center, tau):
     assert orbit_count(X, center, tau) == orbit_points(X, center, tau).count
 
@@ -380,15 +400,30 @@ def _family_windows_by_keys(X: ModelPoint, center: ModelPoint, tau: float,
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
+def _unfold_mirror(blocks):
+    """A _bottom_rows stream with each row (c, d) of a block of
+    multiplicity 2 joined by its mirror (c, -d), which takes its own
+    partner from _euclid; every block then has multiplicity 1."""
+    for k, c, d, a0, b0, scanned, mult in blocks:
+        if mult == 2:
+            a1, b1 = _euclid(-d, c)
+            c, d, a0, b0 = (np.concatenate(v) for v in
+                            ((c, c), (d, -d), (a0, a1), (b0, b1)))
+        yield k, c, d, a0, b0, scanned, 1
+
+
 def _families(X: ModelPoint, center: ModelPoint, tau: float) -> tuple:
-    """_family_windows at one radius: its blocks' (re0, y_pt, lo, hi),
-    concatenated."""
-    blocks = [b[1:] for b in _family_windows(X, center, (tau,))]
+    """_family_windows at one radius, with the mirror unfolded: its blocks'
+    (re0, y_pt, lo, hi), concatenated."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_bottom_rows",
+                   lambda *args: _unfold_mirror(_bottom_rows(*args)))
+        blocks = [b[1:5] for b in _family_windows(X, center, (tau,))]
     return tuple(np.concatenate(v) for v in zip(*blocks))
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.sampled_from(CONES), POINT, st.floats(0.05, 6.0))
+@given(st.sampled_from(CONES), st.one_of(POINT, AXIS), st.floats(0.05, 6.0))
 # the radii of the default lattice run, about the cone point itself
 @example(CONES[0], CONES[0], 6.0)
 @example(CONES[0], CONES[0], 4.0)
@@ -414,6 +449,8 @@ def test_stabilizer_fold_matches_key_dedupe(X, center, tau):
                  for fams in (got, want))
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+    # and the count, with each mirror pair of families counted once
+    assert orbit_count(X, center, tau) == int((want[3] - want[2] + 1).sum())
 
 
 def _family_key(row: tuple, n: int, m: int) -> tuple:
@@ -449,11 +486,12 @@ def test_stabilizer_images_share_the_family_key(c, d):
 def test_coprime_rows_are_order_times_rows_kept(monkeypatch, X, order):
     # The stabilizer acts freely on primitive rows up to sign and keeps the
     # exact window, and the fold keeps one row of each orbit, (0, 1) too.
+    # Each row of a block of multiplicity 2, as at i, stands for its mirror.
     sizes = []
 
     def bottom_rows(*args):
         for block in _bottom_rows(*args):
-            sizes.append(block[1].size)
+            sizes.append(block[-1] * block[1].size)
             yield block
 
     monkeypatch.setattr(lattice, "_bottom_rows", bottom_rows)
@@ -468,7 +506,8 @@ def _window_args(X: ModelPoint, center: ModelPoint, taus) -> tuple:
     y0sq = X.y * X.y
     q_maxes = [(X.y / center.y) * math.exp(2.0 * tau) * (1.0 + 1e-12)
                for tau in taus]
-    return X.x, y0sq, q_maxes, _CONE_POINTS.get((X.x, X.y))
+    return (X.x, y0sq, q_maxes, _CONE_POINTS.get((X.x, X.y)),
+            X.x == 0.0 and center.x == 0.0)
 
 
 def _bottom_rows_by_scan(x0, y0sq, q_max, c_max, cone) -> tuple:
@@ -518,7 +557,7 @@ DEFAULT_TAUS = [2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 @settings(deadline=None, max_examples=40)
-@given(REDUCED, REDUCED, BLOCK_TAUS)
+@given(st.one_of(REDUCED, AXIS), st.one_of(REDUCED, AXIS), BLOCK_TAUS)
 @example(CONES[0], CONES[0], (65_536, [6.0]))
 @example(CONES[1], CONES[1], (100, [6.0]))
 @example(CONES[2], ModelPoint(0.17, 1.1), (7, [4.0]))
@@ -538,12 +577,13 @@ def test_bottom_rows_match_the_window_scan(X, center, block_taus):
     got, scanned = [[] for _ in taus], [0] * len(taus)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "ROW_BLOCK", block)
-        for k, c, d, a0, b0, n in _bottom_rows(*args):
-            # every block is bounded: a walk block holds (c, +-e) rows
+        for k, c, d, a0, b0, n, _ in _unfold_mirror(_bottom_rows(*args)):
+            # every block is bounded: a walk block holds (c, +-e) rows, or
+            # rows (c, e) that stand for their mirrors too
             assert c.size <= 2 * block
             got[k] += zip(c.tolist(), d.tolist(), a0.tolist(), b0.tolist())
             scanned[k] += n
-    x0, y0sq, q_maxes, cone = args
+    x0, y0sq, q_maxes, cone, _ = args
     for k, q_max in enumerate(q_maxes):
         c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
         want, rows = _bottom_rows_by_scan(x0, y0sq, q_max, c_max, cone)
@@ -572,8 +612,10 @@ def test_orbit_counts_equal_the_one_radius_calls(X, center, block_taus):
 
 def test_orbit_counts_near_the_largest_radius_hold_no_families():
     # each radius's count is summed as its blocks come, so only the rows
-    # gathered for tau = 6.5 outlive a block: about 21 MB are traced, and
-    # holding every family of both radii to the end takes about 54 MB
+    # gathered for tau = 6.5 outlive a block, and the walk builds one row
+    # of each mirror pair: about 10 MB are traced, 21 MB with both rows of
+    # each pair, and holding every family of both radii to the end took
+    # about 54 MB
     i = ModelPoint(0.0, 1.0)
     tracemalloc.start()
     try:
@@ -581,4 +623,4 @@ def test_orbit_counts_near_the_largest_radius_hold_no_families():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30e6
+    assert peak <= 18e6

@@ -1,4 +1,5 @@
-"""Orbit counts at X = i from sums of two squares.
+"""Orbit counts at X = i from sums of two squares, and on the imaginary
+axis by brute force.
 
 g = [[a, b], [c, d]] in SL(2,Z) moves i by hyperbolic distance 2 tau
 exactly when n = a^2 + b^2 + c^2 + d^2 = 2 cosh 2 tau.  With ad - bc = 1,
@@ -8,9 +9,11 @@ mod 2 is one matrix.  Given the two sums, u = s mod 2 forces v = t mod 2,
 so the matrices of norm n are a product of two histograms of sums of two
 squares, matched by the parity of u.  The stabilizer of i in SL(2,Z) has
 order 4, so a quarter of the matrices within 2 cosh 2 tau are the orbit
-points.  Nothing here shares code with the lattice rows, their partners
-or the stabilizer fold.  The counts here and at rho and 10i are checked
-against Huber's main term with Selberg's error bound.
+points.  At X = iy away from i the matrices are few enough to list, as
+_orbit_counts_on_the_axis does.  Nothing here shares code with the lattice
+rows, their partners, the stabilizer fold or the mirror.  The counts at
+i, rho and 10i are checked against Huber's main term with Selberg's
+error bound.
 """
 
 import math
@@ -131,3 +134,47 @@ def test_huber_bound_at_10i_after_the_cusp_transient():
             assert n == 2 * math.floor(2.0 * y0 * math.sinh(tau)) + 1
         else:
             assert abs(n - _huber_main_term(tau, 1)) <= y0 * _huber_slack(tau)
+
+
+def _orbit_counts_on_the_axis(y: float, taus) -> list:
+    """Orbit points of X = iy within teich distance tau of X itself, y > 1,
+    at each of the increasing taus, by brute force over SL(2,Z).
+
+    Conjugating by diag(sqrt y, 1 / sqrt y), which maps i to iy, g moves iy
+    by hyperbolic distance 2 tau exactly when a^2 + d^2 + c^2 y^2 + b^2 / y^2
+    = 2 cosh 2 tau.  So |a|, |d| <= sqrt(n_max) and |c| <= sqrt(n_max) / y;
+    b follows from ad - bc = 1 when c != 0, and c = 0 leaves a = d = +-1
+    with b free.  Off i the stabilizer of iy in SL(2,Z) is +-1, so half the
+    matrices within 2 cosh 2 tau are the orbit points.
+    """
+    n_maxes = [2.0 * math.cosh(2.0 * tau) for tau in taus]
+    r = math.isqrt(math.floor(n_maxes[-1]))
+    c_max = math.floor(math.sqrt(n_maxes[-1]) / y)
+    norms = []
+    for c in range(-c_max, c_max + 1):
+        if c == 0:
+            b_max = math.floor(y * math.sqrt(n_maxes[-1]))
+            b = np.arange(-b_max, b_max + 1, dtype=float)
+            norms += [2.0 + b * b / (y * y)] * 2  # a = d = 1 and -1
+            continue
+        a, d = (v.ravel() for v in np.meshgrid(np.arange(-r, r + 1),
+                                               np.arange(-r, r + 1)))
+        ok = (a * d - 1) % c == 0
+        a, d = a[ok], d[ok]
+        b = (a * d - 1) // c
+        norms.append(a * a + d * d + c * c * y * y + b * b / (y * y))
+    norms = np.concatenate(norms)
+    return [int((norms <= n_max).sum()) // 2 for n_max in n_maxes]
+
+
+# the lattice run's two centres off i, and two heights drawn log-uniform
+# from (1, 50)
+AXIS_HEIGHTS = (10.0, 100.0, *np.exp(np.random.default_rng(7).uniform(
+    0.0, math.log(50.0), 2)).tolist())
+
+
+@pytest.mark.parametrize("y", AXIS_HEIGHTS)
+def test_orbit_counts_on_the_imaginary_axis_by_brute_force(y):
+    taus = [0.5, 1.0, 2.0, 3.0, 4.0]
+    X = ModelPoint(0.0, y)
+    assert orbit_counts(X, X, taus) == _orbit_counts_on_the_axis(y, taus)
