@@ -12,16 +12,17 @@ rows give distinct point sets unless X has a nontrivial stabilizer,
 which for a reduced X means X is exactly i or a corner rho of F.  There
 two rows give one family exactly when the stabilizer, acting on rows
 from the right, maps one onto the other; the rows are tested in exact
-integers and each family keeps only the first of its rows; at i the
-walk builds no row that the fold drops.  When X and the center both lie
-on the imaginary axis, as every centre of the lattice run and its spread
-counts does, the reflection z -> -conj(z) fixes both and maps the family
-of each row (c, d) onto that of (c, -d) with as many points in the ball:
-the walk builds one row of each such pair and counts it twice.  Rows
-and their Bezout partners come from the Stern-Brocot tree, with no gcd
-and no Euclid, as int64/float64 arrays: one walk serves all of a
-centre's radii, and each radius's count is summed block by block, with
-no block held past its sum.
+integers, each c's window cut to the exact one once per radius, and
+each family keeps only the first of its rows; at i the walk builds no
+row that the fold drops, nor a word with no kept row below it.  When X
+and the center both lie on the imaginary axis, as every centre of the
+lattice run and its spread counts does, the reflection z -> -conj(z)
+fixes both and maps the family of each row (c, d) onto that of (c, -d)
+with as many points in the ball: the walk builds one row of each such
+pair and counts it twice.  Rows and their Bezout partners come from the
+Stern-Brocot tree, with no gcd and no Euclid, as int64/float64 arrays:
+one walk serves all of a centre's radii, and each radius's count is
+summed block by block, with no block held or compacted past its sum.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -74,6 +75,20 @@ class OrbitPointSet:
         return int(self.x.size)
 
 
+def _cone_window(cone, q_max: float, lo: np.ndarray, hi: np.ndarray):
+    """Cut each widened window lo[c - 1] <= d <= hi[c - 1], in place, to the
+    d with (c n + 2d)^2 + c^2 m <= 4 q_max, cone = (n, m, images): convex in
+    d, they form an interval, or the window ends as lo = hi + 1 if none."""
+    n, m, _ = cone
+    c = np.arange(1, lo.size + 1, dtype=np.int64)
+    for end, step in ((lo, 1), (hi, -1)):
+        move = True
+        while np.any(move):
+            cn = c * n + 2 * end
+            move = (cn * cn + c * c * m > 4.0 * q_max) & (lo <= hi)
+            end += step * move
+
+
 def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
                  mirror=False, counters=None):
     """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, per radius.
@@ -89,14 +104,17 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
     <= q_max.  Kept partners move to Euclid's, -(c // 2) <= a0 < c - c // 2.
 
     At a cone point, cone = (n, m, images) from _CONE_POINTS, the window
-    is the exact 4q = (c n + 2d)^2 + c^2 m <= 4 q_max: the float window is
-    widened by one on each side and cut back by that test, so a row and
-    its stabilizer images are scanned together.  A row is kept when it
-    precedes each image (up to sign) in (c, d) order: its family's first row.
-    At i that is c < |d| or (1, -1), and R-run rows have c >= e, so the walk
+    is the exact 4q = (c n + 2d)^2 + c^2 m <= 4 q_max: _cone_window cuts
+    each c's float window, widened by one on each side, to it once per
+    radius, keeping the rows a test of each would, so a row and its
+    stabilizer images are scanned together.  A row is kept when it precedes
+    each image (up to sign) in (c, d) order: its family's first row.  At i
+    that is c < |d| or (1, -1), and R-run rows have c >= e, so the walk
     builds no R-run row and not (1, 0), the image of (0, 1), but builds
     (1, -1), from R with top row (-1, 0), in place of (1, 0); it tests no
-    fold there, and scans order times the rows it keeps.
+    fold there, and scans order times the rows it keeps.  Nor does it build
+    an R-run word (c, e) with no L-run child, c + e > dmax[c - 1], which
+    has no descendant: as dmax[c - 1] - c falls, those end each run.
 
     With mirror, X and the center both on the imaginary axis, the walk
     builds only the rows (c, e) of its words, each of multiplicity 2: the
@@ -120,7 +138,7 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
     own nested window and yields them in blocks of at most ROW_BLOCK rows
     after (0, 1), scanning order times mult times the rows kept there.
     counters, if given, keeps in lattice.rows_built the most rows a walk
-    built and tested.
+    built and tested, and in lattice.words_built the most tree words.
     """
     widen, images = (1, cone[2]) if cone else (0, ())
     last, order = len(q_maxes) - 1, len(images) + 1
@@ -144,11 +162,14 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
                                pad + 1))
         hi.insert(0, np.append(np.floor(cx + w).astype(np.int64) + widen, pad))
     d_lo, d_hi = lo[-1], hi[-1]
-    # dmax[c - 1]: the largest |d| in the window of any c' >= c
+    # dmax[c - 1]: the largest |d| in the uncut window of any c' >= c
     dmax = np.maximum.accumulate(np.maximum(-d_lo, d_hi)[::-1])[::-1]
-    # c_top[e]: the last c whose window, or a later one, reaches e; the
-    # table stops at e = d_lo.size, as no R-run reaches c + e > d_lo.size
-    c_top = np.searchsorted(-dmax, -np.arange(d_lo.size + 1), side="right")
+    for k in range(len(q_maxes) if cone else 0):
+        _cone_window(cone, q_maxes[k], lo[k], hi[k])
+    # c_top[e]: the last c whose window, or a later one, reaches e, or at i
+    # has the L-run child (c, e + c); no R-run reaches c + e > d_lo.size
+    c_top = np.searchsorted(at_i * np.arange(1, d_lo.size + 1) - dmax,
+                            -np.arange(d_lo.size + 1), side="right")
     # the rows kept for the smaller radii, by multiplicity: a walk block's
     # rows stand for their mirrors too, the rows before the walk do not
     walk_mult = 2 if mirror else 1
@@ -156,11 +177,7 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
     inner, built = {1: [empty], walk_mult: [empty]}, []
 
     def window(k, c, d):
-        keep = (d >= lo[k][c - 1]) & (d <= hi[k][c - 1])
-        if cone:  # (n, m) = cone[:2]
-            cn = c * cone[0] + 2 * d
-            keep &= cn * cn + c * c * cone[1] <= 4.0 * q_maxes[k]
-        return keep
+        return (d >= lo[k][c - 1]) & (d <= hi[k][c - 1])
 
     def block(a, b, c, d, mult):
         built.append(c.size)
@@ -187,15 +204,17 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
     # Entries: words (a, b, c, e), whether their runs are of R, and their
     # first child not yet taken.  The identity's R-runs are the roots.
     stack = [(*np.eye(2, dtype=np.int64).reshape(4, 1), True, 0)]
+    words = 0
     while stack:
         a, b, c, e, r_run, i0 = stack.pop()
-        n = ((c_top[np.minimum(e, d_lo.size)] - c) // e if r_run
+        n = (np.maximum(c_top[np.minimum(e, d_lo.size)] - c, 0) // e if r_run
              else (dmax[c - 1] - e) // c)
         # the children are numbered flat, run after run
         edges = np.concatenate(([0], np.cumsum(n)))
         i1 = min(i0 + ROW_BLOCK, int(edges[-1]))
         if i1 == i0:
             continue
+        words += i1 - i0
         if i1 < edges[-1]:
             stack.append((a, b, c, e, r_run, i1))
         k = np.repeat(np.arange(n.size), np.diff(np.clip(edges, i0, i1)))
@@ -213,8 +232,9 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
                           ((a, -1), (b, 1), (c, 1), (e, -1)))
         yield block(a, b, c, e, walk_mult)
     if counters is not None:
-        counters["lattice.rows_built"] = max(
-            counters["lattice.rows_built"], sum(built))
+        for key, n in (("lattice.rows_built", sum(built)),
+                       ("lattice.words_built", words)):
+            counters[key] = max(counters[key], n)
 
     groups = [(mult, [np.concatenate(v) for v in zip(*rows)])
               for mult, rows in inner.items()]
@@ -234,15 +254,15 @@ def _family_windows(X: ModelPoint, center: ModelPoint, taus, counters=None):
     rows.
 
     Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi,
-    in the ball of radius taus[k], k indexing the increasing taus.  At a
-    cone point of _CONE_POINTS, _bottom_rows yields one row per family.
-    When X and the center both lie on the imaginary axis, the families of
-    a block with mult = 2 stand for their mirrors (-re0, y_pt, -hi, -lo)
-    too, which hold as many points.  Raises OverflowError, with no numpy
-    warning first, once a window edge reaches EXACT_EDGE_LIMIT or is nan,
-    as it is once Im X^2 overflows (Im X above about 1.3e154) or the
-    ball's slice does.  counters, if given, gains the coprime rows scanned
-    and the families kept, each mirror counted.
+    in the ball of radius taus[k], k indexing the increasing taus; lo and hi
+    are float64, hi < lo where none is.  At a cone point of _CONE_POINTS,
+    _bottom_rows yields one row per family.  When X and the center both lie
+    on the imaginary axis, the families of a block with mult = 2 stand for
+    their mirrors (-re0, y_pt, -hi, -lo) too, which hold as many points.
+    Raises OverflowError, with no numpy warning first, once a window edge
+    reaches EXACT_EDGE_LIMIT or is nan, as it is once Im X^2 overflows (Im X
+    above about 1.3e154) or the ball's slice does.  counters, if given,
+    gains the coprime rows scanned and the families kept, each mirror counted.
     """
     x0, y0 = X.x, X.y
     xc, yc = center.x, center.y
@@ -288,10 +308,8 @@ def _family_windows(X: ModelPoint, center: ModelPoint, taus, counters=None):
             raise OverflowError(
                 f"orbit window edge past 2^53 at X = {X}, radius "
                 f"{taus[k]}: the count would not be exact")
-        keep = hi >= lo
-        fams += mult * int(np.count_nonzero(keep))
-        yield (k, re0[keep], y_pt[keep], lo[keep].astype(np.int64),
-               hi[keep].astype(np.int64), mult)
+        fams += mult * int(np.count_nonzero(hi >= lo))
+        yield k, re0, y_pt, lo, hi, mult
     if counters is not None:
         counters["lattice.coprime_rows"] += rows
         counters["lattice.families"] += fams
@@ -325,7 +343,7 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
         if mult == 2:  # the mirror family
             fams.append((-re0, y_pt, -hi, -lo))
     re0, y_pt, lo, hi = (np.concatenate(v) for v in zip(*fams))
-    n = hi - lo + 1
+    n = np.maximum(hi - lo + 1, 0).astype(np.int64)  # 0 for an empty family
     t = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
     x = np.repeat(re0, n) + t
     y = np.repeat(y_pt, n)
@@ -340,12 +358,13 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
 def orbit_counts(X: ModelPoint, center: ModelPoint, taus,
                  counters=None) -> list:
     """orbit_points counts at each of the strictly increasing taus, summed
-    block by block from one walk; counters, a Counter, gains its footers.
+    per block, empty windows too, from one walk; counters gains its footers.
     """
     blocks, _ = _reduced_windows(X, center, tuple(taus), counters)
     counts = [0] * len(taus)
     for k, _, _, lo, hi, mult in blocks:
-        counts[k] += mult * int((hi - lo + 1).sum())
+        n = np.maximum(hi - lo + 1, 0)
+        counts[k] += mult * int(n.sum(dtype=np.int64))
     return counts
 
 

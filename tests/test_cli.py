@@ -310,14 +310,18 @@ def test_close_body_is_pinned():
 
 def test_lattice_footer_counts_rows_and_families():
     report = run(build_config("lattice", overrides={"tau_grid": "2, 3"}))
-    # rows_built is the largest walk's: the one about i at tau = 3
+    # rows_built and words_built are the largest walk's: the one about i
+    # at tau = 3, which builds an R-run word only with an L-run child (205
+    # words without that cut)
     assert report.counters == {"lattice.coprime_rows": 487,
                                "lattice.families": 253,
-                               "lattice.rows_built": 105}
+                               "lattice.rows_built": 105,
+                               "lattice.words_built": 147}
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
-    assert footer[1:4] == ["# count.lattice.coprime_rows = 487",
+    assert footer[1:5] == ["# count.lattice.coprime_rows = 487",
                            "# count.lattice.families = 253",
-                           "# count.lattice.rows_built = 105"]
+                           "# count.lattice.rows_built = 105",
+                           "# count.lattice.words_built = 147"]
     assert footer[-1].startswith("# wall_time")
     assert "#" not in report.to_text(deterministic_only=True)
 
@@ -328,12 +332,14 @@ def test_lattice_default_footer_is_pinned():
     # The walk about i at tau = 6 builds the most rows: (1, -1) and its
     # L-run rows (c, e), each standing for its mirror (c, -e) too; with the
     # mirrors it would build 78,059, and with its R-run rows and (1, 0)
-    # as well 155,911
+    # as well 155,911.  It builds 55,010 tree words, of which 15,981 end in
+    # an R-run; with the R-run words that have no L-run child, 77,955
     report = run(build_config("lattice"))
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
-    assert footer[1:4] == ["# count.lattice.coprime_rows = 199492",
+    assert footer[1:5] == ["# count.lattice.coprime_rows = 199492",
                            "# count.lattice.families = 102964",
-                           "# count.lattice.rows_built = 39030"]
+                           "# count.lattice.rows_built = 39030",
+                           "# count.lattice.words_built = 55010"]
 
 
 def test_thin_footer_counts_one_sweep_per_net():

@@ -12,8 +12,9 @@ from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist_arrays,
                                reduce_to_fundamental, teich_dist)
 from geodlab import lattice
 from geodlab.lattice import (_CONE_POINTS, MAX_ORBIT_RADIUS, _bottom_rows,
-                             _family_windows, chain_bound_audit, orbit_count,
-                             orbit_counts, orbit_points, spread_count)
+                             _cone_window, _family_windows, chain_bound_audit,
+                             orbit_count, orbit_counts, orbit_points,
+                             spread_count)
 
 
 def _orbit_by_bfs(X: ModelPoint, center: ModelPoint, tau: float,
@@ -414,12 +415,16 @@ def _unfold_mirror(blocks):
 
 def _families(X: ModelPoint, center: ModelPoint, tau: float) -> tuple:
     """_family_windows at one radius, with the mirror unfolded: its blocks'
-    (re0, y_pt, lo, hi), concatenated."""
+    (re0, y_pt, lo, hi), concatenated, cut to the families with a point
+    and with int64 edges, as _family_windows_by_keys lists them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_bottom_rows",
                    lambda *args: _unfold_mirror(_bottom_rows(*args)))
         blocks = [b[1:5] for b in _family_windows(X, center, (tau,))]
-    return tuple(np.concatenate(v) for v in zip(*blocks))
+    re0, y_pt, lo, hi = (np.concatenate(v) for v in zip(*blocks))
+    keep = hi >= lo
+    return (re0[keep], y_pt[keep], lo[keep].astype(np.int64),
+            hi[keep].astype(np.int64))
 
 
 @settings(deadline=None, max_examples=40)
@@ -479,6 +484,40 @@ def test_stabilizer_images_share_the_family_key(c, d):
             image = (e, f) if (e, f) > (0, 0) else (-e, -f)
             assert image != (c, d)
             assert _family_key(image, n, m) == key
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(CONES), st.floats(0.0, 14.0).map(math.exp))
+@example(CONES[0], 1.0)
+@example(CONES[0], math.exp(12.0) * (1.0 + 1e-12))  # i at tau = 6
+@example(CONES[1], math.exp(14.0))
+# at rho and rho + 1, c = 3 has a float window but no d: (2d - 3)^2 and
+# (2d + 3)^2 are at least 1 > 4 q_max - 27
+@example(CONES[1], 6.8)
+@example(CONES[2], 6.8)
+def test_cone_window_is_the_exact_test_within_the_widened_window(X, q_max):
+    # the widened float window of each c, as _bottom_rows builds it, and the
+    # d in it that pass the exact test, found one by one in Python ints
+    n, m, _ = cone = _CONE_POINTS[X.x, X.y]
+    y0sq = X.y * X.y
+    wide = []
+    for c in range(1, math.floor(math.sqrt(q_max / y0sq)) + 1):
+        dw = q_max - c * c * y0sq
+        if dw < 0.0:
+            break
+        w = math.sqrt(dw)
+        wide.append((math.ceil(-c * X.x - w) - 1,
+                     math.floor(-c * X.x + w) + 1))
+    lo, hi = (np.array([v[i] for v in wide], np.int64) for i in (0, 1))
+    _cone_window(cone, q_max, lo, hi)
+    for c, (a, b), e, f in zip(range(1, len(wide) + 1), wide, lo.tolist(),
+                               hi.tolist()):
+        passed = [d for d in range(a, b + 1)
+                  if (c * n + 2 * d) ** 2 + c * c * m <= 4.0 * q_max]
+        if passed:
+            assert (e, f) == (passed[0], passed[-1])
+        else:
+            assert (e, f) == (b + 1, b)
 
 
 @pytest.mark.parametrize("X, order", [(CONES[0], 2), (CONES[1], 3),
@@ -571,6 +610,10 @@ DEFAULT_TAUS = [2.0, 3.0, 4.0, 5.0, 6.0]
 @example(ModelPoint(0.3, 1.2), ModelPoint(0.1, 1.0), (100, [0.5, 6.0]))
 # only the last radius holds a row
 @example(CONES[0], ModelPoint(0.0, 100.0), (1, [0.5, 1.0, 3.0]))
+# the R-runs at i cut to the words with an L-run child, in blocks of one
+# word and of seven
+@example(CONES[0], CONES[0], (1, [1.0, 2.0, 3.0, 3.5]))
+@example(CONES[0], CONES[0], (7, [2.0, 4.5]))
 def test_bottom_rows_match_the_window_scan(X, center, block_taus):
     block, taus = block_taus
     args = _window_args(X, center, taus)
