@@ -20,9 +20,10 @@ lattice run and its spread counts does, the reflection z -> -conj(z)
 fixes both and maps the family of each row (c, d) onto that of (c, -d)
 with as many points in the ball: the walk builds one row of each such
 pair and counts it twice.  Rows and their Bezout partners come from the
-Stern-Brocot tree, with no gcd and no Euclid, as int64/float64 arrays:
-one walk serves all of a centre's radii, and each radius's count is
-summed block by block, with no block held or compacted past its sum.
+Stern-Brocot tree, with no gcd and no Euclid, as int64/float64 arrays.
+One walk, in one pass, serves all of a centre's radii: each block of rows
+in the largest radius's window is cut to every smaller radius's nested
+window in turn and summed, and nothing is held past the block.
 
 Everything downstream (cell bounds, growth and spread ratios, the chain
 audit over strata) consumes these counts.
@@ -45,10 +46,10 @@ from .torus import MAX_SYSTOLE, extremal_length, systole
 MIN_SYSTOLE = 1e-12
 MAX_ORBIT_RADIUS = 7.0
 MAX_SPREAD_RADIUS = 2.0
-# Tree words per block of the walk, and rows per block of each smaller
-# radius after it: bounds the row and family arrays of a block, which
-# are counted and dropped.  The rows the walk keeps in the second-largest
-# radius's window are all that is held until it ends.
+# Tree words per block of the walk: bounds the row and family arrays of a
+# block, which are cut to every radius, counted and dropped before the
+# walk goes on.  Only the d-tables and the walk's stack of words outlive
+# a block.
 ROW_BLOCK = 8_192
 # Integers below 2^53 are exact in float64; window edges at or past it
 # are no longer exact integers, and neither is the count.
@@ -76,11 +77,12 @@ class OrbitPointSet:
 
 
 def _cone_window(cone, q_max: float, lo: np.ndarray, hi: np.ndarray):
-    """Cut each widened window lo[c - 1] <= d <= hi[c - 1], in place, to the
-    d with (c n + 2d)^2 + c^2 m <= 4 q_max, cone = (n, m, images): convex in
-    d, they form an interval, or the window ends as lo = hi + 1 if none."""
+    """Cut each widened window lo[c] <= d <= hi[c], c = 0, 1, ..., in place,
+    to the d with (c n + 2d)^2 + c^2 m <= 4 q_max, cone = (n, m, images):
+    convex in d, they form an interval, or the window ends as lo = hi + 1 if
+    none."""
     n, m, _ = cone
-    c = np.arange(1, lo.size + 1, dtype=np.int64)
+    c = np.arange(lo.size, dtype=np.int64)
     for end, step in ((lo, 1), (hi, -1)):
         move = True
         while np.any(move):
@@ -89,32 +91,59 @@ def _cone_window(cone, q_max: float, lo: np.ndarray, hi: np.ndarray):
             end += step * move
 
 
-def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
-                 mirror=False, counters=None):
-    """Coprime bottom rows (c, d, a0, b0) with a0 d - b0 c = 1, per radius.
+def _row_windows(x0: float, y0sq: float, q_maxes: list, cone=None):
+    """Tables lo[k], hi[k] of the d-windows lo[k][c] <= d <= hi[k][c] of the
+    rows (c, d) with (c x0 + d)^2 + c^2 y0^2 <= q_maxes[k], one per radius.
 
-    (0, 1) comes first, then (1, 0), then the Stern-Brocot tree: each word
+    Each table runs over c = 0 .. C, C the largest radius's last c; the
+    entry c = 0 holds (0, 1) alone, and a window past its own radius's c
+    range is empty, lo = hi + 1.  At a cone point, cone = (n, m, images)
+    from _CONE_POINTS, each float window is widened by one on each side and
+    _cone_window cuts it to the exact window 4q = (c n + 2d)^2 + c^2 m <=
+    4 q_max, which at c = 0 keeps (0, 1) when q_max >= 1.  At a cone point
+    y0sq <= m / 4, so c_max and the c filter, with rounding monotone, never
+    drop a c the exact window holds.  The windows nest, as q_max rises.
+    """
+    widen = 1 if cone else 0
+    lo, hi = [], []
+    for q_max in q_maxes[::-1]:
+        c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
+        dw = q_max - np.arange(1, c_max + 1, dtype=np.int64) ** 2 * y0sq
+        w = np.sqrt(dw[dw >= 0.0])  # dw falls with c: c = 1 .. w.size
+        cx = -np.arange(1, w.size + 1, dtype=np.int64) * x0
+        pad = np.zeros(lo[0].size - w.size - 1 if lo else 0, np.int64)
+        lo.insert(0, np.concatenate(
+            ([1], np.ceil(cx - w).astype(np.int64) - widen, pad + 1)))
+        hi.insert(0, np.concatenate(
+            ([1], np.floor(cx + w).astype(np.int64) + widen, pad)))
+    for k in range(len(q_maxes) if cone else 0):
+        _cone_window(cone, q_maxes[k], lo[k], hi[k])
+    return lo, hi
+
+
+def _bottom_rows(d_lo: np.ndarray, d_hi: np.ndarray, cone=None,
+                 mirror=False, counters=None):
+    """Coprime bottom rows (c, d, a0, b0), a0 d - b0 c = 1, in the window
+    d_lo[c] <= d <= d_hi[c] of _row_windows, in blocks.
+
+    (0, 1) and (1, 0) come first, then the Stern-Brocot tree: each word
     [[a, b], [c, e]] in L = [[1, 1], [0, 1]] and R = [[1, 0], [1, 1]] that
     starts with R is one coprime (c, e >= 1), giving the rows (c, +-e) with
     top rows (+-a, b).  Descendants have larger c and e, so each step
     appends a whole run, L^j after an R and R^j after an L, while e stays
-    within the window of some c' >= c.  The tree is walked depth first in
-    chunks of at most ROW_BLOCK words, one block each, with the number of
-    coprime rows scanned: those in the float window (c x0 + d)^2 + c^2 y0^2
-    <= q_max.  Kept partners move to Euclid's, -(c // 2) <= a0 < c - c // 2.
+    within dmax[c'] of some c' >= c, dmax the suffix maximum of max(-d_lo,
+    d_hi).  The tree is walked depth first in chunks of at most ROW_BLOCK
+    words, one block each.  Kept partners move to Euclid's, -(c // 2) <= a0
+    < c - c // 2.
 
-    At a cone point, cone = (n, m, images) from _CONE_POINTS, the window
-    is the exact 4q = (c n + 2d)^2 + c^2 m <= 4 q_max: _cone_window cuts
-    each c's float window, widened by one on each side, to it once per
-    radius, keeping the rows a test of each would, so a row and its
-    stabilizer images are scanned together.  A row is kept when it precedes
-    each image (up to sign) in (c, d) order: its family's first row.  At i
-    that is c < |d| or (1, -1), and R-run rows have c >= e, so the walk
-    builds no R-run row and not (1, 0), the image of (0, 1), but builds
-    (1, -1), from R with top row (-1, 0), in place of (1, 0); it tests no
-    fold there, and scans order times the rows it keeps.  Nor does it build
-    an R-run word (c, e) with no L-run child, c + e > dmax[c - 1], which
-    has no descendant: as dmax[c - 1] - c falls, those end each run.
+    At a cone point, cone = (n, m, images) from _CONE_POINTS, a row is kept
+    when it precedes each stabilizer image (up to sign) in (c, d) order:
+    its family's first row.  At i that is c < |d| or (1, -1), and R-run
+    rows have c >= e, so the walk builds no R-run row and not (1, 0), the
+    image of (0, 1), but builds (1, -1), with partner (0, -1), in place
+    of (1, 0); it tests no fold there.  Nor does it build an R-run
+    word (c, e) with no L-run child, c + e > dmax[c], which has no
+    descendant: as dmax[c] - c falls, those end each run.
 
     With mirror, X and the center both on the imaginary axis, the walk
     builds only the rows (c, e) of its words, each of multiplicity 2: the
@@ -131,84 +160,43 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
     mirror (1, 1) lies in its family, are their own mirrors and keep
     multiplicity 1.
 
-    Blocks come as (k, c, d, a0, b0, scanned, mult), k indexing the
-    increasing q_maxes and mult the multiplicity of its rows; scanned
-    counts the mirrors.  The walk, for the last, gathers the rows kept in
-    the window before; each smaller radius, largest first, cuts them to its
-    own nested window and yields them in blocks of at most ROW_BLOCK rows
-    after (0, 1), scanning order times mult times the rows kept there.
+    Blocks come as (c, d, a0, b0, mult), mult the multiplicity of its rows.
     counters, if given, keeps in lattice.rows_built the most rows a walk
     built and tested, and in lattice.words_built the most tree words.
     """
-    widen, images = (1, cone[2]) if cone else (0, ())
-    last, order = len(q_maxes) - 1, len(images) + 1
     at_i = cone == _CONE_POINTS[0.0, 1.0]
-    # rows scanned per row kept by a walk block
-    images, per_row = ((), order) if at_i else (images, 1)
-    # (0, 1), with q = 1, comes first; an exact window may leave it out
-    one = np.ones(1 if cone is None or q_maxes[-1] >= 1.0 else 0, np.int64)
-    yield last, 0 * one, one, one, 0 * one, per_row * one.size, 1
-    # At a cone point y0sq <= m / 4, so c_max and the c filter, with
-    # rounding monotone, never drop a c the exact window holds.  Each
-    # radius's window is empty past its own c range.
-    lo, hi = [], []
-    for q_max in q_maxes[::-1]:
-        c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
-        dw = q_max - np.arange(1, c_max + 1, dtype=np.int64) ** 2 * y0sq
-        w = np.sqrt(dw[dw >= 0.0])  # dw falls with c: c = 1 .. w.size
-        cx = -np.arange(1, w.size + 1, dtype=np.int64) * x0
-        pad = np.zeros(lo[0].size - w.size if lo else 0, np.int64)
-        lo.insert(0, np.append(np.ceil(cx - w).astype(np.int64) - widen,
-                               pad + 1))
-        hi.insert(0, np.append(np.floor(cx + w).astype(np.int64) + widen, pad))
-    d_lo, d_hi = lo[-1], hi[-1]
-    # dmax[c - 1]: the largest |d| in the uncut window of any c' >= c
+    images = cone[2] if cone and not at_i else ()
+    size = d_lo.size
     dmax = np.maximum.accumulate(np.maximum(-d_lo, d_hi)[::-1])[::-1]
-    for k in range(len(q_maxes) if cone else 0):
-        _cone_window(cone, q_maxes[k], lo[k], hi[k])
     # c_top[e]: the last c whose window, or a later one, reaches e, or at i
-    # has the L-run child (c, e + c); no R-run reaches c + e > d_lo.size
-    c_top = np.searchsorted(at_i * np.arange(1, d_lo.size + 1) - dmax,
-                            -np.arange(d_lo.size + 1), side="right")
-    # the rows kept for the smaller radii, by multiplicity: a walk block's
-    # rows stand for their mirrors too, the rows before the walk do not
+    # has the L-run child (c, e + c); no R-run reaches c + e >= size
+    c_top = np.searchsorted(at_i * np.arange(1, size) - dmax[1:],
+                            -np.arange(size), side="right")
     walk_mult = 2 if mirror else 1
-    empty = (np.zeros(0, np.int64),) * 4
-    inner, built = {1: [empty], walk_mult: [empty]}, []
 
-    def window(k, c, d):
-        return (d >= lo[k][c - 1]) & (d <= hi[k][c - 1])
-
-    def block(a, b, c, d, mult):
-        built.append(c.size)
-        keep = window(last, c, d)
-        scanned = mult * per_row * int(np.count_nonzero(keep))
-        # c >= 1 here, so an image with first entry 0 is +-(0, 1), which
-        # comes first
+    def block(c, d, a, b):
+        keep = (d >= d_lo[c]) & (d <= d_hi[c])
+        # c >= 1 here but for (0, 1), so an image with first entry 0 is
+        # +-(0, 1), which comes first
         for al, be, ga, de in images:
             e = al * c + be * d
             f = (ga * c + de * d) * np.sign(e)
             e = np.abs(e)
             keep &= (c < e) | ((c == e) & (d < f))
-        a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-        k = (a + c // 2) // c
-        rows = c, d, a - k * c, b - k * d
-        if last:
-            sub = window(last - 1, c, d)
-            inner[mult].append(tuple(v[sub] for v in rows))
-        return (last, *rows, scanned, mult)
+        return c[keep], d[keep], a[keep], b[keep]
 
-    if d_lo.size:
-        yield block(*(np.array([v]) for v in ((-1, 0, 1, -1) if at_i
-                                              else (0, -1, 1, 0))), 1)
+    # (0, 1), and (1, 0) or at i (1, -1), with Euclid's partners
+    yield (*block(*(np.array(v[:size]) for v in
+                    ((0, 1), (1, -1 if at_i else 0), (1, 0), (0, -1)))), 1)
     # Entries: words (a, b, c, e), whether their runs are of R, and their
     # first child not yet taken.  The identity's R-runs are the roots.
     stack = [(*np.eye(2, dtype=np.int64).reshape(4, 1), True, 0)]
-    words = 0
+    # rows built: (1, 0), or at i (1, -1), then the walk's
+    rows, words = int(size > 1), 0
     while stack:
         a, b, c, e, r_run, i0 = stack.pop()
-        n = (np.maximum(c_top[np.minimum(e, d_lo.size)] - c, 0) // e if r_run
-             else (dmax[c - 1] - e) // c)
+        n = (np.maximum(c_top[np.minimum(e, size - 1)] - c, 0) // e if r_run
+             else (dmax[c] - e) // c)
         # the children are numbered flat, run after run
         edges = np.concatenate(([0], np.cumsum(n)))
         i1 = min(i0 + ROW_BLOCK, int(edges[-1]))
@@ -230,58 +218,56 @@ def _bottom_rows(x0: float, y0sq: float, q_maxes: list, cone=None,
         if not mirror:
             a, b, c, e = (np.concatenate((v, s * v)) for v, s in
                           ((a, -1), (b, 1), (c, 1), (e, -1)))
-        yield block(a, b, c, e, walk_mult)
+        rows += c.size
+        c, e, a, b = block(c, e, a, b)
+        k = (a + c // 2) // c
+        yield c, e, a - k * c, b - k * e, walk_mult
     if counters is not None:
-        for key, n in (("lattice.rows_built", sum(built)),
+        for key, n in (("lattice.rows_built", rows),
                        ("lattice.words_built", words)):
             counters[key] = max(counters[key], n)
-
-    groups = [(mult, [np.concatenate(v) for v in zip(*rows)])
-              for mult, rows in inner.items()]
-    for k in range(last - 1, -1, -1):
-        one = np.ones(1 if cone is None or q_maxes[k] >= 1.0 else 0, np.int64)
-        yield k, 0 * one, one, one, 0 * one, order * one.size, 1
-        for mult, rows in groups:
-            keep = window(k, *rows[:2])
-            rows[:] = [v[keep] for v in rows]
-            for i in range(0, rows[0].size, ROW_BLOCK):
-                part = [v[i:i + ROW_BLOCK] for v in rows]
-                yield (k, *part, mult * order * part[0].size, mult)
 
 
 def _family_windows(X: ModelPoint, center: ModelPoint, taus, counters=None):
     """Families (k, re0, y_pt, lo, hi, mult) of a reduced X, per block of
-    rows.
+    rows and radius.
 
     Family t of a kept row holds the points re0 + t + i y_pt, lo <= t <= hi,
     in the ball of radius taus[k], k indexing the increasing taus; lo and hi
-    are float64, hi < lo where none is.  At a cone point of _CONE_POINTS,
-    _bottom_rows yields one row per family.  When X and the center both lie
-    on the imaginary axis, the families of a block with mult = 2 stand for
-    their mirrors (-re0, y_pt, -hi, -lo) too, which hold as many points.
-    Raises OverflowError, with no numpy warning first, once a window edge
-    reaches EXACT_EDGE_LIMIT or is nan, as it is once Im X^2 overflows (Im X
-    above about 1.3e154) or the ball's slice does.  counters, if given,
-    gains the coprime rows scanned and the families kept, each mirror counted.
+    are float64, hi < lo where none is.  Each block of _bottom_rows, rows
+    of the largest radius's window, is cut to each smaller radius's nested
+    window in turn, largest first, until one holds no row.  At a cone point
+    of _CONE_POINTS, _bottom_rows yields one row per family.  When X and the
+    center both lie on the imaginary axis, the families of a block with
+    mult = 2 stand for their mirrors (-re0, y_pt, -hi, -lo) too, which hold
+    as many points.  Raises OverflowError, with no numpy warning first, once
+    a window edge reaches EXACT_EDGE_LIMIT or is nan, as it is once Im X^2
+    overflows (Im X above about 1.3e154) or the ball's slice does.
+    counters, if given, gains the coprime rows scanned, order times mult
+    times the rows in each radius's window, and the families kept, each
+    mirror counted.
     """
     x0, y0 = X.x, X.y
     xc, yc = center.x, center.y
     y0sq = y0 * y0
     cone = _CONE_POINTS.get((x0, y0))
-    mirror = x0 == 0.0 and xc == 0.0
+    # the stabilizer's order: the rows of a window per row kept
+    order = len(cone[2]) + 1 if cone else 1
 
     q_maxes = [(y0 / yc) * math.exp(2.0 * tau) * (1.0 + 1e-12) for tau in taus]
+    d_lo, d_hi = _row_windows(x0, y0sq, q_maxes, cone)
 
     # At a cone point, with n = 2 Re X and m = 4 Im^2 X, the integers
-    # 4q = (c n + 2d)^2 + c^2 m and 4 q re0 are exact.  The int64
-    # arithmetic here and in _bottom_rows does not wrap: the top row of a
-    # word that starts with R is bounded by its bottom row, and every
-    # integer is a small multiple of q_max, which a reduced center and
-    # tau <= MAX_ORBIT_RADIUS keep below 2e6 at a cone point.
+    # 4q = (c n + 2d)^2 + c^2 m and 4 q re0 are exact, and q <= q_max is
+    # the exact window's test.  The int64 arithmetic here and in
+    # _bottom_rows does not wrap: the top row of a word that starts with R
+    # is bounded by its bottom row, and every integer is a small multiple
+    # of q_max, which a reduced center and tau <= MAX_ORBIT_RADIUS keep
+    # below 2e6 at a cone point.
     rows = fams = 0
-    for k, c, d, a0, b0, scanned, mult in _bottom_rows(
-            x0, y0sq, q_maxes, cone, mirror, counters):
-        rows += scanned
+    last = len(taus) - 1
+    for c, d, a0, b0, mult in _bottom_rows(
+            d_lo[-1], d_hi[-1], cone, x0 == 0.0 and xc == 0.0, counters):
         # overflows reach the edge test (a decorator misses a generator)
         with np.errstate(over="ignore", invalid="ignore"):
             if cone:
@@ -292,24 +278,31 @@ def _family_windows(X: ModelPoint, center: ModelPoint, taus, counters=None):
             else:
                 cxd = c * x0 + d
                 q = cxd ** 2 + (c * y0) ** 2
-                ok = q <= q_maxes[k]
-                q = q[ok]
-                re0 = ((a0 * x0 + b0) * cxd + a0 * c * y0sq)[ok] / q
-
-            y_pt = y0 / q
-            s = ball_slice_sq(y_pt, yc, math.cosh(2.0 * taus[k]) - 1.0)
-            live = ~(s < 0.0)  # a nan slice is live, and its edges nan
-            re0, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
-            lo = np.ceil(xc - w - re0)
-            hi = np.floor(xc + w - re0)
-            edge = np.maximum(np.abs(lo).max(initial=0.0),
-                              np.abs(hi).max(initial=0.0))  # nan if either is
-        if not edge < EXACT_EDGE_LIMIT:
-            raise OverflowError(
-                f"orbit window edge past 2^53 at X = {X}, radius "
-                f"{taus[k]}: the count would not be exact")
-        fams += mult * int(np.count_nonzero(hi >= lo))
-        yield k, re0, y_pt, lo, hi, mult
+                re0 = ((a0 * x0 + b0) * cxd + a0 * c * y0sq) / q
+        for k in range(last, -1, -1):
+            if k < last:  # the walk's rows all lie in the last window
+                inside = (d >= d_lo[k][c]) & (d <= d_hi[k][c])
+                c, d, q, re0 = c[inside], d[inside], q[inside], re0[inside]
+            if not c.size:
+                break
+            rows += order * mult * c.size
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_pt = y0 / q
+                s = ball_slice_sq(y_pt, yc, math.cosh(2.0 * taus[k]) - 1.0)
+                # rounding can let a float window's q pass q_max; a nan
+                # slice is live, and its edges nan
+                live = (q <= q_maxes[k]) & ~(s < 0.0)
+                re_k, y_pt, w = re0[live], y_pt[live], np.sqrt(s[live])
+                lo = np.ceil(xc - w - re_k)
+                hi = np.floor(xc + w - re_k)
+                edge = np.maximum(np.abs(lo).max(initial=0.0),
+                                  np.abs(hi).max(initial=0.0))  # nan if either is
+            if not edge < EXACT_EDGE_LIMIT:
+                raise OverflowError(
+                    f"orbit window edge past 2^53 at X = {X}, radius "
+                    f"{taus[k]}: the count would not be exact")
+            fams += mult * int(np.count_nonzero(hi >= lo))
+            yield k, re_k, y_pt, lo, hi, mult
     if counters is not None:
         counters["lattice.coprime_rows"] += rows
         counters["lattice.families"] += fams
@@ -337,7 +330,7 @@ def orbit_points(X: ModelPoint, center: ModelPoint, tau: float) -> OrbitPointSet
     are mapped back through its deck afterwards.
     """
     blocks, deck = _reduced_windows(X, center, (tau,))
-    fams = []
+    fams = [(np.zeros(0),) * 4]  # a ball may hold no family
     for _, re0, y_pt, lo, hi, mult in blocks:
         fams.append((re0, y_pt, lo, hi))
         if mult == 2:  # the mirror family

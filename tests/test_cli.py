@@ -311,17 +311,17 @@ def test_close_body_is_pinned():
 def test_lattice_footer_counts_rows_and_families():
     report = run(build_config("lattice", overrides={"tau_grid": "2, 3"}))
     # rows_built and words_built are the largest walk's: the one about i
-    # at tau = 3, which builds an R-run word only with an L-run child (205
+    # at tau = 3, which builds an R-run word only with an L-run child (193
     # words without that cut)
     assert report.counters == {"lattice.coprime_rows": 487,
                                "lattice.families": 253,
-                               "lattice.rows_built": 105,
-                               "lattice.words_built": 147}
+                               "lattice.rows_built": 97,
+                               "lattice.words_built": 135}
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
     assert footer[1:5] == ["# count.lattice.coprime_rows = 487",
                            "# count.lattice.families = 253",
-                           "# count.lattice.rows_built = 105",
-                           "# count.lattice.words_built = 147"]
+                           "# count.lattice.rows_built = 97",
+                           "# count.lattice.words_built = 135"]
     assert footer[-1].startswith("# wall_time")
     assert "#" not in report.to_text(deterministic_only=True)
 
@@ -331,15 +331,16 @@ def test_lattice_default_footer_is_pinned():
     # the families kept are summed over the radii as one walk each gave.
     # The walk about i at tau = 6 builds the most rows: (1, -1) and its
     # L-run rows (c, e), each standing for its mirror (c, -e) too; with the
-    # mirrors it would build 78,059, and with its R-run rows and (1, 0)
-    # as well 155,911.  It builds 55,010 tree words, of which 15,981 end in
-    # an R-run; with the R-run words that have no L-run child, 77,955
+    # mirrors it would build 77,713, and with its R-run rows and (1, 0)
+    # as well 155,427.  It builds 54,770 tree words, of which 15,914 end in
+    # an R-run; with the R-run words that have no L-run child, 77,713.  The
+    # walk's extent is taken over the exact windows
     report = run(build_config("lattice"))
     footer = [ln for ln in report.to_text().splitlines() if ln.startswith("#")]
     assert footer[1:5] == ["# count.lattice.coprime_rows = 199492",
                            "# count.lattice.families = 102964",
-                           "# count.lattice.rows_built = 39030",
-                           "# count.lattice.words_built = 55010"]
+                           "# count.lattice.rows_built = 38857",
+                           "# count.lattice.words_built = 54770"]
 
 
 def test_thin_footer_counts_one_sweep_per_net():

@@ -12,9 +12,9 @@ from geodlab.halfplane import (MappingClass, ModelPoint, hyp_dist_arrays,
                                reduce_to_fundamental, teich_dist)
 from geodlab import lattice
 from geodlab.lattice import (_CONE_POINTS, MAX_ORBIT_RADIUS, _bottom_rows,
-                             _cone_window, _family_windows, chain_bound_audit,
-                             orbit_count, orbit_counts, orbit_points,
-                             spread_count)
+                             _cone_window, _family_windows, _row_windows,
+                             chain_bound_audit, orbit_count, orbit_counts,
+                             orbit_points, spread_count)
 
 
 def _orbit_by_bfs(X: ModelPoint, center: ModelPoint, tau: float,
@@ -405,12 +405,12 @@ def _unfold_mirror(blocks):
     """A _bottom_rows stream with each row (c, d) of a block of
     multiplicity 2 joined by its mirror (c, -d), which takes its own
     partner from _euclid; every block then has multiplicity 1."""
-    for k, c, d, a0, b0, scanned, mult in blocks:
+    for c, d, a0, b0, mult in blocks:
         if mult == 2:
             a1, b1 = _euclid(-d, c)
             c, d, a0, b0 = (np.concatenate(v) for v in
                             ((c, c), (d, -d), (a0, a1), (b0, b1)))
-        yield k, c, d, a0, b0, scanned, 1
+        yield c, d, a0, b0, 1
 
 
 def _families(X: ModelPoint, center: ModelPoint, tau: float) -> tuple:
@@ -420,7 +420,8 @@ def _families(X: ModelPoint, center: ModelPoint, tau: float) -> tuple:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_bottom_rows",
                    lambda *args: _unfold_mirror(_bottom_rows(*args)))
-        blocks = [b[1:5] for b in _family_windows(X, center, (tau,))]
+        blocks = [(np.zeros(0),) * 4]  # a ball may hold no family
+        blocks += [b[1:5] for b in _family_windows(X, center, (tau,))]
     re0, y_pt, lo, hi = (np.concatenate(v) for v in zip(*blocks))
     keep = hi >= lo
     return (re0[keep], y_pt[keep], lo[keep].astype(np.int64),
@@ -496,11 +497,12 @@ def test_stabilizer_images_share_the_family_key(c, d):
 @example(CONES[1], 6.8)
 @example(CONES[2], 6.8)
 def test_cone_window_is_the_exact_test_within_the_widened_window(X, q_max):
-    # the widened float window of each c, as _bottom_rows builds it, and the
-    # d in it that pass the exact test, found one by one in Python ints
+    # the widened float window of each c, as _row_windows builds it, with
+    # (0, 1) alone at c = 0, and the d in it that pass the exact test,
+    # found one by one in Python ints
     n, m, _ = cone = _CONE_POINTS[X.x, X.y]
     y0sq = X.y * X.y
-    wide = []
+    wide = [(1, 1)]
     for c in range(1, math.floor(math.sqrt(q_max / y0sq)) + 1):
         dw = q_max - c * c * y0sq
         if dw < 0.0:
@@ -510,7 +512,7 @@ def test_cone_window_is_the_exact_test_within_the_widened_window(X, q_max):
                      math.floor(-c * X.x + w) + 1))
     lo, hi = (np.array([v[i] for v in wide], np.int64) for i in (0, 1))
     _cone_window(cone, q_max, lo, hi)
-    for c, (a, b), e, f in zip(range(1, len(wide) + 1), wide, lo.tolist(),
+    for c, (a, b), e, f in zip(range(len(wide)), wide, lo.tolist(),
                                hi.tolist()):
         passed = [d for d in range(a, b + 1)
                   if (c * n + 2 * d) ** 2 + c * c * m <= 4.0 * q_max]
@@ -530,7 +532,7 @@ def test_coprime_rows_are_order_times_rows_kept(monkeypatch, X, order):
 
     def bottom_rows(*args):
         for block in _bottom_rows(*args):
-            sizes.append(block[-1] * block[1].size)
+            sizes.append(block[-1] * block[0].size)
             yield block
 
     monkeypatch.setattr(lattice, "_bottom_rows", bottom_rows)
@@ -541,7 +543,8 @@ def test_coprime_rows_are_order_times_rows_kept(monkeypatch, X, order):
 
 
 def _window_args(X: ModelPoint, center: ModelPoint, taus) -> tuple:
-    """The arguments _family_windows passes to _bottom_rows."""
+    """The arguments _family_windows passes to _row_windows, and whether
+    it passes mirror to _bottom_rows."""
     y0sq = X.y * X.y
     q_maxes = [(X.y / center.y) * math.exp(2.0 * tau) * (1.0 + 1e-12)
                for tau in taus]
@@ -595,6 +598,30 @@ BLOCK_TAUS = st.sampled_from(sorted(BLOCK_TAU)).flatmap(
 DEFAULT_TAUS = [2.0, 3.0, 4.0, 5.0, 6.0]
 
 
+# two to four strictly increasing radii within MAX_ORBIT_RADIUS
+RADII = st.lists(st.floats(0.05, MAX_ORBIT_RADIUS), min_size=2, max_size=4,
+                 unique=True).map(sorted)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.sampled_from(CONES), AXIS, REDUCED),
+       st.one_of(POINT, AXIS), RADII)
+@example(CONES[0], CONES[0], [2.0, 3.0, 4.0, 5.0, 6.0])
+@example(CONES[1], ModelPoint(0.0, 100.0), [0.5, 1.0, 3.0])  # (0, 1) cut
+@example(ModelPoint(0.0, 10.0), ModelPoint(0.0, 10.0), [0.05, 7.0])
+def test_row_windows_nest(X, center, taus):
+    # _family_windows stops cutting a block at the first radius whose
+    # window holds none of its rows: for every c, c = 0 too, each radius's
+    # window lies within each larger one's, or is empty
+    center, _ = reduce_to_fundamental(center)
+    lo, hi = _row_windows(*_window_args(X, center, taus)[:4])
+    assert len({v.size for v in lo + hi}) == 1
+    for k in range(len(taus)):
+        for j in range(k + 1, len(taus)):
+            empty = lo[k] > hi[k]
+            assert np.all(empty | ((lo[j] <= lo[k]) & (hi[k] <= hi[j])))
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.one_of(REDUCED, AXIS), st.one_of(REDUCED, AXIS), BLOCK_TAUS)
 @example(CONES[0], CONES[0], (65_536, [6.0]))
@@ -615,23 +642,25 @@ DEFAULT_TAUS = [2.0, 3.0, 4.0, 5.0, 6.0]
 @example(CONES[0], CONES[0], (1, [1.0, 2.0, 3.0, 3.5]))
 @example(CONES[0], CONES[0], (7, [2.0, 4.5]))
 def test_bottom_rows_match_the_window_scan(X, center, block_taus):
+    # the walk yields the rows of the largest radius's window; the smaller
+    # radii's cuts are checked by test_orbit_counts_equal_the_one_radius_calls
     block, taus = block_taus
-    args = _window_args(X, center, taus)
-    got, scanned = [[] for _ in taus], [0] * len(taus)
+    x0, y0sq, q_maxes, cone, mirror = _window_args(X, center, taus)
+    lo, hi = _row_windows(x0, y0sq, q_maxes, cone)
+    got = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "ROW_BLOCK", block)
-        for k, c, d, a0, b0, n, _ in _unfold_mirror(_bottom_rows(*args)):
+        for c, d, a0, b0, _ in _unfold_mirror(
+                _bottom_rows(lo[-1], hi[-1], cone, mirror)):
             # every block is bounded: a walk block holds (c, +-e) rows, or
             # rows (c, e) that stand for their mirrors too
             assert c.size <= 2 * block
-            got[k] += zip(c.tolist(), d.tolist(), a0.tolist(), b0.tolist())
-            scanned[k] += n
-    x0, y0sq, q_maxes, cone, _ = args
-    for k, q_max in enumerate(q_maxes):
-        c_max = int(math.floor(math.sqrt(max(q_max / y0sq, 0.0))))
-        want, rows = _bottom_rows_by_scan(x0, y0sq, q_max, c_max, cone)
-        assert sorted(got[k]) == want
-        assert scanned[k] == rows
+            got += zip(c.tolist(), d.tolist(), a0.tolist(), b0.tolist())
+    c_max = int(math.floor(math.sqrt(max(q_maxes[-1] / y0sq, 0.0))))
+    want, rows = _bottom_rows_by_scan(x0, y0sq, q_maxes[-1], c_max, cone)
+    assert sorted(got) == want
+    # the coprime rows counted: the stabilizer's order per row kept
+    assert (len(cone[2]) + 1 if cone else 1) * len(got) == rows
 
 
 @settings(deadline=None, max_examples=40)
@@ -641,6 +670,10 @@ def test_bottom_rows_match_the_window_scan(X, center, block_taus):
 @example(CONES[2], ModelPoint(0.17, 1.1), (7, [0.5, 4.0]))
 @example(ModelPoint(0.3, 1.2), ModelPoint(0.1, 1.0), (100, [4.0, 5.0, 6.0]))
 @example(ModelPoint(0.0, 10.0), ModelPoint(0.0, 10.0), (100, DEFAULT_TAUS))
+# the R-runs at i cut to the words with an L-run child, in blocks of one
+# word and of seven, each block cut to every smaller radius
+@example(CONES[0], CONES[0], (1, [1.0, 2.0, 3.0, 3.5]))
+@example(CONES[0], CONES[0], (7, [2.0, 4.5]))
 def test_orbit_counts_equal_the_one_radius_calls(X, center, block_taus):
     # one walk for all the radii gives each radius's count, and the sums
     # of its rows scanned and families kept, as its own walk does
@@ -654,11 +687,10 @@ def test_orbit_counts_equal_the_one_radius_calls(X, center, block_taus):
 
 
 def test_orbit_counts_near_the_largest_radius_hold_no_families():
-    # each radius's count is summed as its blocks come, so only the rows
-    # gathered for tau = 6.5 outlive a block, and the walk builds one row
-    # of each mirror pair: about 10 MB are traced, 21 MB with both rows of
-    # each pair, and holding every family of both radii to the end took
-    # about 54 MB
+    # each block of the walk is cut to both radii and counted before the
+    # walk goes on, so no row outlives its block, and the walk builds one
+    # row of each mirror pair: about 3 MB are traced.  Gathering the rows
+    # of tau = 6.5 for a second pass over them traces about 10 MB
     i = ModelPoint(0.0, 1.0)
     tracemalloc.start()
     try:
@@ -666,4 +698,4 @@ def test_orbit_counts_near_the_largest_radius_hold_no_families():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18e6
+    assert peak <= 6e6
